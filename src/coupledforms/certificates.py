@@ -183,16 +183,11 @@ def min_symmetric_eigenvalue(a) -> float:
 
 
 def spectral_norm(a) -> float:
-    """Largest singular value, computed through the eigen solver on A^T A."""
+    """Largest singular value."""
     a = np.asarray(a, dtype=float)
     if a.size == 0:
         return 0.0
-    gram = a.T @ a
-    try:
-        top = float(np.linalg.eigvalsh(gram)[-1])
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NumericalError(f"eigen solve failed on Gram matrix: {exc}") from exc
-    return math.sqrt(max(top, 0.0))
+    return float(np.linalg.norm(a, 2))
 
 
 def gershgorin_check(bundle: ConstantsBundle) -> CertificateEntry:

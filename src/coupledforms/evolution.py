@@ -58,10 +58,12 @@ class EvolutionConfig:
 class TrajectoryRecord:
     """Recorded states and derived observables of one evolution run.
 
-    ``states[k]`` is the list of per-component coordinate vectors at
+    ``states[k]`` is the list of per-component coordinates at
     ``times[k]``.  Observables always include the ambient norm, the
-    per-component norms, the nodal extremes and the domain norm; the
-    strip observables appear when a projection was supplied.
+    per-component norms and the nodal extremes; the strip observables
+    appear when a projection was supplied.  A run started from
+    ``(dim, k)`` components holds k trials: states keep the trial axis
+    and each observable has one column per trial.
     """
 
     times: np.ndarray
@@ -75,6 +77,12 @@ class TrajectoryRecord:
     @property
     def final_state(self) -> list:
         return self.states[-1]
+
+    def trial(self, c: int) -> "TrajectoryRecord":
+        """The run of trial column ``c`` of a batched record."""
+        states = [[b[:, c].copy() for b in state] for state in self.states]
+        observables = {name: vals[:, c].copy() for name, vals in self.observables.items()}
+        return TrajectoryRecord(self.times, states, observables, self.n_components)
 
 
 class Stepper:
@@ -110,13 +118,15 @@ class Stepper:
             )
 
     def step(self, u: np.ndarray, step_index: int = 0) -> np.ndarray:
+        """Advance a state vector, or each column of a ``(N, k)`` block."""
         rhs = self._rhs @ u
         u_next = scipy.linalg.lu_solve(self._lu, rhs)
-        residual = np.linalg.norm(self._lhs @ u_next - rhs)
-        if not residual <= self.cfg.solver_tolerance * max(1.0, float(np.linalg.norm(rhs))):
+        residual = np.linalg.norm(self._lhs @ u_next - rhs, axis=0)
+        bound = self.cfg.solver_tolerance * np.maximum(1.0, np.linalg.norm(rhs, axis=0))
+        if not np.all(residual <= bound):
             raise SolverError(
                 f"{self.cfg.scheme} solve lost accuracy at step {step_index} "
-                f"(dt={self.cfg.dt}, residual {residual:.3e})"
+                f"(dt={self.cfg.dt}, residual {np.max(residual):.3e})"
             )
         return u_next
 
@@ -127,34 +137,36 @@ def step(form: FormMatrix, u, cfg: EvolutionConfig) -> list:
     return form.split(stepper.step(form.flatten(u)))
 
 
-def h_norm(form: FormMatrix, u) -> float:
-    """Ambient norm ``sqrt(sum_i u_i^H h_gram_i u_i)`` of a block vector."""
-    total = 0.0
-    for i, sl in enumerate(form.block_slices):
-        ui = np.asarray(u[i]).reshape(-1)
-        if ui.shape[0] != form.spaces[i].dim:
-            raise DimensionError(f"component {i} has wrong length {ui.shape[0]}")
-        total += float(np.vdot(ui, form.spaces[i].h_gram @ ui).real)
-    return float(np.sqrt(max(total, 0.0)))
+def _squared_norms(form: FormMatrix, blocks: list) -> list:
+    """``u_i^H h_gram_i u_i`` per component, one value per trial column."""
+    return [
+        np.einsum("i...,i...->...", b.conj(), space.h_gram @ b).real
+        for b, space in zip(blocks, form.spaces)
+    ]
 
 
-def _projection_matrix(proj) -> np.ndarray:
-    matrix = getattr(proj, "matrix", proj)
-    return np.asarray(matrix)
+def _norm(squares) -> np.ndarray:
+    return np.sqrt(np.maximum(squares, 0.0))
+
+
+def h_norm(form: FormMatrix, u):
+    """Ambient norm ``sqrt(sum_i u_i^H h_gram_i u_i)`` of a block vector.
+
+    Components of shape ``(dim_i, k)`` give one norm per column.
+    """
+    return _norm(sum(_squared_norms(form, form.split(form.flatten(u)))))
 
 
 def _apply_projection(k: np.ndarray, blocks: list) -> list:
     return [sum(k[i, j] * blocks[j] for j in range(len(blocks))) for i in range(k.shape[0])]
 
 
-def _require_identical_spaces(form: FormMatrix, why: str) -> None:
-    first = form.spaces[0]
-    if not all(s.same_geometry(first) for s in form.spaces[1:]):
-        raise ValidationError(f"{why} requires all component spaces to be identical")
-
-
 def evolve(form: FormMatrix, u0, cfg: EvolutionConfig, proj=None) -> TrajectoryRecord:
     """Run the configured scheme from ``u0`` and record observables.
+
+    Components of ``u0`` are vectors ``(dim_i,)`` for one run or
+    ``(dim_i, k)`` blocks for k independent trials stepped together
+    with one factorization; see :meth:`TrajectoryRecord.trial`.
 
     When ``proj`` (an object with an m-by-m ``matrix`` attribute, or the
     matrix itself) is given, all component spaces must be identical and
@@ -166,8 +178,9 @@ def evolve(form: FormMatrix, u0, cfg: EvolutionConfig, proj=None) -> TrajectoryR
         raise ValidationError("initial data contains non-finite entries")
     k_mat = None
     if proj is not None:
-        _require_identical_spaces(form, "a lifted projection")
-        k_mat = _projection_matrix(proj)
+        if not form.identical_spaces:
+            raise ValidationError("a lifted projection requires all component spaces to be identical")
+        k_mat = np.asarray(getattr(proj, "matrix", proj))
         if k_mat.shape != (form.m, form.m):
             raise DimensionError(f"projection matrix must be {form.m}x{form.m}")
         if np.iscomplexobj(k_mat):
@@ -178,29 +191,26 @@ def evolve(form: FormMatrix, u0, cfg: EvolutionConfig, proj=None) -> TrajectoryR
 
     times = []
     states = []
-    obs: dict = {name: [] for name in ["h_norm", "v_norm", "min_value", "sup_norm"]}
-    for i in range(form.m):
-        obs[f"comp_norm_{i + 1}"] = []
+    names = ["h_norm", "min_value", "sup_norm"] + [f"comp_norm_{i + 1}" for i in range(form.m)]
     if k_mat is not None:
-        obs["strip_distance"] = []
-        obs["projection_norm"] = []
+        names += ["strip_distance", "projection_norm"]
+    obs: dict = {name: [] for name in names}
 
     def record(k: int) -> None:
         blocks = form.split(u.copy())
         times.append(k * cfg.dt)
         states.append(blocks)
-        obs["h_norm"].append(h_norm(form, blocks))
-        vg = form.vgram_matrix
-        obs["v_norm"].append(float(np.sqrt(max(np.vdot(u, vg @ u).real, 0.0))))
-        for i, b in enumerate(blocks):
-            hi = form.spaces[i].h_gram
-            obs[f"comp_norm_{i + 1}"].append(float(np.sqrt(max(np.vdot(b, hi @ b).real, 0.0))))
-        obs["min_value"].append(float(min(np.min(b.real) for b in blocks)))
-        obs["sup_norm"].append(float(max(np.max(np.abs(b)) for b in blocks)))
+        squares = _squared_norms(form, blocks)
+        obs["h_norm"].append(_norm(sum(squares)))
+        for i, sq in enumerate(squares):
+            obs[f"comp_norm_{i + 1}"].append(_norm(sq))
+        obs["min_value"].append(u.real.min(axis=0))
+        obs["sup_norm"].append(np.abs(u).max(axis=0))
         if k_mat is not None:
+            # the distance comes from u - Pu itself: |u|^2 - |Pu|^2 loses
+            # half the digits of a distance near zero
             pu = _apply_projection(k_mat, blocks)
-            diff = [b - p for b, p in zip(blocks, pu)]
-            obs["strip_distance"].append(h_norm(form, diff))
+            obs["strip_distance"].append(h_norm(form, [b - p for b, p in zip(blocks, pu)]))
             obs["projection_norm"].append(h_norm(form, pu))
 
     record(0)

@@ -186,24 +186,41 @@ class FormMatrix:
         meta["diagonal_of"] = meta.pop("model", "unnamed")
         return FormMatrix(self.spaces, blocks, meta)
 
+    @cached_property
+    def identical_spaces(self) -> bool:
+        """All component spaces share one geometry (needed to lift an m-by-m projection)."""
+        first = self.spaces[0]
+        return all(s.same_geometry(first) for s in self.spaces[1:])
+
     def flatten(self, blocks) -> np.ndarray:
-        """Concatenate per-component coordinate vectors into one vector."""
+        """Concatenate per-component coordinates into one vector.
+
+        Components are all vectors ``(dim_i,)``, giving ``(total_dim,)``,
+        or all ``(dim_i, k)`` blocks of k trial columns, giving
+        ``(total_dim, k)``.
+        """
         blocks = list(blocks)
         if len(blocks) != self.m:
             raise DimensionError(f"expected {self.m} component vectors, got {len(blocks)}")
         parts = []
         for i, b in enumerate(blocks):
-            b = np.asarray(b).reshape(-1)
+            b = np.asarray(b)
+            if b.ndim != 2:
+                b = b.reshape(-1)
             if b.shape[0] != self.spaces[i].dim:
                 raise DimensionError(
                     f"component {i} has length {b.shape[0]}, expected {self.spaces[i].dim}"
                 )
             parts.append(b)
+        if len({b.shape[1:] for b in parts}) > 1:
+            raise DimensionError("components must all be vectors or all have the same number of columns")
         return np.concatenate(parts)
 
     def split(self, vec: np.ndarray) -> list:
-        """Inverse of :meth:`flatten`."""
-        vec = np.asarray(vec).reshape(-1)
+        """Inverse of :meth:`flatten`; a trailing trial axis is kept."""
+        vec = np.asarray(vec)
+        if vec.ndim != 2:
+            vec = vec.reshape(-1)
         if vec.shape[0] != self.total_dim:
             raise DimensionError(f"vector has length {vec.shape[0]}, expected {self.total_dim}")
         return [vec[sl] for sl in self.block_slices]
@@ -233,6 +250,8 @@ def form_apply(form: FormMatrix, f, g) -> complex:
     """
     fv = form.flatten(f)
     gv = form.flatten(g)
+    if fv.ndim != 1 or gv.ndim != 1:
+        raise DimensionError("form_apply takes block vectors, not blocks of trial columns")
     return complex(np.vdot(gv, form.full_matrix @ fv))
 
 

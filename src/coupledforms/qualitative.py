@@ -165,9 +165,14 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng([seed, trial])
 
 
-def _identical_spaces(form: FormMatrix) -> bool:
-    first = form.spaces[0]
-    return all(s.same_geometry(first) for s in form.spaces[1:])
+def _require_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValidationError(f"trials must be >= 1, got {trials}")
+
+
+def _stack_trials(trials: list) -> list:
+    """Per-trial block vectors as one block of ``(dim_i, k)`` trial columns."""
+    return [np.stack(components, axis=1) for components in zip(*trials)]
 
 
 def _lift(vectors: np.ndarray, n: int) -> np.ndarray:
@@ -203,7 +208,7 @@ def subspace_invariance_check(form: FormMatrix, proj: ProjectionSpec, direction:
     check_id = "subspace_C" if direction == "strip_C" else "subspace_B"
     if proj.m != form.m:
         raise DimensionError("projection size does not match the number of components")
-    if not _identical_spaces(form):
+    if not form.identical_spaces:
         return CheckResult(check_id, NOT_APPLICABLE, {"reason": "component spaces differ"})
     if not is_discretely_accretive(form):
         return CheckResult(check_id, NOT_APPLICABLE, {"reason": "form is not accretive"})
@@ -375,6 +380,7 @@ def positivity_check(
     seeded nonnegative initial data must keep all nodal values above
     ``-1e-8`` at every recorded time.  Requires a real form.
     """
+    _require_trials(trials)
     if not realness_check(form).passed:
         return CheckResult("positivity", NOT_APPLICABLE, {"reason": "form is not real"})
     cfg = cfg or _DEFAULT_CFG
@@ -385,20 +391,18 @@ def positivity_check(
         return CheckResult("positivity", FAIL, details)
     if not runtime:
         return CheckResult("positivity", PASS, details)
-    worst_min = np.inf
-    witness = None
+    u0 = []
     for t in range(trials):
         rng = _trial_rng(seed, t)
-        u0 = [rng.random(s.dim) for s in form.spaces]
-        traj = evolve(form, u0, cfg)
-        low = float(traj.observable("min_value").min())
-        if low < worst_min:
-            worst_min = low
-            if low < -RUNTIME_CONE_TOL:
-                witness = traj
-    details["worst_nodal_min"] = worst_min
-    if worst_min < -RUNTIME_CONE_TOL:
-        return CheckResult("positivity", FAIL, details, witness=witness, witness_label="negative_node")
+        u0.append([rng.random(s.dim) for s in form.spaces])
+    traj = evolve(form, _stack_trials(u0), cfg)
+    lows = traj.observable("min_value").min(axis=0)
+    worst = int(np.argmin(lows))
+    details["worst_nodal_min"] = float(lows[worst])
+    if lows[worst] < -RUNTIME_CONE_TOL:
+        return CheckResult(
+            "positivity", FAIL, details, witness=traj.trial(worst), witness_label="negative_node"
+        )
     return CheckResult("positivity", PASS, details)
 
 
@@ -416,6 +420,7 @@ def domination_check(
     are nonpositive on the cone; trial 0 uses nonnegative data, where
     zero coupling gives exact equality.
     """
+    _require_trials(trials)
     if not realness_check(form).passed:
         return CheckResult("domination", NOT_APPLICABLE, {"reason": "form is not real"})
     violated, worst_alg, where = _off_diagonal_sign_violation(form, max(trials, 5), seed)
@@ -426,29 +431,23 @@ def domination_check(
             {"reason": "couplings take positive values on the cone", "max_coupling_value": worst_alg},
         )
     cfg = cfg or _DEFAULT_CFG
-    diag = form.diagonal_part()
-    worst_margin = np.inf
-    witness = None
+    u0 = []
     for t in range(trials):
         rng = _trial_rng(seed, t)
-        if t == 0:
-            u0 = [rng.random(s.dim) for s in form.spaces]
-        else:
-            u0 = [rng.standard_normal(s.dim) for s in form.spaces]
-        traj_diag = evolve(diag, u0, cfg)
-        traj_full = evolve(form, [np.abs(b) for b in u0], cfg)
-        for k in range(len(traj_diag.times)):
-            for i in range(form.m):
-                margin = float(
-                    np.min(traj_full.states[k][i].real - np.abs(traj_diag.states[k][i]))
-                )
-                if margin < worst_margin:
-                    worst_margin = margin
-                    if margin < -RUNTIME_CONE_TOL:
-                        witness = traj_diag
-    details = {"worst_margin": worst_margin, "max_coupling_value": worst_alg}
-    if worst_margin < -RUNTIME_CONE_TOL:
-        return CheckResult("domination", FAIL, details, witness=witness, witness_label="dominated_run")
+        draw = rng.random if t == 0 else rng.standard_normal
+        u0.append([draw(s.dim) for s in form.spaces])
+    u0 = _stack_trials(u0)
+    traj_diag = evolve(form.diagonal_part(), u0, cfg)
+    traj_full = evolve(form, [np.abs(b) for b in u0], cfg)
+    full = np.array([form.flatten(state) for state in traj_full.states])
+    diag = np.array([form.flatten(state) for state in traj_diag.states])
+    margins = (full.real - np.abs(diag)).min(axis=(0, 1))
+    worst = int(np.argmin(margins))
+    details = {"worst_margin": float(margins[worst]), "max_coupling_value": worst_alg}
+    if margins[worst] < -RUNTIME_CONE_TOL:
+        return CheckResult(
+            "domination", FAIL, details, witness=traj_diag.trial(worst), witness_label="dominated_run"
+        )
     return CheckResult("domination", PASS, details)
 
 
@@ -467,36 +466,25 @@ def linf_contractivity_check(
     accretive forms and not-applicable otherwise (finite sampling cannot
     certify a non-contractive evolution).
     """
+    _require_trials(trials)
     cfg = cfg or _DEFAULT_CFG
     if not runtime:
         raise ValidationError("this check only has a runtime part")
     accretive = is_discretely_accretive(form)
-    worst_sup = 0.0
-    witness = None
-    first_violation = None
-    witness_label = ""
-    for t in range(trials):
-        if t == 0:
-            u0 = [np.ones(s.dim) for s in form.spaces]
-            label = "constant_one"
-        else:
-            rng = _trial_rng(seed, t)
-            u0 = [rng.uniform(-1.0, 1.0, s.dim) for s in form.spaces]
-            label = f"uniform_{t}"
-        traj = evolve(form, u0, cfg)
-        sup = traj.observable("sup_norm")
-        peak = float(sup.max())
-        if peak > worst_sup:
-            worst_sup = peak
-        if peak > 1.0 + RUNTIME_CONE_TOL and witness is None:
-            k = int(np.argmax(sup > 1.0 + RUNTIME_CONE_TOL))
-            first_violation = float(traj.times[k])
-            witness = traj
-            witness_label = label
-    details = {"worst_sup_norm": worst_sup, "accretive": accretive}
-    if witness is not None:
-        details["first_violation_time"] = first_violation
-        return CheckResult("linf", FAIL, details, witness=witness, witness_label=witness_label)
+    u0 = [[np.ones(s.dim) for s in form.spaces]]
+    for t in range(1, trials):
+        rng = _trial_rng(seed, t)
+        u0.append([rng.uniform(-1.0, 1.0, s.dim) for s in form.spaces])
+    traj = evolve(form, _stack_trials(u0), cfg)
+    sup = traj.observable("sup_norm")
+    outside = sup > 1.0 + RUNTIME_CONE_TOL
+    details = {"worst_sup_norm": float(sup.max()), "accretive": accretive}
+    violators = np.flatnonzero(outside.any(axis=0))
+    if violators.size:
+        c = int(violators[0])
+        details["first_violation_time"] = float(traj.times[np.argmax(outside[:, c])])
+        label = "constant_one" if c == 0 else f"uniform_{c}"
+        return CheckResult("linf", FAIL, details, witness=traj.trial(c), witness_label=label)
     if not accretive:
         return CheckResult(
             "linf", NOT_APPLICABLE, {**details, "reason": "form is not accretive, no violation found"}
@@ -522,15 +510,16 @@ def strip_invariance_runtime(
     different positive levels must agree for a linear scheme; the
     ``scaling_consistent`` detail records that they did.
     """
+    _require_trials(trials)
     cfg = cfg or _DEFAULT_CFG
-    if not _identical_spaces(form):
+    if not form.identical_spaces:
         return CheckResult("strip_runtime", NOT_APPLICABLE, {"reason": "component spaces differ"})
     if not is_discretely_accretive(form):
         return CheckResult("strip_runtime", NOT_APPLICABLE, {"reason": "form is not accretive"})
     n = form.spaces[0].dim
     alpha_levels = [float(a) for a in alpha_levels]
-    if any(a < 0 for a in alpha_levels):
-        raise ValidationError("strip distances must be >= 0")
+    if not alpha_levels or min(alpha_levels) < 0:
+        raise ValidationError("strip distances must be a non-empty list of values >= 0")
 
     # Per-trial base draws, shared by all levels.  The in-phase part is
     # three times the strip radius so coupling leaks are visible against
@@ -557,37 +546,31 @@ def strip_invariance_runtime(
             h0 = [np.zeros(n) for _ in range(form.m)]
         bases.append((g0, h0))
 
-    levels = []
+    # one column per (level, trial), level-major
+    u0 = [
+        g0 if alpha == 0.0 else [alpha * (g + h) for g, h in zip(g0, h0)]
+        for alpha in alpha_levels
+        for g0, h0 in bases
+    ]
+    traj = evolve(form, _stack_trials(u0), cfg, proj=proj)
+    peaks = traj.observable("strip_distance").max(axis=0).reshape(len(alpha_levels), trials)
+    exceed = peaks - (np.array(alpha_levels) + RUNTIME_CONE_TOL)[:, None]
+    levels = [
+        {
+            "alpha": alpha,
+            "passed": bool((exceed[lv] <= 0).all()),
+            "max_distance": float(peaks[lv].max()),
+            "max_exceedance": float(exceed[lv].max()),
+        }
+        for lv, alpha in enumerate(alpha_levels)
+    ]
     witness = None
     witness_label = ""
-    for alpha in alpha_levels:
-        max_distance = 0.0
-        max_exceedance = -np.inf
-        level_pass = True
-        for t, (g0, h0) in enumerate(bases):
-            if alpha == 0.0:
-                u0 = g0
-            else:
-                u0 = [alpha * (g + h) for g, h in zip(g0, h0)]
-            traj = evolve(form, u0, cfg, proj=proj)
-            dist = traj.observable("strip_distance")
-            peak = float(dist.max())
-            exceed = peak - (alpha + RUNTIME_CONE_TOL)
-            max_distance = max(max_distance, peak)
-            max_exceedance = max(max_exceedance, exceed)
-            if exceed > 0:
-                level_pass = False
-                if witness is None:
-                    witness = traj
-                    witness_label = f"alpha_{alpha}_trial_{t}"
-        levels.append(
-            {
-                "alpha": alpha,
-                "passed": level_pass,
-                "max_distance": max_distance,
-                "max_exceedance": max_exceedance,
-            }
-        )
+    failing = np.flatnonzero(exceed.reshape(-1) > 0)
+    if failing.size:
+        lv, t = divmod(int(failing[0]), trials)
+        witness = traj.trial(int(failing[0]))
+        witness_label = f"alpha_{alpha_levels[lv]}_trial_{t}"
     positive = [lv["passed"] for lv in levels if lv["alpha"] > 0]
     scaling_consistent = len(set(positive)) <= 1
     all_pass = all(lv["passed"] for lv in levels)

@@ -18,9 +18,6 @@ from .certificates import CertificateReport
 from .evolution import TrajectoryRecord
 from .registry import CRITERIA
 
-#: Trajectory CSV column order (per-component norms expand in place).
-CSV_COLUMNS = ("t", "h_norm", "comp_norm_*", "strip_distance", "projection_norm", "min_value", "sup_norm")
-
 
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from coupledforms.cli import main
 
 
@@ -302,3 +304,39 @@ class TestCheck:
             assert code == expected
             text = (out / "checks.txt").read_text()
             assert (" FAIL" in text) == (code == 1)
+
+    @pytest.mark.parametrize("check_id, trials", [("positivity", 0), ("linf", 0), ("domination", -3)])
+    def test_no_trials_exit_two_with_one_line(self, tmp_path, capsys, check_id, trials):
+        out = tmp_path / "out"
+        cfg = write_config(
+            tmp_path / "c.json",
+            {
+                "schema_version": 1,
+                "output": str(out),
+                "model": {"name": "dynamic_bc_heat"},
+                "grid": {"n_cells": 8},
+                "evolution": {"dt": 0.01, "t_end": 0.1},
+                "checks": [{"id": check_id, "trials": trials}],
+            },
+        )
+        assert main(["check", cfg, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"validation error: trials must be >= 1, got {trials}\n"
+        assert not (out / "checks.json").exists()
+
+    def test_one_trial_runs(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = write_config(
+            tmp_path / "c.json",
+            {
+                "schema_version": 1,
+                "output": str(out),
+                "model": {"name": "dynamic_bc_heat"},
+                "grid": {"n_cells": 8},
+                "evolution": {"dt": 0.01, "t_end": 0.1},
+                "checks": [{"id": cid, "trials": 1} for cid in ("positivity", "domination", "linf")],
+            },
+        )
+        assert main(["check", cfg, "--quiet"]) == 1
+        checks = json.loads((out / "checks.json").read_text())["checks"]
+        assert [c["status"] for c in checks] == ["pass", "pass", "fail"]

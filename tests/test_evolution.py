@@ -17,7 +17,7 @@ from coupledforms import (
     step,
     two_fibre_coupling,
 )
-from coupledforms.errors import SolverError, ValidationError
+from coupledforms.errors import DimensionError, SolverError, ValidationError
 
 
 def scalar_form(s_value, mass_value=1.0):
@@ -211,3 +211,48 @@ class TestHNorm:
         u = [rng.standard_normal(grid.n_nodes) for _ in range(2)]
         parts = [h_norm(form, [u[0], np.zeros_like(u[1])]), h_norm(form, [np.zeros_like(u[0]), u[1]])]
         assert h_norm(form, u) == pytest.approx(np.hypot(*parts))
+
+
+class TestBatchedEvolve:
+    @staticmethod
+    def broken_ephaptic(n):
+        coeffs = CoefficientField.constant(two_fibre_coupling("difference", 2.0, 0.5), n)
+        return build_ephaptic(Grid1D(n), coeffs.perturbed(0, 0, 0.6))
+
+    @pytest.mark.parametrize("with_proj", [False, True])
+    @pytest.mark.parametrize("scheme", ["implicit-euler", "crank-nicolson"])
+    def test_columns_match_single_trial_runs(self, scheme, with_proj):
+        form = self.broken_ephaptic(16)
+        proj = averaging_projection(2) if with_proj else None
+        cfg = EvolutionConfig(dt=1e-2, t_end=0.1, scheme=scheme, record_every=3)
+        rng = np.random.default_rng(7)
+        # very different column scales: the solve residual is judged per column
+        trials = [[scale * rng.standard_normal(17) for _ in range(2)] for scale in (1.0, 1e-6, 1e6)]
+        batch = evolve(form, [np.stack(comp, axis=1) for comp in zip(*trials)], cfg, proj=proj)
+        for c, u0 in enumerate(trials):
+            single = evolve(form, u0, cfg, proj=proj)
+            column = batch.trial(c)
+            np.testing.assert_array_equal(column.times, single.times)
+            assert column.observables.keys() == single.observables.keys()
+            for name, want in single.observables.items():
+                got = column.observable(name)
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            for got_state, want_state in zip(column.states, single.states):
+                got, want = np.concatenate(got_state), np.concatenate(want_state)
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_batched_shapes(self):
+        form = self.broken_ephaptic(8)
+        u0 = [np.ones((9, 4)), np.zeros((9, 4))]
+        traj = evolve(form, u0, EvolutionConfig(dt=0.1, t_end=0.3), proj=averaging_projection(2))
+        assert traj.observable("strip_distance").shape == (4, 4)
+        assert [b.shape for b in traj.final_state] == [(9, 4), (9, 4)]
+        np.testing.assert_allclose(h_norm(form, traj.final_state), traj.observable("h_norm")[-1], rtol=1e-14)
+        one = traj.trial(3)
+        assert one.observable("h_norm").shape == (4,)
+        assert [b.shape for b in one.final_state] == [(9,), (9,)]
+
+    def test_mixed_component_shapes_rejected(self):
+        form = self.broken_ephaptic(4)
+        with pytest.raises(DimensionError):
+            evolve(form, [np.ones((5, 2)), np.ones(5)], EvolutionConfig(dt=0.1, t_end=0.2))

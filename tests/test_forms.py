@@ -7,6 +7,7 @@ from coupledforms import (
     Grid1D,
     associated_operator,
     build_constant_coupled,
+    build_damped_wave,
     build_ephaptic,
     embedding_norm,
     estimate_continuity,
@@ -125,6 +126,28 @@ class TestFormApply:
         form = single_space_form([[1.0]])
         with pytest.raises(DimensionError):
             form_apply(form, [np.ones(2)], [np.ones(1)])
+        with pytest.raises(DimensionError):
+            form_apply(form, [np.ones((1, 2))], [np.ones((1, 2))])
+
+
+class TestFlattenSplit:
+    def test_round_trip_keeps_trial_axis(self):
+        form = build_constant_coupled(Grid1D(4), np.eye(2))
+        blocks = [np.arange(15.0).reshape(5, 3), -np.arange(15.0).reshape(5, 3)]
+        flat = form.flatten(blocks)
+        assert flat.shape == (10, 3)
+        for got, want in zip(form.split(flat), blocks):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(form.flatten([b[:, 1] for b in blocks]), flat[:, 1])
+
+    def test_column_count_mismatch(self):
+        form = build_constant_coupled(Grid1D(4), np.eye(2))
+        with pytest.raises(DimensionError):
+            form.flatten([np.ones((5, 3)), np.ones((5, 2))])
+
+    def test_identical_spaces(self):
+        assert build_constant_coupled(Grid1D(4), np.eye(2)).identical_spaces
+        assert not build_damped_wave(Grid1D(4)).identical_spaces
 
 
 class TestEstimateContinuity:

@@ -3,7 +3,9 @@ import pytest
 
 from coupledforms import (
     CoefficientField,
+    DiscreteSpace,
     EvolutionConfig,
+    FormMatrix,
     Grid1D,
     averaging_projection,
     build_constant_coupled,
@@ -12,6 +14,8 @@ from coupledforms import (
     build_ephaptic,
     domination_check,
     ephaptic_sum_check,
+    evolve,
+    h_norm,
     linf_contractivity_check,
     make_projection,
     mean_zero_projection,
@@ -25,6 +29,9 @@ from coupledforms import (
 )
 from coupledforms.errors import ValidationError
 from coupledforms.qualitative import (
+    RUNTIME_CONE_TOL,
+    _combine,
+    _trial_rng,
     complex_sign,
     modulus,
     positive_part,
@@ -387,3 +394,281 @@ class TestStripRuntime:
         form, _ = blbekbes_form(n=8)
         with pytest.raises(ValidationError):
             strip_invariance_runtime(form, averaging_projection(2), [-1.0], cfg=CFG)
+
+    def test_no_level_rejected(self):
+        form, _ = blbekbes_form(n=8)
+        with pytest.raises(ValidationError, match="non-empty"):
+            strip_invariance_runtime(form, averaging_projection(2), [], cfg=CFG)
+
+
+# ---------------------------------------------------------------------------
+# batched runtime checks against the per-trial loops they replaced
+
+
+def ref_positivity(form, trials, cfg, seed):
+    """One evolve per trial; the witness is the first trial reaching the minimum."""
+    worst, witness = np.inf, None
+    for t in range(trials):
+        rng = _trial_rng(seed, t)
+        traj = evolve(form, [rng.random(s.dim) for s in form.spaces], cfg)
+        low = float(traj.observable("min_value").min())
+        if low < worst:
+            worst, witness = low, traj
+    failed = worst < -RUNTIME_CONE_TOL
+    return failed, {"worst_nodal_min": worst}, witness, "negative_node"
+
+
+def ref_domination(form, trials, cfg, seed):
+    """Diagonal and full evolve per trial; the witness is the diagonal run."""
+    worst, witness = np.inf, None
+    diag = form.diagonal_part()
+    for t in range(trials):
+        rng = _trial_rng(seed, t)
+        draw = rng.random if t == 0 else rng.standard_normal
+        u0 = [draw(s.dim) for s in form.spaces]
+        traj_diag = evolve(diag, u0, cfg)
+        traj_full = evolve(form, [np.abs(b) for b in u0], cfg)
+        for full, part in zip(traj_full.states, traj_diag.states):
+            for i in range(form.m):
+                margin = float(np.min(full[i].real - np.abs(part[i])))
+                if margin < worst:
+                    worst, witness = margin, traj_diag
+    failed = worst < -RUNTIME_CONE_TOL
+    return failed, {"worst_margin": worst}, witness, "dominated_run"
+
+
+def ref_linf(form, trials, cfg, seed):
+    """The first violating trial is the witness."""
+    worst, witness, label, details = 0.0, None, "", {}
+    for t in range(trials):
+        if t == 0:
+            u0 = [np.ones(s.dim) for s in form.spaces]
+        else:
+            rng = _trial_rng(seed, t)
+            u0 = [rng.uniform(-1.0, 1.0, s.dim) for s in form.spaces]
+        traj = evolve(form, u0, cfg)
+        sup = traj.observable("sup_norm")
+        worst = max(worst, float(sup.max()))
+        if sup.max() > 1.0 + RUNTIME_CONE_TOL and witness is None:
+            details["first_violation_time"] = float(traj.times[np.argmax(sup > 1.0 + RUNTIME_CONE_TOL)])
+            witness, label = traj, ("constant_one" if t == 0 else f"uniform_{t}")
+    return witness is not None, {"worst_sup_norm": worst, **details}, witness, label
+
+
+def ref_strip(form, proj, alpha_levels, cfg, trials, seed):
+    """Level-major loop over (alpha, trial); the first exceeding run is the witness."""
+    n = form.spaces[0].dim
+    bases = []
+    for t in range(trials):
+        rng = _trial_rng(seed, t)
+        g0 = _combine(proj.eig1, [rng.standard_normal(n) for _ in range(proj.rank)])
+        g0 = [3.0 * b / h_norm(form, g0) for b in g0]
+        k = proj.eig0.shape[1]
+        if t == 0:
+            kernel_nodal = [rng.standard_normal() * np.ones(n) for _ in range(k)]
+        else:
+            kernel_nodal = [rng.standard_normal(n) for _ in range(k)]
+        h0 = _combine(proj.eig0, kernel_nodal)
+        bases.append((g0, [b / h_norm(form, h0) for b in h0]))
+    levels, witness, label = [], None, ""
+    for alpha in alpha_levels:
+        level = {"alpha": alpha, "passed": True, "max_distance": 0.0, "max_exceedance": -np.inf}
+        for t, (g0, h0) in enumerate(bases):
+            u0 = g0 if alpha == 0.0 else [alpha * (g + h) for g, h in zip(g0, h0)]
+            traj = evolve(form, u0, cfg, proj=proj)
+            peak = float(traj.observable("strip_distance").max())
+            exceed = peak - (alpha + RUNTIME_CONE_TOL)
+            level["max_distance"] = max(level["max_distance"], peak)
+            level["max_exceedance"] = max(level["max_exceedance"], exceed)
+            if exceed > 0:
+                level["passed"] = False
+                if witness is None:
+                    witness, label = traj, f"alpha_{alpha}_trial_{t}"
+        levels.append(level)
+    return witness is not None, {"levels": levels}, witness, label
+
+
+def assert_details_close(got, want):
+    # rtol 1e-12 on every value; quantities that are exactly 0 in exact
+    # arithmetic (the distance of level-0 strip data) are round-off noise
+    if isinstance(want, dict):
+        for key, value in want.items():
+            assert_details_close(got[key], value)
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_details_close(g, w)
+    elif isinstance(want, bool):
+        assert got == want
+    else:
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
+
+
+def assert_same_run(got, want, rtol=1e-12):
+    """Observables and states agree to ``rtol`` times the size of the run.
+
+    The scale is the run's largest recorded value: the strip distance is
+    a difference of state parts, so its round-off follows the state.
+    """
+    np.testing.assert_array_equal(got.times, want.times)
+    assert got.observables.keys() == want.observables.keys()
+    scale = max(np.max(np.abs(values)) for values in want.observables.values())
+    for name, values in want.observables.items():
+        assert np.max(np.abs(got.observable(name) - values)) <= rtol * scale, name
+    assert len(got.states) == len(want.states)
+    for got_state, want_state in zip(got.states, want.states):
+        g, w = np.concatenate(got_state), np.concatenate(want_state)
+        assert g.shape == w.shape
+        assert np.max(np.abs(g - w)) <= rtol * np.max(np.abs(w))
+
+
+def ephaptic(n, delta=0.0):
+    form, coeffs = blbekbes_form(n)
+    return build_ephaptic(Grid1D(n), coeffs.perturbed(0, 0, delta)) if delta else form
+
+
+def cone_leaking_form():
+    # one component, so the coupling test is vacuous, but the block's
+    # positive off-diagonal entries drive small nodes negative
+    s = np.full((3, 3), 0.9) + 0.1 * np.eye(3)
+    return FormMatrix([DiscreteSpace(3, np.eye(3), np.eye(3))], [[s]])
+
+
+# consistent P1 mass with dt well below h^2 is not an M-matrix scheme
+SMALL_DT = EvolutionConfig(dt=1e-4, t_end=2e-3)
+
+ORACLE_CASES = {
+    "positivity_pass": (
+        positivity_check,
+        ref_positivity,
+        lambda: (build_dynamic_bc_heat(Grid1D(32)),),
+        {"trials": 5, "cfg": CFG, "seed": 0},
+        "pass",
+    ),
+    "positivity_fail": (
+        positivity_check,
+        ref_positivity,
+        lambda: (cone_leaking_form(),),
+        {"trials": 6, "cfg": EvolutionConfig(dt=0.1, t_end=2.0), "seed": 0},
+        "fail",
+    ),
+    "domination_pass": (
+        domination_check,
+        ref_domination,
+        lambda: (build_dynamic_bc_heat(Grid1D(32)),),
+        {"trials": 5, "cfg": CFG, "seed": 0},
+        "pass",
+    ),
+    "domination_one_trial": (
+        domination_check,
+        ref_domination,
+        lambda: (build_dynamic_bc_heat(Grid1D(32)),),
+        {"trials": 1, "cfg": CFG, "seed": 3},
+        "pass",
+    ),
+    "domination_fail": (
+        domination_check,
+        ref_domination,
+        lambda: (build_constant_coupled(Grid1D(4), np.eye(2)),),
+        {"trials": 8, "cfg": SMALL_DT, "seed": 0},
+        "fail",
+    ),
+    "linf_pass": (
+        linf_contractivity_check,
+        ref_linf,
+        lambda: (build_constant_coupled(Grid1D(32), np.eye(1)),),
+        {"trials": 5, "cfg": CFG, "seed": 0},
+        "pass",
+    ),
+    "linf_constant_one": (
+        linf_contractivity_check,
+        ref_linf,
+        lambda: (build_dynamic_bc_heat(Grid1D(32)),),
+        {"trials": 3, "cfg": CFG, "seed": 0},
+        "fail",
+    ),
+    # anti-diffusive in the (1, -1) direction: constants stay put and a
+    # uniform trial leaves the unit ball first
+    "linf_uniform": (
+        linf_contractivity_check,
+        ref_linf,
+        lambda: (build_constant_coupled(Grid1D(8), [[1.0, -1.5], [-1.5, 1.0]]),),
+        {"trials": 6, "cfg": SMALL_DT, "seed": 7},
+        "fail",
+    ),
+    "strip_pass": (
+        strip_invariance_runtime,
+        ref_strip,
+        lambda: (ephaptic(32), averaging_projection(2), [0.0, 0.1, 1.0, 10.0]),
+        {"trials": 2, "cfg": CFG, "seed": 0},
+        "pass",
+    ),
+    "strip_fail": (
+        strip_invariance_runtime,
+        ref_strip,
+        lambda: (ephaptic(32, delta=0.6), averaging_projection(2), [0.1, 1.0, 10.0]),
+        {"trials": 2, "cfg": CFG, "seed": 0},
+        "fail",
+    ),
+    "strip_fail_level_zero": (
+        strip_invariance_runtime,
+        ref_strip,
+        lambda: (ephaptic(16, delta=0.6), averaging_projection(2), [0.0, 1.0]),
+        {"trials": 3, "cfg": CFG, "seed": 2},
+        "fail",
+    ),
+    # only the level-0 data leaks out of the strip: the witness is not column 0
+    "strip_fail_second_level": (
+        strip_invariance_runtime,
+        ref_strip,
+        lambda: (ephaptic(16, delta=1e-5), averaging_projection(2), [10.0, 0.0]),
+        {"trials": 3, "cfg": CFG, "seed": 0},
+        "fail",
+    ),
+}
+
+
+class TestBatchedChecksMatchPerTrialLoops:
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_same_verdict_details_and_witness(self, case):
+        check, reference, args, kwargs, status = ORACLE_CASES[case]
+        args = args()
+        res = check(*args, **kwargs)
+        failed, details, witness, label = reference(*args, **kwargs)
+        assert res.status == status
+        assert res.failed == failed
+        assert_details_close(res.details, details)
+        if failed:
+            assert res.witness_label == label
+            assert_same_run(res.witness, witness)
+        else:
+            assert res.witness is None and res.witness_label == ""
+
+    @pytest.mark.parametrize(
+        "case, label", [("linf_uniform", "uniform_2"), ("strip_fail_second_level", "alpha_0.0_trial_0")]
+    )
+    def test_witness_is_not_the_first_column(self, case, label):
+        check, _, args, kwargs, _ = ORACLE_CASES[case]
+        assert check(*args(), **kwargs).witness_label == label
+
+
+class TestTrialCount:
+    CHECKS = {
+        "positivity": lambda form, trials: positivity_check(form, trials=trials, cfg=CFG),
+        "domination": lambda form, trials: domination_check(form, trials=trials, cfg=CFG),
+        "linf": lambda form, trials: linf_contractivity_check(form, trials=trials, cfg=CFG),
+        "strip_runtime": lambda form, trials: strip_invariance_runtime(
+            form, averaging_projection(2), [1.0], cfg=CFG, trials=trials
+        ),
+    }
+
+    @pytest.mark.parametrize("check", sorted(CHECKS))
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_no_trials_rejected(self, check, trials):
+        with pytest.raises(ValidationError, match="trials must be >= 1"):
+            self.CHECKS[check](ephaptic(8), trials)
+
+    @pytest.mark.parametrize("check", sorted(CHECKS))
+    def test_one_trial_runs(self, check):
+        res = self.CHECKS[check](build_constant_coupled(Grid1D(8), np.eye(2)), 1)
+        assert res.status == "pass"
