@@ -201,6 +201,14 @@ def _continuity_norm(form: FormMatrix) -> float:
     return float(np.linalg.norm(consts, 2))
 
 
+def _sample_count(entry: dict) -> int:
+    # zero samples would make the range checks pass vacuously
+    count = int(entry.get("count", 1000))
+    if count < 1:
+        raise ValidationError(f"count must be >= 1, got {count}")
+    return count
+
+
 def _run_check(entry: dict, form: FormMatrix, coeffs, config: dict, seed: int) -> CheckResult:
     check_id = entry.get("id")
     trials = int(entry.get("trials", 20))
@@ -242,7 +250,7 @@ def _run_check(entry: dict, form: FormMatrix, coeffs, config: dict, seed: int) -
             form, proj, levels, cfg=cfg, trials=int(entry.get("trials", 3)), seed=seed
         )
     if check_id == "sector":
-        count = int(entry.get("count", 1000))
+        count = _sample_count(entry)
         shift = float(entry.get("shift", 0.0))
         alpha = float(entry["alpha"]) if "alpha" in entry else full_ellipticity(form, shift)
         bound = float(entry["bound"]) if "bound" in entry else _continuity_norm(form)
@@ -251,7 +259,7 @@ def _run_check(entry: dict, form: FormMatrix, coeffs, config: dict, seed: int) -
         status = qualitative.PASS if res.passed else qualitative.FAIL
         return CheckResult("sector", status, {"worst_margin": res.worst_margin, "alpha": alpha, "bound": bound})
     if check_id == "parabola":
-        count = int(entry.get("count", 1000))
+        count = _sample_count(entry)
         if "m_tilde" in entry:
             m_tilde = float(entry["m_tilde"])
         elif "parabola_constant" in form.metadata:

@@ -14,6 +14,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .errors import DimensionError, NumericalError, ValidationError
 
@@ -67,6 +68,11 @@ class DiscreteSpace:
             _check_gram(g, name)
         object.__setattr__(self, "h_gram", h)
         object.__setattr__(self, "v_gram", v)
+
+    @cached_property
+    def h_gram_csr(self) -> scipy.sparse.csr_array:
+        """``h_gram`` in CSR, for time stepping and norm recording."""
+        return scipy.sparse.csr_array(self.h_gram)
 
     def same_geometry(self, other: "DiscreteSpace", rtol: float = 1e-12) -> bool:
         return (

@@ -324,6 +324,25 @@ class TestCheck:
         assert err == f"validation error: trials must be >= 1, got {trials}\n"
         assert not (out / "checks.json").exists()
 
+    @pytest.mark.parametrize("count", [0, -1])
+    @pytest.mark.parametrize("check_id", ["sector", "parabola"])
+    def test_no_samples_exit_two_with_one_line(self, tmp_path, capsys, check_id, count):
+        out = tmp_path / "out"
+        cfg = write_config(
+            tmp_path / "c.json",
+            {
+                "schema_version": 1,
+                "output": str(out),
+                "model": {"name": "damped_wave", "alpha": 1.0},
+                "grid": {"n_cells": 8},
+                "checks": [{"id": check_id, "count": count}],
+            },
+        )
+        assert main(["check", cfg, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"validation error: count must be >= 1, got {count}\n"
+        assert not (out / "checks.json").exists()
+
     def test_one_trial_runs(self, tmp_path):
         out = tmp_path / "out"
         cfg = write_config(

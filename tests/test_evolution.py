@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
 
 from coupledforms import (
     CoefficientField,
@@ -13,6 +15,7 @@ from coupledforms import (
     build_ephaptic,
     evolve,
     h_norm,
+    make_projection,
     p1_mass,
     step,
     two_fibre_coupling,
@@ -76,6 +79,41 @@ class TestStep:
         cfg = EvolutionConfig(dt=1.0, t_end=1.0)
         with pytest.raises(SolverError, match="implicit-euler.*dt=1.0"):
             step(form, [[1.0]], cfg)
+
+    def test_numerically_singular_system_raises_named_solver_error(self):
+        # Mass + dt*S = [[1, 1], [1, 1 + 1e-15]]: nonzero pivots, but the
+        # last is about 5e-16 of the matrix's inf-norm
+        form = FormMatrix(
+            [DiscreteSpace(2, np.eye(2), np.eye(2))],
+            [[np.array([[0.0, 1.0], [1.0, 1e-15]])]],
+        )
+        cfg = EvolutionConfig(dt=1.0, t_end=1.0)
+        with pytest.raises(SolverError, match="implicit-euler system is numerically singular at dt=1.0"):
+            step(form, [np.ones(2)], cfg)
+
+    def test_inaccurate_solve_raises_named_solver_error(self, monkeypatch):
+        # a factor whose solve is wrong in one trial column must be caught
+        # by the per-column residual check, not passed on as a state
+        real_splu = scipy.sparse.linalg.splu
+
+        class CorruptColumn:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def __getattr__(self, name):
+                return getattr(self.lu, name)
+
+            def solve(self, rhs):
+                out = self.lu.solve(rhs)
+                out[:, 1] *= 1.0 + 1e-6
+                return out
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", lambda a: CorruptColumn(real_splu(a)))
+        form = build_constant_coupled(Grid1D(8), [[2.0, -1.0], [-1.0, 2.0]])
+        u0 = [np.ones((9, 3)), np.ones((9, 3))]
+        cfg = EvolutionConfig(dt=0.05, t_end=0.2, scheme="crank-nicolson")
+        with pytest.raises(SolverError, match=r"crank-nicolson solve lost accuracy at step 1 \(dt=0.05"):
+            evolve(form, u0, cfg)
 
 
 class TestEvolve:
@@ -256,3 +294,58 @@ class TestBatchedEvolve:
         form = self.broken_ephaptic(4)
         with pytest.raises(DimensionError):
             evolve(form, [np.ones((5, 2)), np.ones(5)], EvolutionConfig(dt=0.1, t_end=0.2))
+
+
+# Agreement of the sparse stepper with a dense LU solve of the same
+# schemes, relative to the largest entry of the reference state.
+DENSE_REFERENCE_RTOL = 1e-10
+
+
+def dense_reference_states(form, u0, cfg):
+    """States of ``cfg``'s scheme stepped with a dense LAPACK LU, one per step."""
+    theta = 1.0 if cfg.scheme == "implicit-euler" else 0.5
+    lhs = form.mass_matrix + theta * cfg.dt * form.full_matrix
+    rhs = form.mass_matrix - (1.0 - theta) * cfg.dt * form.full_matrix
+    lu = scipy.linalg.lu_factor(lhs)
+    u = np.concatenate(u0).astype(complex)
+    states = [u]
+    for _ in range(cfg.n_steps):
+        u = scipy.linalg.lu_solve(lu, rhs @ u)
+        states.append(u)
+    return states
+
+
+def assert_matches_dense(traj, reference):
+    assert len(traj.states) == len(reference)
+    for state, want in zip(traj.states, reference):
+        got = np.concatenate(state)
+        assert np.max(np.abs(got - want)) <= DENSE_REFERENCE_RTOL * np.max(np.abs(want))
+
+
+class TestDenseReference:
+    def test_real_form_with_complex_projection(self):
+        # a real factor stepping a complex state
+        form = TestBatchedEvolve.broken_ephaptic(16)
+        assert form.is_real
+        v = np.array([1.0, 1j]) / np.sqrt(2.0)
+        proj = make_projection(np.outer(v, v.conj()))
+        rng = np.random.default_rng(8)
+        u0 = [rng.standard_normal(17) for _ in range(2)]
+        cfg = EvolutionConfig(dt=1e-2, t_end=0.5, scheme="crank-nicolson")
+        traj = evolve(form, u0, cfg, proj=proj)
+        reference = dense_reference_states(form, u0, cfg)
+        assert_matches_dense(traj, reference)
+        lifted = np.kron(proj.matrix, np.eye(17))
+        projected = [lifted @ u for u in reference]
+        want = np.array([np.sqrt(np.vdot(p, form.mass_matrix @ p).real) for p in projected])
+        got = traj.observable("projection_norm")
+        assert np.max(np.abs(got - want)) <= DENSE_REFERENCE_RTOL * np.max(want)
+
+    @pytest.mark.parametrize("scheme", ["implicit-euler", "crank-nicolson"])
+    def test_batched_complex_damped_wave(self, scheme):
+        form = build_damped_wave(Grid1D(16), alpha=1.0 + 0.5j)
+        assert not form.is_real
+        rng = np.random.default_rng(9)
+        u0 = [rng.standard_normal((17, 3)) + 1j * rng.standard_normal((17, 3)) for _ in range(2)]
+        cfg = EvolutionConfig(dt=1e-2, t_end=0.5, scheme=scheme)
+        assert_matches_dense(evolve(form, u0, cfg), dense_reference_states(form, u0, cfg))
