@@ -21,7 +21,6 @@ from .forms import (
     DiscreteSpace,
     FormBlock,
     FormMatrix,
-    NumericalRangeSample,
     associated_operator,
     embedding_norm,
     estimate_continuity,

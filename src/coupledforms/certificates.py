@@ -78,14 +78,6 @@ class ConstantsBundle:
     def m(self) -> int:
         return self.alpha.shape[0]
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ConstantsBundle":
-        alpha = np.array(data["alpha"], dtype=float)
-        m = alpha.shape[0]
-        omega = np.array(data.get("omega", np.zeros((m, m))), dtype=float)
-        m_diag = np.array(data.get("m_diag", np.zeros(m)), dtype=float)
-        return cls(alpha, omega, m_diag, float(data.get("embedding_norm", 1.0)))
-
 
 @dataclass
 class CertificateEntry:

@@ -20,16 +20,18 @@ import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
-from . import certificates, forms, models, qualitative, report
+from . import certificates, models, qualitative, report
 from .certificates import ConstantsBundle, run_all_certificates
-from .errors import SolverError, ValidationError
+from .errors import ConfigError, SolverError, ValidationError
 from .evolution import EvolutionConfig, evolve
-from .forms import FormMatrix, full_ellipticity, numerical_range_samples
+from .forms import FormMatrix
 from .models import CoefficientField, Grid1D
 from .qualitative import CheckResult
+from .registry import CHECKS, REQUIRED, read_section, read_variant
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -37,138 +39,123 @@ EXIT_CONFIG = 2
 
 SCHEMA_VERSION = 1
 
-
-class ConfigError(ValidationError):
-    """Config file is syntactically fine but semantically invalid."""
+# key -> (kind, default) of each config object, read by registry.read_section
+TOP = {
+    "schema_version": ("int", REQUIRED),
+    "seed": ("int", 0),
+    "output": ("str", "out"),
+    "criteria": ("strs", list(certificates.DEFAULT_REQUESTED)),
+    "initial": ("object", {}),
+    "checks": ("objects", None),
+    **dict.fromkeys(("constants", "model", "grid", "evolution", "projection"), ("object", None)),
+}
+CONSTANTS = {
+    "alpha": ("matrix", REQUIRED),
+    "omega": ("matrix", None),
+    "m_diag": ("floats", None),
+    "embedding_norm": ("float", 1.0),
+}
+MODELS = {
+    "ephaptic": {"coefficients": ("cells", None), "pattern": ("object", None), "perturb": ("object", None)},
+    "constant_coupled": {"coupling": ("matrix", REQUIRED)},
+    "damped_wave": {"alpha": ("complex", 1.0)},
+    "dynamic_bc_heat": {},
+}
+PATTERN = {"kind": ("str", "difference"), "diffusion": ("float", 2.0), "coupling": ("float", 0.5)}
+PERTURB = {"i": ("int", REQUIRED), "j": ("int", REQUIRED), "delta": ("float", REQUIRED)}
+GRID = {"n_cells": ("int", REQUIRED), "length": ("float", 1.0)}
+EVOLUTION = {
+    "dt": ("float", REQUIRED),
+    "t_end": ("float", REQUIRED),
+    "scheme": ("str", "implicit-euler"),
+    "record_every": ("int", 1),
+    "solver_tolerance": ("float", 1e-9),
+}
+INITIAL = {"kind": ("str", "zero"), "amplitude": ("float", 1.0)}
+PROJECTION = {"kind": ("str", "averaging"), "matrix": ("matrix", None)}
 
 
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r") as handle:
             data = json.load(handle)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config parse error in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
-    version = data.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ConfigError(f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
-    return data
-
-
-def _require(config: dict, field: str) -> object:
-    if field not in config:
-        raise ConfigError(f"missing required config field {field!r}")
-    return config[field]
+    config = read_section(data, TOP, "config")
+    if config["schema_version"] != SCHEMA_VERSION:
+        raise ConfigError(f"schema_version must be {SCHEMA_VERSION}, got {config['schema_version']!r}")
+    return config
 
 
 def _parse_grid(config: dict) -> Grid1D:
-    section = _require(config, "grid")
-    try:
-        return Grid1D(int(section["n_cells"]), float(section.get("length", 1.0)))
-    except KeyError as exc:
-        raise ConfigError(f"grid section is missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid grid section: {exc}") from exc
+    return Grid1D(**read_section(config.get("grid"), GRID, "grid"))
 
 
 def _parse_evolution(config: dict) -> EvolutionConfig:
-    section = _require(config, "evolution")
-    try:
-        return EvolutionConfig(
-            dt=float(section["dt"]),
-            t_end=float(section["t_end"]),
-            scheme=section.get("scheme", "implicit-euler"),
-            record_every=int(section.get("record_every", 1)),
-            solver_tolerance=float(section.get("solver_tolerance", 1e-9)),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"evolution section is missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid evolution section: {exc}") from exc
+    return EvolutionConfig(**read_section(config.get("evolution"), EVOLUTION, "evolution"))
 
 
-def _coefficients_from_model(section: dict, grid: Grid1D) -> CoefficientField:
-    if "pattern" in section:
-        pattern = section["pattern"]
+def _coefficients_from_model(model: dict, grid: Grid1D) -> CoefficientField:
+    if "pattern" in model:
+        pattern = read_section(model["pattern"], PATTERN, "model pattern")
         matrix = models.two_fibre_coupling(
-            pattern.get("kind", "difference"),
-            diffusion=float(pattern.get("diffusion", 2.0)),
-            coupling=float(pattern.get("coupling", 0.5)),
+            pattern["kind"], diffusion=pattern["diffusion"], coupling=pattern["coupling"]
         )
         field = CoefficientField.constant(matrix, grid.n_cells)
-    elif "coefficients" in section:
-        raw = section["coefficients"]
-        m = len(raw)
-        values = np.zeros((m, m, grid.n_cells))
-        for i in range(m):
-            if len(raw[i]) != m:
-                raise ConfigError("coefficients must form a square grid")
-            for j in range(m):
-                values[i, j, :] = np.broadcast_to(np.asarray(raw[i][j], dtype=float), (grid.n_cells,))
-        field = CoefficientField(values)
+    elif "coefficients" in model:
+        cells = [[np.asarray(c, dtype=float) for c in row] for row in model["coefficients"]]
+        if any(c.size not in (1, grid.n_cells) for row in cells for c in row):
+            raise ConfigError(f"each model coefficient needs 1 or {grid.n_cells} values")
+        field = CoefficientField(np.array([[np.broadcast_to(c, (grid.n_cells,)) for c in row] for row in cells]))
     else:
         raise ConfigError("ephaptic model needs 'coefficients' or 'pattern'")
-    if "perturb" in section:
-        p = section["perturb"]
-        field = field.perturbed(int(p["i"]), int(p["j"]), float(p["delta"]))
+    if "perturb" in model:
+        perturb = read_section(model["perturb"], PERTURB, "model perturb")
+        field = field.perturbed(perturb["i"], perturb["j"], perturb["delta"])
     return field
 
 
 def _parse_model(config: dict):
     """Return (form, coefficient_field_or_None)."""
-    section = _require(config, "model")
-    name = section.get("name")
+    name, model = read_variant(config.get("model"), MODELS, "name", "model")
     grid = _parse_grid(config)
-    try:
-        if name == "ephaptic":
-            coeffs = _coefficients_from_model(section, grid)
-            return models.build_ephaptic(grid, coeffs), coeffs
-        if name == "constant_coupled":
-            coupling = np.asarray(_require(section, "coupling"), dtype=float)
-            form = models.build_constant_coupled(grid, coupling)
-            return form, CoefficientField.constant(coupling, grid.n_cells)
-        if name == "damped_wave":
-            alpha = section.get("alpha", 1.0)
-            if isinstance(alpha, (list, tuple)):
-                alpha = complex(alpha[0], alpha[1])
-            return models.build_damped_wave(grid, alpha), None
-        if name == "dynamic_bc_heat":
-            return models.build_dynamic_bc_heat(grid), None
-    except (ValidationError, ValueError, KeyError) as exc:
-        raise ConfigError(f"invalid model section: {exc}") from exc
-    raise ConfigError(f"unknown model name {name!r}")
+    if name == "ephaptic":
+        coeffs = _coefficients_from_model(model, grid)
+        return models.build_ephaptic(grid, coeffs), coeffs
+    if name == "constant_coupled":
+        coupling = np.asarray(model["coupling"], dtype=float)
+        form = models.build_constant_coupled(grid, coupling)
+        return form, CoefficientField.constant(coupling, grid.n_cells)
+    if name == "damped_wave":
+        alpha = model["alpha"]
+        return models.build_damped_wave(grid, complex(*alpha) if isinstance(alpha, list) else alpha), None
+    return models.build_dynamic_bc_heat(grid), None
 
 
 def _parse_projection(config: dict, form: FormMatrix):
-    section = config.get("projection")
-    if section is None:
+    if "projection" not in config:
         return None
+    section = read_section(config["projection"], PROJECTION, "projection")
     if "matrix" in section:
         return qualitative.make_projection(np.asarray(section["matrix"], dtype=float))
-    kind = section.get("kind", "averaging")
-    if kind == "averaging":
+    if section["kind"] == "averaging":
         return qualitative.averaging_projection(form.m)
-    raise ConfigError(f"unknown projection kind {kind!r}")
+    raise ConfigError(f"unknown projection kind {section['kind']!r}")
 
 
 def _mean_weights(form: FormMatrix, grid: Grid1D) -> list:
-    mass = models.p1_mass(grid)
-    weights = []
-    for space in form.spaces:
-        if space.dim == grid.n_nodes:
-            weights.append(mass @ np.ones(grid.n_nodes))
-        else:
-            weights.append(np.ones(space.dim))
-    return weights
+    integral = models.p1_mass(grid) @ np.ones(grid.n_nodes)
+    return [integral if space.dim == grid.n_nodes else np.ones(space.dim) for space in form.spaces]
 
 
 def _build_initial(config: dict, form: FormMatrix, seed: int) -> list:
-    section = config.get("initial", {"kind": "zero"})
-    kind = section.get("kind", "zero")
-    amplitude = float(section.get("amplitude", 1.0))
+    section = read_section(config["initial"], INITIAL, "initial")
+    kind = section["kind"]
+    amplitude = section["amplitude"]
     rng = np.random.default_rng([seed, 2**20])
     dims = form.dims
     if kind == "zero":
@@ -183,10 +170,8 @@ def _build_initial(config: dict, form: FormMatrix, seed: int) -> list:
         x = amplitude * rng.standard_normal(dims[0])
         return [x.copy() for _ in dims]
     if kind == "mean_zero_random":
-        grid = _parse_grid(config)
-        weights = _mean_weights(form, grid)
         out = []
-        for d, w in zip(dims, weights):
+        for d, w in zip(dims, _mean_weights(form, _parse_grid(config))):
             u = amplitude * rng.standard_normal(d)
             u -= np.ones(d) * (float(w @ u) / float(w @ np.ones(d)))
             out.append(u)
@@ -194,107 +179,42 @@ def _build_initial(config: dict, form: FormMatrix, seed: int) -> list:
     raise ConfigError(f"unknown initial data kind {kind!r}")
 
 
-def _continuity_norm(form: FormMatrix) -> float:
-    consts = np.array(
-        [[forms.estimate_continuity(form, i, j) for j in range(form.m)] for i in range(form.m)]
-    )
-    return float(np.linalg.norm(consts, 2))
-
-
-def _sample_count(entry: dict) -> int:
-    # zero samples would make the range checks pass vacuously
-    count = int(entry.get("count", 1000))
-    if count < 1:
-        raise ValidationError(f"count must be >= 1, got {count}")
-    return count
-
-
 def _run_check(entry: dict, form: FormMatrix, coeffs, config: dict, seed: int) -> CheckResult:
-    check_id = entry.get("id")
-    trials = int(entry.get("trials", 20))
-    cfg = _parse_evolution(config) if "evolution" in config else None
-    if check_id in ("row_sums", "column_sums"):
+    check_id, params = read_variant(entry, {cid: check.keys for cid, check in CHECKS.items()}, "id", "checks entry")
+
+    def coefficients() -> CoefficientField:
         if coeffs is None:
             raise ConfigError(f"check {check_id!r} needs a coefficient-field model")
-        which = "rows" if check_id == "row_sums" else "columns"
-        return qualitative.ephaptic_sum_check(coeffs, which)
-    if check_id in ("subspace_C", "subspace_B"):
-        proj = _parse_projection(config, form) or qualitative.averaging_projection(form.m)
-        direction = "strip_C" if check_id == "subspace_C" else "strip_B"
-        return qualitative.subspace_invariance_check(form, proj, direction)
-    if check_id == "product_subspace":
-        if entry.get("subspace", "mean_zero") != "mean_zero":
-            raise ConfigError("only the mean_zero product subspace is configurable")
-        grid = _parse_grid(config)
-        weights = _mean_weights(form, grid)
-        projections = [
-            qualitative.mean_zero_projection(space, w) for space, w in zip(form.spaces, weights)
-        ]
-        return qualitative.product_subspace_check(form, projections)
-    if check_id == "subsystem":
-        return qualitative.subsystem_invariance_check(form, int(_require(entry, "m0")))
-    if check_id == "realness":
-        return qualitative.realness_check(form)
-    if check_id == "positivity":
-        return qualitative.positivity_check(
-            form, runtime=bool(entry.get("runtime", True)), trials=trials, cfg=cfg, seed=seed
-        )
-    if check_id == "domination":
-        return qualitative.domination_check(form, trials=trials, cfg=cfg, seed=seed)
-    if check_id == "linf":
-        return qualitative.linf_contractivity_check(form, trials=trials, cfg=cfg, seed=seed)
-    if check_id == "strip_runtime":
-        proj = _parse_projection(config, form) or qualitative.averaging_projection(form.m)
-        levels = entry.get("alpha_levels", [0.1, 1.0, 10.0])
-        return qualitative.strip_invariance_runtime(
-            form, proj, levels, cfg=cfg, trials=int(entry.get("trials", 3)), seed=seed
-        )
-    if check_id == "sector":
-        count = _sample_count(entry)
-        shift = float(entry.get("shift", 0.0))
-        alpha = float(entry["alpha"]) if "alpha" in entry else full_ellipticity(form, shift)
-        bound = float(entry["bound"]) if "bound" in entry else _continuity_norm(form)
-        samples = numerical_range_samples(form, count, seed=seed)
-        res = forms.sector_check(samples, alpha, shift, bound)
-        status = qualitative.PASS if res.passed else qualitative.FAIL
-        return CheckResult("sector", status, {"worst_margin": res.worst_margin, "alpha": alpha, "bound": bound})
-    if check_id == "parabola":
-        count = _sample_count(entry)
-        if "m_tilde" in entry:
-            m_tilde = float(entry["m_tilde"])
-        elif "parabola_constant" in form.metadata:
-            m_tilde = float(form.metadata["parabola_constant"])
-        else:
-            raise ConfigError("parabola check needs 'm_tilde' or a model that reports one")
-        samples = numerical_range_samples(form, count, seed=seed)
-        res = forms.parabola_check(samples, m_tilde)
-        status = qualitative.PASS if res.passed else qualitative.FAIL
-        return CheckResult("parabola", status, {"worst_margin": res.worst_margin, "m_tilde": m_tilde})
-    raise ConfigError(f"unknown check id {check_id!r}")
+        return coeffs
+
+    cfg = _parse_evolution(config) if "evolution" in config else None
+    ctx = SimpleNamespace(form=form, seed=seed, cfg=cfg, coefficients=coefficients)
+    ctx.projection = lambda: _parse_projection(config, form) or qualitative.averaging_projection(form.m)
+    ctx.mean_weights = lambda: _mean_weights(form, _parse_grid(config))
+    return CHECKS[check_id].run(ctx, params)
 
 
 def _resolve_out(config: dict, args) -> str:
-    out = args.out or config.get("output", "out")
+    out = args.out or config["output"]
     os.makedirs(out, exist_ok=True)
     return out
 
 
 def _resolve_seed(config: dict, args) -> int:
-    if args.seed is not None:
-        return int(args.seed)
-    return int(config.get("seed", 0))
+    seed = config["seed"] if args.seed is None else args.seed
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def cmd_certify(args) -> int:
     config = _load_config(args.config)
-    if "constants" not in config:
-        raise ConfigError("certify needs a 'constants' section")
-    try:
-        bundle = ConstantsBundle.from_dict(config["constants"])
-    except (ValidationError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid constants section: {exc}") from exc
-    rep = run_all_certificates(bundle)
-    requested = config.get("criteria", list(certificates.DEFAULT_REQUESTED))
+    constants = read_section(config.get("constants"), CONSTANTS, "constants")
+    m = len(constants["alpha"])
+    omega = constants.get("omega", np.zeros((m, m)))
+    m_diag = constants.get("m_diag", np.zeros(m))
+    rep = run_all_certificates(ConstantsBundle(constants["alpha"], omega, m_diag, constants["embedding_norm"]))
+    requested = config["criteria"]
     known = {e.criterion for e in rep.entries}
     unknown = [c for c in requested if c not in known]
     if unknown:
@@ -316,11 +236,7 @@ def cmd_simulate(args) -> int:
     u0 = _build_initial(config, form, seed)
     proj = _parse_projection(config, form)
     out = _resolve_out(config, args)
-    try:
-        record = evolve(form, u0, cfg, proj=proj)
-    except SolverError as exc:
-        sys.stderr.write(f"solver failure: {exc}\n")
-        return EXIT_FAIL
+    record = evolve(form, u0, cfg, proj=proj)
     path = os.path.join(out, "trajectory.csv")
     report.write_trajectory_csv(record, path)
     if not args.quiet:
@@ -332,14 +248,9 @@ def cmd_check(args) -> int:
     config = _load_config(args.config)
     form, coeffs = _parse_model(config)
     seed = _resolve_seed(config, args)
-    checks = config.get("checks")
-    if not checks:
+    if not config.get("checks"):
         raise ConfigError("check needs a non-empty 'checks' list")
-    results = []
-    for entry in checks:
-        if not isinstance(entry, dict) or "id" not in entry:
-            raise ConfigError("each checks entry must be an object with an 'id'")
-        results.append(_run_check(entry, form, coeffs, config, seed))
+    results = [_run_check(entry, form, coeffs, config, seed) for entry in config["checks"]]
     out = _resolve_out(config, args)
     witness_files = {}
     for res in results:
@@ -348,10 +259,7 @@ def cmd_check(args) -> int:
             report.write_trajectory_csv(res.witness, os.path.join(out, name))
             witness_files[res.check_id] = name
     report.write_check_report(
-        results,
-        os.path.join(out, "checks.txt"),
-        os.path.join(out, "checks.json"),
-        witness_files,
+        results, os.path.join(out, "checks.txt"), os.path.join(out, "checks.json"), witness_files
     )
     if not args.quiet:
         sys.stdout.write(report.check_results_to_text(results, witness_files))
@@ -384,11 +292,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return EXIT_CONFIG
     except ValidationError as exc:
-        sys.stderr.write(f"validation error: {exc}\n")
+        label = "config error" if isinstance(exc, ConfigError) else "validation error"
+        sys.stderr.write(f"{label}: {exc}\n")
         return EXIT_CONFIG
     except SolverError as exc:
         sys.stderr.write(f"solver failure: {exc}\n")

@@ -5,6 +5,10 @@ class ValidationError(ValueError):
     """Input violates a documented precondition or invariant."""
 
 
+class ConfigError(ValidationError):
+    """Config file is syntactically fine but semantically invalid."""
+
+
 class DimensionError(ValidationError):
     """Array shapes are inconsistent with the requested operation."""
 

@@ -44,10 +44,10 @@ class EvolutionConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValidationError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if not self.dt > 0:
-            raise ValidationError("dt must be positive")
-        if not self.t_end > 0:
-            raise ValidationError("t_end must be positive")
+        if not 0 < self.dt < np.inf:
+            raise ValidationError("dt must be positive and finite")
+        if not 0 < self.t_end < np.inf:
+            raise ValidationError("t_end must be positive and finite")
         if self.dt > self.t_end:
             raise ValidationError("dt must not exceed t_end")
         if self.record_every < 1:
@@ -233,8 +233,8 @@ def evolve(form: FormMatrix, u0, cfg: EvolutionConfig, proj=None) -> TrajectoryR
             # the distance comes from u - Pu itself: |u|^2 - |Pu|^2 loses
             # half the digits of a distance near zero
             pu = _apply_projection(k_mat, blocks)
-            obs["strip_distance"].append(h_norm(form, [b - p for b, p in zip(blocks, pu)]))
-            obs["projection_norm"].append(h_norm(form, pu))
+            obs["strip_distance"].append(_norm(sum(_squared_norms(form, [b - p for b, p in zip(blocks, pu)]))))
+            obs["projection_norm"].append(_norm(sum(_squared_norms(form, pu))))
 
     record(0)
     for k in range(1, n_steps + 1):

@@ -344,26 +344,16 @@ def associated_operator(form: FormMatrix) -> np.ndarray:
         raise NumericalError(f"ambient Gram is singular: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class NumericalRangeSample:
-    """One sampled form value with the norms of the sampling vector."""
-
-    a_val: complex
-    v_norm_sq: float
-    h_norm_sq: float
-
-
-def numerical_range_samples(form: FormMatrix, count: int, seed: int = 0) -> list:
+def numerical_range_samples(form: FormMatrix, count: int, seed: int = 0) -> tuple:
     """Sample the numerical range of the form at random coordinates.
 
     Draws ``count`` complex standard-normal coordinate vectors
-    (reproducible from ``seed``) and returns the form value together
-    with the squared domain and ambient norms of each vector.
+    (reproducible from ``seed``) and returns three arrays of length
+    ``count``: the form values and the squared domain and ambient norms
+    of the vectors.
     """
     if count < 0:
         raise ValidationError("count must be >= 0")
-    if count == 0:
-        return []
     rng = np.random.default_rng(seed)
     n = form.total_dim
     fs = rng.standard_normal((n, count)) + 1j * rng.standard_normal((n, count))
@@ -373,10 +363,7 @@ def numerical_range_samples(form: FormMatrix, count: int, seed: int = 0) -> list
     a_vals = np.einsum("ic,ic->c", fs.conj(), s_f)
     h_sq = np.einsum("ic,ic->c", fs.conj(), h_f).real
     v_sq = np.einsum("ic,ic->c", fs.conj(), v_f).real
-    return [
-        NumericalRangeSample(complex(a_vals[k]), float(v_sq[k]), float(h_sq[k]))
-        for k in range(count)
-    ]
+    return a_vals, v_sq, h_sq
 
 
 @dataclass(frozen=True)
@@ -388,38 +375,33 @@ class RangeCheckResult:
     n_samples: int
 
 
-def _sample_arrays(samples):
-    a = np.array([s.a_val for s in samples], dtype=complex)
-    v = np.array([s.v_norm_sq for s in samples], dtype=float)
-    h = np.array([s.h_norm_sq for s in samples], dtype=float)
-    return a, v, h
-
-
 def sector_check(samples, alpha: float, omega: float, bound: float) -> RangeCheckResult:
     """Check sampled form values against the certified sector.
 
-    Every sample must satisfy ``Re a >= alpha*v^2 - omega*h^2`` and
+    ``samples`` is the (form values, squared domain norms, squared
+    ambient norms) triple of :func:`numerical_range_samples`.  Every
+    sample must satisfy ``Re a >= alpha*v^2 - omega*h^2`` and
     ``|Im a| <= bound*v^2`` up to a small relative slack.  The worst
     absolute margin over both inequalities is reported.
     """
-    if not samples:
+    a, v, h = samples
+    if len(a) == 0:
         return RangeCheckResult(True, float("inf"), 0)
-    a, v, h = _sample_arrays(samples)
     tol = RANGE_CHECK_RTOL * np.maximum.reduce([np.abs(a), v, h, np.ones_like(v)])
     margin_re = a.real - (alpha * v - omega * h)
     margin_im = bound * v - np.abs(a.imag)
     margins = np.minimum(margin_re, margin_im)
     passed = bool((margin_re >= -tol).all() and (margin_im >= -tol).all())
-    return RangeCheckResult(passed, float(margins.min()), len(samples))
+    return RangeCheckResult(passed, float(margins.min()), len(a))
 
 
 def parabola_check(samples, m_tilde: float) -> RangeCheckResult:
     """Check the mixed-norm bound ``|Im a| <= m_tilde * |f|_V |f|_H``."""
     if m_tilde < 0:
         raise ValidationError("m_tilde must be >= 0")
-    if not samples:
+    a, v, h = samples
+    if len(a) == 0:
         return RangeCheckResult(True, float("inf"), 0)
-    a, v, h = _sample_arrays(samples)
     tol = RANGE_CHECK_RTOL * np.maximum.reduce([np.abs(a), v, h, np.ones_like(v)])
     margins = m_tilde * np.sqrt(v * h) - np.abs(a.imag)
-    return RangeCheckResult(bool((margins >= -tol).all()), float(margins.min()), len(samples))
+    return RangeCheckResult(bool((margins >= -tol).all()), float(margins.min()), len(a))

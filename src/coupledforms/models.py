@@ -77,6 +77,8 @@ class CoefficientField:
         return cls(np.repeat(matrix[:, :, None], n_cells, axis=2))
 
     def perturbed(self, i: int, j: int, delta: float) -> "CoefficientField":
+        if not (0 <= i < self.m and 0 <= j < self.m):
+            raise ValidationError(f"block ({i}, {j}) is outside the {self.m}x{self.m} coefficient grid")
         v = np.array(self.values)
         v[i, j, :] += delta
         return CoefficientField(v)

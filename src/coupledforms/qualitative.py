@@ -453,7 +453,6 @@ def domination_check(
 
 def linf_contractivity_check(
     form: FormMatrix,
-    runtime: bool = True,
     trials: int = 20,
     cfg: EvolutionConfig | None = None,
     seed: int = 0,
@@ -468,8 +467,6 @@ def linf_contractivity_check(
     """
     _require_trials(trials)
     cfg = cfg or _DEFAULT_CFG
-    if not runtime:
-        raise ValidationError("this check only has a runtime part")
     accretive = is_discretely_accretive(form)
     u0 = [[np.ones(s.dim) for s in form.spaces]]
     for t in range(1, trials):

@@ -41,11 +41,18 @@ class TestConfig:
             {"dt": 0.1, "t_end": 1.0, "record_every": 0},
             {"dt": 0.1, "t_end": 1.0, "solver_tolerance": 1e-3},
             {"dt": 0.1, "t_end": 1.0, "solver_tolerance": 0.0},
+            {"dt": 0.1, "t_end": np.inf},
+            {"dt": np.inf, "t_end": np.inf},
+            {"dt": np.nan, "t_end": 1.0},
+            {"dt": 0.1, "t_end": np.nan},
         ],
     )
     def test_invalid_configs(self, kwargs):
         with pytest.raises(ValidationError):
             EvolutionConfig(**kwargs)
+
+    def test_long_finite_run_is_valid(self):
+        assert EvolutionConfig(dt=1.0, t_end=1e300).t_end == 1e300
 
     def test_step_count(self):
         assert EvolutionConfig(dt=1e-3, t_end=1.0).n_steps == 1000

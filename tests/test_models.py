@@ -60,6 +60,15 @@ class TestGridAndField:
         with pytest.raises(ValidationError):
             CoefficientField(np.full((2, 2, 3), np.inf))
 
+    def test_perturbed_bumps_one_block(self):
+        field = CoefficientField.constant(np.eye(2), 3).perturbed(1, 0, 0.5)
+        np.testing.assert_array_equal(field.values[:, :, 2], [[1.0, 0.0], [0.5, 1.0]])
+
+    @pytest.mark.parametrize("i, j", [(2, 0), (0, 2), (-1, 0), (0, -1)])
+    def test_perturbed_rejects_blocks_outside_the_grid(self, i, j):
+        with pytest.raises(ValidationError, match="outside the 2x2"):
+            CoefficientField.constant(np.eye(2), 3).perturbed(i, j, 0.5)
+
     def test_two_fibre_patterns_have_equal_sums(self):
         for kind in ("difference", "sum", "shared"):
             c = two_fibre_coupling(kind, 2.0, 0.5)
