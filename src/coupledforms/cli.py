@@ -196,7 +196,10 @@ def _run_check(entry: dict, form: FormMatrix, coeffs, config: dict, seed: int) -
 
 def _resolve_out(config: dict, args) -> str:
     out = args.out or config["output"]
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out!r}: {exc}") from exc
     return out
 
 

@@ -11,10 +11,10 @@ schemes are unconditionally stable for accretive forms, which is what
 makes the downstream invariance tests meaningful.
 
 The P1 blocks are tridiagonal or a few trace entries, so the systems are
-assembled as CSR matrices from the blocks and the ambient Grams and
-factored by a sparse direct LU (SuperLU); a step then costs time linear
-in the number of nonzeros rather than quadratic in the unknown count.
-The dense blocks stay the stored representation of a form.
+formed from the form's assembled CSR operators (``FormMatrix.form_csr``
+and ``mass_csr``) and factored by a sparse direct LU (SuperLU); a step
+then costs time linear in the number of nonzeros rather than quadratic
+in the unknown count.  Recorded norms apply the same ``mass_csr``.
 """
 
 from __future__ import annotations
@@ -94,8 +94,8 @@ class TrajectoryRecord:
 class Stepper:
     """One factorized time-step operator for a fixed form and config.
 
-    The implicit system ``lhs u+ = rhs u`` is built in CSR from the form
-    blocks and the block-diagonal ambient Grams, and ``lhs`` is factored
+    The implicit system ``lhs u+ = rhs u`` is formed from the form's
+    CSR operators ``form_csr`` and ``mass_csr``, and ``lhs`` is factored
     once by :func:`scipy.sparse.linalg.splu`.  Construction raises
     :class:`SolverError` when the factorization fails or its smallest
     pivot is below ``1e-14 * |lhs|_inf``; :meth:`step` raises it when a
@@ -106,12 +106,7 @@ class Stepper:
     def __init__(self, form: FormMatrix, cfg: EvolutionConfig):
         self.form = form
         self.cfg = cfg
-        m = form.m
-        mass = scipy.sparse.block_diag([space.h_gram_csr for space in form.spaces], format="csr")
-        s = scipy.sparse.bmat(
-            [[scipy.sparse.csr_array(form.block(i, j)) for j in range(m)] for i in range(m)],
-            format="csr",
-        )
+        mass, s = form.mass_csr, form.form_csr
         if cfg.scheme == "implicit-euler":
             lhs = mass + cfg.dt * s
             self._rhs = mass
@@ -160,12 +155,10 @@ def step(form: FormMatrix, u, cfg: EvolutionConfig) -> list:
     return form.split(stepper.step(form.flatten(u)))
 
 
-def _squared_norms(form: FormMatrix, blocks: list) -> list:
-    """``u_i^H h_gram_i u_i`` per component, one value per trial column."""
-    return [
-        np.einsum("i...,i...->...", b.conj(), space.h_gram_csr @ b).real
-        for b, space in zip(blocks, form.spaces)
-    ]
+def _squared_norms(form: FormMatrix, u: np.ndarray) -> list:
+    """``u_i^H h_gram_i u_i`` per component of a flat state, one value per trial column."""
+    hu = form.mass_csr @ u
+    return [np.einsum("i...,i...->...", u[sl].conj(), hu[sl]).real for sl in form.block_slices]
 
 
 def _norm(squares) -> np.ndarray:
@@ -177,11 +170,7 @@ def h_norm(form: FormMatrix, u):
 
     Components of shape ``(dim_i, k)`` give one norm per column.
     """
-    return _norm(sum(_squared_norms(form, form.split(form.flatten(u)))))
-
-
-def _apply_projection(k: np.ndarray, blocks: list) -> list:
-    return [sum(k[i, j] * blocks[j] for j in range(len(blocks))) for i in range(k.shape[0])]
+    return _norm(sum(_squared_norms(form, form.flatten(u))))
 
 
 def evolve(form: FormMatrix, u0, cfg: EvolutionConfig, proj=None) -> TrajectoryRecord:
@@ -199,7 +188,7 @@ def evolve(form: FormMatrix, u0, cfg: EvolutionConfig, proj=None) -> TrajectoryR
     u = form.flatten(u0).astype(complex if not form.is_real else float)
     if not np.isfinite(u).all():
         raise ValidationError("initial data contains non-finite entries")
-    k_mat = None
+    lifted = None
     if proj is not None:
         if not form.identical_spaces:
             raise ValidationError("a lifted projection requires all component spaces to be identical")
@@ -208,6 +197,7 @@ def evolve(form: FormMatrix, u0, cfg: EvolutionConfig, proj=None) -> TrajectoryR
             raise DimensionError(f"projection matrix must be {form.m}x{form.m}")
         if np.iscomplexobj(k_mat):
             u = u.astype(complex)
+        lifted = scipy.sparse.kron(k_mat, scipy.sparse.identity(form.spaces[0].dim), format="csr")
 
     stepper = Stepper(form, cfg)
     n_steps = cfg.n_steps
@@ -215,25 +205,24 @@ def evolve(form: FormMatrix, u0, cfg: EvolutionConfig, proj=None) -> TrajectoryR
     times = []
     states = []
     names = ["h_norm", "min_value", "sup_norm"] + [f"comp_norm_{i + 1}" for i in range(form.m)]
-    if k_mat is not None:
+    if lifted is not None:
         names += ["strip_distance", "projection_norm"]
     obs: dict = {name: [] for name in names}
 
     def record(k: int) -> None:
-        blocks = form.split(u.copy())
         times.append(k * cfg.dt)
-        states.append(blocks)
-        squares = _squared_norms(form, blocks)
+        states.append(form.split(u.copy()))
+        squares = _squared_norms(form, u)
         obs["h_norm"].append(_norm(sum(squares)))
         for i, sq in enumerate(squares):
             obs[f"comp_norm_{i + 1}"].append(_norm(sq))
         obs["min_value"].append(u.real.min(axis=0))
         obs["sup_norm"].append(np.abs(u).max(axis=0))
-        if k_mat is not None:
+        if lifted is not None:
             # the distance comes from u - Pu itself: |u|^2 - |Pu|^2 loses
             # half the digits of a distance near zero
-            pu = _apply_projection(k_mat, blocks)
-            obs["strip_distance"].append(_norm(sum(_squared_norms(form, [b - p for b, p in zip(blocks, pu)]))))
+            pu = lifted @ u
+            obs["strip_distance"].append(_norm(sum(_squared_norms(form, u - pu))))
             obs["projection_norm"].append(_norm(sum(_squared_norms(form, pu))))
 
     record(0)

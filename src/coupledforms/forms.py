@@ -69,11 +69,6 @@ class DiscreteSpace:
         object.__setattr__(self, "h_gram", h)
         object.__setattr__(self, "v_gram", v)
 
-    @cached_property
-    def h_gram_csr(self) -> scipy.sparse.csr_array:
-        """``h_gram`` in CSR, for time stepping and norm recording."""
-        return scipy.sparse.csr_array(self.h_gram)
-
     def same_geometry(self, other: "DiscreteSpace", rtol: float = 1e-12) -> bool:
         return (
             self.dim == other.dim
@@ -97,6 +92,11 @@ class FormBlock:
 @dataclass(eq=False)
 class FormMatrix:
     """m-by-m grid of form blocks over a list of discrete spaces.
+
+    Blocks and Grams are stored dense.  The form owns its assembled
+    operators on the product space, in CSR: ``form_csr`` (the blocks in
+    place) and ``mass_csr``/``vgram_csr`` (block diagonals of the ambient
+    and domain Grams).  Only the LAPACK routines below densify them.
 
     Immutable after assembly by convention; all derived matrices are
     cached, so instances are cheap to share between checks.
@@ -150,24 +150,25 @@ class FormMatrix:
     def is_real(self) -> bool:
         return all(not np.iscomplexobj(self.block(i, j)) for i in range(self.m) for j in range(self.m))
 
-    def _blockdiag(self, which: str) -> np.ndarray:
-        return scipy.linalg.block_diag(*[getattr(s, which) for s in self.spaces])
+    def _blockdiag_csr(self, which: str) -> scipy.sparse.csr_array:
+        grams = [scipy.sparse.csr_array(getattr(s, which)) for s in self.spaces]
+        return scipy.sparse.block_diag(grams, format="csr")
 
     @cached_property
-    def mass_matrix(self) -> np.ndarray:
-        """Block diagonal of the ambient Grams."""
-        return self._blockdiag("h_gram")
-
-    @cached_property
-    def vgram_matrix(self) -> np.ndarray:
-        """Block diagonal of the form-domain Grams."""
-        return self._blockdiag("v_gram")
-
-    @cached_property
-    def full_matrix(self) -> np.ndarray:
+    def form_csr(self) -> scipy.sparse.csr_array:
         """The assembled form matrix, blocks in place."""
-        rows = [[self.block(i, j) for j in range(self.m)] for i in range(self.m)]
-        return np.block(rows)
+        blocks = [[scipy.sparse.csr_array(self.block(i, j)) for j in range(self.m)] for i in range(self.m)]
+        return scipy.sparse.bmat(blocks, format="csr")
+
+    @cached_property
+    def mass_csr(self) -> scipy.sparse.csr_array:
+        """Block diagonal of the ambient Grams."""
+        return self._blockdiag_csr("h_gram")
+
+    @cached_property
+    def vgram_csr(self) -> scipy.sparse.csr_array:
+        """Block diagonal of the form-domain Grams."""
+        return self._blockdiag_csr("v_gram")
 
     def adjoint(self) -> "FormMatrix":
         """Form with blocks ``S*_ij = S_ji^H`` (the adjoint form)."""
@@ -258,7 +259,7 @@ def form_apply(form: FormMatrix, f, g) -> complex:
     gv = form.flatten(g)
     if fv.ndim != 1 or gv.ndim != 1:
         raise DimensionError("form_apply takes block vectors, not blocks of trial columns")
-    return complex(np.vdot(gv, form.full_matrix @ fv))
+    return complex(np.vdot(gv, form.form_csr @ fv))
 
 
 def _cholesky_lower(gram: np.ndarray, label: str) -> np.ndarray:
@@ -310,9 +311,9 @@ def full_ellipticity(form: FormMatrix, shift: float = 0.0) -> float:
     Same generalized eigenproblem as :func:`estimate_ellipticity`, using
     the assembled form matrix against the block-diagonal domain Gram.
     """
-    mat = _hermitian_part(form.full_matrix) + shift * form.mass_matrix
+    mat = _hermitian_part(form.form_csr.toarray()) + shift * form.mass_csr.toarray()
     try:
-        lam = scipy.linalg.eigh(mat, form.vgram_matrix, eigvals_only=True)
+        lam = scipy.linalg.eigh(mat, form.vgram_csr.toarray(), eigvals_only=True)
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
         raise NumericalError(f"generalized eigen solve failed on the full form: {exc}") from exc
     return float(lam[0])
@@ -324,11 +325,11 @@ def accretivity_margin(form: FormMatrix) -> float:
     Nonnegative (within round-off) exactly when the discrete form is
     accretive.
     """
-    return float(np.linalg.eigvalsh(_hermitian_part(form.full_matrix))[0])
+    return float(np.linalg.eigvalsh(_hermitian_part(form.form_csr.toarray()))[0])
 
 
 def is_discretely_accretive(form: FormMatrix, rtol: float = 1e-10) -> bool:
-    scale = max(float(np.linalg.norm(form.full_matrix, 2)), 1e-300)
+    scale = max(float(np.linalg.norm(form.form_csr.toarray(), 2)), 1e-300)
     return accretivity_margin(form) >= -rtol * scale
 
 
@@ -339,7 +340,7 @@ def associated_operator(form: FormMatrix) -> np.ndarray:
     coordinate analogue of reading the operator off the form entrywise.
     """
     try:
-        return -np.linalg.solve(form.mass_matrix, form.full_matrix)
+        return -np.linalg.solve(form.mass_csr.toarray(), form.form_csr.toarray())
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"ambient Gram is singular: {exc}") from exc
 
@@ -357,9 +358,9 @@ def numerical_range_samples(form: FormMatrix, count: int, seed: int = 0) -> tupl
     rng = np.random.default_rng(seed)
     n = form.total_dim
     fs = rng.standard_normal((n, count)) + 1j * rng.standard_normal((n, count))
-    s_f = form.full_matrix @ fs
-    h_f = form.mass_matrix @ fs
-    v_f = form.vgram_matrix @ fs
+    s_f = form.form_csr @ fs
+    h_f = form.mass_csr @ fs
+    v_f = form.vgram_csr @ fs
     a_vals = np.einsum("ic,ic->c", fs.conj(), s_f)
     h_sq = np.einsum("ic,ic->c", fs.conj(), h_f).real
     v_sq = np.einsum("ic,ic->c", fs.conj(), v_f).real

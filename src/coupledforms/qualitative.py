@@ -187,7 +187,7 @@ def _combine(vectors: np.ndarray, nodal: list) -> list:
 
 
 def _form_scale(form: FormMatrix) -> float:
-    return max(float(np.linalg.norm(form.full_matrix)), 1e-300)
+    return max(float(np.linalg.norm(form.form_csr.data)), 1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -215,11 +215,11 @@ def subspace_invariance_check(form: FormMatrix, proj: ProjectionSpec, direction:
     n = form.spaces[0].dim
     fixed = _lift(proj.eig1, n)
     kernel = _lift(proj.eig0, n)
-    s = form.full_matrix
+    s = form.form_csr
     if direction == "strip_C":
-        coupling = kernel.conj().T @ s @ fixed
+        coupling = kernel.conj().T @ (s @ fixed)
     else:
-        coupling = fixed.conj().T @ s @ kernel
+        coupling = fixed.conj().T @ (s @ kernel)
     residual = float(np.linalg.norm(coupling))
     scale = _form_scale(form)
     ok = residual <= COUPLING_RESIDUAL_RTOL * scale

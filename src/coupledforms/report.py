@@ -98,12 +98,13 @@ def check_results_to_text(results, witness_files=None) -> str:
 
 
 def _jsonable(value):
+    # bool before int: bool is a subclass of int
+    if isinstance(value, (np.bool_, bool)):
+        return bool(value)
     if isinstance(value, (np.floating, float)):
         return float(value)
     if isinstance(value, (np.integer, int)):
         return int(value)
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

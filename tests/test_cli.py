@@ -200,6 +200,10 @@ class TestCheck:
         assert main(["check", cfg, "--quiet"]) == 0
         text = (out / "checks.txt").read_text()
         assert text.count("PASS") == 3
+        # booleans load back as JSON true/false, not 1/0
+        strip = json.loads((out / "checks.json").read_text())["checks"][2]["details"]
+        assert strip["scaling_consistent"] is True
+        assert [lv["passed"] for lv in strip["levels"]] == [True, True]
 
     def test_damped_wave_subspace_not_applicable_exit_zero(self, tmp_path):
         out = tmp_path / "out"
@@ -359,3 +363,35 @@ class TestCheck:
         assert main(["check", cfg, "--quiet"]) == 1
         checks = json.loads((out / "checks.json").read_text())["checks"]
         assert [c["status"] for c in checks] == ["pass", "pass", "fail"]
+        assert checks[2]["details"]["accretive"] is False
+
+
+OUTPUT_PATH_CONFIGS = {
+    "certify": {"constants": {"alpha": [[2, -1], [-1, 2]]}},
+    "simulate": base_simulate_config("unused"),
+    "check": {
+        "model": {"name": "dynamic_bc_heat"},
+        "grid": {"n_cells": 8},
+        "evolution": {"dt": 0.01, "t_end": 0.1},
+        "checks": [{"id": "linf", "trials": 2}],
+    },
+}
+
+
+@pytest.mark.parametrize("target", ["existing_file", "empty"])
+@pytest.mark.parametrize("command", sorted(OUTPUT_PATH_CONFIGS))
+def test_unusable_output_path_exit_two_with_one_line(tmp_path, capsys, command, target):
+    config = dict(OUTPUT_PATH_CONFIGS[command], schema_version=1)
+    argv = [command, "", "--quiet"]
+    if target == "existing_file":
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory\n")
+        argv += ["--out", str(blocker)]
+    else:
+        config["output"] = ""
+    argv[1] = write_config(tmp_path / "c.json", config)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot create output directory ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+

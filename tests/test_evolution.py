@@ -308,11 +308,18 @@ class TestBatchedEvolve:
 DENSE_REFERENCE_RTOL = 1e-10
 
 
+def dense_mass(form):
+    """Block diagonal of the ambient Grams, built from the spaces."""
+    return scipy.linalg.block_diag(*[space.h_gram for space in form.spaces])
+
+
 def dense_reference_states(form, u0, cfg):
     """States of ``cfg``'s scheme stepped with a dense LAPACK LU, one per step."""
     theta = 1.0 if cfg.scheme == "implicit-euler" else 0.5
-    lhs = form.mass_matrix + theta * cfg.dt * form.full_matrix
-    rhs = form.mass_matrix - (1.0 - theta) * cfg.dt * form.full_matrix
+    mass = dense_mass(form)
+    full = np.block([[form.block(i, j) for j in range(form.m)] for i in range(form.m)])
+    lhs = mass + theta * cfg.dt * full
+    rhs = mass - (1.0 - theta) * cfg.dt * full
     lu = scipy.linalg.lu_factor(lhs)
     u = np.concatenate(u0).astype(complex)
     states = [u]
@@ -344,7 +351,8 @@ class TestDenseReference:
         assert_matches_dense(traj, reference)
         lifted = np.kron(proj.matrix, np.eye(17))
         projected = [lifted @ u for u in reference]
-        want = np.array([np.sqrt(np.vdot(p, form.mass_matrix @ p).real) for p in projected])
+        mass = dense_mass(form)
+        want = np.array([np.sqrt(np.vdot(p, mass @ p).real) for p in projected])
         got = traj.observable("projection_norm")
         assert np.max(np.abs(got - want)) <= DENSE_REFERENCE_RTOL * np.max(want)
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from coupledforms import (
     DiscreteSpace,
@@ -8,6 +9,7 @@ from coupledforms import (
     associated_operator,
     build_constant_coupled,
     build_damped_wave,
+    build_dynamic_bc_heat,
     build_ephaptic,
     embedding_norm,
     estimate_continuity,
@@ -23,6 +25,11 @@ from coupledforms import (
 from coupledforms.errors import DimensionError, ValidationError
 from coupledforms.forms import RangeCheckResult
 from coupledforms.models import CoefficientField
+
+
+def dense_form(form):
+    """The assembled form matrix, built from the blocks."""
+    return np.block([[form.block(i, j) for j in range(form.m)] for i in range(form.m)])
 
 
 def single_space_form(matrix, h_gram=None, v_gram=None):
@@ -150,6 +157,31 @@ class TestFlattenSplit:
         assert not build_damped_wave(Grid1D(4)).identical_spaces
 
 
+ASSEMBLY_BUILDERS = {
+    "ephaptic": lambda g: build_ephaptic(g, CoefficientField.constant([[2.0, -0.5], [-0.5, 2.0]], g.n_cells)),
+    "damped_wave": lambda g: build_damped_wave(g, 1.0 + 0.5j),
+    "dynamic_bc_heat": build_dynamic_bc_heat,
+    "constant_coupled": lambda g: build_constant_coupled(g, [[3.0, -1.0, 0.0], [-1.0, 3.0, -1.0], [0.0, -1.0, 3.0]]),
+}
+
+
+class TestAssembledOperators:
+    @pytest.mark.parametrize("name", sorted(ASSEMBLY_BUILDERS))
+    def test_csr_equals_dense_assembly(self, name):
+        form = ASSEMBLY_BUILDERS[name](Grid1D(7))
+        expected = {
+            "form_csr": dense_form(form),
+            "mass_csr": scipy.linalg.block_diag(*[s.h_gram for s in form.spaces]),
+            "vgram_csr": scipy.linalg.block_diag(*[s.v_gram for s in form.spaces]),
+        }
+        for attr, dense in expected.items():
+            csr = getattr(form, attr)
+            assert csr.format == "csr"
+            np.testing.assert_array_equal(csr.toarray(), dense)
+            assert csr.nnz == np.count_nonzero(dense)
+        assert np.iscomplexobj(form.form_csr) == (not form.is_real)
+
+
 class TestEstimateContinuity:
     def test_zero_block(self):
         form = single_space_form(np.zeros((3, 3)))
@@ -228,12 +260,15 @@ class TestEstimateEllipticity:
         # quotient into the diagonal block's, so the minimum can only drop
         rng = np.random.default_rng(9)
         n = form.spaces[0].dim
+        dense = dense_form(form)
+        mass = scipy.linalg.block_diag(*[s.h_gram for s in form.spaces])
+        vgram = scipy.linalg.block_diag(*[s.v_gram for s in form.spaces])
         for i in range(form.m):
             f = rng.standard_normal(n)
             blocks = [f if k == i else np.zeros(n) for k in range(form.m)]
             vec = form.flatten(blocks)
-            mat = (form.full_matrix + form.full_matrix.T) / 2 + 0.3 * form.mass_matrix
-            quotient = (vec @ mat @ vec) / (vec @ form.vgram_matrix @ vec)
+            mat = (dense + dense.T) / 2 + 0.3 * mass
+            quotient = (vec @ mat @ vec) / (vec @ vgram @ vec)
             space = form.spaces[i]
             diag = (f @ (form.block(i, i) + 0.3 * space.h_gram) @ f) / (f @ space.v_gram @ f)
             assert quotient == pytest.approx(diag, rel=1e-12)
