@@ -51,7 +51,6 @@ from .qualitative import (
     ephaptic_sum_check,
     linf_contractivity_check,
     make_projection,
-    mean_zero_projection,
     positivity_check,
     product_subspace_check,
     strip_invariance_runtime,

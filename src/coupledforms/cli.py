@@ -253,8 +253,8 @@ def cmd_check(args) -> int:
     seed = _resolve_seed(config, args)
     if not config.get("checks"):
         raise ConfigError("check needs a non-empty 'checks' list")
-    results = [_run_check(entry, form, coeffs, config, seed) for entry in config["checks"]]
     out = _resolve_out(config, args)
+    results = [_run_check(entry, form, coeffs, config, seed) for entry in config["checks"]]
     witness_files = {}
     for res in results:
         if res.witness is not None:

@@ -173,6 +173,14 @@ def h_norm(form: FormMatrix, u):
     return _norm(sum(_squared_norms(form, form.flatten(u))))
 
 
+def _lift(vectors: np.ndarray, n: int) -> scipy.sparse.csr_matrix:
+    """``vectors (x) I_n``: an m-by-r component matrix acting on every node, in CSR.
+
+    Its columns ``v (x) e_k`` span the lifted subspace of ``C^(m*n)``.
+    """
+    return scipy.sparse.kron(vectors, scipy.sparse.identity(n), format="csr")
+
+
 def evolve(form: FormMatrix, u0, cfg: EvolutionConfig, proj=None) -> TrajectoryRecord:
     """Run the configured scheme from ``u0`` and record observables.
 
@@ -197,7 +205,7 @@ def evolve(form: FormMatrix, u0, cfg: EvolutionConfig, proj=None) -> TrajectoryR
             raise DimensionError(f"projection matrix must be {form.m}x{form.m}")
         if np.iscomplexobj(k_mat):
             u = u.astype(complex)
-        lifted = scipy.sparse.kron(k_mat, scipy.sparse.identity(form.spaces[0].dim), format="csr")
+        lifted = _lift(k_mat, form.spaces[0].dim)
 
     stepper = Stepper(form, cfg)
     n_steps = cfg.n_steps

@@ -140,8 +140,7 @@ def _parabola(ctx, params: dict) -> CheckResult:
 def _product_subspace(ctx, params: dict) -> CheckResult:
     if params["subspace"] != "mean_zero":
         raise ConfigError("only the mean_zero product subspace is configurable")
-    spaces = zip(ctx.form.spaces, ctx.mean_weights())
-    return qualitative.product_subspace_check(ctx.form, [qualitative.mean_zero_projection(s, w) for s, w in spaces])
+    return qualitative.product_subspace_check(ctx.form, ctx.mean_weights())
 
 
 CERTIFICATES = {

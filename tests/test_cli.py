@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from coupledforms import cli
 from coupledforms.cli import main
 
 
@@ -380,7 +381,9 @@ OUTPUT_PATH_CONFIGS = {
 
 @pytest.mark.parametrize("target", ["existing_file", "empty"])
 @pytest.mark.parametrize("command", sorted(OUTPUT_PATH_CONFIGS))
-def test_unusable_output_path_exit_two_with_one_line(tmp_path, capsys, command, target):
+def test_unusable_output_path_exit_two_with_one_line(tmp_path, capsys, monkeypatch, command, target):
+    ran = []
+    monkeypatch.setattr(cli, "_run_check", lambda entry, *rest: ran.append(entry["id"]))
     config = dict(OUTPUT_PATH_CONFIGS[command], schema_version=1)
     argv = [command, "", "--quiet"]
     if target == "existing_file":
@@ -394,4 +397,5 @@ def test_unusable_output_path_exit_two_with_one_line(tmp_path, capsys, command, 
     err = capsys.readouterr().err
     assert err.startswith("config error: cannot create output directory ")
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert ran == []  # the output path is checked before any check runs
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from coupledforms import (
     CoefficientField,
@@ -18,7 +19,6 @@ from coupledforms import (
     h_norm,
     linf_contractivity_check,
     make_projection,
-    mean_zero_projection,
     p1_mass,
     positivity_check,
     product_subspace_check,
@@ -29,8 +29,10 @@ from coupledforms import (
 )
 from coupledforms.errors import ValidationError
 from coupledforms.qualitative import (
+    BLOCK_ZERO_RTOL,
     RUNTIME_CONE_TOL,
     _combine,
+    _form_scale,
     _trial_rng,
     complex_sign,
     modulus,
@@ -75,19 +77,6 @@ class TestProjections:
     def test_non_idempotent_rejected(self):
         with pytest.raises(ValidationError):
             make_projection(0.5 * np.eye(2))
-
-    def test_mean_zero_projection_is_ambient_orthogonal(self):
-        grid = Grid1D(10)
-        form = build_constant_coupled(grid, np.eye(1))
-        space = form.spaces[0]
-        w = p1_mass(grid) @ np.ones(grid.n_nodes)
-        p = mean_zero_projection(space, w)
-        np.testing.assert_allclose(p @ p, p, atol=1e-12)
-        h = space.h_gram
-        np.testing.assert_allclose(h @ p, (h @ p).T, atol=1e-12)
-        rng = np.random.default_rng(0)
-        u = rng.standard_normal(grid.n_nodes)
-        assert abs(w @ (p @ u)) < 1e-12
 
 
 class TestLatticeOps:
@@ -179,37 +168,132 @@ class TestSubspaceInvariance:
         assert seen[True] and seen[False]
 
 
+def mean_weights(grid, k=1):
+    """Coordinates of the integral functionals of ``x^0 .. x^(k-1)`` in the hat basis."""
+    x = np.linspace(0.0, grid.length, grid.n_nodes)
+    return p1_mass(grid) @ np.stack([x**p for p in range(k)], axis=1)
+
+
 class TestProductSubspace:
-    def test_full_projections_vacuous_pass(self):
+    def test_no_functionals_vacuous_pass(self):
         form = build_constant_coupled(Grid1D(6), [[2.0, -1.0], [-1.0, 2.0]])
-        res = product_subspace_check(form, [np.eye(7), np.eye(7)])
+        res = product_subspace_check(form, [np.zeros((7, 0)), np.zeros((7, 0))])
         assert res.passed
+        assert res.details["max_residual"] == 0.0
 
     def test_damped_wave_mean_zero_pass(self):
         grid = Grid1D(12)
         form = build_damped_wave(grid, 1.0)
         w = p1_mass(grid) @ np.ones(grid.n_nodes)
-        projections = [mean_zero_projection(space, w) for space in form.spaces]
-        res = product_subspace_check(form, projections)
+        res = product_subspace_check(form, [w, w])
         assert res.passed
+        assert set(res.details) == {"max_residual", "relative_residual", "note"}
 
-    def test_random_direction_fails_on_generic_form(self):
-        grid = Grid1D(8)
-        form = build_constant_coupled(grid, [[2.0, -1.0], [-1.0, 2.0]])
+    def test_random_functionals_fail_on_generic_form(self):
+        form = build_constant_coupled(Grid1D(8), [[2.0, -1.0], [-1.0, 2.0]])
         rng = np.random.default_rng(4)
-        projections = []
-        for space in form.spaces:
-            v = rng.standard_normal(space.dim)
-            h = space.h_gram
-            projections.append(np.outer(v, h @ v) / float(v @ h @ v))
-        res = product_subspace_check(form, projections)
+        res = product_subspace_check(form, [rng.standard_normal(space.dim) for space in form.spaces])
         assert res.failed
 
-    def test_non_projection_rejected(self):
+    @pytest.mark.parametrize(
+        "weights, match",
+        [
+            ([np.ones(8), np.ones(7)], "must have 7 rows"),
+            ([np.ones(7)], "expected 2 weight arrays"),
+            ([np.ones(7), np.r_[np.ones(6), np.nan]], "finite"),
+            ([np.ones(7), np.zeros(7)], "nonzero"),
+            ([np.ones(7), np.ones((7, 2))], "linearly independent"),
+        ],
+    )
+    def test_bad_weights_rejected(self, weights, match):
         form = build_constant_coupled(Grid1D(6), np.eye(2))
-        bad = [np.eye(7) * 0.5, np.eye(7)]
-        with pytest.raises(ValidationError, match="projection"):
-            product_subspace_check(form, bad)
+        with pytest.raises(ValidationError, match=match):
+            product_subspace_check(form, weights)
+
+
+# ---------------------------------------------------------------------------
+# the algebraic residuals against the dense computations they replaced
+
+
+def dense_lift(vectors, n):
+    return np.kron(vectors, np.eye(n))
+
+
+def dense_subspace_residual(form, proj, direction):
+    """``|lift(test)^H S lift(trial)|_F`` with dense lifts."""
+    n = form.spaces[0].dim
+    fixed, kernel = dense_lift(proj.eig1, n), dense_lift(proj.eig0, n)
+    test, trial = (kernel, fixed) if direction == "strip_C" else (fixed, kernel)
+    return float(np.linalg.norm(test.conj().T @ (form.form_csr.toarray() @ trial)))
+
+
+def dense_product_residual(form, weights):
+    """Ambient-orthogonal projections onto ``ker W_i^T``; residual from pivoted QR bases."""
+    worst = 0.0
+    bases = []
+    for space, w in zip(form.spaces, weights):
+        w = np.asarray(w, dtype=float).reshape(space.dim, -1)
+        z = np.linalg.solve(space.h_gram, w)
+        p = np.eye(space.dim) - z @ np.linalg.solve(w.T @ z, w.T)
+        rank = int(round(float(np.trace(p))))
+        q, _, _ = scipy.linalg.qr(p, pivoting=True)
+        qc, _, _ = scipy.linalg.qr(np.eye(space.dim) - p, pivoting=True)
+        bases.append((q[:, :rank], qc[:, : space.dim - rank]))
+    for i in range(form.m):
+        for j in range(form.m):
+            res = np.linalg.norm(bases[i][1].conj().T @ form.block(i, j) @ bases[j][0])
+            worst = max(worst, float(res))
+    return worst
+
+
+def assert_residual_matches(got, want, form):
+    assert abs(got - want) <= max(1e-10 * abs(want), 1e-12 * _form_scale(form))
+
+
+RING = [[3.0, -1.0, -1.0, 0.0], [-1.0, 3.0, 0.0, -1.0], [-1.0, 0.0, 3.0, -1.0], [0.0, -1.0, -1.0, 3.0]]
+PAIRS = np.kron(np.eye(2), np.full((2, 2), 0.5))
+
+
+class TestResidualsMatchDenseOracles:
+    @pytest.mark.parametrize("direction", ["strip_C", "strip_B"])
+    @pytest.mark.parametrize(
+        "case",
+        [
+            lambda: (build_constant_coupled(Grid1D(16), RING), averaging_projection(4)),
+            lambda: (build_constant_coupled(Grid1D(16), RING), make_projection(PAIRS)),
+            lambda: (build_constant_coupled(Grid1D(16), RING), make_projection(np.diag([1.0, 1.0, 0.0, 0.0]))),
+            lambda: (ephaptic(16, delta=0.6), averaging_projection(2)),
+        ],
+        ids=["ring_averaging", "ring_pairs", "ring_leading_pair", "two_fibre_failing"],
+    )
+    def test_subspace_residual(self, case, direction):
+        form, proj = case()
+        res = subspace_invariance_check(form, proj, direction)
+        assert_residual_matches(res.details["residual"], dense_subspace_residual(form, proj, direction), form)
+
+    @pytest.mark.parametrize(
+        "build, k",
+        [
+            (build_damped_wave, 1),
+            (lambda grid: build_constant_coupled(grid, RING), 1),
+            (lambda grid: build_constant_coupled(grid, RING), 2),
+        ],
+        ids=["damped_wave", "ring", "ring_mean_and_moment"],
+    )
+    def test_product_residual(self, build, k):
+        grid = Grid1D(16)
+        form = build(grid)
+        weights = [mean_weights(grid, k)] * form.m
+        res = product_subspace_check(form, weights)
+        assert_residual_matches(res.details["max_residual"], dense_product_residual(form, weights), form)
+
+    def test_product_residual_random_functionals(self):
+        form = build_constant_coupled(Grid1D(10), [[3.0, -1.0], [-0.2, 2.0]])
+        rng = np.random.default_rng(5)
+        weights = [rng.standard_normal((space.dim, 2)) for space in form.spaces]
+        res = product_subspace_check(form, weights)
+        assert res.failed
+        assert_residual_matches(res.details["max_residual"], dense_product_residual(form, weights), form)
 
 
 class TestSubsystemInvariance:
@@ -309,6 +393,45 @@ class TestPositivity:
     def test_complex_form_not_applicable(self):
         form = build_damped_wave(Grid1D(6), 1j)
         assert positivity_check(form, trials=2, cfg=CFG).status == "not-applicable"
+
+
+def sign_edge_form(ratio):
+    """Two identity-Gram components; one coupling entry at ``ratio`` times the sign tolerance."""
+    n = 4
+    spaces = [DiscreteSpace(n, np.eye(n), np.eye(n)) for _ in range(2)]
+    blocks = [[3.0 * np.eye(n), -np.eye(n)], [-np.eye(n), 3.0 * np.eye(n)]]
+    tol = BLOCK_ZERO_RTOL * max(1.0, _form_scale(FormMatrix(spaces, [row[:] for row in blocks])))
+    blocks[0][1][0, 1] = ratio * tol
+    return FormMatrix(spaces, blocks), tol
+
+
+class TestSignTolerance:
+    def test_entry_above_tolerance_fails(self):
+        form, tol = sign_edge_form(2.0)
+        res = positivity_check(form, trials=2, cfg=CFG)
+        assert res.failed
+        assert res.details["max_coupling_value"] == pytest.approx(2.0 * tol, rel=1e-12)
+        assert res.details["violating_block"] == {"i": 0, "j": 1}
+        assert domination_check(form, trials=2, cfg=CFG).status == "not-applicable"
+
+    def test_entry_below_tolerance_passes(self):
+        form, tol = sign_edge_form(0.5)
+        res = positivity_check(form, runtime=False)
+        assert res.passed
+        assert res.details["max_coupling_value"] == pytest.approx(0.5 * tol, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: build_dynamic_bc_heat(Grid1D(8)),
+            lambda: build_constant_coupled(Grid1D(8), [[1.0, 0.5], [0.5, 1.0]]),
+        ],
+        ids=["passing", "failing"],
+    )
+    def test_algebraic_part_ignores_trials_and_seed(self, build):
+        form = build()
+        results = [positivity_check(form, runtime=False, trials=t, seed=s) for t in (1, 5, 40) for s in (0, 3)]
+        assert len({(r.status, r.details["max_coupling_value"]) for r in results}) == 1
 
 
 class TestDomination:
