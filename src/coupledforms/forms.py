@@ -5,6 +5,15 @@ form is an m-by-m grid of blocks, and ``g^H S_ij f`` evaluates the
 (i, j) block on trial coordinates ``f`` (space j) and test coordinates
 ``g`` (space i).  Keeping the geometry inside the Grams makes the module
 independent of how the underlying meshes look.
+
+Every spectral constant (coercivity, continuity, accretivity, the
+embedding norm and the positive definiteness of a Gram) is an extremal
+eigenvalue of a Hermitian sparse pencil ``(a, b)`` with ``b`` positive
+definite.  It is found by bisection on one primitive, the Sylvester
+inertia of ``a - mu*b`` read off the pivot signs of a symmetric-mode
+SuperLU factor (spectrum slicing; Parlett, *The Symmetric Eigenvalue
+Problem*, ch. 3).  No N-sized matrix goes through dense LAPACK except in
+:func:`associated_operator`.
 """
 
 from __future__ import annotations
@@ -13,14 +22,22 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 
 from .errors import DimensionError, NumericalError, ValidationError
 
 HERMITIAN_RTOL = 1e-12
 # Relative slack for the sampled numerical-range checks.
 RANGE_CHECK_RTOL = 1e-9
+# Width of the final bisection bracket of an extremal eigenvalue,
+# relative to the larger magnitude of the first bracket (which bounds
+# the eigenvalue).
+SPECTRAL_RTOL = 1e-12
+# Default slack of the accretivity test, relative to the form's 2-norm,
+# and the relative width of the bracket that norm is taken from.
+ACCRETIVITY_RTOL = 1e-10
+ACCRETIVITY_SCALE_RTOL = 1e-3
 
 
 def _as_matrix(a, name: str) -> np.ndarray:
@@ -34,13 +51,19 @@ def _as_matrix(a, name: str) -> np.ndarray:
     return a
 
 
+def _frobenius(a: np.ndarray) -> float:
+    # elementwise, not np.linalg.norm: a BLAS dot over an n-by-n Gram wakes
+    # the BLAS threads, which then spin beside the single-threaded stepping
+    return float(np.sqrt(np.sum(np.abs(a) ** 2)))
+
+
 def _check_gram(g: np.ndarray, name: str) -> None:
-    scale = max(np.linalg.norm(g), 1e-300)
-    if np.linalg.norm(g - g.conj().T) > HERMITIAN_RTOL * scale:
+    scale = max(_frobenius(g), 1e-300)
+    if _frobenius(g - g.conj().T) > HERMITIAN_RTOL * scale:
         raise ValidationError(f"{name} is not Hermitian within tolerance")
-    lam = np.linalg.eigvalsh((g + g.conj().T) / 2.0)[0]
-    if not lam > 0:
-        raise ValidationError(f"{name} is not positive definite (min eigenvalue {lam:.3e})")
+    # no eigenvalue below zero, and no zero or off-diagonal pivot either
+    if _eigenvalue_count(scipy.sparse.coo_array(_hermitian_part(g)), _identity(g.shape[0]), 0.0) != 0:
+        raise ValidationError(f"{name} is not positive definite (a non-positive or off-diagonal LU pivot)")
 
 
 @dataclass(frozen=True)
@@ -96,7 +119,8 @@ class FormMatrix:
     Blocks and Grams are stored dense.  The form owns its assembled
     operators on the product space, in CSR: ``form_csr`` (the blocks in
     place) and ``mass_csr``/``vgram_csr`` (block diagonals of the ambient
-    and domain Grams).  Only the LAPACK routines below densify them.
+    and domain Grams).  The spectral routines below factor sparse pencils
+    built from them; only :func:`associated_operator` densifies them.
 
     Immutable after assembly by convention; all derived matrices are
     cached, so instances are cheap to share between checks.
@@ -170,6 +194,22 @@ class FormMatrix:
         """Block diagonal of the form-domain Grams."""
         return self._blockdiag_csr("v_gram")
 
+    @cached_property
+    def accretivity_scale(self) -> float:
+        """Certified lower bound of ``|form_csr|_2``, within ``ACCRETIVITY_SCALE_RTOL``.
+
+        The lower end of a bracket of the largest eigenvalue of the
+        augmented pencil ``[[0, S], [S^H, 0]]`` against the identity,
+        whose positive eigenvalues are the singular values of ``S``.
+        """
+        lower, _ = _lambda_max(_augmented(self.form_csr), _identity(2 * self.total_dim), ACCRETIVITY_SCALE_RTOL)
+        return max(lower, 1e-300)
+
+    @cached_property
+    def accretive(self) -> bool:
+        """Verdict of :func:`is_discretely_accretive` at the default tolerance."""
+        return _accretive(self, ACCRETIVITY_RTOL)
+
     def adjoint(self) -> "FormMatrix":
         """Form with blocks ``S*_ij = S_ji^H`` (the adjoint form)."""
         blocks = [
@@ -236,14 +276,10 @@ class FormMatrix:
 def embedding_norm(space: DiscreteSpace) -> float:
     """Norm of the identity from the form domain into the ambient space.
 
-    Computed as the square root of the largest generalized eigenvalue of
-    ``h_gram x = lam v_gram x``.
+    The square root of the largest eigenvalue of the pencil
+    ``(h_gram, v_gram)``.
     """
-    try:
-        lam = scipy.linalg.eigh(space.h_gram, space.v_gram, eigvals_only=True)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:  # pragma: no cover
-        raise ValidationError(f"generalized eigenproblem failed on {space.label!r}: {exc}") from exc
-    top = float(lam[-1])
+    top = _midpoint(_lambda_max(scipy.sparse.csr_array(space.h_gram), scipy.sparse.csr_array(space.v_gram)))
     if top <= 0:
         raise ValidationError(f"space {space.label!r} has a degenerate embedding")
     return float(np.sqrt(top))
@@ -262,31 +298,154 @@ def form_apply(form: FormMatrix, f, g) -> complex:
     return complex(np.vdot(gv, form.form_csr @ fv))
 
 
-def _cholesky_lower(gram: np.ndarray, label: str) -> np.ndarray:
-    try:
-        return scipy.linalg.cholesky(gram, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise ValidationError(f"Cholesky factorization of {label} failed: {exc}") from exc
+def _identity(n: int) -> scipy.sparse.coo_array:
+    diagonal = np.arange(n)
+    return scipy.sparse.coo_array((np.ones(n), (diagonal, diagonal)), shape=(n, n))
+
+
+def _hermitian_part(a):
+    return (a + a.conj().T) * 0.5
+
+
+def _placed(n: int, *blocks) -> scipy.sparse.coo_array:
+    """n-by-n COO array holding each ``(matrix, row offset, column offset)`` of ``blocks``."""
+    parts = [(scipy.sparse.coo_array(m), r, c) for m, r, c in blocks]
+    rows = np.concatenate([p.row + r for p, r, _ in parts])
+    cols = np.concatenate([p.col + c for p, _, c in parts])
+    data = np.concatenate([p.data for p, _, _ in parts])
+    return scipy.sparse.coo_array((data, (rows, cols)), shape=(n, n))
+
+
+def _augmented(s) -> scipy.sparse.coo_array:
+    """``[[0, s], [s^H, 0]]``: its positive eigenvalues are the singular values of ``s``."""
+    rows, cols = s.shape
+    return _placed(rows + cols, (s, 0, rows), (s.conj().T, rows, 0))
+
+
+class _Pencil:
+    """A Hermitian sparse pencil ``(a, b)`` with ``b`` positive definite.
+
+    Both matrices are laid on the CSC union of their patterns once; a
+    shift ``a - mu*b`` then only rewrites the data of one CSC matrix.
+    """
+
+    def __init__(self, a, b):
+        a, b = scipy.sparse.coo_array(a), scipy.sparse.coo_array(b)
+        a.sum_duplicates()
+        b.sum_duplicates()
+        n = a.shape[0]
+        # column-major keys sort like CSC storage
+        key_a = a.col.astype(np.int64) * n + a.row
+        key_b = b.col.astype(np.int64) * n + b.row
+        union = np.union1d(key_a, key_b)
+        dtype = np.result_type(a.dtype, b.dtype, float)
+        self.a, self.b = np.zeros(union.size, dtype), np.zeros(union.size, dtype)
+        self.a[np.searchsorted(union, key_a)] = a.data
+        self.b[np.searchsorted(union, key_b)] = b.data
+        indices = (union % n).astype(np.intc)
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(union // n, minlength=n))]).astype(np.intc)
+        self.shifted = scipy.sparse.csc_array((self.a.copy(), indices, indptr), shape=(n, n))
+
+    def count(self, mu: float):
+        """Number of eigenvalues below ``mu``, or None when the factor shows no inertia.
+
+        ``a - mu*b`` is factored once by SuperLU in symmetric mode with
+        diagonal pivots only (``diag_pivot_thresh=0``): SuperLU then
+        leaves the diagonal only where it is exactly zero.  With
+        ``perm_r == perm_c`` the factor is ``P (a - mu*b) P^T = L D L^H``
+        up to a positive diagonal scaling, and the negative entries of
+        ``real(diag(U))`` count the eigenvalues below ``mu`` (Sylvester).
+        A factor that pivoted off the diagonal gives no inertia, and an
+        exactly singular one means an eigenvalue within round-off of
+        ``mu``; both return None.  Either way ``a - mu*b`` is not
+        positive definite: eliminating a positive definite matrix in any
+        symmetric order meets only positive diagonal pivots, which
+        SuperLU would have taken.  So a factor without inertia can only
+        move a bracket to the safe side, never pass a test.
+        """
+        try:
+            np.subtract(self.a, mu * self.b, out=self.shifted.data)
+            lu = scipy.sparse.linalg.splu(
+                self.shifted,
+                permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True},
+            )
+        except RuntimeError as exc:
+            if "singular" not in str(exc):
+                raise
+            return None
+        if not np.array_equal(lu.perm_r, lu.perm_c):
+            return None
+        return int(np.count_nonzero(lu.U.diagonal().real < 0))
+
+    def definite(self, mu: float) -> bool:
+        """``a - mu*b`` is positive definite, that is, every eigenvalue exceeds ``mu``."""
+        return self.count(mu) == 0
+
+
+def _eigenvalue_count(a, b, mu: float):
+    """Eigenvalues of the Hermitian pencil ``(a, b)`` below ``mu`` (see :meth:`_Pencil.count`)."""
+    return _Pencil(a, b).count(mu)
+
+
+def _lambda_min(a, b, rtol: float = SPECTRAL_RTOL) -> tuple:
+    """Bracket ``(lo, hi)`` of the smallest eigenvalue of the pencil ``(a, b)``.
+
+    ``hi`` starts at the Rayleigh quotient of the all-ones vector, an
+    upper bound; ``lo`` steps down from it, doubling the step, until
+    ``a - lo*b`` is positive definite.  Bisection then halves the bracket
+    until it is at most ``rtol`` times the larger magnitude of the first
+    bracket.  Each end stays certified: ``lo`` by a definite factor,
+    ``hi`` by the Rayleigh quotient or by a shift whose factor is not
+    definite (see :meth:`_Pencil.count`).
+    """
+    pencil = _Pencil(a, b)
+    if not np.any(pencil.a):
+        return 0.0, 0.0
+    ones = np.ones(a.shape[0])
+    hi = float(np.vdot(ones, a @ ones).real / np.vdot(ones, b @ ones).real)
+    step = max(abs(hi), float(np.abs(pencil.a).max() / np.abs(pencil.b).max()))
+    lo = hi - step
+    while not pencil.definite(lo):
+        hi, step = lo, 2.0 * step
+        lo = hi - step
+        if not np.isfinite(lo):
+            raise NumericalError("no lower bound for the smallest eigenvalue: is the pencil Hermitian-definite?")
+    tol = rtol * max(abs(lo), abs(hi))
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if pencil.definite(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def _lambda_max(a, b, rtol: float = SPECTRAL_RTOL) -> tuple:
+    """Bracket ``(lo, hi)`` of the largest eigenvalue of the pencil ``(a, b)``."""
+    lo, hi = _lambda_min(-a, b, rtol)
+    return -hi, -lo
+
+
+def _midpoint(bracket: tuple) -> float:
+    return 0.5 * (bracket[0] + bracket[1])
 
 
 def estimate_continuity(form: FormMatrix, i: int, j: int) -> float:
     """Best continuity constant of block (i, j) in the domain norms.
 
-    Whitens the block with the Cholesky factors of the two domain Grams
-    and returns the largest singular value of the result, which equals
+    The largest eigenvalue of the augmented block ``[[0, S_ij], [S_ij^H,
+    0]]`` against ``diag(v_gram_i, v_gram_j)``, which equals
     ``sup |g^H S_ij f| / (|f|_Vj |g|_Vi)``.
     """
-    li = _cholesky_lower(form.spaces[i].v_gram, f"v_gram of space {i}")
-    lj = _cholesky_lower(form.spaces[j].v_gram, f"v_gram of space {j}")
-    x = scipy.linalg.solve_triangular(li, form.block(i, j), lower=True)
-    w = scipy.linalg.solve_triangular(lj, x.conj().T, lower=True).conj().T
-    if w.size == 0:
+    si, sj = form.block_slices[i], form.block_slices[j]
+    block = form.form_csr[si, sj]
+    if not np.any(block.data):
         return 0.0
-    return float(np.linalg.norm(w, 2))
-
-
-def _hermitian_part(a: np.ndarray) -> np.ndarray:
-    return (a + a.conj().T) / 2.0
+    ni = si.stop - si.start
+    vgram = _placed(ni + sj.stop - sj.start, (form.vgram_csr[si, si], 0, 0), (form.vgram_csr[sj, sj], ni, ni))
+    return _midpoint(_lambda_max(_augmented(block), vgram))
 
 
 def estimate_ellipticity(form: FormMatrix, i: int, shift: float = 0.0) -> float:
@@ -296,27 +455,19 @@ def estimate_ellipticity(form: FormMatrix, i: int, shift: float = 0.0) -> float:
     relative to ``v_gram``, so the block satisfies
     ``Re a_ii(f,f) >= value*|f|_V^2 - shift*|f|_H^2`` sharply.
     """
-    space = form.spaces[i]
-    mat = _hermitian_part(form.block(i, i)) + shift * space.h_gram
-    try:
-        lam = scipy.linalg.eigh(mat, space.v_gram, eigvals_only=True)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-        raise NumericalError(f"generalized eigen solve failed on block ({i},{i}): {exc}") from exc
-    return float(lam[0])
+    sl = form.block_slices[i]
+    mat = _hermitian_part(form.form_csr[sl, sl]) + shift * form.mass_csr[sl, sl]
+    return _midpoint(_lambda_min(mat, form.vgram_csr[sl, sl]))
 
 
 def full_ellipticity(form: FormMatrix, shift: float = 0.0) -> float:
     """Coercivity constant of the whole form over the product space.
 
-    Same generalized eigenproblem as :func:`estimate_ellipticity`, using
-    the assembled form matrix against the block-diagonal domain Gram.
+    Same pencil as :func:`estimate_ellipticity`, using the assembled form
+    matrix against the block-diagonal domain Gram.
     """
-    mat = _hermitian_part(form.form_csr.toarray()) + shift * form.mass_csr.toarray()
-    try:
-        lam = scipy.linalg.eigh(mat, form.vgram_csr.toarray(), eigvals_only=True)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-        raise NumericalError(f"generalized eigen solve failed on the full form: {exc}") from exc
-    return float(lam[0])
+    mat = _hermitian_part(form.form_csr) + shift * form.mass_csr
+    return _midpoint(_lambda_min(mat, form.vgram_csr))
 
 
 def accretivity_margin(form: FormMatrix) -> float:
@@ -325,12 +476,25 @@ def accretivity_margin(form: FormMatrix) -> float:
     Nonnegative (within round-off) exactly when the discrete form is
     accretive.
     """
-    return float(np.linalg.eigvalsh(_hermitian_part(form.form_csr.toarray()))[0])
+    return _midpoint(_lambda_min(_hermitian_part(form.form_csr), _identity(form.total_dim)))
 
 
-def is_discretely_accretive(form: FormMatrix, rtol: float = 1e-10) -> bool:
-    scale = max(float(np.linalg.norm(form.form_csr.toarray(), 2)), 1e-300)
-    return accretivity_margin(form) >= -rtol * scale
+def _accretive(form: FormMatrix, rtol: float) -> bool:
+    # one factor: herm(S) + tau*I is positive definite, tau = rtol*scale
+    tau = rtol * form.accretivity_scale
+    return _Pencil(_hermitian_part(form.form_csr), _identity(form.total_dim)).definite(-tau)
+
+
+def is_discretely_accretive(form: FormMatrix, rtol: float = ACCRETIVITY_RTOL) -> bool:
+    """The Hermitian part of the assembled form exceeds ``-rtol*scale``.
+
+    ``scale`` is :attr:`FormMatrix.accretivity_scale`, a certified lower
+    bound of ``|S|_2``, so the test is never looser than one against the
+    exact norm.  The verdict at the default ``rtol`` is cached on the form.
+    """
+    if rtol == ACCRETIVITY_RTOL:
+        return form.accretive
+    return _accretive(form, rtol)
 
 
 def associated_operator(form: FormMatrix) -> np.ndarray:

@@ -115,8 +115,9 @@ class TestStep:
                 out[:, 1] *= 1.0 + 1e-6
                 return out
 
-        monkeypatch.setattr(scipy.sparse.linalg, "splu", lambda a: CorruptColumn(real_splu(a)))
+        # build the form first: only the stepper's factor is corrupted
         form = build_constant_coupled(Grid1D(8), [[2.0, -1.0], [-1.0, 2.0]])
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", lambda a: CorruptColumn(real_splu(a)))
         u0 = [np.ones((9, 3)), np.ones((9, 3))]
         cfg = EvolutionConfig(dt=0.05, t_end=0.2, scheme="crank-nicolson")
         with pytest.raises(SolverError, match=r"crank-nicolson solve lost accuracy at step 1 \(dt=0.05"):

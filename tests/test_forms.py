@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from coupledforms import (
     DiscreteSpace,
@@ -21,9 +25,19 @@ from coupledforms import (
     p1_stiffness,
     parabola_check,
     sector_check,
+    two_fibre_coupling,
 )
 from coupledforms.errors import DimensionError, ValidationError
-from coupledforms.forms import RangeCheckResult
+from coupledforms.forms import (
+    ACCRETIVITY_RTOL,
+    RangeCheckResult,
+    _augmented,
+    _eigenvalue_count,
+    _lambda_max,
+    _lambda_min,
+    accretivity_margin,
+    is_discretely_accretive,
+)
 from coupledforms.models import CoefficientField
 
 
@@ -54,6 +68,22 @@ class TestDiscreteSpace:
         g[0, 0] = np.nan
         with pytest.raises(ValidationError):
             DiscreteSpace(2, g, np.eye(2))
+
+    def test_rejects_singular_gram(self):
+        # Neumann stiffness alone: constants are in its kernel
+        grid = Grid1D(8)
+        with pytest.raises(ValidationError, match="positive definite"):
+            DiscreteSpace(grid.n_nodes, p1_mass(grid), p1_stiffness(grid))
+
+    def test_rejects_zero_diagonal_gram(self):
+        # SuperLU has to pivot off the zero diagonal, which gives no inertia
+        g = np.kron(np.eye(3), [[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(ValidationError, match="positive definite"):
+            DiscreteSpace(6, np.eye(6), g)
+
+    def test_accepts_complex_hermitian_gram(self):
+        g = np.array([[2.0, 1j], [-1j, 2.0]])
+        assert DiscreteSpace(2, g, g).dim == 2
 
 
 class TestEmbeddingNorm:
@@ -372,3 +402,182 @@ class TestAdjoint:
         for i in range(2):
             for j in range(2):
                 np.testing.assert_allclose(adj.block(i, j), form.block(j, i).conj().T)
+
+
+# ---------------------------------------------------------------------------
+# the sparse inertia primitive against dense LAPACK, which stays here as the
+# oracle
+
+
+def dense_blockdiag(form, which):
+    return scipy.linalg.block_diag(*[getattr(s, which) for s in form.spaces])
+
+
+def dense_hermitian(a):
+    return (a + a.conj().T) / 2
+
+
+def dense_augmented(s):
+    rows, cols = s.shape
+    return np.block([[np.zeros((rows, rows)), s], [s.conj().T, np.zeros((cols, cols))]])
+
+
+def dense_continuity(form, i, j):
+    """Largest singular value of the block whitened by the domain Grams."""
+    li = np.linalg.cholesky(form.spaces[i].v_gram)
+    lj = np.linalg.cholesky(form.spaces[j].v_gram)
+    x = scipy.linalg.solve_triangular(li, form.block(i, j), lower=True)
+    w = scipy.linalg.solve_triangular(lj, x.conj().T, lower=True).conj().T
+    return float(np.linalg.norm(w, 2))
+
+
+FOUR_CYCLE = [[3.0, -1.0, -1.0, 0.0], [-1.0, 3.0, 0.0, -1.0], [-1.0, 0.0, 3.0, -1.0], [0.0, -1.0, -1.0, 3.0]]
+ORACLE_BUILDERS = {
+    "ephaptic": lambda g: build_ephaptic(
+        g, CoefficientField.constant(two_fibre_coupling("difference", 2.0, 0.5), g.n_cells)
+    ),
+    "non_accretive": lambda g: build_constant_coupled(g, [[1.0, -2.0], [-2.0, 1.0]]),
+    "damped_wave": lambda g: build_damped_wave(g, 1.0),
+    "damped_wave_complex": lambda g: build_damped_wave(g, 1.0 + 0.5j),
+    "dynamic_bc_heat": build_dynamic_bc_heat,
+    "four_cycle": lambda g: build_constant_coupled(g, FOUR_CYCLE),
+}
+
+
+def oracle_pencils(form):
+    """Dense (a, b) of the ellipticity, accretivity and (0, 1) continuity pencils."""
+    herm = dense_hermitian(dense_form(form))
+    vgram = dense_blockdiag(form, "v_gram")
+    v01 = scipy.linalg.block_diag(form.spaces[0].v_gram, form.spaces[1].v_gram)
+    return [
+        (herm + 0.5 * dense_blockdiag(form, "h_gram"), vgram),
+        (herm, np.eye(form.total_dim)),
+        (dense_augmented(form.block(0, 1)), v01),
+    ]
+
+
+def assert_matches(got, want, scale):
+    assert abs(got - want) <= max(1e-8 * abs(want), 1e-10 * scale), (got, want, scale)
+
+
+class TestInertiaPrimitive:
+    @pytest.mark.parametrize("name", sorted(ORACLE_BUILDERS))
+    def test_count_matches_dense_inertia(self, name):
+        form = ORACLE_BUILDERS[name](Grid1D(32))
+        for a, b in oracle_pencils(form):
+            lam = scipy.linalg.eigh(a, b, eigvals_only=True)
+            scale = np.abs(lam).max()
+            distinct = lam[np.concatenate([[True], np.diff(lam) > 1e-8 * scale])]
+            delta = 1e-6 * scale
+            midway = (distinct[1:] + distinct[:-1]) / 2
+            shifts = [*midway, lam[0] - delta, lam[0] + delta, lam[-1] - delta, lam[-1] + delta]
+            a_csr, b_csr = scipy.sparse.csr_array(a), scipy.sparse.csr_array(b)
+            for mu in shifts:
+                got = _eigenvalue_count(a_csr, b_csr, mu)
+                if got is None:
+                    # only a zero on the diagonal of a - mu*b may leave no inertia
+                    assert np.any(np.diag(a - mu * b) == 0), (name, mu)
+                else:
+                    assert got == np.count_nonzero(lam < mu), (name, mu)
+
+    @pytest.mark.parametrize("kind", [scipy.sparse.csr_matrix, scipy.sparse.csr_array])
+    def test_sparse_matrix_and_array_inputs(self, kind):
+        grid = Grid1D(16)
+        a = kind(p1_stiffness(grid) - 2.0 * p1_mass(grid))
+        b = kind(p1_mass(grid))
+        lam = scipy.linalg.eigh(a.toarray(), b.toarray(), eigvals_only=True)
+        assert _eigenvalue_count(a, b, 0.0) == np.count_nonzero(lam < 0)
+        for (lo, hi), want in ((_lambda_min(a, b), lam[0]), (_lambda_max(a, b), lam[-1])):
+            assert lo <= want + 1e-10 * abs(want) and want - 1e-10 * abs(want) <= hi
+            assert hi - lo <= 1e-11 * np.abs(lam).max()
+
+    def test_zero_diagonal_augmented_pencil(self):
+        # block (0, 1) of the damped wave is -W against the domain Grams W,
+        # so the augmented pencil has a zero diagonal at mu = 0; SuperLU
+        # pivots off it there and its pivot signs are no inertia
+        form = build_damped_wave(Grid1D(16), 1.0)
+        s0, s1 = form.block_slices
+        aug = _augmented(form.form_csr[s0, s1])
+        v01 = scipy.sparse.block_diag([form.vgram_csr[s0, s0], form.vgram_csr[s1, s1]])
+        assert _eigenvalue_count(aug, v01, 0.0) is None
+        assert estimate_continuity(form, 0, 1) == pytest.approx(dense_continuity(form, 0, 1), rel=1e-10)
+        assert estimate_continuity(form, 0, 1) == pytest.approx(1.0, rel=1e-10)
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_BUILDERS))
+    def test_spectral_routines_match_dense(self, name):
+        form = ORACLE_BUILDERS[name](Grid1D(48))
+        dense = dense_form(form)
+        herm = dense_hermitian(dense)
+        mass, vgram = dense_blockdiag(form, "h_gram"), dense_blockdiag(form, "v_gram")
+        for shift in (0.0, 0.5):
+            lam = scipy.linalg.eigh(herm + shift * mass, vgram, eigvals_only=True)
+            assert_matches(full_ellipticity(form, shift), lam[0], np.abs(lam).max())
+            for i, space in enumerate(form.spaces):
+                block = dense_hermitian(form.block(i, i)) + shift * space.h_gram
+                lam = scipy.linalg.eigh(block, space.v_gram, eigvals_only=True)
+                assert_matches(estimate_ellipticity(form, i, shift), lam[0], np.abs(lam).max())
+        norms = [[dense_continuity(form, i, j) for j in range(form.m)] for i in range(form.m)]
+        for i in range(form.m):
+            for j in range(form.m):
+                assert_matches(estimate_continuity(form, i, j), norms[i][j], max(map(max, norms)))
+        for space in form.spaces:
+            top = scipy.linalg.eigh(space.h_gram, space.v_gram, eigvals_only=True)[-1]
+            assert_matches(embedding_norm(space), np.sqrt(top), np.sqrt(top))
+        lam = np.linalg.eigvalsh(herm)
+        assert_matches(accretivity_margin(form), lam[0], np.abs(lam).max())
+        two_norm = np.linalg.norm(dense, 2)
+        assert two_norm * (1 - 2e-3) <= form.accretivity_scale <= two_norm * (1 + 1e-12)
+        assert is_discretely_accretive(form) == (lam[0] >= -ACCRETIVITY_RTOL * two_norm)
+
+
+class TestAccretivityBoundary:
+    @staticmethod
+    def rotated_diagonal(values):
+        q, _ = np.linalg.qr(np.random.default_rng(11).standard_normal((len(values), len(values))))
+        return single_space_form(q @ np.diag(values) @ q.T)
+
+    @pytest.mark.parametrize("factor, accretive", [(0.5, True), (2.0, False)])
+    def test_pass_and_fail_around_the_boundary(self, factor, accretive):
+        # the smallest eigenvalue sits at factor * (-rtol * scale)
+        values = [2.0, 1.0, 0.5, 0.0]
+        tau = ACCRETIVITY_RTOL * self.rotated_diagonal(values).accretivity_scale
+        form = self.rotated_diagonal(values[:-1] + [-factor * tau])
+        assert is_discretely_accretive(form) is accretive
+        # a looser explicit tolerance passes both
+        assert is_discretely_accretive(form, rtol=10 * ACCRETIVITY_RTOL)
+
+
+# ---------------------------------------------------------------------------
+# no dense eigen, SVD or 2-norm work on N-sized matrices in the library
+
+DENSE_CALLS = {"toarray", "todense", "eigh", "eigvalsh", "svd"}
+# associated_operator returns the dense generator; make_projection splits an m-by-m matrix
+DENSE_ALLOWED = {("forms.py", "associated_operator"), ("qualitative.py", "make_projection")}
+
+
+def dense_spectral_calls(path: Path) -> list:
+    """``(function, call)`` for each densifying or dense spectral call in a module."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and owner is None:
+            owner = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            orders = node.args[1:2] + [k.value for k in node.keywords if k.arg == "ord"]
+            two = [o for o in orders if isinstance(o, ast.Constant) and o.value == 2]
+            if name in DENSE_CALLS or (name == "norm" and two):
+                found.append((owner, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+@pytest.mark.parametrize("module", ["forms.py", "qualitative.py"])
+def test_no_dense_spectral_calls(module):
+    path = Path(__file__).resolve().parents[1] / "src" / "coupledforms" / module
+    calls = dense_spectral_calls(path)
+    assert [c for c in calls if (module, c[0]) not in DENSE_ALLOWED] == []
