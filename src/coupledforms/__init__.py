@@ -16,7 +16,7 @@ from .certificates import (
     symmetric_part,
 )
 from .errors import DimensionError, NumericalError, SolverError, ValidationError
-from .evolution import EvolutionConfig, TrajectoryRecord, evolve, h_norm, step
+from .evolution import EvolutionConfig, TrajectoryRecord, evolve, h_norm
 from .forms import (
     DiscreteSpace,
     FormBlock,

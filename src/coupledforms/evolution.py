@@ -15,6 +15,10 @@ formed from the form's assembled CSR operators (``FormMatrix.form_csr``
 and ``mass_csr``) and factored by a sparse direct LU (SuperLU); a step
 then costs time linear in the number of nonzeros rather than quadratic
 in the unknown count.  Recorded norms apply the same ``mass_csr``.
+
+One generator, ``_states``, owns the stepping loop; a run keeps its
+observables and its last state, and ``domination`` walks two generators
+in step instead of storing states.
 """
 
 from __future__ import annotations
@@ -62,33 +66,29 @@ class EvolutionConfig:
 
 @dataclass
 class TrajectoryRecord:
-    """Recorded states and derived observables of one evolution run.
+    """Observables at ``times`` and the last state of one evolution run.
 
-    ``states[k]`` is the list of per-component coordinates at
-    ``times[k]``.  Observables always include the ambient norm, the
-    per-component norms and the nodal extremes; the strip observables
-    appear when a projection was supplied.  A run started from
-    ``(dim, k)`` components holds k trials: states keep the trial axis
-    and each observable has one column per trial.
+    ``final_state`` holds per-component coordinates.  Observables always
+    include the ambient norm, the per-component norms and the nodal
+    extremes; the strip observables appear when a projection was
+    supplied.  A run started from ``(dim, k)`` components holds k trials:
+    each observable has one column per trial and the final state keeps
+    the trial axis.
     """
 
     times: np.ndarray
-    states: list
     observables: dict
     n_components: int
+    final_state: list
 
     def observable(self, name: str) -> np.ndarray:
         return self.observables[name]
 
-    @property
-    def final_state(self) -> list:
-        return self.states[-1]
-
     def trial(self, c: int) -> "TrajectoryRecord":
         """The run of trial column ``c`` of a batched record."""
-        states = [[b[:, c].copy() for b in state] for state in self.states]
         observables = {name: vals[:, c].copy() for name, vals in self.observables.items()}
-        return TrajectoryRecord(self.times, states, observables, self.n_components)
+        final_state = [b[:, c].copy() for b in self.final_state]
+        return TrajectoryRecord(self.times, observables, self.n_components, final_state)
 
 
 class Stepper:
@@ -149,10 +149,19 @@ class Stepper:
         return u_next
 
 
-def step(form: FormMatrix, u, cfg: EvolutionConfig) -> list:
-    """Advance a block vector by a single time step."""
+def _start(form: FormMatrix, u0) -> np.ndarray:
+    """``u0`` as one flat state in the form's working type, real for a real form."""
+    return form.flatten(u0).astype(complex if not form.is_real else float)
+
+
+def _states(form: FormMatrix, u: np.ndarray, cfg: EvolutionConfig):
+    """Yield ``(k, u)`` at step 0 and every recorded step from flat ``u``; no step overwrites a yielded ``u``."""
     stepper = Stepper(form, cfg)
-    return form.split(stepper.step(form.flatten(u)))
+    yield 0, u
+    for k in range(1, cfg.n_steps + 1):
+        u = stepper.step(u, step_index=k)
+        if k % cfg.record_every == 0 or k == cfg.n_steps:
+            yield k, u
 
 
 def _squared_norms(form: FormMatrix, u: np.ndarray) -> list:
@@ -184,6 +193,7 @@ def _lift(vectors: np.ndarray, n: int) -> scipy.sparse.csr_matrix:
 def evolve(form: FormMatrix, u0, cfg: EvolutionConfig, proj=None) -> TrajectoryRecord:
     """Run the configured scheme from ``u0`` and record observables.
 
+    Of the states at step 0 and every recorded step, only the last is kept.
     Components of ``u0`` are vectors ``(dim_i,)`` for one run or
     ``(dim_i, k)`` blocks for k independent trials stepped together
     with one factorization; see :meth:`TrajectoryRecord.trial`.
@@ -193,7 +203,7 @@ def evolve(form: FormMatrix, u0, cfg: EvolutionConfig, proj=None) -> TrajectoryR
     the strip observables ``strip_distance = |u - Pu|`` and
     ``projection_norm = |Pu|`` are recorded for the lifted projection.
     """
-    u = form.flatten(u0).astype(complex if not form.is_real else float)
+    u = _start(form, u0)
     if not np.isfinite(u).all():
         raise ValidationError("initial data contains non-finite entries")
     lifted = None
@@ -207,19 +217,14 @@ def evolve(form: FormMatrix, u0, cfg: EvolutionConfig, proj=None) -> TrajectoryR
             u = u.astype(complex)
         lifted = _lift(k_mat, form.spaces[0].dim)
 
-    stepper = Stepper(form, cfg)
-    n_steps = cfg.n_steps
-
     times = []
-    states = []
     names = ["h_norm", "min_value", "sup_norm"] + [f"comp_norm_{i + 1}" for i in range(form.m)]
     if lifted is not None:
         names += ["strip_distance", "projection_norm"]
     obs: dict = {name: [] for name in names}
 
-    def record(k: int) -> None:
+    for k, u in _states(form, u, cfg):
         times.append(k * cfg.dt)
-        states.append(form.split(u.copy()))
         squares = _squared_norms(form, u)
         obs["h_norm"].append(_norm(sum(squares)))
         for i, sq in enumerate(squares):
@@ -233,14 +238,8 @@ def evolve(form: FormMatrix, u0, cfg: EvolutionConfig, proj=None) -> TrajectoryR
             obs["strip_distance"].append(_norm(sum(_squared_norms(form, u - pu))))
             obs["projection_norm"].append(_norm(sum(_squared_norms(form, pu))))
 
-    record(0)
-    for k in range(1, n_steps + 1):
-        u = stepper.step(u, step_index=k)
-        if k % cfg.record_every == 0 or k == n_steps:
-            record(k)
-
     observables = {name: np.array(vals) for name, vals in obs.items()}
     for name, vals in observables.items():
         if not np.isfinite(vals).all():
             raise SolverError(f"observable {name!r} became non-finite during the run")
-    return TrajectoryRecord(np.array(times), states, observables, form.m)
+    return TrajectoryRecord(np.array(times), observables, form.m, form.split(u))

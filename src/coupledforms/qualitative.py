@@ -20,7 +20,7 @@ import scipy.sparse.linalg
 
 from .certificates import FAIL, NOT_APPLICABLE, PASS
 from .errors import DimensionError, ValidationError
-from .evolution import EvolutionConfig, TrajectoryRecord, _lift, evolve, h_norm
+from .evolution import EvolutionConfig, TrajectoryRecord, _lift, _start, _states, evolve, h_norm
 from .forms import FormMatrix, is_discretely_accretive
 from .models import CoefficientField
 
@@ -402,17 +402,17 @@ def domination_check(
         draw = rng.random if t == 0 else rng.standard_normal
         u0.append([draw(s.dim) for s in form.spaces])
     u0 = _stack_trials(u0)
-    traj_diag = evolve(form.diagonal_part(), u0, cfg)
-    traj_full = evolve(form, [np.abs(b) for b in u0], cfg)
-    full = np.array([form.flatten(state) for state in traj_full.states])
-    diag = np.array([form.flatten(state) for state in traj_diag.states])
-    margins = (full.real - np.abs(diag)).min(axis=(0, 1))
+    diagonal = form.diagonal_part()
+    diag_run = _states(diagonal, _start(diagonal, u0), cfg)
+    full_run = _states(form, _start(form, [np.abs(b) for b in u0]), cfg)
+    margins = np.inf
+    for (_, diag), (_, full) in zip(diag_run, full_run):
+        margins = np.minimum(margins, (full.real - np.abs(diag)).min(axis=0))
     worst = int(np.argmin(margins))
     details = {"worst_margin": float(margins[worst]), "max_coupling_value": worst_alg}
     if margins[worst] < -RUNTIME_CONE_TOL:
-        return CheckResult(
-            "domination", FAIL, details, witness=traj_diag.trial(worst), witness_label="dominated_run"
-        )
+        witness = evolve(diagonal, u0, cfg).trial(worst)
+        return CheckResult("domination", FAIL, details, witness=witness, witness_label="dominated_run")
     return CheckResult("domination", PASS, details)
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -17,10 +19,10 @@ from coupledforms import (
     h_norm,
     make_projection,
     p1_mass,
-    step,
     two_fibre_coupling,
 )
 from coupledforms.errors import DimensionError, SolverError, ValidationError
+from coupledforms.evolution import Stepper, _start, _states
 
 
 def scalar_form(s_value, mass_value=1.0):
@@ -28,6 +30,21 @@ def scalar_form(s_value, mass_value=1.0):
         [DiscreteSpace(1, [[mass_value]], [[mass_value]])],
         [[np.array([[s_value]])]],
     )
+
+
+def traced_peak(run) -> int:
+    """Peak bytes of Python-visible allocations (numpy arrays included) while ``run()`` executes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def recorded_states(form, u0, cfg):
+    """The flat state at every step ``evolve(form, u0, cfg)`` records, read from the stepping generator."""
+    return [u for _, u in _states(form, _start(form, u0), cfg)]
 
 
 class TestConfig:
@@ -62,7 +79,7 @@ class TestStep:
     def test_scalar_implicit_euler(self):
         form = scalar_form(1.0)
         cfg = EvolutionConfig(dt=1.0, t_end=1.0)
-        (out,) = step(form, [[1.0]], cfg)
+        out = Stepper(form, cfg).step(form.flatten([[1.0]]))
         assert out[0] == pytest.approx(0.5)
 
     def test_zero_form_is_identity(self):
@@ -70,14 +87,14 @@ class TestStep:
         form = build_ephaptic(grid, CoefficientField(np.zeros((2, 2, 6))))
         rng = np.random.default_rng(0)
         u = [rng.standard_normal(grid.n_nodes) for _ in range(2)]
-        out = step(form, u, EvolutionConfig(dt=0.5, t_end=1.0))
-        for a, b in zip(out, u):
+        out = Stepper(form, EvolutionConfig(dt=0.5, t_end=1.0)).step(form.flatten(u))
+        for a, b in zip(form.split(out), u):
             np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-15)
 
     def test_scalar_crank_nicolson_stability_boundary(self):
         form = scalar_form(1.0)
         cfg = EvolutionConfig(dt=2.0, t_end=2.0, scheme="crank-nicolson")
-        (out,) = step(form, [[1.0]], cfg)
+        out = Stepper(form, cfg).step(form.flatten([[1.0]]))
         assert out[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_singular_system_raises_named_solver_error(self):
@@ -85,7 +102,7 @@ class TestStep:
         form = scalar_form(-1.0)
         cfg = EvolutionConfig(dt=1.0, t_end=1.0)
         with pytest.raises(SolverError, match="implicit-euler.*dt=1.0"):
-            step(form, [[1.0]], cfg)
+            Stepper(form, cfg).step(form.flatten([[1.0]]))
 
     def test_numerically_singular_system_raises_named_solver_error(self):
         # Mass + dt*S = [[1, 1], [1, 1 + 1e-15]]: nonzero pivots, but the
@@ -96,7 +113,7 @@ class TestStep:
         )
         cfg = EvolutionConfig(dt=1.0, t_end=1.0)
         with pytest.raises(SolverError, match="implicit-euler system is numerically singular at dt=1.0"):
-            step(form, [np.ones(2)], cfg)
+            Stepper(form, cfg).step(form.flatten([np.ones(2)]))
 
     def test_inaccurate_solve_raises_named_solver_error(self, monkeypatch):
         # a factor whose solve is wrong in one trial column must be caught
@@ -160,10 +177,10 @@ class TestEvolve:
         mass = p1_mass(grid)
         rng = np.random.default_rng(2)
         u0 = [rng.standard_normal(grid.n_nodes) for _ in range(2)]
-        traj = evolve(form, u0, EvolutionConfig(dt=1e-2, t_end=0.2))
+        states = recorded_states(form, u0, EvolutionConfig(dt=1e-2, t_end=0.2))
         ones = np.ones(grid.n_nodes)
         for i in range(2):
-            means = [float(ones @ mass @ state[i].real) for state in traj.states]
+            means = [float(ones @ mass @ form.split(state)[i].real) for state in states]
             assert np.abs(np.diff(means)).max() <= 1e-10
 
     def test_scheme_consistency_first_order_gap(self):
@@ -274,7 +291,9 @@ class TestBatchedEvolve:
         rng = np.random.default_rng(7)
         # very different column scales: the solve residual is judged per column
         trials = [[scale * rng.standard_normal(17) for _ in range(2)] for scale in (1.0, 1e-6, 1e6)]
-        batch = evolve(form, [np.stack(comp, axis=1) for comp in zip(*trials)], cfg, proj=proj)
+        batch_u0 = [np.stack(comp, axis=1) for comp in zip(*trials)]
+        batch = evolve(form, batch_u0, cfg, proj=proj)
+        batch_states = recorded_states(form, batch_u0, cfg)
         for c, u0 in enumerate(trials):
             single = evolve(form, u0, cfg, proj=proj)
             column = batch.trial(c)
@@ -283,9 +302,13 @@ class TestBatchedEvolve:
             for name, want in single.observables.items():
                 got = column.observable(name)
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-            for got_state, want_state in zip(column.states, single.states):
-                got, want = np.concatenate(got_state), np.concatenate(want_state)
+            single_states = recorded_states(form, u0, cfg)
+            assert len(batch_states) == len(single_states) == len(single.times)
+            for got_state, want in zip(batch_states, single_states):
+                got = got_state[:, c]
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            got, want = np.concatenate(column.final_state), np.concatenate(single.final_state)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_batched_shapes(self):
         form = self.broken_ephaptic(8)
@@ -297,6 +320,20 @@ class TestBatchedEvolve:
         one = traj.trial(3)
         assert one.observable("h_norm").shape == (4,)
         assert [b.shape for b in one.final_state] == [(9,), (9,)]
+
+    def test_long_run_keeps_no_recorded_states(self):
+        # 1001 records of one N = 1026 run are 7.8 MiB of states; keeping
+        # them would put the peak above half of that
+        n = 512
+        form = build_ephaptic(Grid1D(n), CoefficientField.constant(two_fibre_coupling("difference", 2.0, 0.5), n))
+        rng = np.random.default_rng(10)
+        u0 = [rng.standard_normal(s.dim) for s in form.spaces]
+        cfg = EvolutionConfig(dt=1e-3, t_end=1.0, scheme="crank-nicolson")
+        runs = []
+        peak = traced_peak(lambda: runs.append(evolve(form, u0, cfg)))
+        assert len(runs[0].times) == 1001
+        record_set = len(runs[0].times) * form.total_dim * 1 * 8
+        assert peak < record_set / 2
 
     def test_mixed_component_shapes_rejected(self):
         form = self.broken_ephaptic(4)
@@ -330,10 +367,10 @@ def dense_reference_states(form, u0, cfg):
     return states
 
 
-def assert_matches_dense(traj, reference):
-    assert len(traj.states) == len(reference)
-    for state, want in zip(traj.states, reference):
-        got = np.concatenate(state)
+def assert_matches_dense(traj, states, reference):
+    """Every recorded state, and the run's final state, against the dense reference."""
+    assert len(states) == len(reference) == len(traj.times)
+    for got, want in zip([*states, np.concatenate(traj.final_state)], [*reference, reference[-1]]):
         assert np.max(np.abs(got - want)) <= DENSE_REFERENCE_RTOL * np.max(np.abs(want))
 
 
@@ -349,7 +386,7 @@ class TestDenseReference:
         cfg = EvolutionConfig(dt=1e-2, t_end=0.5, scheme="crank-nicolson")
         traj = evolve(form, u0, cfg, proj=proj)
         reference = dense_reference_states(form, u0, cfg)
-        assert_matches_dense(traj, reference)
+        assert_matches_dense(traj, recorded_states(form, u0, cfg), reference)
         lifted = np.kron(proj.matrix, np.eye(17))
         projected = [lifted @ u for u in reference]
         mass = dense_mass(form)
@@ -364,4 +401,5 @@ class TestDenseReference:
         rng = np.random.default_rng(9)
         u0 = [rng.standard_normal((17, 3)) + 1j * rng.standard_normal((17, 3)) for _ in range(2)]
         cfg = EvolutionConfig(dt=1e-2, t_end=0.5, scheme=scheme)
-        assert_matches_dense(evolve(form, u0, cfg), dense_reference_states(form, u0, cfg))
+        states = recorded_states(form, u0, cfg)
+        assert_matches_dense(evolve(form, u0, cfg), states, dense_reference_states(form, u0, cfg))

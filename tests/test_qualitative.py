@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -27,7 +29,9 @@ from coupledforms import (
     subsystem_invariance_check,
     two_fibre_coupling,
 )
+from coupledforms import evolution, qualitative
 from coupledforms.errors import ValidationError
+from coupledforms.evolution import _start, _states
 from coupledforms.qualitative import (
     BLOCK_ZERO_RTOL,
     RUNTIME_CONE_TOL,
@@ -550,8 +554,10 @@ def ref_domination(form, trials, cfg, seed):
         draw = rng.random if t == 0 else rng.standard_normal
         u0 = [draw(s.dim) for s in form.spaces]
         traj_diag = evolve(diag, u0, cfg)
-        traj_full = evolve(form, [np.abs(b) for b in u0], cfg)
-        for full, part in zip(traj_full.states, traj_diag.states):
+        full_run = _states(form, _start(form, [np.abs(b) for b in u0]), cfg)
+        diag_run = _states(diag, _start(diag, u0), cfg)
+        for (_, full), (_, part) in zip(full_run, diag_run):
+            full, part = form.split(full), diag.split(part)
             for i in range(form.m):
                 margin = float(np.min(full[i].real - np.abs(part[i])))
                 if margin < worst:
@@ -627,8 +633,36 @@ def assert_details_close(got, want):
         assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
 
 
-def assert_same_run(got, want, rtol=1e-12):
-    """Observables and states agree to ``rtol`` times the size of the run.
+@pytest.fixture
+def stepped_runs(monkeypatch):
+    """The states every run yields from the stepping generator while a test runs, one list per run."""
+    runs = []
+
+    def recording(form, u, cfg):
+        run = []
+        runs.append(run)
+        for k, state in _states(form, u, cfg):
+            run.append(state)
+            yield k, state
+
+    monkeypatch.setattr(evolution, "_states", recording)
+    monkeypatch.setattr(qualitative, "_states", recording)
+    return runs
+
+
+def run_states(runs, record):
+    """The recorded states of the run, or trial column of a batched run, that ended in ``record``'s final state."""
+    final = np.concatenate(record.final_state)
+    for run in reversed(runs):
+        last = run[-1].reshape(final.shape[0], -1)
+        for c in range(last.shape[1]):
+            if np.array_equal(last[:, c], final):
+                return [state.reshape(final.shape[0], -1)[:, c] for state in run]
+    raise AssertionError("no run ends in the record's final state")
+
+
+def assert_same_run(got, want, got_states, want_states, rtol=1e-12):
+    """Observables, final states and every recorded state agree to ``rtol`` times the size of the run.
 
     The scale is the run's largest recorded value: the strip distance is
     a difference of state parts, so its round-off follows the state.
@@ -638,9 +672,10 @@ def assert_same_run(got, want, rtol=1e-12):
     scale = max(np.max(np.abs(values)) for values in want.observables.values())
     for name, values in want.observables.items():
         assert np.max(np.abs(got.observable(name) - values)) <= rtol * scale, name
-    assert len(got.states) == len(want.states)
-    for got_state, want_state in zip(got.states, want.states):
-        g, w = np.concatenate(got_state), np.concatenate(want_state)
+    assert len(got_states) == len(want_states) == len(want.times)
+    got_states = [*got_states, np.concatenate(got.final_state)]
+    want_states = [*want_states, np.concatenate(want.final_state)]
+    for g, w in zip(got_states, want_states):
         assert g.shape == w.shape
         assert np.max(np.abs(g - w)) <= rtol * np.max(np.abs(w))
 
@@ -753,17 +788,21 @@ ORACLE_CASES = {
 
 class TestBatchedChecksMatchPerTrialLoops:
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
-    def test_same_verdict_details_and_witness(self, case):
+    def test_same_verdict_details_and_witness(self, case, stepped_runs):
         check, reference, args, kwargs, status = ORACLE_CASES[case]
         args = args()
         res = check(*args, **kwargs)
+        check_runs = list(stepped_runs)
+        stepped_runs.clear()
         failed, details, witness, label = reference(*args, **kwargs)
         assert res.status == status
         assert res.failed == failed
         assert_details_close(res.details, details)
         if failed:
             assert res.witness_label == label
-            assert_same_run(res.witness, witness)
+            assert_same_run(
+                res.witness, witness, run_states(check_runs, res.witness), run_states(stepped_runs, witness)
+            )
         else:
             assert res.witness is None and res.witness_label == ""
 
@@ -773,6 +812,22 @@ class TestBatchedChecksMatchPerTrialLoops:
     def test_witness_is_not_the_first_column(self, case, label):
         check, _, args, kwargs, _ = ORACLE_CASES[case]
         assert check(*args(), **kwargs).witness_label == label
+
+
+def test_domination_streams_its_runs():
+    # the two runs of 20 trials record 201 states each, 15.8 MiB per run;
+    # comparing them step by step holds a few states at a time
+    form = build_dynamic_bc_heat(Grid1D(512))
+    cfg = EvolutionConfig(dt=1e-3, t_end=0.2)
+    tracemalloc.start()
+    try:
+        res = domination_check(form, trials=20, cfg=cfg, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.passed
+    record_set = (cfg.n_steps + 1) * form.total_dim * 20 * 8
+    assert peak < record_set / 2
 
 
 class TestTrialCount:
