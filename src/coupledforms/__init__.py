@@ -29,8 +29,6 @@ from .forms import (
     full_ellipticity,
     is_discretely_accretive,
     numerical_range_samples,
-    parabola_check,
-    sector_check,
 )
 from .models import (
     CoefficientField,
@@ -51,8 +49,10 @@ from .qualitative import (
     ephaptic_sum_check,
     linf_contractivity_check,
     make_projection,
+    parabola_check,
     positivity_check,
     product_subspace_check,
+    sector_check,
     strip_invariance_runtime,
     subspace_invariance_check,
     subsystem_invariance_check,

@@ -129,8 +129,8 @@ class Stepper:
             )
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
-        # a real factor cannot take a complex right-hand side (a real form
-        # under a complex projection): solve both parts with it instead
+        # a real factor cannot take a complex right-hand side (complex data
+        # on a real form): solve both parts with it instead
         if np.iscomplexobj(rhs) and not np.iscomplexobj(self._lhs):
             return self._lu.solve(rhs.real) + 1j * self._lu.solve(rhs.imag)
         return self._lu.solve(rhs)
@@ -150,8 +150,9 @@ class Stepper:
 
 
 def _start(form: FormMatrix, u0) -> np.ndarray:
-    """``u0`` as one flat state in the form's working type, real for a real form."""
-    return form.flatten(u0).astype(complex if not form.is_real else float)
+    """``u0`` as one flat state in the working type: complex when the form or the data is, else real."""
+    u = form.flatten(u0)
+    return u.astype(complex if np.iscomplexobj(u) or not form.is_real else float)
 
 
 def _states(form: FormMatrix, u: np.ndarray, cfg: EvolutionConfig):
@@ -213,8 +214,6 @@ def evolve(form: FormMatrix, u0, cfg: EvolutionConfig, proj=None) -> TrajectoryR
         k_mat = np.asarray(getattr(proj, "matrix", proj))
         if k_mat.shape != (form.m, form.m):
             raise DimensionError(f"projection matrix must be {form.m}x{form.m}")
-        if np.iscomplexobj(k_mat):
-            u = u.astype(complex)
         lifted = _lift(k_mat, form.spaces[0].dim)
 
     times = []

@@ -16,6 +16,10 @@ which makes every pencil built here narrow-banded (Parlett, *The
 Symmetric Eigenvalue Problem*, ch. 3; George & Liu, *Computer Solution of
 Large Sparse Positive Definite Systems*, 1981).  No N-sized matrix goes
 through dense LAPACK except in :func:`associated_operator`.
+
+:func:`numerical_range_samples` draws seeded values of the form and
+judges none of them; the ``sector`` and ``parabola`` checks of
+:mod:`coupledforms.qualitative` do.
 """
 
 from __future__ import annotations
@@ -31,8 +35,6 @@ import scipy.sparse.csgraph
 from .errors import DimensionError, NumericalError, ValidationError
 
 HERMITIAN_RTOL = 1e-12
-# Relative slack for the sampled numerical-range checks.
-RANGE_CHECK_RTOL = 1e-9
 # Width of the final bisection bracket of an extremal eigenvalue,
 # relative to the larger magnitude of the first bracket (which bounds
 # the eigenvalue).
@@ -523,44 +525,3 @@ def numerical_range_samples(form: FormMatrix, count: int, seed: int = 0) -> tupl
     h_sq = np.einsum("ic,ic->c", fs.conj(), h_f).real
     v_sq = np.einsum("ic,ic->c", fs.conj(), v_f).real
     return a_vals, v_sq, h_sq
-
-
-@dataclass(frozen=True)
-class RangeCheckResult:
-    """Outcome of a sampled numerical-range test."""
-
-    passed: bool
-    worst_margin: float
-    n_samples: int
-
-
-def sector_check(samples, alpha: float, omega: float, bound: float) -> RangeCheckResult:
-    """Check sampled form values against the certified sector.
-
-    ``samples`` is the (form values, squared domain norms, squared
-    ambient norms) triple of :func:`numerical_range_samples`.  Every
-    sample must satisfy ``Re a >= alpha*v^2 - omega*h^2`` and
-    ``|Im a| <= bound*v^2`` up to a small relative slack.  The worst
-    absolute margin over both inequalities is reported.
-    """
-    a, v, h = samples
-    if len(a) == 0:
-        return RangeCheckResult(True, float("inf"), 0)
-    tol = RANGE_CHECK_RTOL * np.maximum.reduce([np.abs(a), v, h, np.ones_like(v)])
-    margin_re = a.real - (alpha * v - omega * h)
-    margin_im = bound * v - np.abs(a.imag)
-    margins = np.minimum(margin_re, margin_im)
-    passed = bool((margin_re >= -tol).all() and (margin_im >= -tol).all())
-    return RangeCheckResult(passed, float(margins.min()), len(a))
-
-
-def parabola_check(samples, m_tilde: float) -> RangeCheckResult:
-    """Check the mixed-norm bound ``|Im a| <= m_tilde * |f|_V |f|_H``."""
-    if m_tilde < 0:
-        raise ValidationError("m_tilde must be >= 0")
-    a, v, h = samples
-    if len(a) == 0:
-        return RangeCheckResult(True, float("inf"), 0)
-    tol = RANGE_CHECK_RTOL * np.maximum.reduce([np.abs(a), v, h, np.ones_like(v)])
-    margins = m_tilde * np.sqrt(v * h) - np.abs(a.imag)
-    return RangeCheckResult(bool((margins >= -tol).all()), float(margins.min()), len(a))

@@ -1,14 +1,17 @@
-"""Invariance and order properties of the assembled evolutions.
+"""Qualitative properties of the assembled forms and their evolutions.
 
-Each check comes in up to two flavours: an algebraic test on the form
-blocks (exact, up to round-off) and a runtime test that evolves seeded
-trial data and inspects the recorded observables.  The algebraic tests
-read the blocks directly and draw nothing at random: the coupling sign
-entrywise, strip invariance from the sparse lifted residual
+Each invariance or order check comes in up to two flavours: an algebraic
+test on the form blocks (exact, up to round-off) and a runtime test that
+evolves seeded trial data and inspects the recorded observables.  The
+algebraic tests read the blocks directly and draw nothing at random: the
+coupling sign entrywise, strip invariance from the sparse lifted residual
 ``lift(L)^H S lift(R)``, and product-subspace invariance from the
-constraint functionals of each factor.  Checks return a
-:class:`CheckResult`; hypothesis failures yield a ``not-applicable``
-verdict rather than an error so batch runs can report them.
+constraint functionals of each factor.  The numerical-range checks
+(``sector``, ``parabola``) judge seeded samples of the form's values
+against constants they work out from the form when not given them.
+Checks return a :class:`CheckResult`; hypothesis failures yield a
+``not-applicable`` verdict rather than an error so batch runs can report
+them.
 """
 
 from __future__ import annotations
@@ -18,10 +21,16 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse.linalg
 
-from .certificates import FAIL, NOT_APPLICABLE, PASS
+from .certificates import FAIL, NOT_APPLICABLE, PASS, spectral_norm
 from .errors import DimensionError, ValidationError
 from .evolution import EvolutionConfig, TrajectoryRecord, _lift, _start, _states, evolve, h_norm
-from .forms import FormMatrix, is_discretely_accretive
+from .forms import (
+    FormMatrix,
+    estimate_continuity,
+    full_ellipticity,
+    is_discretely_accretive,
+    numerical_range_samples,
+)
 from .models import CoefficientField
 
 PROJECTION_TOL = 1e-12
@@ -29,6 +38,8 @@ COUPLING_RESIDUAL_RTOL = 1e-9
 BLOCK_ZERO_RTOL = 1e-12
 SUM_SPREAD_TOL = 1e-12
 RUNTIME_CONE_TOL = 1e-8
+# Relative slack for the sampled numerical-range checks.
+RANGE_CHECK_RTOL = 1e-9
 
 _DEFAULT_CFG = EvolutionConfig(dt=1e-2, t_end=0.2, scheme="implicit-euler", record_every=1)
 
@@ -152,9 +163,10 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng([seed, trial])
 
 
-def _require_trials(trials: int) -> None:
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
+def _require_positive(name: str, value: int) -> None:
+    # zero trials or samples would make a check pass vacuously
+    if value < 1:
+        raise ValidationError(f"{name} must be >= 1, got {value}")
 
 
 def _stack_trials(trials: list) -> list:
@@ -162,10 +174,10 @@ def _stack_trials(trials: list) -> list:
     return [np.stack(components, axis=1) for components in zip(*trials)]
 
 
-def _combine(vectors: np.ndarray, nodal: list) -> list:
-    """Block vector ``sum_k vectors[:, k] (x) nodal[k]``."""
+def _combine(vectors: np.ndarray, nodal: list, n: int) -> list:
+    """Block vector ``sum_k vectors[:, k] (x) nodal[k]`` on ``n`` nodes."""
     m, r = vectors.shape
-    return [sum(vectors[i, k] * nodal[k] for k in range(r)) for i in range(m)]
+    return [sum((vectors[i, k] * nodal[k] for k in range(r)), np.zeros(n)) for i in range(m)]
 
 
 def _form_scale(form: FormMatrix) -> float:
@@ -345,7 +357,7 @@ def positivity_check(
     seeded nonnegative initial data must keep all nodal values above
     ``-1e-8`` at every recorded time.  Requires a real form.
     """
-    _require_trials(trials)
+    _require_positive("trials", trials)
     if not realness_check(form).passed:
         return CheckResult("positivity", NOT_APPLICABLE, {"reason": "form is not real"})
     cfg = cfg or _DEFAULT_CFG
@@ -385,7 +397,7 @@ def domination_check(
     are nonpositive on the cone; trial 0 uses nonnegative data, where
     zero coupling gives exact equality.
     """
-    _require_trials(trials)
+    _require_positive("trials", trials)
     if not realness_check(form).passed:
         return CheckResult("domination", NOT_APPLICABLE, {"reason": "form is not real"})
     violated, worst_alg, _ = _off_diagonal_sign_violation(form)
@@ -430,7 +442,7 @@ def linf_contractivity_check(
     accretive forms and not-applicable otherwise (finite sampling cannot
     certify a non-contractive evolution).
     """
-    _require_trials(trials)
+    _require_positive("trials", trials)
     cfg = cfg or _DEFAULT_CFG
     accretive = is_discretely_accretive(form)
     u0 = [[np.ones(s.dim) for s in form.spaces]]
@@ -457,7 +469,7 @@ def linf_contractivity_check(
 def strip_invariance_runtime(
     form: FormMatrix,
     proj: ProjectionSpec,
-    alpha_levels,
+    alpha_levels=(0.1, 1.0, 10.0),
     cfg: EvolutionConfig | None = None,
     trials: int = 3,
     seed: int = 0,
@@ -472,7 +484,7 @@ def strip_invariance_runtime(
     different positive levels must agree for a linear scheme; the
     ``scaling_consistent`` detail records that they did.
     """
-    _require_trials(trials)
+    _require_positive("trials", trials)
     cfg = cfg or _DEFAULT_CFG
     if not form.identical_spaces:
         return CheckResult("strip_runtime", NOT_APPLICABLE, {"reason": "component spaces differ"})
@@ -491,7 +503,7 @@ def strip_invariance_runtime(
     for t in range(trials):
         rng = _trial_rng(seed, t)
         fixed_nodal = [rng.standard_normal(n) for _ in range(proj.eig1.shape[1])]
-        g0 = _combine(proj.eig1, fixed_nodal)
+        g0 = _combine(proj.eig1, fixed_nodal, n)
         g_norm = h_norm(form, g0)
         if g_norm > 0:
             g0 = [3.0 * b / g_norm for b in g0]
@@ -501,7 +513,7 @@ def strip_invariance_runtime(
                 kernel_nodal = [rng.standard_normal() * np.ones(n) for _ in range(k)]
             else:
                 kernel_nodal = [rng.standard_normal(n) for _ in range(k)]
-            h0 = _combine(proj.eig0, kernel_nodal)
+            h0 = _combine(proj.eig0, kernel_nodal, n)
             k_norm = h_norm(form, h0)
             h0 = [b / k_norm for b in h0]
         else:
@@ -543,3 +555,62 @@ def strip_invariance_runtime(
         witness=witness,
         witness_label=witness_label,
     )
+
+
+# ---------------------------------------------------------------------------
+# numerical-range checks
+
+
+def _range_tolerance(a: np.ndarray, v: np.ndarray, h: np.ndarray) -> np.ndarray:
+    return RANGE_CHECK_RTOL * np.maximum.reduce([np.abs(a), v, h, np.ones_like(v)])
+
+
+def sector_check(
+    form: FormMatrix,
+    alpha: float | None = None,
+    shift: float = 0.0,
+    bound: float | None = None,
+    count: int = 1000,
+    seed: int = 0,
+) -> CheckResult:
+    """Sampled form values inside the certified sector.
+
+    Every one of ``count`` seeded samples of
+    :func:`~coupledforms.forms.numerical_range_samples` must satisfy
+    ``Re a >= alpha*|f|_V^2 - shift*|f|_H^2`` and ``|Im a| <= bound*|f|_V^2``
+    up to a small relative slack.  Without ``alpha`` the check uses the
+    form's ellipticity constant at ``shift``, without ``bound`` the
+    2-norm of the matrix of block continuity constants.  The worst
+    absolute margin over both inequalities is reported.
+    """
+    _require_positive("count", count)
+    if alpha is None:
+        alpha = full_ellipticity(form, shift)
+    if bound is None:
+        bound = spectral_norm([[estimate_continuity(form, i, j) for j in range(form.m)] for i in range(form.m)])
+    a, v, h = numerical_range_samples(form, count, seed=seed)
+    tol = _range_tolerance(a, v, h)
+    margin_re = a.real - (alpha * v - shift * h)
+    margin_im = bound * v - np.abs(a.imag)
+    passed = bool((margin_re >= -tol).all() and (margin_im >= -tol).all())
+    worst = float(np.minimum(margin_re, margin_im).min())
+    return CheckResult("sector", PASS if passed else FAIL, {"worst_margin": worst, "alpha": alpha, "bound": bound})
+
+
+def parabola_check(form: FormMatrix, m_tilde: float | None = None, count: int = 1000, seed: int = 0) -> CheckResult:
+    """Sampled imaginary parts obey ``|Im a| <= m_tilde * |f|_V |f|_H``.
+
+    Without ``m_tilde`` the check takes the ``parabola_constant`` the
+    model builder put in the form's metadata.
+    """
+    _require_positive("count", count)
+    if m_tilde is None:
+        if "parabola_constant" not in form.metadata:
+            raise ValidationError("parabola check needs 'm_tilde' or a model that reports one")
+        m_tilde = float(form.metadata["parabola_constant"])
+    if m_tilde < 0:
+        raise ValidationError("m_tilde must be >= 0")
+    a, v, h = numerical_range_samples(form, count, seed=seed)
+    margins = m_tilde * np.sqrt(v * h) - np.abs(a.imag)
+    passed = bool((margins >= -_range_tolerance(a, v, h)).all())
+    return CheckResult("parabola", PASS if passed else FAIL, {"worst_margin": float(margins.min()), "m_tilde": m_tilde})

@@ -12,11 +12,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-import numpy as np
-
-from . import forms, qualitative
-from .certificates import FAIL, PASS
-from .errors import ConfigError, ValidationError
+from . import qualitative
+from .errors import ConfigError
 from .qualitative import CheckResult
 
 REQUIRED = object()  # spec default of a key that must be given
@@ -95,46 +92,13 @@ def read_variant(section, variants: dict, tag: str, where: str) -> tuple:
     return name, read_section(section, variants[name], f"{where} {name!r}", known)
 
 
-# ``run(ctx, params)`` gets the values of ``keys`` read from a ``checks``
-# entry and a context with ``form``, ``seed``, ``cfg`` (the evolution
-# config or None) and ``coefficients()``, ``projection()`` and
-# ``mean_weights()``, which read their config sections when called.
+# ``run(ctx, params)`` gets the keys a ``checks`` entry gave, read
+# against ``keys``, and a context with ``form``, ``seed``, ``cfg`` (the
+# evolution config or None) and ``coefficients()``, ``projection()`` and
+# ``mean_weights()``, which read their config sections when called.  A
+# key that names a library parameter has default None, so an entry that
+# leaves it out gets the library's default.
 Check = namedtuple("Check", "description keys run")
-
-
-def _sample_count(params: dict) -> int:
-    # zero samples would make the range checks pass vacuously
-    if params["count"] < 1:
-        raise ValidationError(f"count must be >= 1, got {params['count']}")
-    return params["count"]
-
-
-def _continuity_norm(form) -> float:
-    consts = [[forms.estimate_continuity(form, i, j) for j in range(form.m)] for i in range(form.m)]
-    return float(np.linalg.norm(np.array(consts), 2))
-
-
-def _sector(ctx, params: dict) -> CheckResult:
-    count = _sample_count(params)
-    shift = params["shift"]
-    alpha = params["alpha"] if "alpha" in params else forms.full_ellipticity(ctx.form, shift)
-    bound = params["bound"] if "bound" in params else _continuity_norm(ctx.form)
-    res = forms.sector_check(forms.numerical_range_samples(ctx.form, count, seed=ctx.seed), alpha, shift, bound)
-    status = PASS if res.passed else FAIL
-    return CheckResult("sector", status, {"worst_margin": res.worst_margin, "alpha": alpha, "bound": bound})
-
-
-def _parabola(ctx, params: dict) -> CheckResult:
-    count = _sample_count(params)
-    if "m_tilde" in params:
-        m_tilde = params["m_tilde"]
-    elif "parabola_constant" in ctx.form.metadata:
-        m_tilde = float(ctx.form.metadata["parabola_constant"])
-    else:
-        raise ConfigError("parabola check needs 'm_tilde' or a model that reports one")
-    res = forms.parabola_check(forms.numerical_range_samples(ctx.form, count, seed=ctx.seed), m_tilde)
-    status = PASS if res.passed else FAIL
-    return CheckResult("parabola", status, {"worst_margin": res.worst_margin, "m_tilde": m_tilde})
 
 
 def _product_subspace(ctx, params: dict) -> CheckResult:
@@ -156,13 +120,13 @@ CHECKS = {
     # numerical-range checks
     "sector": Check(
         "sampled form values stay inside the certified sector",
-        {"count": ("int", 1000), "alpha": ("float", None), "shift": ("float", 0.0), "bound": ("float", None)},
-        _sector,
+        {"count": ("int", None), "alpha": ("float", None), "shift": ("float", None), "bound": ("float", None)},
+        lambda ctx, p: qualitative.sector_check(ctx.form, seed=ctx.seed, **p),
     ),
     "parabola": Check(
         "sampled imaginary parts obey the mixed-norm parabola bound",
-        {"count": ("int", 1000), "m_tilde": ("float", None)},
-        _parabola,
+        {"count": ("int", None), "m_tilde": ("float", None)},
+        lambda ctx, p: qualitative.parabola_check(ctx.form, seed=ctx.seed, **p),
     ),
     # invariance and order checks
     "subspace_C": Check(
@@ -178,7 +142,7 @@ CHECKS = {
     ),
     "subsystem": Check(
         "leading subsystem evolves autonomously (lower coupling blocks vanish)", {"m0": ("int", REQUIRED)},
-        lambda ctx, p: qualitative.subsystem_invariance_check(ctx.form, p["m0"]),
+        lambda ctx, p: qualitative.subsystem_invariance_check(ctx.form, **p),
     ),
     "row_sums": Check(
         "coefficient row sums are constant across components, cell by cell", {},
@@ -193,22 +157,22 @@ CHECKS = {
     ),
     "positivity": Check(
         "nonnegative data stay nonnegative (sign test on couplings plus runtime trials)",
-        {"trials": ("int", 20), "runtime": ("bool", True)},
-        lambda ctx, p: qualitative.positivity_check(ctx.form, p["runtime"], p["trials"], ctx.cfg, ctx.seed),
+        {"trials": ("int", None), "runtime": ("bool", None)},
+        lambda ctx, p: qualitative.positivity_check(ctx.form, cfg=ctx.cfg, seed=ctx.seed, **p),
     ),
     "domination": Check(
-        "full evolution dominates the decoupled diagonal evolution on moduli", {"trials": ("int", 20)},
-        lambda ctx, p: qualitative.domination_check(ctx.form, p["trials"], ctx.cfg, ctx.seed),
+        "full evolution dominates the decoupled diagonal evolution on moduli", {"trials": ("int", None)},
+        lambda ctx, p: qualitative.domination_check(ctx.form, cfg=ctx.cfg, seed=ctx.seed, **p),
     ),
     "linf": Check(
-        "unit sup-norm ball stays invariant under the evolution", {"trials": ("int", 20)},
-        lambda ctx, p: qualitative.linf_contractivity_check(ctx.form, p["trials"], ctx.cfg, ctx.seed),
+        "unit sup-norm ball stays invariant under the evolution", {"trials": ("int", None)},
+        lambda ctx, p: qualitative.linf_contractivity_check(ctx.form, cfg=ctx.cfg, seed=ctx.seed, **p),
     ),
     "strip_runtime": Check(
         "runtime strip invariance at prescribed distances from the projected subspace",
-        {"alpha_levels": ("floats", [0.1, 1.0, 10.0]), "trials": ("int", 3)},
+        {"alpha_levels": ("floats", None), "trials": ("int", None)},
         lambda ctx, p: qualitative.strip_invariance_runtime(
-            ctx.form, ctx.projection(), p["alpha_levels"], ctx.cfg, p["trials"], ctx.seed
+            ctx.form, ctx.projection(), cfg=ctx.cfg, seed=ctx.seed, **p
         ),
     ),
 }

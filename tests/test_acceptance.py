@@ -32,7 +32,6 @@ from coupledforms import (
     is_discretely_accretive,
     linf_contractivity_check,
     min_symmetric_eigenvalue,
-    numerical_range_samples,
     p1_mass,
     parabola_check,
     positivity_check,
@@ -156,8 +155,7 @@ def test_criterion_06_damped_wave_mean_and_parabola():
         states = (form.split(u) for _, u in _states(form, _start(form, u0), cfg))
         means = [abs(float(ones @ mass @ state[0].real)) / total for state in states]
         assert max(means) <= 1e-8
-        samples = numerical_range_samples(form, 10_000, seed=6)
-        assert parabola_check(samples, form.metadata["parabola_constant"]).passed
+        assert parabola_check(form, form.metadata["parabola_constant"], count=10_000, seed=6).passed
 
 
 def test_criterion_07_dynamic_bc_triple():

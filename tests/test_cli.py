@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from coupledforms import cli
+from coupledforms import cli, qualitative
 from coupledforms.cli import main
 
 
@@ -365,6 +365,63 @@ class TestCheck:
         checks = json.loads((out / "checks.json").read_text())["checks"]
         assert [c["status"] for c in checks] == ["pass", "pass", "fail"]
         assert checks[2]["details"]["accretive"] is False
+
+    RING = [[3, -1, -1, 0], [-1, 3, 0, -1], [-1, 0, 3, -1], [0, -1, -1, 3]]
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    @pytest.mark.parametrize(
+        "model, check_id",
+        [
+            ({"name": "damped_wave", "alpha": 1.0}, "sector"),
+            ({"name": "constant_coupled", "coupling": RING}, "sector"),
+            ({"name": "damped_wave", "alpha": 1.0}, "parabola"),
+        ],
+        ids=["wave-sector", "ring-sector", "wave-parabola"],
+    )
+    def test_range_check_details_are_the_library_call(self, tmp_path, model, check_id, seed):
+        out = tmp_path / "out"
+        config = {"schema_version": 1, "output": str(out), "model": model, "grid": {"n_cells": 16}}
+        cfg = write_config(tmp_path / "c.json", {**config, "checks": [{"id": check_id}]})
+        main(["check", cfg, "--quiet", "--seed", str(seed)])
+        (got,) = json.loads((out / "checks.json").read_text())["checks"]
+        form, _ = cli._parse_model(config)
+        want = getattr(qualitative, f"{check_id}_check")(form, seed=seed)
+        assert (got["check_id"], got["status"], got["details"]) == (check_id, want.status, want.details)
+
+    def test_parabola_without_constant_exit_two_with_one_line(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_config(
+            tmp_path / "c.json",
+            {
+                "schema_version": 1,
+                "output": str(out),
+                "model": {"name": "dynamic_bc_heat"},
+                "grid": {"n_cells": 8},
+                "checks": [{"id": "parabola"}],
+            },
+        )
+        assert main(["check", cfg, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err == "validation error: parabola check needs 'm_tilde' or a model that reports one\n"
+        assert list(out.glob("checks.*")) == []
+
+    def test_rank_zero_projection_strip_runtime(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = write_config(
+            tmp_path / "c.json",
+            {
+                "schema_version": 1,
+                "output": str(out),
+                "model": {"name": "ephaptic", "pattern": {"kind": "difference"}},
+                "grid": {"n_cells": 8},
+                "evolution": {"dt": 0.01, "t_end": 0.1},
+                "projection": {"matrix": [[0, 0], [0, 0]]},
+                "checks": [{"id": "strip_runtime", "alpha_levels": [0, 1]}],
+            },
+        )
+        assert main(["check", cfg, "--quiet"]) == 0
+        (check,) = json.loads((out / "checks.json").read_text())["checks"]
+        assert [lv["passed"] for lv in check["details"]["levels"]] == [True, True]
 
 
 OUTPUT_PATH_CONFIGS = {

@@ -235,6 +235,18 @@ class TestEvolve:
         )
         assert traj.observable("strip_distance").max() <= 1e-8
 
+    def test_imaginary_data_on_real_form_keep_their_imaginary_part(self):
+        grid = Grid1D(32)
+        form = build_ephaptic(grid, CoefficientField.constant(two_fibre_coupling("difference", 2.0, 0.5), 32))
+        assert form.is_real
+        x = np.random.default_rng(6).standard_normal(grid.n_nodes)
+        cfg = EvolutionConfig(dt=1e-2, t_end=0.3)
+        real = evolve(form, [x, x], cfg)
+        imaginary = evolve(form, [1j * x, 1j * x], cfg)
+        np.testing.assert_allclose(imaginary.observable("h_norm"), real.observable("h_norm"), rtol=1e-12, atol=0)
+        for got, want in zip(imaginary.final_state, real.final_state):
+            np.testing.assert_array_equal(got, 1j * want)
+
     def test_projection_requires_identical_spaces(self):
         form = build_damped_wave(Grid1D(8))
         u0 = [np.zeros(9), np.zeros(9)]
@@ -376,7 +388,7 @@ def assert_matches_dense(traj, states, reference):
 
 class TestDenseReference:
     def test_real_form_with_complex_projection(self):
-        # a real factor stepping a complex state
+        # real states of a real form, observed through a complex projection
         form = TestBatchedEvolve.broken_ephaptic(16)
         assert form.is_real
         v = np.array([1.0, 1j]) / np.sqrt(2.0)

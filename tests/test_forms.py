@@ -31,7 +31,6 @@ from coupledforms.errors import DimensionError, ValidationError
 from coupledforms.forms import (
     ACCRETIVITY_RTOL,
     GRAM_RTOL,
-    RangeCheckResult,
     _augmented,
     _Pencil,
     _lambda_max,
@@ -379,10 +378,8 @@ class TestSectorAndParabola:
         grid = Grid1D(8)
         form = build_constant_coupled(grid, [[2.0, -1.0], [-1.0, 2.0]])
         alpha = full_ellipticity(form, 0.0)
-        samples = numerical_range_samples(form, 400, seed=2)
-        res = sector_check(samples, alpha, 0.0, 1.0)
+        res = sector_check(form, alpha, 0.0, 1.0, count=400, seed=2)
         assert res.passed
-        assert res.n_samples == 400
 
     def test_sector_fails_above_sampled_constant(self):
         grid = Grid1D(8)
@@ -390,31 +387,32 @@ class TestSectorAndParabola:
         samples = numerical_range_samples(form, 400, seed=2)
         a_vals, v_sq, _ = samples
         floor = float((a_vals.real / v_sq).min())
-        res = sector_check(samples, floor + 0.1, 0.0, 1.0)
+        res = sector_check(form, floor + 0.1, 0.0, 1.0, count=400, seed=2)
         assert not res.passed
-        assert res.worst_margin < 0
+        assert res.details["worst_margin"] < 0
 
-    def test_sector_vacuous(self):
-        res = sector_check(numerical_range_samples(single_space_form([[1.0]]), 0), 1.0, 0.0, 1.0)
-        assert res == RangeCheckResult(True, float("inf"), 0)
+    @pytest.mark.parametrize("check", [sector_check, parabola_check])
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_no_samples_rejected(self, check, count):
+        form = build_damped_wave(Grid1D(4), 1.0)
+        with pytest.raises(ValidationError, match=f"^count must be >= 1, got {count}$"):
+            check(form, count=count)
 
     def test_parabola_real_form(self):
         grid = Grid1D(6)
         form = build_constant_coupled(grid, np.eye(2))
-        samples = numerical_range_samples(form, 200, seed=3)
-        assert parabola_check(samples, 0.0).passed
+        assert parabola_check(form, 0.0, count=200, seed=3).passed
 
     def test_parabola_imaginary_diagonal_fails(self):
         n = 4
         v = np.eye(n)
         form = FormMatrix([DiscreteSpace(n, np.eye(n), v)], [[1j * v]])
-        samples = numerical_range_samples(form, 50, seed=4)
-        res = parabola_check(samples, 0.0)
+        res = parabola_check(form, 0.0, count=50, seed=4)
         assert not res.passed
 
     def test_parabola_rejects_negative_constant(self):
         with pytest.raises(ValidationError):
-            parabola_check([], -1.0)
+            parabola_check(single_space_form([[1.0]]), -1.0)
 
 
 class TestAdjoint:

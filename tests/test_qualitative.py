@@ -512,6 +512,13 @@ class TestStripRuntime:
             res = strip_invariance_runtime(form, proj, [0.5, 2.0], cfg=CFG, trials=2, seed=1)
             assert res.passed
 
+    def test_rank_zero_projection_passes(self):
+        # the zero matrix projects onto {0}, so the strip is a ball around 0
+        form, _ = blbekbes_form(n=8)
+        res = strip_invariance_runtime(form, make_projection(np.zeros((2, 2))), [0.0, 1.0], cfg=CFG)
+        assert [lv["passed"] for lv in res.details["levels"]] == [True, True]
+        assert res.passed
+
     def test_non_identical_spaces_not_applicable(self):
         form = build_damped_wave(Grid1D(8))
         res = strip_invariance_runtime(form, averaging_projection(2), [1.0], cfg=CFG)
@@ -590,14 +597,14 @@ def ref_strip(form, proj, alpha_levels, cfg, trials, seed):
     bases = []
     for t in range(trials):
         rng = _trial_rng(seed, t)
-        g0 = _combine(proj.eig1, [rng.standard_normal(n) for _ in range(proj.rank)])
+        g0 = _combine(proj.eig1, [rng.standard_normal(n) for _ in range(proj.rank)], n)
         g0 = [3.0 * b / h_norm(form, g0) for b in g0]
         k = proj.eig0.shape[1]
         if t == 0:
             kernel_nodal = [rng.standard_normal() * np.ones(n) for _ in range(k)]
         else:
             kernel_nodal = [rng.standard_normal(n) for _ in range(k)]
-        h0 = _combine(proj.eig0, kernel_nodal)
+        h0 = _combine(proj.eig0, kernel_nodal, n)
         bases.append((g0, [b / h_norm(form, h0) for b in h0]))
     levels, witness, label = [], None, ""
     for alpha in alpha_levels:
