@@ -6,15 +6,18 @@ two schemes below solve
     implicit Euler:   (Mass + dt*S) u+ = Mass u
     Crank-Nicolson:   (Mass + dt/2*S) u+ = (Mass - dt/2*S) u
 
-with one factorization per (form, dt) reused across all steps.  Both
-schemes are unconditionally stable for accretive forms, which is what
-makes the downstream invariance tests meaningful.
+with one factorization per (form, config), kept on the form and reused
+across all steps and all runs.  Both schemes are unconditionally stable
+for accretive forms, which is what makes the downstream invariance tests
+meaningful.
 
 The P1 blocks are tridiagonal or a few trace entries, so the systems are
 formed from the form's assembled CSR operators (``FormMatrix.form_csr``
-and ``mass_csr``) and factored by a sparse direct LU (SuperLU); a step
-then costs time linear in the number of nonzeros rather than quadratic
-in the unknown count.  Recorded norms apply the same ``mass_csr``.
+and ``mass_csr``).  In reverse Cuthill--McKee order their half-bandwidth
+is a few entries, so the system is factored by banded LU with partial
+pivoting (LAPACK ``?gbtrf``) and a step, for every trial column at once,
+is one ``?gbtrs`` solve: time linear in the unknown count.  Recorded
+norms take one ``mass_csr`` product per state.
 
 One generator, ``_states``, owns the stepping loop; a run keeps its
 observables and its last state, and ``domination`` walks two generators
@@ -27,10 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
-import scipy.sparse.linalg
 
-from .errors import DimensionError, SolverError, ValidationError
-from .forms import FormMatrix
+from .errors import DimensionError, NumericalError, SolverError, ValidationError
+from .forms import FormMatrix, _BandLU
 
 SCHEMES = ("implicit-euler", "crank-nicolson")
 
@@ -96,7 +98,9 @@ class Stepper:
 
     The implicit system ``lhs u+ = rhs u`` is formed from the form's
     CSR operators ``form_csr`` and ``mass_csr``, and ``lhs`` is factored
-    once by :func:`scipy.sparse.linalg.splu`.  Construction raises
+    once by banded LU with partial pivoting in reverse Cuthill--McKee
+    order (:class:`coupledforms.forms._BandLU`), whatever the form:
+    Hermitian or not, real or complex.  Construction raises
     :class:`SolverError` when the factorization fails or its smallest
     pivot is below ``1e-14 * |lhs|_inf``; :meth:`step` raises it when a
     column's solve residual ``|lhs u+ - rhs u|`` exceeds
@@ -104,7 +108,7 @@ class Stepper:
     """
 
     def __init__(self, form: FormMatrix, cfg: EvolutionConfig):
-        self.form = form
+        # no reference back to the form, which keeps its steppers
         self.cfg = cfg
         mass, s = form.mass_csr, form.form_csr
         if cfg.scheme == "implicit-euler":
@@ -115,12 +119,12 @@ class Stepper:
             self._rhs = mass - (cfg.dt / 2.0) * s
         self._lhs = lhs
         try:
-            self._lu = scipy.sparse.linalg.splu(lhs.tocsc())
-        except RuntimeError as exc:
+            self._lu = _BandLU(lhs)
+        except NumericalError as exc:
             raise SolverError(
                 f"{cfg.scheme} system factorization failed at dt={cfg.dt}: {exc}"
             ) from exc
-        diag = np.abs(self._lu.U.diagonal())
+        diag = np.abs(self._lu.pivots)
         scale = max(float(abs(lhs).sum(axis=1).max()), 1e-300)
         if diag.min() <= 1e-14 * scale:
             raise SolverError(
@@ -128,17 +132,10 @@ class Stepper:
                 f"(pivot ratio {diag.min() / scale:.3e})"
             )
 
-    def _solve(self, rhs: np.ndarray) -> np.ndarray:
-        # a real factor cannot take a complex right-hand side (complex data
-        # on a real form): solve both parts with it instead
-        if np.iscomplexobj(rhs) and not np.iscomplexobj(self._lhs):
-            return self._lu.solve(rhs.real) + 1j * self._lu.solve(rhs.imag)
-        return self._lu.solve(rhs)
-
     def step(self, u: np.ndarray, step_index: int = 0) -> np.ndarray:
         """Advance a state vector, or each column of a ``(N, k)`` block."""
         rhs = self._rhs @ u
-        u_next = self._solve(rhs)
+        u_next = self._lu.solve(rhs)
         residual = np.linalg.norm(self._lhs @ u_next - rhs, axis=0)
         bound = self.cfg.solver_tolerance * np.maximum(1.0, np.linalg.norm(rhs, axis=0))
         if not np.all(residual <= bound):
@@ -149,6 +146,14 @@ class Stepper:
         return u_next
 
 
+def _stepper(form: FormMatrix, cfg: EvolutionConfig) -> Stepper:
+    """The form's :class:`Stepper` for ``cfg``, factored on first use and kept on the form instance."""
+    steppers = vars(form).setdefault("_steppers", {})
+    if cfg not in steppers:
+        steppers[cfg] = Stepper(form, cfg)
+    return steppers[cfg]
+
+
 def _start(form: FormMatrix, u0) -> np.ndarray:
     """``u0`` as one flat state in the working type: complex when the form or the data is, else real."""
     u = form.flatten(u0)
@@ -157,7 +162,7 @@ def _start(form: FormMatrix, u0) -> np.ndarray:
 
 def _states(form: FormMatrix, u: np.ndarray, cfg: EvolutionConfig):
     """Yield ``(k, u)`` at step 0 and every recorded step from flat ``u``; no step overwrites a yielded ``u``."""
-    stepper = Stepper(form, cfg)
+    stepper = _stepper(form, cfg)
     yield 0, u
     for k in range(1, cfg.n_steps + 1):
         u = stepper.step(u, step_index=k)
@@ -165,10 +170,10 @@ def _states(form: FormMatrix, u: np.ndarray, cfg: EvolutionConfig):
             yield k, u
 
 
-def _squared_norms(form: FormMatrix, u: np.ndarray) -> list:
-    """``u_i^H h_gram_i u_i`` per component of a flat state, one value per trial column."""
-    hu = form.mass_csr @ u
-    return [np.einsum("i...,i...->...", u[sl].conj(), hu[sl]).real for sl in form.block_slices]
+def _squared_norms(form: FormMatrix, u: np.ndarray) -> np.ndarray:
+    """``u_i^H h_gram_i u_i`` per component (rows) of a flat state, one column per trial column of ``u``."""
+    weights = (u.conj() * (form.mass_csr @ u)).real
+    return np.add.reduceat(weights, [sl.start for sl in form.block_slices], axis=0)
 
 
 def _norm(squares) -> np.ndarray:
@@ -180,7 +185,7 @@ def h_norm(form: FormMatrix, u):
 
     Components of shape ``(dim_i, k)`` give one norm per column.
     """
-    return _norm(sum(_squared_norms(form, form.flatten(u))))
+    return _norm(_squared_norms(form, form.flatten(u)).sum(axis=0))
 
 
 def _lift(vectors: np.ndarray, n: int) -> scipy.sparse.csr_matrix:
@@ -189,6 +194,26 @@ def _lift(vectors: np.ndarray, n: int) -> scipy.sparse.csr_matrix:
     Its columns ``v (x) e_k`` span the lifted subspace of ``C^(m*n)``.
     """
     return scipy.sparse.kron(vectors, scipy.sparse.identity(n), format="csr")
+
+
+def _observables(form: FormMatrix, u: np.ndarray, lifted) -> np.ndarray:
+    """The recorded observables of a ``(N, k)`` state, one row of k values each, in :func:`evolve`'s order.
+
+    One ``mass_csr`` product covers the state and, with a projection,
+    the columns ``u - Pu`` and ``Pu``: the distance comes from ``u - Pu``
+    itself, since ``|u|^2 - |Pu|^2`` loses half the digits of a distance
+    near zero.
+    """
+    k = u.shape[1]
+    if lifted is not None:
+        pu = lifted @ u
+        u_all = np.concatenate([u, u - pu, pu], axis=1)
+    else:
+        u_all = u
+    squares = _squared_norms(form, u_all)
+    norms = _norm(squares)
+    totals = _norm(squares.sum(axis=0)).reshape(-1, k)
+    return np.vstack([totals[:1], u.real.min(axis=0), np.abs(u).max(axis=0), norms[:, :k], totals[1:]])
 
 
 def evolve(form: FormMatrix, u0, cfg: EvolutionConfig, proj=None) -> TrajectoryRecord:
@@ -216,29 +241,20 @@ def evolve(form: FormMatrix, u0, cfg: EvolutionConfig, proj=None) -> TrajectoryR
             raise DimensionError(f"projection matrix must be {form.m}x{form.m}")
         lifted = _lift(k_mat, form.spaces[0].dim)
 
-    times = []
     names = ["h_norm", "min_value", "sup_norm"] + [f"comp_norm_{i + 1}" for i in range(form.m)]
     if lifted is not None:
         names += ["strip_distance", "projection_norm"]
-    obs: dict = {name: [] for name in names}
-
+    times, rows = [], []
     for k, u in _states(form, u, cfg):
         times.append(k * cfg.dt)
-        squares = _squared_norms(form, u)
-        obs["h_norm"].append(_norm(sum(squares)))
-        for i, sq in enumerate(squares):
-            obs[f"comp_norm_{i + 1}"].append(_norm(sq))
-        obs["min_value"].append(u.real.min(axis=0))
-        obs["sup_norm"].append(np.abs(u).max(axis=0))
-        if lifted is not None:
-            # the distance comes from u - Pu itself: |u|^2 - |Pu|^2 loses
-            # half the digits of a distance near zero
-            pu = lifted @ u
-            obs["strip_distance"].append(_norm(sum(_squared_norms(form, u - pu))))
-            obs["projection_norm"].append(_norm(sum(_squared_norms(form, pu))))
-
-    observables = {name: np.array(vals) for name, vals in obs.items()}
+        rows.append(_observables(form, u.reshape(u.shape[0], -1), lifted))
+    # rows[r] holds one row of trial values per name, in the order of names
+    values = np.array(rows)
+    if u.ndim == 1:
+        values = values[:, :, 0]
+    observables = {name: values[:, i].copy() for i, name in enumerate(names)}
     for name, vals in observables.items():
         if not np.isfinite(vals).all():
             raise SolverError(f"observable {name!r} became non-finite during the run")
     return TrajectoryRecord(np.array(times), observables, form.m, form.split(u))
+

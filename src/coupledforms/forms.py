@@ -70,10 +70,14 @@ def _frobenius(a: np.ndarray) -> float:
 
 
 def _check_gram(g: np.ndarray, name: str) -> None:
-    scale = max(_frobenius(g), 1e-300)
-    if _frobenius(g - g.conj().T) > HERMITIAN_RTOL * scale:
+    # one CSR conversion; the norms, g - g^H and the Hermitian part come
+    # from its data, with no N-by-N temporaries
+    g = scipy.sparse.csr_array(g)
+    g_h = g.conj().T
+    scale = max(_frobenius(g.data), 1e-300)
+    if _frobenius((g - g_h).data) > HERMITIAN_RTOL * scale:
         raise ValidationError(f"{name} is not Hermitian within tolerance")
-    if not _Pencil(_hermitian_part(g), _diagonal(g.diagonal().real)).definite(GRAM_RTOL):
+    if not _Pencil((g + g_h) * 0.5, _diagonal(g.diagonal().real)).definite(GRAM_RTOL):
         raise ValidationError(f"{name} is not positive definite (within GRAM_RTOL of its diagonal)")
 
 
@@ -337,6 +341,52 @@ def _augmented(s) -> scipy.sparse.coo_array:
     return _placed(rows + cols, (s, 0, rows), (s.conj().T, rows, 0))
 
 
+def _entries(m) -> tuple:
+    """``(row, col, data)`` of a matrix, duplicates kept (:func:`_band` sums them)."""
+    if getattr(m, "format", None) == "csr":
+        return np.repeat(np.arange(m.shape[0]), np.diff(m.indptr)), m.indices, m.data
+    m = scipy.sparse.coo_array(m)
+    return m.row, m.col, m.data
+
+
+def _rcm_entries(*mats) -> tuple:
+    """Order the union pattern of the square sparse matrices ``mats`` by reverse Cuthill--McKee.
+
+    Returns ``(order, entries)``: ``order[k]`` is the index placed k-th
+    and ``entries`` holds each matrix's ``(row, col, data)`` with its
+    indices in that order.  The union pattern is read as symmetric, so
+    a matrix whose pattern is not comes with its transpose.  Any order
+    is correct; RCM only keeps the band narrow (George & Liu 1981).
+    """
+    n = mats[0].shape[0]
+    coo = [_entries(m) for m in mats]
+    rows = np.concatenate([r for r, _, _ in coo])
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    # rows come in sorted runs, one per CSR matrix, which a stable sort merges
+    neighbours = np.concatenate([c for _, c, _ in coo])[np.argsort(rows, kind="stable")]
+    graph = scipy.sparse.csr_array((np.ones(neighbours.size), neighbours, indptr), shape=(n, n))
+    order = scipy.sparse.csgraph.reverse_cuthill_mckee(graph, symmetric_mode=True)
+    position = np.empty(n, dtype=np.intp)
+    position[order] = np.arange(n)
+    return order, [(np.take(position, r), np.take(position, c), d) for r, c, d in coo]
+
+
+def _band(row: np.ndarray, col: np.ndarray, data: np.ndarray, offset: int, ldab: int, n: int, dtype) -> np.ndarray:
+    """LAPACK band storage ``(ldab, n)``: entry (i, j) goes to ``[offset + i - j, j]``.
+
+    Every entry must fall inside the ``ldab`` rows; duplicates are
+    summed.  ``offset = kl + ku, ldab = 2*kl + ku + 1`` is the ``?gbtrf``
+    layout.
+    """
+    flat = offset + row - col + ldab * col
+    band = np.bincount(flat, weights=data.real, minlength=ldab * n).astype(dtype, copy=False)
+    if np.iscomplexobj(data):
+        band += 1j * np.bincount(flat, weights=data.imag, minlength=ldab * n)
+    # flat index r + ldab*c of a Fortran-ordered (ldab, n) array
+    return band.reshape(n, ldab).T
+
+
 class _Pencil:
     """A Hermitian sparse pencil ``(a, b)`` with ``b`` positive definite.
 
@@ -349,22 +399,12 @@ class _Pencil:
     """
 
     def __init__(self, a, b):
-        a, b = scipy.sparse.csr_array(a), scipy.sparse.csr_array(b)
-        a.sum_duplicates()
-        b.sum_duplicates()
-        n = a.shape[0]
-        # position[i] is the place of index i in reverse Cuthill-McKee
-        # order; any order is correct, RCM only keeps kd small
-        order = scipy.sparse.csgraph.reverse_cuthill_mckee(abs(a) + abs(b), symmetric_mode=True)
-        position = np.empty(n, dtype=np.intp)
-        position[order] = np.arange(n)
-        entries = []
-        for m in (a, b):
-            row = np.repeat(np.arange(n), np.diff(m.indptr))
-            entries.append((position[row], position[m.indices], m.data))
+        _, entries = _rcm_entries(a, b)
         kd = max(int(np.abs(row - col).max(initial=0)) for row, col, _ in entries)
         dtype = np.result_type(a.dtype, b.dtype, float)
-        self.a, self.b = (_upper_band(*e, kd, n, dtype) for e in entries)
+        # rows 0..kd of the full band hold the upper triangle in ?pbtrf layout
+        full = (_band(*e, kd, 2 * kd + 1, a.shape[0], dtype) for e in entries)
+        self.a, self.b = (np.asfortranarray(band[: kd + 1]) for band in full)
         self._pbtrf = scipy.linalg.get_lapack_funcs("pbtrf", (self.a,))
 
     def definite(self, mu: float) -> bool:
@@ -377,12 +417,50 @@ class _Pencil:
         return info == 0
 
 
-def _upper_band(row: np.ndarray, col: np.ndarray, data: np.ndarray, kd: int, n: int, dtype) -> np.ndarray:
-    """The entries ``data`` at ``(row, col)`` on or above the diagonal, in LAPACK band storage."""
-    upper = row <= col
-    band = np.zeros((kd + 1, n), dtype, order="F")
-    band[kd + row[upper] - col[upper], col[upper]] = data[upper]
-    return band
+class _BandLU:
+    """LU factors, with partial pivoting, of a square sparse matrix ``a``.
+
+    The pattern of ``a`` is ordered by reverse Cuthill--McKee and ``a``,
+    in that order, is scattered into LAPACK general band storage of
+    shape ``(2*kl + ku + 1, N)`` and factored by ``?gbtrf``; row
+    interchanges widen the upper band by ``kl``, which the storage
+    leaves room for.  Real or complex, Hermitian or not, definite or
+    not: any nonsingular ``a`` factors.  Raises :class:`NumericalError`
+    when a pivot is exactly zero.
+    """
+
+    def __init__(self, a):
+        self.order, (entries, _) = _rcm_entries(a, a.T)
+        self.position = np.argsort(self.order)
+        row, col, data = entries
+        self.kl, self.ku = int((row - col).max(initial=0)), int((col - row).max(initial=0))
+        ldab = 2 * self.kl + self.ku + 1
+        band = _band(row, col, data, self.kl + self.ku, ldab, a.shape[0], np.result_type(a.dtype, float))
+        gbtrf, self._gbtrs = scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs"), (band,))
+        self.lu, self.ipiv, info = gbtrf(band, self.kl, self.ku, overwrite_ab=True)
+        if info > 0:
+            raise NumericalError(f"pivot {info} of the banded LU is exactly zero")
+
+    @property
+    def pivots(self) -> np.ndarray:
+        """The diagonal of ``U``: the factor's diagonal row of the band."""
+        return self.lu[self.kl + self.ku]
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """``a^{-1} b`` for a vector or for each column of an ``(N, k)`` block, in one ``?gbtrs`` call.
+
+        Complex ``b`` on a real factor is solved as the ``2k`` real
+        columns of its real and imaginary parts.
+        """
+        rhs = b[self.order].reshape(b.shape[0], -1)
+        split = np.iscomplexobj(rhs) and not np.iscomplexobj(self.lu)
+        if split:
+            rhs = np.concatenate([rhs.real, rhs.imag], axis=1)
+        x, _ = self._gbtrs(self.lu, self.kl, self.ku, rhs, self.ipiv, overwrite_b=True)
+        if split:
+            k = x.shape[1] // 2
+            x = x[:, :k] + 1j * x[:, k:]
+        return x[self.position].reshape(b.shape)
 
 
 def _lambda_min(a, b, rtol: float = SPECTRAL_RTOL) -> tuple:

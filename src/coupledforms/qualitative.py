@@ -26,6 +26,7 @@ from .errors import DimensionError, ValidationError
 from .evolution import EvolutionConfig, TrajectoryRecord, _lift, _start, _states, evolve, h_norm
 from .forms import (
     FormMatrix,
+    _BandLU,
     estimate_continuity,
     full_ellipticity,
     is_discretely_accretive,
@@ -250,7 +251,7 @@ def product_subspace_check(form: FormMatrix, weights) -> CheckResult:
         if np.any(np.abs(np.diag(r)) <= PROJECTION_TOL * np.linalg.norm(w, axis=0)):
             raise ValidationError(f"weights {i} must be nonzero and linearly independent")
         spans.append(span)
-        h_inv_w = scipy.sparse.linalg.splu(form.mass_csr[sl, sl].tocsc()).solve(w)
+        h_inv_w = _BandLU(form.mass_csr[sl, sl]).solve(w)
         complements.append(np.linalg.qr(h_inv_w)[0])
     scale = _form_scale(form)
     worst = 0.0

@@ -3,7 +3,6 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse.linalg
 
 from coupledforms import (
     CoefficientField,
@@ -14,6 +13,7 @@ from coupledforms import (
     averaging_projection,
     build_constant_coupled,
     build_damped_wave,
+    build_dynamic_bc_heat,
     build_ephaptic,
     evolve,
     h_norm,
@@ -22,7 +22,8 @@ from coupledforms import (
     two_fibre_coupling,
 )
 from coupledforms.errors import DimensionError, SolverError, ValidationError
-from coupledforms.evolution import Stepper, _start, _states
+from coupledforms.evolution import Stepper, _start, _states, _stepper
+from coupledforms.forms import _BandLU
 
 
 def scalar_form(s_value, mass_value=1.0):
@@ -116,25 +117,17 @@ class TestStep:
             Stepper(form, cfg).step(form.flatten([np.ones(2)]))
 
     def test_inaccurate_solve_raises_named_solver_error(self, monkeypatch):
-        # a factor whose solve is wrong in one trial column must be caught
+        # a banded solve that is wrong in one trial column must be caught
         # by the per-column residual check, not passed on as a state
-        real_splu = scipy.sparse.linalg.splu
+        real_solve = _BandLU.solve
 
-        class CorruptColumn:
-            def __init__(self, lu):
-                self.lu = lu
+        def corrupt_column(lu, rhs):
+            out = real_solve(lu, rhs)
+            out[:, 1] *= 1.0 + 1e-6
+            return out
 
-            def __getattr__(self, name):
-                return getattr(self.lu, name)
-
-            def solve(self, rhs):
-                out = self.lu.solve(rhs)
-                out[:, 1] *= 1.0 + 1e-6
-                return out
-
-        # build the form first: only the stepper's factor is corrupted
         form = build_constant_coupled(Grid1D(8), [[2.0, -1.0], [-1.0, 2.0]])
-        monkeypatch.setattr(scipy.sparse.linalg, "splu", lambda a: CorruptColumn(real_splu(a)))
+        monkeypatch.setattr(_BandLU, "solve", corrupt_column)
         u0 = [np.ones((9, 3)), np.ones((9, 3))]
         cfg = EvolutionConfig(dt=0.05, t_end=0.2, scheme="crank-nicolson")
         with pytest.raises(SolverError, match=r"crank-nicolson solve lost accuracy at step 1 \(dt=0.05"):
@@ -415,3 +408,64 @@ class TestDenseReference:
         cfg = EvolutionConfig(dt=1e-2, t_end=0.5, scheme=scheme)
         states = recorded_states(form, u0, cfg)
         assert_matches_dense(evolve(form, u0, cfg), states, dense_reference_states(form, u0, cfg))
+
+
+# Agreement of one banded step with a dense solve of the same system,
+# relative to the norm of the dense solution.
+BANDED_STEP_RTOL = 1e-12
+
+
+def pivoting_form():
+    """A nonsymmetric form whose systems need row interchanges.
+
+    At dt = 1 the implicit-Euler system has a zero diagonal and the
+    Crank-Nicolson one a diagonal smaller than the subdiagonal.
+    """
+    n = 6
+    s = -np.eye(n) + np.diag(np.full(n - 1, 2.0), 1) + np.diag(np.full(n - 1, 3.0), -1)
+    return FormMatrix([DiscreteSpace(n, np.eye(n), np.eye(n))], [[s]])
+
+
+def ephaptic_difference():
+    coupling = two_fibre_coupling("difference", diffusion=2.0, coupling=0.5)
+    return build_ephaptic(Grid1D(16), CoefficientField.constant(coupling, 16))
+
+
+STEP_FORMS = {
+    "ephaptic_difference": (ephaptic_difference, 1e-2),
+    "damped_wave_real": (lambda: build_damped_wave(Grid1D(16), 1.0), 1e-2),
+    "damped_wave_complex": (lambda: build_damped_wave(Grid1D(16), 1.0 + 0.5j), 1e-2),
+    "pivoting": (pivoting_form, 1.0),
+}
+
+
+class TestBandedStep:
+    @pytest.mark.parametrize("scheme", ["implicit-euler", "crank-nicolson"])
+    @pytest.mark.parametrize("name", sorted(STEP_FORMS))
+    @pytest.mark.parametrize("data", ["vector", "block", "complex"])
+    def test_step_matches_dense_solve(self, name, scheme, data):
+        build, dt = STEP_FORMS[name]
+        form = build()
+        cfg = EvolutionConfig(dt=dt, t_end=dt, scheme=scheme)
+        theta = 1.0 if scheme == "implicit-euler" else 0.5
+        mass, s = form.mass_csr.toarray(), form.form_csr.toarray()
+        rng = np.random.default_rng(12)
+        shape = (form.total_dim,) if data == "vector" else (form.total_dim, 3)
+        u = rng.standard_normal(shape)
+        if data == "complex" or not form.is_real:
+            u = u + 1j * rng.standard_normal(shape)
+        stepper = Stepper(form, cfg)
+        got = stepper.step(u)
+        want = np.linalg.solve(mass + theta * dt * s, (mass - (1.0 - theta) * dt * s) @ u)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.linalg.norm(got - want) <= BANDED_STEP_RTOL * np.linalg.norm(want)
+        if name == "pivoting":
+            assert np.any(stepper._lu.ipiv != np.arange(form.total_dim))
+
+    def test_one_stepper_per_form_and_config(self):
+        form = build_dynamic_bc_heat(Grid1D(8))
+        cfg = EvolutionConfig(dt=0.01, t_end=0.05)
+        assert _stepper(form, cfg) is _stepper(form, EvolutionConfig(dt=0.01, t_end=0.05))
+        assert _stepper(form, EvolutionConfig(dt=0.02, t_end=0.05)) is not _stepper(form, cfg)
+        assert _stepper(form.diagonal_part(), cfg) is not _stepper(form, cfg)
+        assert _stepper(build_dynamic_bc_heat(Grid1D(8)), cfg) is not _stepper(form, cfg)

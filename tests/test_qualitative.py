@@ -640,6 +640,23 @@ def assert_details_close(got, want):
         assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
 
 
+def test_runtime_checks_share_one_factor_per_form(monkeypatch):
+    # positivity, linf and domination step the same system: one factor
+    # for the form and one for its decoupled diagonal part
+    factored = []
+    real_init = evolution.Stepper.__init__
+
+    def counting_init(stepper, form, cfg):
+        factored.append(form)
+        real_init(stepper, form, cfg)
+
+    monkeypatch.setattr(evolution.Stepper, "__init__", counting_init)
+    form = build_dynamic_bc_heat(Grid1D(16))
+    for check in (positivity_check, linf_contractivity_check, domination_check):
+        check(form, trials=3, cfg=CFG)
+    assert len(factored) == 2 and factored[0] is form and factored[1] is not form
+
+
 @pytest.fixture
 def stepped_runs(monkeypatch):
     """The states every run yields from the stepping generator while a test runs, one list per run."""
