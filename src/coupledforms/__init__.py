@@ -28,7 +28,6 @@ from .forms import (
     form_apply,
     full_ellipticity,
     is_discretely_accretive,
-    numerical_range_samples,
 )
 from .models import (
     CoefficientField,

@@ -15,11 +15,10 @@ answers it, in the reverse Cuthill--McKee order of the pencil's pattern,
 which makes every pencil built here narrow-banded (Parlett, *The
 Symmetric Eigenvalue Problem*, ch. 3; George & Liu, *Computer Solution of
 Large Sparse Positive Definite Systems*, 1981).  No N-sized matrix goes
-through dense LAPACK except in :func:`associated_operator`.
-
-:func:`numerical_range_samples` draws seeded values of the form and
-judges none of them; the ``sector`` and ``parabola`` checks of
-:mod:`coupledforms.qualitative` do.
+through dense LAPACK except in :func:`associated_operator`.  The
+``sector`` and ``parabola`` checks of :mod:`coupledforms.qualitative`
+decide the numerical range of a form with the same primitive, on the
+Hermitian imaginary part ``(S - S^H)/2i`` of the form matrix.
 """
 
 from __future__ import annotations
@@ -326,6 +325,11 @@ def _hermitian_part(a):
     return (a + a.conj().T) * 0.5
 
 
+def _skew_part(a):
+    """``(a - a^H)/2i``, Hermitian: ``Im(f^H a f) = f^H _skew_part(a) f``."""
+    return (a - a.conj().T) * -0.5j
+
+
 def _placed(n: int, *blocks) -> scipy.sparse.coo_array:
     """n-by-n COO array holding each ``(matrix, row offset, column offset)`` of ``blocks``."""
     parts = [(scipy.sparse.coo_array(m), r, c) for m, r, c in blocks]
@@ -390,30 +394,35 @@ def _band(row: np.ndarray, col: np.ndarray, data: np.ndarray, offset: int, ldab:
 class _Pencil:
     """A Hermitian sparse pencil ``(a, b)`` with ``b`` positive definite.
 
-    The union pattern of ``a`` and ``b`` is ordered once by reverse
-    Cuthill--McKee, and the upper triangles of both, in that order, are
-    scattered into two LAPACK upper band arrays of shape ``(kd+1, N)``,
-    ``kd`` the half-bandwidth of the ordered pattern.  Band storage is
-    never more than the ``N**2`` entries of a dense matrix: a dense
-    pencil has ``kd = N-1``.
+    The union pattern of ``a``, ``b`` and any further Hermitian matrices
+    ``rest`` is ordered once by reverse Cuthill--McKee, and the upper
+    triangles of all of them, in that order, are scattered into LAPACK
+    upper band arrays of shape ``(kd+1, N)``, ``kd`` the half-bandwidth
+    of the ordered pattern.  Band storage is never more than the
+    ``N**2`` entries of a dense matrix: a dense pencil has ``kd = N-1``.
     """
 
-    def __init__(self, a, b):
-        _, entries = _rcm_entries(a, b)
+    def __init__(self, a, b, *rest):
+        mats = (a, b, *rest)
+        _, entries = _rcm_entries(*mats)
         kd = max(int(np.abs(row - col).max(initial=0)) for row, col, _ in entries)
-        dtype = np.result_type(a.dtype, b.dtype, float)
+        dtype = np.result_type(*(m.dtype for m in mats), float)
         # rows 0..kd of the full band hold the upper triangle in ?pbtrf layout
         full = (_band(*e, kd, 2 * kd + 1, a.shape[0], dtype) for e in entries)
-        self.a, self.b = (np.asfortranarray(band[: kd + 1]) for band in full)
+        self.a, self.b, *self.rest = (np.asfortranarray(band[: kd + 1]) for band in full)
         self._pbtrf = scipy.linalg.get_lapack_funcs("pbtrf", (self.a,))
 
-    def definite(self, mu: float) -> bool:
-        """``a - mu*b`` is positive definite, that is, every eigenvalue exceeds ``mu``.
+    def definite(self, mu: float, *weights: float) -> bool:
+        """``a - mu*b + sum_k weights[k]*rest[k]`` is positive definite.
 
-        One banded Cholesky factorization of ``a - mu*b``; it breaks
-        down (``info > 0``) at the first pivot that is not positive.
+        Without ``weights``: every eigenvalue of the pencil exceeds
+        ``mu``.  One banded Cholesky factorization; it breaks down
+        (``info > 0``) at the first pivot that is not positive.
         """
-        _, info = self._pbtrf(self.a - mu * self.b, overwrite_ab=True)
+        ab = self.a - mu * self.b
+        for w, band in zip(weights, self.rest):
+            ab += w * band
+        _, info = self._pbtrf(ab, overwrite_ab=True)
         return info == 0
 
 
@@ -582,24 +591,3 @@ def associated_operator(form: FormMatrix) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"ambient Gram is singular: {exc}") from exc
 
-
-def numerical_range_samples(form: FormMatrix, count: int, seed: int = 0) -> tuple:
-    """Sample the numerical range of the form at random coordinates.
-
-    Draws ``count`` complex standard-normal coordinate vectors
-    (reproducible from ``seed``) and returns three arrays of length
-    ``count``: the form values and the squared domain and ambient norms
-    of the vectors.
-    """
-    if count < 0:
-        raise ValidationError("count must be >= 0")
-    rng = np.random.default_rng(seed)
-    n = form.total_dim
-    fs = rng.standard_normal((n, count)) + 1j * rng.standard_normal((n, count))
-    s_f = form.form_csr @ fs
-    h_f = form.mass_csr @ fs
-    v_f = form.vgram_csr @ fs
-    a_vals = np.einsum("ic,ic->c", fs.conj(), s_f)
-    h_sq = np.einsum("ic,ic->c", fs.conj(), h_f).real
-    v_sq = np.einsum("ic,ic->c", fs.conj(), v_f).real
-    return a_vals, v_sq, h_sq

@@ -166,9 +166,10 @@ def build_damped_wave(grid: Grid1D, alpha: complex = 1.0) -> FormMatrix:
 
     Component 1 (the phase) carries the H1 Gram as both ambient and
     domain inner product; component 2 (the velocity) is an L2 component
-    with H1 domain.  With real ``alpha`` the sampled numerical range
-    satisfies the parabola bound with the constant stored under
-    ``metadata["parabola_constant"]``.
+    with H1 domain.  The numerical range satisfies the parabola bound
+    with the constant stored under ``metadata["parabola_constant"]``,
+    ``1 + |alpha - 1|``; ``parabola_check`` decides it exactly.  At
+    ``alpha = 1`` the sharp constant is about 0.5.
     """
     mass = p1_mass(grid)
     stiff = p1_stiffness(grid)

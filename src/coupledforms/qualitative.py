@@ -7,15 +7,17 @@ algebraic tests read the blocks directly and draw nothing at random: the
 coupling sign entrywise, strip invariance from the sparse lifted residual
 ``lift(L)^H S lift(R)``, and product-subspace invariance from the
 constraint functionals of each factor.  The numerical-range checks
-(``sector``, ``parabola``) judge seeded samples of the form's values
-against constants they work out from the form when not given them.
-Checks return a :class:`CheckResult`; hypothesis failures yield a
-``not-applicable`` verdict rather than an error so batch runs can report
-them.
+(``sector``, ``parabola``) decide their bounds exactly, by banded
+Cholesky factorizations of pencils on the Hermitian imaginary part of
+the form matrix.  Checks return a :class:`CheckResult`; hypothesis
+failures yield a ``not-applicable`` verdict rather than an error so
+batch runs can report them.
 """
 
 from __future__ import annotations
 
+import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,10 +29,13 @@ from .evolution import EvolutionConfig, TrajectoryRecord, _lift, _start, _states
 from .forms import (
     FormMatrix,
     _BandLU,
+    _lambda_max,
+    _midpoint,
+    _Pencil,
+    _skew_part,
     estimate_continuity,
     full_ellipticity,
     is_discretely_accretive,
-    numerical_range_samples,
 )
 from .models import CoefficientField
 
@@ -39,8 +44,10 @@ COUPLING_RESIDUAL_RTOL = 1e-9
 BLOCK_ZERO_RTOL = 1e-12
 SUM_SPREAD_TOL = 1e-12
 RUNTIME_CONE_TOL = 1e-8
-# Relative slack for the sampled numerical-range checks.
+# Relative slack of the numerical-range checks.
 RANGE_CHECK_RTOL = 1e-9
+# Most t-intervals one parabola check tests before it calls a tie undecided.
+PARABOLA_INTERVAL_CAP = 1024
 
 _DEFAULT_CFG = EvolutionConfig(dt=1e-2, t_end=0.2, scheme="implicit-euler", record_every=1)
 
@@ -123,40 +130,6 @@ def averaging_projection(m: int) -> ProjectionSpec:
 
 
 # ---------------------------------------------------------------------------
-# componentwise (lattice) operations on nodal values
-
-
-def positive_part(u) -> np.ndarray:
-    return np.maximum(np.asarray(u).real, 0.0)
-
-
-def modulus(u) -> np.ndarray:
-    return np.abs(np.asarray(u))
-
-
-def complex_sign(u) -> np.ndarray:
-    """Generalized sign ``u/|u|`` with value 0 at zeros."""
-    u = np.asarray(u)
-    mag = np.abs(u)
-    out = np.zeros_like(u, dtype=complex if np.iscomplexobj(u) else float)
-    nz = mag > 0
-    out[nz] = u[nz] / mag[nz]
-    return out
-
-
-def unit_truncation(u) -> np.ndarray:
-    """``(1 ^ |u|) sign(u)``: clip the modulus at one, keep the phase."""
-    u = np.asarray(u)
-    return np.where(np.abs(u) <= 1.0, u, complex_sign(u))
-
-
-def unit_excess(u) -> np.ndarray:
-    """``(|u| - 1)^+ sign(u)``, the part of ``u`` outside the unit ball."""
-    u = np.asarray(u)
-    return u - unit_truncation(u)
-
-
-# ---------------------------------------------------------------------------
 # helpers shared by the checks
 
 
@@ -165,7 +138,7 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
 
 
 def _require_positive(name: str, value: int) -> None:
-    # zero trials or samples would make a check pass vacuously
+    # zero trials would make a check pass vacuously
     if value < 1:
         raise ValidationError(f"{name} must be >= 1, got {value}")
 
@@ -562,56 +535,86 @@ def strip_invariance_runtime(
 # numerical-range checks
 
 
-def _range_tolerance(a: np.ndarray, v: np.ndarray, h: np.ndarray) -> np.ndarray:
-    return RANGE_CHECK_RTOL * np.maximum.reduce([np.abs(a), v, h, np.ones_like(v)])
+def _within(value: float, limit: float) -> bool:
+    return value <= limit + RANGE_CHECK_RTOL * max(1.0, abs(value), abs(limit))
 
 
 def sector_check(
-    form: FormMatrix,
-    alpha: float | None = None,
-    shift: float = 0.0,
-    bound: float | None = None,
-    count: int = 1000,
-    seed: int = 0,
+    form: FormMatrix, alpha: float | None = None, shift: float = 0.0, bound: float | None = None
 ) -> CheckResult:
-    """Sampled form values inside the certified sector.
+    """Numerical range inside the sector of ``alpha``, ``shift`` and ``bound``.
 
-    Every one of ``count`` seeded samples of
-    :func:`~coupledforms.forms.numerical_range_samples` must satisfy
-    ``Re a >= alpha*|f|_V^2 - shift*|f|_H^2`` and ``|Im a| <= bound*|f|_V^2``
-    up to a small relative slack.  Without ``alpha`` the check uses the
-    form's ellipticity constant at ``shift``, without ``bound`` the
-    2-norm of the matrix of block continuity constants.  The worst
-    absolute margin over both inequalities is reported.
+    Passes when every ``f`` satisfies ``Re a(f,f) >= alpha*|f|_V^2 -
+    shift*|f|_H^2`` and ``|Im a(f,f)| <= bound*|f|_V^2``, up to a slack of
+    ``RANGE_CHECK_RTOL`` relative to the larger constant (at least 1).
+    Both sides are decided by exact constants, reported as
+    ``exact_alpha`` (:func:`~coupledforms.forms.full_ellipticity` at
+    ``shift``) and ``exact_bound``, the larger of ``lambda_max(+-T, V)``
+    for ``T = (S - S^H)/2i``, the Hermitian imaginary part of the form
+    matrix.  Without ``alpha`` the check uses ``exact_alpha``, without
+    ``bound`` the 2-norm of the matrix of block continuity constants.
     """
-    _require_positive("count", count)
+    exact_alpha = full_ellipticity(form, shift)
     if alpha is None:
-        alpha = full_ellipticity(form, shift)
+        alpha = exact_alpha
     if bound is None:
         bound = spectral_norm([[estimate_continuity(form, i, j) for j in range(form.m)] for i in range(form.m)])
-    a, v, h = numerical_range_samples(form, count, seed=seed)
-    tol = _range_tolerance(a, v, h)
-    margin_re = a.real - (alpha * v - shift * h)
-    margin_im = bound * v - np.abs(a.imag)
-    passed = bool((margin_re >= -tol).all() and (margin_im >= -tol).all())
-    worst = float(np.minimum(margin_re, margin_im).min())
-    return CheckResult("sector", PASS if passed else FAIL, {"worst_margin": worst, "alpha": alpha, "bound": bound})
+    skew = _skew_part(form.form_csr)
+    exact_bound = 0.0
+    if np.any(skew.data):
+        exact_bound = max(_midpoint(_lambda_max(sign * skew, form.vgram_csr)) for sign in (1.0, -1.0))
+    passed = _within(alpha, exact_alpha) and _within(exact_bound, bound)
+    details = {"alpha": alpha, "bound": bound, "exact_alpha": exact_alpha, "exact_bound": exact_bound}
+    return CheckResult("sector", PASS if passed else FAIL, details)
 
 
-def parabola_check(form: FormMatrix, m_tilde: float | None = None, count: int = 1000, seed: int = 0) -> CheckResult:
-    """Sampled imaginary parts obey ``|Im a| <= m_tilde * |f|_V |f|_H``.
+def parabola_check(form: FormMatrix, m_tilde: float | None = None) -> CheckResult:
+    """Imaginary parts obey ``|Im a(f,f)| <= m_tilde * |f|_V |f|_H`` for every ``f``.
 
-    Without ``m_tilde`` the check takes the ``parabola_constant`` the
-    model builder put in the form's metadata.
+    As ``2 |f|_V |f|_H = min_{t>0} (t |f|_V^2 + |f|_H^2/t)``, this holds
+    exactly when ``m_tilde*(tV + H/t) -+ 2T`` is positive semidefinite for
+    every ``t > 0``, ``T = (S - S^H)/2i``.  With ``c = m_tilde*(1 +
+    RANGE_CHECK_RTOL)``, the extremal eigenvalues settle every ``t`` outside
+    ``[c/lambda_max(+-2T, H), lambda_max(+-2T, V)/c]``.  Inside, one banded
+    Cholesky factorization of ``c(lo*V + H/hi) -+ 2T`` covers an interval
+    ``[lo, hi]``, as ``tV + H/t >= lo*V + H/hi`` on it.  An uncovered interval
+    is split, breadth first, at its geometric midpoint ``t``, unless
+    ``c(tV + H/t) -+ 2T`` is not positive definite: then ``t`` is a witness
+    of failure, reported as ``failing_t``.  A tie that
+    ``PARABOLA_INTERVAL_CAP`` intervals do not decide is not-applicable.
+    Without ``m_tilde`` the check takes the model's ``parabola_constant``.
     """
-    _require_positive("count", count)
     if m_tilde is None:
         if "parabola_constant" not in form.metadata:
             raise ValidationError("parabola check needs 'm_tilde' or a model that reports one")
         m_tilde = float(form.metadata["parabola_constant"])
     if m_tilde < 0:
         raise ValidationError("m_tilde must be >= 0")
-    a, v, h = numerical_range_samples(form, count, seed=seed)
-    margins = m_tilde * np.sqrt(v * h) - np.abs(a.imag)
-    passed = bool((margins >= -_range_tolerance(a, v, h)).all())
-    return CheckResult("parabola", PASS if passed else FAIL, {"worst_margin": float(margins.min()), "m_tilde": m_tilde})
+    details: dict = {"m_tilde": m_tilde}
+    skew = _skew_part(form.form_csr)
+    if not np.any(skew.data):
+        return CheckResult("parabola", PASS, details)
+    c = m_tilde * (1.0 + RANGE_CHECK_RTOL)
+    v, h = form.vgram_csr, form.mass_csr
+    tested = 0
+    for sign in (2.0, -2.0):
+        a = sign * skew
+        top_v, top_h = (_lambda_max(a, gram)[1] for gram in (v, h))
+        if min(top_v, top_h) <= 0:
+            continue  # a is negative definite
+        pencil = _Pencil(-a, v, h)
+        # with m_tilde = 0 no tail holds, and every t asks the same: is -a definite?
+        lo, hi = (c / top_h, top_v / c) if c > 0 else (1.0, 1.0)
+        queue = deque([(lo, hi)] if lo <= hi else [])
+        while queue:
+            lo, hi = queue.popleft()
+            tested += 1
+            if pencil.definite(-c * lo, c / hi):
+                continue
+            t = math.sqrt(lo * hi)
+            if not pencil.definite(-c * t, c / t):
+                return CheckResult("parabola", FAIL, {**details, "failing_t": t})
+            if tested >= PARABOLA_INTERVAL_CAP:
+                return CheckResult("parabola", NOT_APPLICABLE, {**details, "reason": "undecided within round-off"})
+            queue.extend([(lo, t), (t, hi)])
+    return CheckResult("parabola", PASS, {**details, "intervals": tested})

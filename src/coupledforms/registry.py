@@ -119,14 +119,14 @@ CERTIFICATES = {
 CHECKS = {
     # numerical-range checks
     "sector": Check(
-        "sampled form values stay inside the certified sector",
-        {"count": ("int", None), "alpha": ("float", None), "shift": ("float", None), "bound": ("float", None)},
-        lambda ctx, p: qualitative.sector_check(ctx.form, seed=ctx.seed, **p),
+        "numerical range lies inside the sector (exact constants)",
+        {"alpha": ("float", None), "shift": ("float", None), "bound": ("float", None)},
+        lambda ctx, p: qualitative.sector_check(ctx.form, **p),
     ),
     "parabola": Check(
-        "sampled imaginary parts obey the mixed-norm parabola bound",
-        {"count": ("int", None), "m_tilde": ("float", None)},
-        lambda ctx, p: qualitative.parabola_check(ctx.form, seed=ctx.seed, **p),
+        "imaginary parts obey the mixed-norm parabola bound (exact)",
+        {"m_tilde": ("float", None)},
+        lambda ctx, p: qualitative.parabola_check(ctx.form, **p),
     ),
     # invariance and order checks
     "subspace_C": Check(

@@ -155,7 +155,7 @@ def test_criterion_06_damped_wave_mean_and_parabola():
         states = (form.split(u) for _, u in _states(form, _start(form, u0), cfg))
         means = [abs(float(ones @ mass @ state[0].real)) / total for state in states]
         assert max(means) <= 1e-8
-        assert parabola_check(form, form.metadata["parabola_constant"], count=10_000, seed=6).passed
+        assert parabola_check(form, form.metadata["parabola_constant"]).passed
 
 
 def test_criterion_07_dynamic_bc_triple():

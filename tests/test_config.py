@@ -166,8 +166,8 @@ FUZZ_BASES = [
         "evolution": {"dt": 0.1, "t_end": 0.3},
         "projection": {"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 0]]},
         "checks": [
-            {"id": "sector", "count": 3, "shift": 0.5},
-            {"id": "parabola", "count": 3, "m_tilde": 1.0},
+            {"id": "sector", "shift": 0.5},
+            {"id": "parabola", "m_tilde": 1.0},
             {"id": "subspace_C"},
             {"id": "subspace_B"},
             {"id": "product_subspace", "subspace": "mean_zero"},
@@ -185,7 +185,7 @@ FUZZ_BASES = [
         "schema_version": 1,
         "model": {"name": "dynamic_bc_heat"},
         "grid": {"n_cells": 4},
-        "checks": [{"id": "linf", "trials": 2}, {"id": "parabola", "count": 2, "m_tilde": 0.5}],
+        "checks": [{"id": "linf", "trials": 2}, {"id": "parabola", "m_tilde": 0.5}],
     },
 ]
 FUZZ_KEYS = sorted(

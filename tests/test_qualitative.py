@@ -38,12 +38,7 @@ from coupledforms.qualitative import (
     _combine,
     _form_scale,
     _trial_rng,
-    complex_sign,
-    modulus,
-    positive_part,
     realness_check,
-    unit_excess,
-    unit_truncation,
 )
 
 CFG = EvolutionConfig(dt=1e-2, t_end=0.2, scheme="implicit-euler", record_every=1)
@@ -81,28 +76,6 @@ class TestProjections:
     def test_non_idempotent_rejected(self):
         with pytest.raises(ValidationError):
             make_projection(0.5 * np.eye(2))
-
-
-class TestLatticeOps:
-    def test_truncation_plus_excess_identity(self):
-        rng = np.random.default_rng(1)
-        u = 3.0 * rng.standard_normal(50)
-        np.testing.assert_array_equal(unit_truncation(u) + unit_excess(u), u)
-        z = rng.standard_normal(50) + 1j * rng.standard_normal(50)
-        np.testing.assert_allclose(unit_truncation(z) + unit_excess(z), z, atol=1e-15)
-
-    def test_sign_of_zero_is_zero(self):
-        out = complex_sign(np.array([0.0, 2.0, -3.0]))
-        np.testing.assert_array_equal(out, [0.0, 1.0, -1.0])
-
-    def test_truncation_clips_modulus(self):
-        u = np.array([0.5, -4.0, 2.0])
-        np.testing.assert_array_equal(unit_truncation(u), [0.5, -1.0, 1.0])
-
-    def test_positive_part_and_modulus(self):
-        u = np.array([-1.0, 2.0])
-        np.testing.assert_array_equal(positive_part(u), [0.0, 2.0])
-        np.testing.assert_array_equal(modulus(u), [1.0, 2.0])
 
 
 class TestSubspaceInvariance:
