@@ -147,9 +147,9 @@ def _parse_projection(config: dict, form: FormMatrix):
     raise ConfigError(f"unknown projection kind {section['kind']!r}")
 
 
-def _mean_weights(form: FormMatrix, grid: Grid1D) -> list:
-    integral = models.p1_mass(grid) @ np.ones(grid.n_nodes)
-    return [integral if space.dim == grid.n_nodes else np.ones(space.dim) for space in form.spaces]
+def _mean_weights(form: FormMatrix) -> list:
+    # the integral functional of each component: its ambient Gram times the all-ones vector
+    return form.split(form.mass_csr @ np.ones(form.total_dim))
 
 
 def _build_initial(config: dict, form: FormMatrix, seed: int) -> list:
@@ -171,7 +171,7 @@ def _build_initial(config: dict, form: FormMatrix, seed: int) -> list:
         return [x.copy() for _ in dims]
     if kind == "mean_zero_random":
         out = []
-        for d, w in zip(dims, _mean_weights(form, _parse_grid(config))):
+        for d, w in zip(dims, _mean_weights(form)):
             u = amplitude * rng.standard_normal(d)
             u -= np.ones(d) * (float(w @ u) / float(w @ np.ones(d)))
             out.append(u)
@@ -190,7 +190,7 @@ def _run_check(entry: dict, form: FormMatrix, coeffs, config: dict, seed: int) -
     cfg = _parse_evolution(config) if "evolution" in config else None
     ctx = SimpleNamespace(form=form, seed=seed, cfg=cfg, coefficients=coefficients)
     ctx.projection = lambda: _parse_projection(config, form) or qualitative.averaging_projection(form.m)
-    ctx.mean_weights = lambda: _mean_weights(form, _parse_grid(config))
+    ctx.mean_weights = lambda: _mean_weights(form)
     return CHECKS[check_id].run(ctx, params)
 
 

@@ -68,9 +68,9 @@ def _frobenius(a: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.abs(a) ** 2)))
 
 
-def _check_gram(g: np.ndarray, name: str) -> None:
-    # one CSR conversion; the norms, g - g^H and the Hermitian part come
-    # from its data, with no N-by-N temporaries
+def _check_gram(g: np.ndarray, name: str) -> scipy.sparse.csr_array:
+    # returns the CSR form of g; the norms, g - g^H and the Hermitian part
+    # come from its data, with no N-by-N temporaries
     g = scipy.sparse.csr_array(g)
     g_h = g.conj().T
     scale = max(_frobenius(g.data), 1e-300)
@@ -78,6 +78,13 @@ def _check_gram(g: np.ndarray, name: str) -> None:
         raise ValidationError(f"{name} is not Hermitian within tolerance")
     if not _Pencil((g + g_h) * 0.5, _diagonal(g.diagonal().real)).definite(GRAM_RTOL):
         raise ValidationError(f"{name} is not positive definite (within GRAM_RTOL of its diagonal)")
+    return g
+
+
+def _close(a, b, tol: float) -> bool:
+    """``np.allclose(a, b, rtol=tol, atol=tol)`` for sparse ``a`` and ``b``, read on their union pattern."""
+    excess = abs(a - b) - tol * abs(b)
+    return excess.nnz == 0 or float(excess.data.max()) <= tol
 
 
 @dataclass(frozen=True)
@@ -86,31 +93,33 @@ class DiscreteSpace:
 
     ``h_gram`` is the ambient (state-space) inner product, ``v_gram``
     the form-domain inner product; both must be Hermitian positive
-    definite of size ``dim``.
+    definite of size ``dim``.  They are stored dense; ``h_csr`` and
+    ``v_csr``, their CSR forms, are kept from the validation.
     """
 
     dim: int
     h_gram: np.ndarray
     v_gram: np.ndarray
     label: str = ""
+    h_csr: scipy.sparse.csr_array = field(init=False, repr=False, compare=False)
+    v_csr: scipy.sparse.csr_array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValidationError("space dimension must be positive")
-        h = _as_matrix(self.h_gram, "h_gram")
-        v = _as_matrix(self.v_gram, "v_gram")
-        for name, g in (("h_gram", h), ("v_gram", v)):
+        for name in ("h_gram", "v_gram"):
+            g = _as_matrix(getattr(self, name), name)
             if g.shape != (self.dim, self.dim):
                 raise DimensionError(f"{name} must be {self.dim}x{self.dim}, got {g.shape}")
-            _check_gram(g, name)
-        object.__setattr__(self, "h_gram", h)
-        object.__setattr__(self, "v_gram", v)
+            object.__setattr__(self, f"{name[0]}_csr", _check_gram(g, name))
+            object.__setattr__(self, name, g)
 
     def same_geometry(self, other: "DiscreteSpace", rtol: float = 1e-12) -> bool:
-        return (
+        """Equal dimension and Grams equal within ``rtol``, read as both relative and absolute tolerance."""
+        return self is other or (
             self.dim == other.dim
-            and np.allclose(self.h_gram, other.h_gram, rtol=rtol, atol=rtol)
-            and np.allclose(self.v_gram, other.v_gram, rtol=rtol, atol=rtol)
+            and _close(self.h_csr, other.h_csr, rtol)
+            and _close(self.v_csr, other.v_csr, rtol)
         )
 
 
@@ -130,13 +139,14 @@ class FormBlock:
 class FormMatrix:
     """m-by-m grid of form blocks over a list of discrete spaces.
 
-    Blocks and Grams are stored dense.  The form owns its assembled
-    operators on the product space, in CSR: ``form_csr`` (the blocks in
-    place) and ``mass_csr``/``vgram_csr`` (block diagonals of the ambient
-    and domain Grams).  The spectral routines below build Hermitian
-    pencils from them and factor each shift by banded Cholesky in reverse
-    Cuthill--McKee order; the ``(kd+1)*N`` band arrays of a pencil are
-    never larger than the dense blocks stored here.  Only
+    Blocks and Grams are stored dense, and only this module reads them
+    so.  Every other reader goes through the assembled CSR operators on
+    the product space: ``form_csr`` (the blocks in place, :meth:`block`
+    slices it) and ``mass_csr``/``vgram_csr`` (block diagonals of the
+    ambient and domain Grams).  The spectral routines below build
+    Hermitian pencils from them and factor each shift by banded Cholesky
+    in reverse Cuthill--McKee order; the ``(kd+1)*N`` band arrays of a
+    pencil are never larger than the dense blocks stored here.  Only
     :func:`associated_operator` densifies the operators.
 
     Immutable after assembly by convention; all derived matrices are
@@ -184,32 +194,29 @@ class FormMatrix:
         offsets = np.concatenate([[0], np.cumsum(self.dims)])
         return [slice(int(offsets[i]), int(offsets[i + 1])) for i in range(self.m)]
 
-    def block(self, i: int, j: int) -> np.ndarray:
-        return self.blocks[i][j].matrix
+    def block(self, i: int, j: int) -> scipy.sparse.csr_array:
+        """Block (i, j) of ``form_csr``, a ``(dim_i, dim_j)`` CSR array."""
+        return self.form_csr[self.block_slices[i], self.block_slices[j]]
 
     @cached_property
     def is_real(self) -> bool:
-        return all(not np.iscomplexobj(self.block(i, j)) for i in range(self.m) for j in range(self.m))
-
-    def _blockdiag_csr(self, which: str) -> scipy.sparse.csr_array:
-        grams = [scipy.sparse.csr_array(getattr(s, which)) for s in self.spaces]
-        return scipy.sparse.block_diag(grams, format="csr")
+        return not np.iscomplexobj(self.form_csr)
 
     @cached_property
     def form_csr(self) -> scipy.sparse.csr_array:
         """The assembled form matrix, blocks in place."""
-        blocks = [[scipy.sparse.csr_array(self.block(i, j)) for j in range(self.m)] for i in range(self.m)]
+        blocks = [[scipy.sparse.csr_array(blk.matrix) for blk in row] for row in self.blocks]
         return scipy.sparse.bmat(blocks, format="csr")
 
     @cached_property
     def mass_csr(self) -> scipy.sparse.csr_array:
         """Block diagonal of the ambient Grams."""
-        return self._blockdiag_csr("h_gram")
+        return scipy.sparse.block_diag([s.h_csr for s in self.spaces], format="csr")
 
     @cached_property
     def vgram_csr(self) -> scipy.sparse.csr_array:
         """Block diagonal of the form-domain Grams."""
-        return self._blockdiag_csr("v_gram")
+        return scipy.sparse.block_diag([s.v_csr for s in self.spaces], format="csr")
 
     @cached_property
     def accretivity_scale(self) -> float:
@@ -231,7 +238,7 @@ class FormMatrix:
     def adjoint(self) -> "FormMatrix":
         """Form with blocks ``S*_ij = S_ji^H`` (the adjoint form)."""
         blocks = [
-            [FormBlock(i, j, self.block(j, i).conj().T) for j in range(self.m)]
+            [FormBlock(i, j, self.blocks[j][i].matrix.conj().T) for j in range(self.m)]
             for i in range(self.m)
         ]
         meta = dict(self.metadata)
@@ -241,11 +248,8 @@ class FormMatrix:
     def diagonal_part(self) -> "FormMatrix":
         """Same diagonal blocks, all couplings zeroed."""
         blocks = [
-            [
-                FormBlock(i, j, self.block(i, j) if i == j else np.zeros_like(self.block(i, j)))
-                for j in range(self.m)
-            ]
-            for i in range(self.m)
+            [FormBlock(i, j, blk.matrix if i == j else np.zeros_like(blk.matrix)) for j, blk in enumerate(row)]
+            for i, row in enumerate(self.blocks)
         ]
         meta = dict(self.metadata)
         meta["diagonal_of"] = meta.pop("model", "unnamed")
@@ -297,7 +301,7 @@ def embedding_norm(space: DiscreteSpace) -> float:
     The square root of the largest eigenvalue of the pencil
     ``(h_gram, v_gram)``.
     """
-    top = _midpoint(_lambda_max(scipy.sparse.csr_array(space.h_gram), scipy.sparse.csr_array(space.v_gram)))
+    top = _midpoint(_lambda_max(space.h_csr, space.v_csr))
     if top <= 0:
         raise ValidationError(f"space {space.label!r} has a degenerate embedding")
     return float(np.sqrt(top))

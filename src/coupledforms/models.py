@@ -102,15 +102,23 @@ def two_fibre_coupling(kind: str, diffusion: float = 2.0, coupling: float = 0.5)
     raise ValidationError(f"unknown coupling pattern {kind!r}")
 
 
+def _p1_assemble(n_cells: int, diagonal, off) -> np.ndarray:
+    """Sum over cells k of the elements ``[[diagonal, off], [off, diagonal]]`` on nodes k, k+1.
+
+    Scalar or per-cell entries; the sums equal a per-cell loop's bit for bit, as addition commutes.
+    """
+    out = np.zeros((n_cells + 1, n_cells + 1))
+    k = np.arange(n_cells)
+    out[k, k] += diagonal
+    out[k + 1, k + 1] += diagonal
+    out[k, k + 1] += off
+    out[k + 1, k] += off
+    return out
+
+
 def p1_mass(grid: Grid1D) -> np.ndarray:
     """Consistent mass matrix of the hat basis."""
-    n = grid.n_nodes
-    h = grid.h
-    mass = np.zeros((n, n))
-    element = h / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
-    for k in range(grid.n_cells):
-        mass[k : k + 2, k : k + 2] += element
-    return mass
+    return _p1_assemble(grid.n_cells, grid.h / 6.0 * 2.0, grid.h / 6.0)
 
 
 def p1_stiffness(grid: Grid1D, cell_values=1.0) -> np.ndarray:
@@ -120,12 +128,7 @@ def p1_stiffness(grid: Grid1D, cell_values=1.0) -> np.ndarray:
     coefficient evaluated at cell midpoints.
     """
     c = np.broadcast_to(np.asarray(cell_values, dtype=float), (grid.n_cells,))
-    n = grid.n_nodes
-    stiff = np.zeros((n, n))
-    element = np.array([[1.0, -1.0], [-1.0, 1.0]]) / grid.h
-    for k in range(grid.n_cells):
-        stiff[k : k + 2, k : k + 2] += c[k] * element
-    return stiff
+    return _p1_assemble(grid.n_cells, c * (1.0 / grid.h), c * (-1.0 / grid.h))
 
 
 def _h1_space(grid: Grid1D, label: str) -> DiscreteSpace:

@@ -3,7 +3,7 @@
 Each invariance or order check comes in up to two flavours: an algebraic
 test on the form blocks (exact, up to round-off) and a runtime test that
 evolves seeded trial data and inspects the recorded observables.  The
-algebraic tests read the blocks directly and draw nothing at random: the
+algebraic tests read the CSR blocks and draw nothing at random: the
 coupling sign entrywise, strip invariance from the sparse lifted residual
 ``lift(L)^H S lift(R)``, and product-subspace invariance from the
 constraint functionals of each factor.  The numerical-range checks
@@ -254,10 +254,7 @@ def subsystem_invariance_check(form: FormMatrix, m0: int) -> CheckResult:
     if not 2 <= m0 <= form.m - 1:
         raise ValidationError(f"m0 must lie in [2, {form.m - 1}], got {m0}")
     scale = _form_scale(form)
-    worst = 0.0
-    for i in range(m0, form.m):
-        for j in range(m0):
-            worst = max(worst, float(np.linalg.norm(form.block(i, j))))
+    worst = max(float(np.linalg.norm(form.block(i, j).data)) for i in range(m0, form.m) for j in range(m0))
     ok = worst <= BLOCK_ZERO_RTOL * scale
     return CheckResult(
         "subsystem",
@@ -287,12 +284,7 @@ def ephaptic_sum_check(coeffs: CoefficientField, which: str = "rows") -> CheckRe
 
 def realness_check(form: FormMatrix) -> CheckResult:
     """All blocks real, so the evolution preserves real-valued data."""
-    worst = 0.0
-    for i in range(form.m):
-        for j in range(form.m):
-            block = form.block(i, j)
-            if np.iscomplexobj(block):
-                worst = max(worst, float(np.abs(block.imag).max()))
+    worst = float(np.abs(form.form_csr.data.imag).max(initial=0.0))
     scale = _form_scale(form)
     ok = worst <= BLOCK_ZERO_RTOL * scale
     return CheckResult("realness", PASS if ok else FAIL, {"max_imag": worst})

@@ -94,8 +94,8 @@ def read_variant(section, variants: dict, tag: str, where: str) -> tuple:
 
 # ``run(ctx, params)`` gets the keys a ``checks`` entry gave, read
 # against ``keys``, and a context with ``form``, ``seed``, ``cfg`` (the
-# evolution config or None) and ``coefficients()``, ``projection()`` and
-# ``mean_weights()``, which read their config sections when called.  A
+# evolution config or None), ``coefficients()`` and ``projection()``,
+# which read their config sections when called, and ``mean_weights()``.  A
 # key that names a library parameter has default None, so an entry that
 # leaves it out gets the library's default.
 Check = namedtuple("Check", "description keys run")

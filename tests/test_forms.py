@@ -41,8 +41,8 @@ from coupledforms.models import CoefficientField
 
 
 def dense_form(form):
-    """The assembled form matrix, built from the blocks."""
-    return np.block([[form.block(i, j) for j in range(form.m)] for i in range(form.m)])
+    """The assembled form matrix, built from the stored dense blocks."""
+    return np.block([[form.blocks[i][j].matrix for j in range(form.m)] for i in range(form.m)])
 
 
 def single_space_form(matrix, h_gram=None, v_gram=None):
@@ -106,6 +106,38 @@ class TestDiscreteSpace:
     def test_accepts_complex_hermitian_gram(self):
         g = np.array([[2.0, 1j], [-1j, 2.0]])
         assert DiscreteSpace(2, g, g).dim == 2
+
+
+class TestSameGeometry:
+    @staticmethod
+    def space(grid, delta):
+        # delta on every entry, inside and outside the Grams' sparsity pattern
+        mass = p1_mass(grid)
+        bump = delta * np.ones_like(mass)
+        return DiscreteSpace(grid.n_nodes, mass + bump, mass + p1_stiffness(grid) + bump)
+
+    @pytest.mark.parametrize("delta, same", [(0.0, True), (1e-13, True), (1e-9, False)])
+    def test_agrees_with_dense_allclose(self, delta, same):
+        grid = Grid1D(6)
+        a, b = self.space(grid, 0.0), self.space(grid, delta)
+        assert a is not b
+        dense = all(
+            np.allclose(x, y, rtol=1e-12, atol=1e-12) for x, y in ((a.h_gram, b.h_gram), (a.v_gram, b.v_gram))
+        )
+        assert dense is same
+        assert a.same_geometry(b) is same
+        assert b.same_geometry(a) is same
+
+    def test_same_object_and_dimension_mismatch(self):
+        a = self.space(Grid1D(6), 0.0)
+        assert a.same_geometry(a) is True
+        assert a.same_geometry(self.space(Grid1D(5), 0.0)) is False
+
+    def test_keeps_the_csr_grams_of_its_validation(self):
+        space = self.space(Grid1D(4), 0.0)
+        for csr, dense in ((space.h_csr, space.h_gram), (space.v_csr, space.v_gram)):
+            assert isinstance(csr, scipy.sparse.csr_array)
+            np.testing.assert_array_equal(csr.toarray(), dense)
 
 
 class TestEmbeddingNorm:
@@ -233,6 +265,18 @@ class TestAssembledOperators:
             assert csr.nnz == np.count_nonzero(dense)
         assert np.iscomplexobj(form.form_csr) == (not form.is_real)
 
+    @pytest.mark.parametrize("name", sorted(ASSEMBLY_BUILDERS) + ["damped_wave_real"])
+    def test_block_is_the_csr_of_the_stored_block(self, name):
+        form = {**ASSEMBLY_BUILDERS, "damped_wave_real": build_damped_wave}[name](Grid1D(7))
+        stored = [[blk.matrix for blk in row] for row in form.blocks]
+        for i in range(form.m):
+            for j in range(form.m):
+                block = form.block(i, j)
+                assert isinstance(block, scipy.sparse.csr_array)
+                np.testing.assert_array_equal(block.toarray(), stored[i][j])
+        assert form.is_real is not any(np.iscomplexobj(m) for row in stored for m in row)
+        assert form.is_real is (name != "damped_wave")
+
 
 class TestEstimateContinuity:
     def test_zero_block(self):
@@ -254,7 +298,7 @@ class TestEstimateContinuity:
         assert bound <= 1.0 + 1e-12
         rng = np.random.default_rng(13)
         w = form.spaces[0].v_gram
-        s = form.block(0, 1)
+        s = form.block(0, 1).toarray()
         best = 0.0
         for _ in range(3000):
             f = rng.standard_normal(grid.n_nodes)
@@ -292,7 +336,7 @@ class TestEstimateEllipticity:
         value = estimate_ellipticity(form, 0, 0.5)
         rng = np.random.default_rng(3)
         space = form.spaces[0]
-        mat = form.block(0, 0) + 0.5 * space.h_gram
+        mat = form.block(0, 0).toarray() + 0.5 * space.h_gram
         # every Rayleigh quotient bounds the constant from above; the
         # constant vector is the hand-derived minimizer (the stiffness
         # part vanishes on it, leaving the 0.5 mass shift)
@@ -322,7 +366,7 @@ class TestEstimateEllipticity:
             mat = (dense + dense.T) / 2 + 0.3 * mass
             quotient = (vec @ mat @ vec) / (vec @ vgram @ vec)
             space = form.spaces[i]
-            diag = (f @ (form.block(i, i) + 0.3 * space.h_gram) @ f) / (f @ space.v_gram @ f)
+            diag = (f @ (form.block(i, i).toarray() + 0.3 * space.h_gram) @ f) / (f @ space.v_gram @ f)
             assert quotient == pytest.approx(diag, rel=1e-12)
             assert full <= quotient + 1e-9
 
@@ -348,7 +392,7 @@ class TestAssociatedOperator:
         scale = np.abs(op).max()
         for i in range(2):
             for j in range(2):
-                expected = -np.linalg.solve(form.spaces[i].h_gram, form.block(i, j))
+                expected = -np.linalg.solve(form.spaces[i].h_gram, form.block(i, j).toarray())
                 got = op[form.block_slices[i], form.block_slices[j]]
                 assert np.abs(got - expected).max() <= 1e-12 * scale
 
@@ -393,7 +437,7 @@ class TestAdjoint:
         adj = form.adjoint()
         for i in range(2):
             for j in range(2):
-                np.testing.assert_allclose(adj.block(i, j), form.block(j, i).conj().T)
+                np.testing.assert_allclose(adj.block(i, j).toarray(), form.block(j, i).toarray().conj().T)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +462,7 @@ def dense_continuity(form, i, j):
     """Largest singular value of the block whitened by the domain Grams."""
     li = np.linalg.cholesky(form.spaces[i].v_gram)
     lj = np.linalg.cholesky(form.spaces[j].v_gram)
-    x = scipy.linalg.solve_triangular(li, form.block(i, j), lower=True)
+    x = scipy.linalg.solve_triangular(li, form.block(i, j).toarray(), lower=True)
     w = scipy.linalg.solve_triangular(lj, x.conj().T, lower=True).conj().T
     return float(np.linalg.norm(w, 2))
 
@@ -444,7 +488,7 @@ def oracle_pencils(form):
     return [
         (herm + 0.5 * dense_blockdiag(form, "h_gram"), vgram),
         (herm, np.eye(form.total_dim)),
-        (dense_augmented(form.block(0, 1)), v01),
+        (dense_augmented(form.block(0, 1).toarray()), v01),
     ]
 
 
@@ -520,7 +564,7 @@ class TestInertiaPrimitive:
             lam = scipy.linalg.eigh(herm + shift * mass, vgram, eigvals_only=True)
             assert_matches(full_ellipticity(form, shift), lam[0], np.abs(lam).max())
             for i, space in enumerate(form.spaces):
-                block = dense_hermitian(form.block(i, i)) + shift * space.h_gram
+                block = dense_hermitian(form.block(i, i).toarray()) + shift * space.h_gram
                 lam = scipy.linalg.eigh(block, space.v_gram, eigvals_only=True)
                 assert_matches(estimate_ellipticity(form, i, shift), lam[0], np.abs(lam).max())
         norms = [[dense_continuity(form, i, j) for j in range(form.m)] for i in range(form.m)]
@@ -562,13 +606,16 @@ DENSE_CALLS = {"toarray", "todense", "eigh", "eigvalsh", "svd"}
 DENSE_ALLOWED = {("forms.py", "associated_operator"), ("qualitative.py", "make_projection")}
 
 
-def flagged_calls(path: Path, names: set) -> list:
-    """``(function, call)`` for each call in a module to one of ``names`` or to ``norm(., 2)``."""
+def flagged_calls(path: Path, names: set, attributes: set = frozenset()) -> list:
+    """``(function, name)`` for each call in a module to one of ``names`` or to ``norm(., 2)``,
+    and for each read of an attribute in ``attributes``."""
     found = []
 
     def visit(node, owner):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and owner is None:
             owner = node.name
+        if isinstance(node, ast.Attribute) and node.attr in attributes:
+            found.append((owner, node.attr))
         if isinstance(node, ast.Call):
             func = node.func
             name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
@@ -599,3 +646,27 @@ def test_forms_has_one_factorization_path():
     modules = sorted(module_path("forms.py").parent.glob("*.py"))
     assert len(modules) > 5
     assert [(p.name, c) for p in modules for c in flagged_calls(p, {"splu"}) if c[1] == "splu"] == []
+
+
+# the dense storage of blocks and Grams, and the dense P1 assembly that fills it
+DENSE_STORAGE = {"blocks", "h_gram", "v_gram"}
+DENSE_ASSEMBLY = {"p1_mass", "p1_stiffness"}
+DENSE_OWNERS = ("forms.py", "models.py")
+
+
+def dense_readers(path: Path) -> list:
+    flagged = flagged_calls(path, DENSE_ASSEMBLY, DENSE_STORAGE)
+    return [c for c in flagged if c[1] in DENSE_ASSEMBLY | DENSE_STORAGE]
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in module_path("forms.py").parent.glob("*.py") if p.name not in DENSE_OWNERS)
+)
+def test_dense_blocks_are_read_in_forms_and_models_only(module):
+    # every other module reads the form through block(), form_csr, mass_csr and vgram_csr
+    assert dense_readers(module_path(module)) == []
+
+
+@pytest.mark.parametrize("module", DENSE_OWNERS)
+def test_dense_reader_scan_sees_the_owners(module):
+    assert dense_readers(module_path(module)) != []

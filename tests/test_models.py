@@ -77,7 +77,37 @@ class TestGridAndField:
             two_fibre_coupling("nope")
 
 
+def loop_mass(grid):
+    """Per-cell loop assembly of the P1 mass matrix, the oracle of the vectorised one."""
+    n = grid.n_nodes
+    mass = np.zeros((n, n))
+    element = grid.h / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
+    for k in range(grid.n_cells):
+        mass[k : k + 2, k : k + 2] += element
+    return mass
+
+
+def loop_stiffness(grid, cell_values=1.0):
+    """Per-cell loop assembly of the P1 stiffness matrix."""
+    c = np.broadcast_to(np.asarray(cell_values, dtype=float), (grid.n_cells,))
+    n = grid.n_nodes
+    stiff = np.zeros((n, n))
+    element = np.array([[1.0, -1.0], [-1.0, 1.0]]) / grid.h
+    for k in range(grid.n_cells):
+        stiff[k : k + 2, k : k + 2] += c[k] * element
+    return stiff
+
+
 class TestP1Assembly:
+    @pytest.mark.parametrize("n_cells", [2, 3, 255, 512])
+    @pytest.mark.parametrize("length", [1.0, 0.37, 7.3])
+    def test_equals_per_cell_loop(self, n_cells, length):
+        grid = Grid1D(n_cells, length)
+        assert np.array_equal(p1_mass(grid), loop_mass(grid))
+        rng = np.random.default_rng(n_cells)
+        for c in (1.0, 0.25, rng.standard_normal(n_cells)):
+            assert np.array_equal(p1_stiffness(grid, c), loop_stiffness(grid, c))
+
     def test_unit_stiffness_interior_rows(self):
         grid = Grid1D(4, 1.0)
         stiff = p1_stiffness(grid)
@@ -142,15 +172,15 @@ class TestEphapticBuilder:
         form = build_ephaptic(grid, CoefficientField(np.zeros((2, 2, 4))))
         for i in range(2):
             for j in range(2):
-                assert np.abs(form.block(i, j)).max() == 0.0
+                assert np.abs(form.block(i, j).toarray()).max() == 0.0
 
     def test_two_fibre_difference_pattern_scales_unit_stiffness(self):
         grid = Grid1D(6)
         coeffs = CoefficientField.constant(two_fibre_coupling("difference", 2.0, 0.5), 6)
         form = build_ephaptic(grid, coeffs)
         unit = p1_stiffness(grid)
-        np.testing.assert_allclose(form.block(0, 0), 1.5 * unit, atol=1e-14)
-        np.testing.assert_allclose(form.block(0, 1), -0.5 * unit, atol=1e-14)
+        np.testing.assert_allclose(form.block(0, 0).toarray(), 1.5 * unit, atol=1e-14)
+        np.testing.assert_allclose(form.block(0, 1).toarray(), -0.5 * unit, atol=1e-14)
 
     def test_assembly_is_linear_in_coefficients(self):
         grid = Grid1D(5)
@@ -163,7 +193,7 @@ class TestEphapticBuilder:
         for i in range(2):
             for j in range(2):
                 np.testing.assert_allclose(
-                    f_sum.block(i, j), f_a.block(i, j) + f_b.block(i, j), atol=1e-13
+                    f_sum.block(i, j).toarray(), f_a.block(i, j).toarray() + f_b.block(i, j).toarray(), atol=1e-13
                 )
 
     def test_mismatched_cells_rejected(self):
@@ -185,7 +215,7 @@ class TestEphapticBuilder:
             build_damped_wave(grid, 1.0),
             build_dynamic_bc_heat(grid),
         ]
-        fulls = [np.block([[f.block(i, j) for j in range(f.m)] for i in range(f.m)]) for f in builders]
+        fulls = [np.block([[f.block(i, j).toarray() for j in range(f.m)] for i in range(f.m)]) for f in builders]
         for full in fulls:
             assert np.isfinite(full).all()
         np.testing.assert_array_equal(fulls[0], fulls[0].T)
@@ -194,11 +224,11 @@ class TestEphapticBuilder:
 class TestDampedWaveBuilder:
     def test_zero_alpha_kills_lower_coupling(self):
         form = build_damped_wave(Grid1D(6), 0.0)
-        assert np.abs(form.block(1, 0)).max() == 0.0
+        assert np.abs(form.block(1, 0).toarray()).max() == 0.0
 
     def test_upper_coupling_is_negative_domain_gram(self):
         form = build_damped_wave(Grid1D(6), 2.0)
-        np.testing.assert_array_equal(form.block(0, 1) + form.spaces[0].v_gram, 0.0)
+        np.testing.assert_array_equal(form.block(0, 1).toarray() + form.spaces[0].v_gram, 0.0)
 
     def test_cross_terms_cancel_imaginary_parts(self):
         grid = Grid1D(8)
@@ -208,8 +238,8 @@ class TestDampedWaveBuilder:
         for _ in range(20):
             f = rng.standard_normal(n)
             g = rng.standard_normal(n)
-            a12 = np.vdot(g, form.block(0, 1) @ f)
-            a21 = np.vdot(f, form.block(1, 0) @ g)
+            a12 = np.vdot(g, form.block(0, 1).toarray() @ f)
+            a21 = np.vdot(f, form.block(1, 0).toarray() @ g)
             assert (a12 + a21).imag == pytest.approx(0.0, abs=1e-14)
 
     def test_parabola_bound_from_builder(self):
@@ -233,7 +263,7 @@ class TestDynamicBcBuilder:
     def test_trace_pairing_values(self):
         grid = Grid1D(8)
         form = build_dynamic_bc_heat(grid)
-        s21 = form.block(1, 0)
+        s21 = form.block(1, 0).toarray()
         n = grid.n_nodes
         left_hat = np.zeros(n)
         left_hat[0] = 1.0
@@ -246,19 +276,19 @@ class TestDynamicBcBuilder:
 
     def test_boundary_diffusion_block_vanishes(self):
         form = build_dynamic_bc_heat(Grid1D(5))
-        assert np.abs(form.block(1, 1)).max() == 0.0
+        assert np.abs(form.block(1, 1).toarray()).max() == 0.0
 
     def test_interior_block_is_stiffness(self):
         grid = Grid1D(5)
         form = build_dynamic_bc_heat(grid)
-        np.testing.assert_array_equal(form.block(0, 0), p1_stiffness(grid))
+        np.testing.assert_array_equal(form.block(0, 0).toarray(), p1_stiffness(grid))
 
 
 class TestConstantCoupled:
     def test_identity_decouples(self):
         form = build_constant_coupled(Grid1D(4), np.eye(2))
-        assert np.abs(form.block(0, 1)).max() == 0.0
-        assert np.abs(form.block(1, 0)).max() == 0.0
+        assert np.abs(form.block(0, 1).toarray()).max() == 0.0
+        assert np.abs(form.block(1, 0).toarray()).max() == 0.0
 
     def test_certificate_consistency_small(self):
         grid = Grid1D(16)

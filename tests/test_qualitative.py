@@ -218,7 +218,7 @@ def dense_product_residual(form, weights):
         bases.append((q[:, :rank], qc[:, : space.dim - rank]))
     for i in range(form.m):
         for j in range(form.m):
-            res = np.linalg.norm(bases[i][1].conj().T @ form.block(i, j) @ bases[j][0])
+            res = np.linalg.norm(bases[i][1].conj().T @ form.block(i, j).toarray() @ bases[j][0])
             worst = max(worst, float(res))
     return worst
 
@@ -370,6 +370,14 @@ class TestPositivity:
     def test_complex_form_not_applicable(self):
         form = build_damped_wave(Grid1D(6), 1j)
         assert positivity_check(form, trials=2, cfg=CFG).status == "not-applicable"
+
+    def test_zero_coupling_value_is_positive_zero(self):
+        # the boundary trace couplings are stored as -trace, whose zeros are -0.0;
+        # the largest coupling entry is the implicit zero of the sparse blocks
+        form = build_dynamic_bc_heat(Grid1D(8))
+        for res in (positivity_check(form, runtime=False), domination_check(form, trials=2, cfg=CFG)):
+            assert res.details["max_coupling_value"] == 0.0
+            assert np.copysign(1.0, res.details["max_coupling_value"]) == 1.0
 
 
 def sign_edge_form(ratio):
