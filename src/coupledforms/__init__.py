@@ -2,7 +2,6 @@
 
 from .certificates import (
     CertificateEntry,
-    CertificateReport,
     ConstantsBundle,
     accretivity_certificate,
     analyticity_angle,

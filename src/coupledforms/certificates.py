@@ -2,9 +2,11 @@
 
 Everything in this module works on small constant matrices: the coupling
 constants of an m-component system, never a discretization.  Each
-criterion returns a :class:`CertificateEntry` so reports can show the
-computed constants next to the verdict.  All operations are pure
-functions of immutable inputs, safe to call concurrently.
+criterion returns a :class:`CertificateEntry`, the computed constants
+next to the verdict, and :func:`run_all_certificates` returns the list
+of all of them in a fixed order; :mod:`coupledforms.report` writes that
+list as text and JSON.  All operations are pure functions of immutable
+inputs, safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -91,58 +93,6 @@ class CertificateEntry:
     @property
     def passed(self) -> bool:
         return self.status == PASS
-
-    def as_record(self) -> dict:
-        return {
-            "criterion": self.criterion,
-            "status": self.status,
-            "constants": {k: float(v) for k, v in self.constants.items()},
-            "explanation": self.explanation,
-        }
-
-
-@dataclass
-class CertificateReport:
-    """Ordered collection of certificate entries."""
-
-    entries: list = field(default_factory=list)
-
-    def add(self, entry: CertificateEntry) -> CertificateEntry:
-        if any(e.criterion == entry.criterion for e in self.entries):
-            raise ValidationError(f"duplicate criterion {entry.criterion!r}")
-        for key, value in entry.constants.items():
-            if not math.isfinite(float(value)):
-                raise ValidationError(f"non-finite constant {key!r} in {entry.criterion!r}")
-        self.entries.append(entry)
-        return entry
-
-    def entry(self, criterion: str) -> CertificateEntry:
-        for e in self.entries:
-            if e.criterion == criterion:
-                return e
-        raise KeyError(criterion)
-
-    def failed(self, requested=None) -> list:
-        ids = set(requested) if requested is not None else None
-        return [
-            e for e in self.entries
-            if e.status == FAIL and (ids is None or e.criterion in ids)
-        ]
-
-    def to_records(self) -> list:
-        return [e.as_record() for e in self.entries]
-
-    def to_text(self) -> str:
-        lines = []
-        for e in self.entries:
-            consts = " ".join(f"{k}={float(v)!r}" for k, v in e.constants.items())
-            line = f"[{e.criterion}] {e.status.upper()}"
-            if consts:
-                line += " " + consts
-            if e.explanation:
-                line += " :: " + e.explanation
-            lines.append(line)
-        return "\n".join(lines) + "\n"
 
 
 def _as_square(a) -> np.ndarray:
@@ -238,7 +188,8 @@ def continuity_bound(bundle: ConstantsBundle) -> float:
     np.fill_diagonal(m_mat, bundle.m_diag)
     omega0 = np.abs(np.array(bundle.omega))
     np.fill_diagonal(omega0, 0.0)
-    return spectral_norm(m_mat) + spectral_norm(omega0) * bundle.embedding_norm**2
+    # np.square: a huge embedding_norm overflows to inf, not OverflowError
+    return float(spectral_norm(m_mat) + spectral_norm(omega0) * np.square(bundle.embedding_norm))
 
 
 def accretivity_certificate(bundle: ConstantsBundle, diagonal_accretive: bool = True) -> CertificateEntry:
@@ -316,31 +267,32 @@ def stability_check(bundle: ConstantsBundle) -> CertificateEntry:
 DEFAULT_REQUESTED = ("gershgorin", "ellipticity", "stability")
 
 
-def run_all_certificates(bundle: ConstantsBundle, diagonal_accretive: bool = True) -> CertificateReport:
-    """Evaluate every scalar certificate on one bundle, in fixed order."""
-    report = CertificateReport()
-    report.add(gershgorin_check(bundle))
-    ell = report.add(ellipticity_certificate(bundle))
-    bound = continuity_bound(bundle)
-    report.add(
-        CertificateEntry(
-            criterion="continuity",
-            status=PASS,
-            constants={"bound": bound},
-            explanation="continuity constant of the full form",
-        )
-    )
-    report.add(accretivity_certificate(bundle, diagonal_accretive=diagonal_accretive))
-    angle = analyticity_angle(bundle)
-    report.add(
-        CertificateEntry(
-            criterion="analyticity_angle",
-            status=PASS if ell.passed else NOT_APPLICABLE,
-            constants={"angle_rad": angle, "bound": bound},
-            explanation="sector half-angle of the analytic semigroup"
-            if ell.passed
-            else "angle formula evaluated, but ellipticity did not certify",
-        )
-    )
-    report.add(stability_check(bundle))
-    return report
+def run_all_certificates(bundle: ConstantsBundle, diagonal_accretive: bool = True) -> list:
+    """Evaluate every scalar certificate on one bundle; the entries in fixed order.
+
+    Constants too large for floating point overflow without warnings, and
+    the first non-finite constant raises :class:`ValidationError`.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        ell = ellipticity_certificate(bundle)
+        bound = continuity_bound(bundle)
+        entries = [
+            gershgorin_check(bundle),
+            ell,
+            CertificateEntry("continuity", PASS, {"bound": bound}, "continuity constant of the full form"),
+            accretivity_certificate(bundle, diagonal_accretive=diagonal_accretive),
+            CertificateEntry(
+                "analyticity_angle",
+                PASS if ell.passed else NOT_APPLICABLE,
+                {"angle_rad": analyticity_angle(bundle), "bound": bound},
+                "sector half-angle of the analytic semigroup"
+                if ell.passed
+                else "angle formula evaluated, but ellipticity did not certify",
+            ),
+            stability_check(bundle),
+        ]
+    for e in entries:
+        for key, value in e.constants.items():
+            if not math.isfinite(value):
+                raise ValidationError(f"non-finite constant {key!r} in {e.criterion!r}")
+    return entries

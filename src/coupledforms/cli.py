@@ -20,18 +20,17 @@ import argparse
 import json
 import os
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 
 from . import certificates, models, qualitative, report
-from .certificates import ConstantsBundle, run_all_certificates
+from .certificates import FAIL, ConstantsBundle, run_all_certificates
 from .errors import ConfigError, SolverError, ValidationError
 from .evolution import EvolutionConfig, evolve
 from .forms import FormMatrix
 from .models import CoefficientField, Grid1D
 from .qualitative import CheckResult
-from .registry import CHECKS, REQUIRED, read_section, read_variant
+from .registry import CERTIFICATES, CHECKS, REQUIRED, Inputs, _mean_weights, read_section, read_variant
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -147,11 +146,6 @@ def _parse_projection(config: dict, form: FormMatrix):
     raise ConfigError(f"unknown projection kind {section['kind']!r}")
 
 
-def _mean_weights(form: FormMatrix) -> list:
-    # the integral functional of each component: its ambient Gram times the all-ones vector
-    return form.split(form.mass_csr @ np.ones(form.total_dim))
-
-
 def _build_initial(config: dict, form: FormMatrix, seed: int) -> list:
     section = read_section(config["initial"], INITIAL, "initial")
     kind = section["kind"]
@@ -179,19 +173,9 @@ def _build_initial(config: dict, form: FormMatrix, seed: int) -> list:
     raise ConfigError(f"unknown initial data kind {kind!r}")
 
 
-def _run_check(entry: dict, form: FormMatrix, coeffs, config: dict, seed: int) -> CheckResult:
-    check_id, params = read_variant(entry, {cid: check.keys for cid, check in CHECKS.items()}, "id", "checks entry")
-
-    def coefficients() -> CoefficientField:
-        if coeffs is None:
-            raise ConfigError(f"check {check_id!r} needs a coefficient-field model")
-        return coeffs
-
-    cfg = _parse_evolution(config) if "evolution" in config else None
-    ctx = SimpleNamespace(form=form, seed=seed, cfg=cfg, coefficients=coefficients)
-    ctx.projection = lambda: _parse_projection(config, form) or qualitative.averaging_projection(form.m)
-    ctx.mean_weights = lambda: _mean_weights(form)
-    return CHECKS[check_id].run(ctx, params)
+def _run_check(entry: dict, params: dict, inputs: Inputs) -> CheckResult:
+    """Run the check that the raw ``checks`` entry names, on ``params`` read from it."""
+    return CHECKS[entry["id"]].run(inputs, params)
 
 
 def _resolve_out(config: dict, args) -> str:
@@ -213,22 +197,19 @@ def _resolve_seed(config: dict, args) -> int:
 def cmd_certify(args) -> int:
     config = _load_config(args.config)
     constants = read_section(config.get("constants"), CONSTANTS, "constants")
+    requested = config["criteria"]
+    unknown = [c for c in requested if c not in CERTIFICATES]
+    if unknown:
+        raise ConfigError(f"unknown certificate criteria requested: {unknown}")
     m = len(constants["alpha"])
     omega = constants.get("omega", np.zeros((m, m)))
     m_diag = constants.get("m_diag", np.zeros(m))
-    rep = run_all_certificates(ConstantsBundle(constants["alpha"], omega, m_diag, constants["embedding_norm"]))
-    requested = config["criteria"]
-    known = {e.criterion for e in rep.entries}
-    unknown = [c for c in requested if c not in known]
-    if unknown:
-        raise ConfigError(f"unknown certificate criteria requested: {unknown}")
+    entries = run_all_certificates(ConstantsBundle(constants["alpha"], omega, m_diag, constants["embedding_norm"]))
     out = _resolve_out(config, args)
-    report.write_certificate_report(
-        rep, os.path.join(out, "certify.txt"), os.path.join(out, "certify.json")
-    )
+    report.write_certificate_report(entries, os.path.join(out, "certify.txt"), os.path.join(out, "certify.json"))
     if not args.quiet:
-        sys.stdout.write(rep.to_text())
-    return EXIT_FAIL if rep.failed(requested) else EXIT_OK
+        sys.stdout.write(report.certificates_to_text(entries))
+    return EXIT_FAIL if any(e.status == FAIL and e.criterion in requested for e in entries) else EXIT_OK
 
 
 def cmd_simulate(args) -> int:
@@ -249,12 +230,18 @@ def cmd_simulate(args) -> int:
 
 def cmd_check(args) -> int:
     config = _load_config(args.config)
-    form, coeffs = _parse_model(config)
     seed = _resolve_seed(config, args)
     if not config.get("checks"):
         raise ConfigError("check needs a non-empty 'checks' list")
+    # every section a check reads is read here, so bad input exits 2 before any check runs
+    keys = {cid: check.keys for cid, check in CHECKS.items()}
+    params = [read_variant(entry, keys, "id", "checks entry")[1] for entry in config["checks"]]
+    cfg = _parse_evolution(config) if "evolution" in config else None
+    form, coeffs = _parse_model(config)
+    proj = _parse_projection(config, form) or qualitative.averaging_projection(form.m)
+    inputs = Inputs(form, coeffs, cfg, proj, seed)
     out = _resolve_out(config, args)
-    results = [_run_check(entry, form, coeffs, config, seed) for entry in config["checks"]]
+    results = [_run_check(entry, p, inputs) for entry, p in zip(config["checks"], params)]
     witness_files = {}
     for res in results:
         if res.witness is not None:

@@ -93,6 +93,29 @@ class TrajectoryRecord:
         return TrajectoryRecord(self.times, observables, self.n_components, final_state)
 
 
+@dataclass(frozen=True)
+class ProjectionSpec:
+    """Orthogonal projection on the component index space.
+
+    ``eig1`` holds an orthonormal basis of the fixed space (eigenvalue
+    1) as columns, ``eig0`` one of the kernel (eigenvalue 0).  Build it
+    with :func:`coupledforms.qualitative.make_projection`, which checks
+    that the matrix is one.
+    """
+
+    matrix: np.ndarray
+    eig1: np.ndarray
+    eig0: np.ndarray
+
+    @property
+    def m(self) -> int:
+        return self.matrix.shape[0]
+
+    @property
+    def rank(self) -> int:
+        return self.eig1.shape[1]
+
+
 class Stepper:
     """One factorized time-step operator for a fixed form and config.
 
@@ -216,7 +239,7 @@ def _observables(form: FormMatrix, u: np.ndarray, lifted) -> np.ndarray:
     return np.vstack([totals[:1], u.real.min(axis=0), np.abs(u).max(axis=0), norms[:, :k], totals[1:]])
 
 
-def evolve(form: FormMatrix, u0, cfg: EvolutionConfig, proj=None) -> TrajectoryRecord:
+def evolve(form: FormMatrix, u0, cfg: EvolutionConfig, proj: ProjectionSpec | None = None) -> TrajectoryRecord:
     """Run the configured scheme from ``u0`` and record observables.
 
     Of the states at step 0 and every recorded step, only the last is kept.
@@ -224,9 +247,9 @@ def evolve(form: FormMatrix, u0, cfg: EvolutionConfig, proj=None) -> TrajectoryR
     ``(dim_i, k)`` blocks for k independent trials stepped together
     with one factorization; see :meth:`TrajectoryRecord.trial`.
 
-    When ``proj`` (an object with an m-by-m ``matrix`` attribute, or the
-    matrix itself) is given, all component spaces must be identical and
-    the strip observables ``strip_distance = |u - Pu|`` and
+    When ``proj``, a :class:`ProjectionSpec` (anything else raises
+    :class:`ValidationError`), is given, all component spaces must be
+    identical and the strip observables ``strip_distance = |u - Pu|`` and
     ``projection_norm = |Pu|`` are recorded for the lifted projection.
     """
     u = _start(form, u0)
@@ -234,12 +257,13 @@ def evolve(form: FormMatrix, u0, cfg: EvolutionConfig, proj=None) -> TrajectoryR
         raise ValidationError("initial data contains non-finite entries")
     lifted = None
     if proj is not None:
+        if not isinstance(proj, ProjectionSpec):
+            raise ValidationError(f"proj must be a ProjectionSpec from make_projection, got {type(proj).__name__}")
         if not form.identical_spaces:
             raise ValidationError("a lifted projection requires all component spaces to be identical")
-        k_mat = np.asarray(getattr(proj, "matrix", proj))
-        if k_mat.shape != (form.m, form.m):
+        if proj.m != form.m:
             raise DimensionError(f"projection matrix must be {form.m}x{form.m}")
-        lifted = _lift(k_mat, form.spaces[0].dim)
+        lifted = _lift(proj.matrix, form.spaces[0].dim)
 
     names = ["h_norm", "min_value", "sup_norm"] + [f"comp_norm_{i + 1}" for i in range(form.m)]
     if lifted is not None:

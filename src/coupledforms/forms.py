@@ -38,7 +38,7 @@ HERMITIAN_RTOL = 1e-12
 # relative to the larger magnitude of the first bracket (which bounds
 # the eigenvalue).
 SPECTRAL_RTOL = 1e-12
-# Default slack of the accretivity test, relative to the form's 2-norm,
+# Slack of the accretivity test, relative to the form's 2-norm,
 # and the relative width of the bracket that norm is taken from.
 ACCRETIVITY_RTOL = 1e-10
 ACCRETIVITY_SCALE_RTOL = 1e-3
@@ -87,22 +87,23 @@ def _close(a, b, tol: float) -> bool:
     return excess.nnz == 0 or float(excess.data.max()) <= tol
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteSpace:
     """Galerkin space given by its ambient and domain Gram matrices.
 
     ``h_gram`` is the ambient (state-space) inner product, ``v_gram``
     the form-domain inner product; both must be Hermitian positive
     definite of size ``dim``.  They are stored dense; ``h_csr`` and
-    ``v_csr``, their CSR forms, are kept from the validation.
+    ``v_csr``, their CSR forms, are kept from the validation.  ``==``
+    and ``hash`` go by identity; :meth:`same_geometry` compares values.
     """
 
     dim: int
     h_gram: np.ndarray
     v_gram: np.ndarray
     label: str = ""
-    h_csr: scipy.sparse.csr_array = field(init=False, repr=False, compare=False)
-    v_csr: scipy.sparse.csr_array = field(init=False, repr=False, compare=False)
+    h_csr: scipy.sparse.csr_array = field(init=False, repr=False)
+    v_csr: scipy.sparse.csr_array = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -232,8 +233,10 @@ class FormMatrix:
 
     @cached_property
     def accretive(self) -> bool:
-        """Verdict of :func:`is_discretely_accretive` at the default tolerance."""
-        return _accretive(self, ACCRETIVITY_RTOL)
+        """Verdict of :func:`is_discretely_accretive`, computed once per form."""
+        # one factor: herm(S) + tau*I is positive definite, tau = ACCRETIVITY_RTOL*scale
+        tau = ACCRETIVITY_RTOL * self.accretivity_scale
+        return _Pencil(_hermitian_part(self.form_csr), _diagonal(np.ones(self.total_dim))).definite(-tau)
 
     def adjoint(self) -> "FormMatrix":
         """Form with blocks ``S*_ij = S_ji^H`` (the adjoint form)."""
@@ -566,22 +569,14 @@ def accretivity_margin(form: FormMatrix) -> float:
     return _midpoint(_lambda_min(_hermitian_part(form.form_csr), _diagonal(np.ones(form.total_dim))))
 
 
-def _accretive(form: FormMatrix, rtol: float) -> bool:
-    # one factor: herm(S) + tau*I is positive definite, tau = rtol*scale
-    tau = rtol * form.accretivity_scale
-    return _Pencil(_hermitian_part(form.form_csr), _diagonal(np.ones(form.total_dim))).definite(-tau)
-
-
-def is_discretely_accretive(form: FormMatrix, rtol: float = ACCRETIVITY_RTOL) -> bool:
-    """The Hermitian part of the assembled form exceeds ``-rtol*scale``.
+def is_discretely_accretive(form: FormMatrix) -> bool:
+    """The Hermitian part of the assembled form exceeds ``-ACCRETIVITY_RTOL*scale``.
 
     ``scale`` is :attr:`FormMatrix.accretivity_scale`, a certified lower
     bound of ``|S|_2``, so the test is never looser than one against the
-    exact norm.  The verdict at the default ``rtol`` is cached on the form.
+    exact norm.  The verdict is cached on the form.
     """
-    if rtol == ACCRETIVITY_RTOL:
-        return form.accretive
-    return _accretive(form, rtol)
+    return form.accretive
 
 
 def associated_operator(form: FormMatrix) -> np.ndarray:

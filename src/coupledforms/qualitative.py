@@ -25,7 +25,7 @@ import scipy.sparse.linalg
 
 from .certificates import FAIL, NOT_APPLICABLE, PASS, spectral_norm
 from .errors import DimensionError, ValidationError
-from .evolution import EvolutionConfig, TrajectoryRecord, _lift, _start, _states, evolve, h_norm
+from .evolution import EvolutionConfig, ProjectionSpec, TrajectoryRecord, _lift, _start, _states, evolve, h_norm
 from .forms import (
     FormMatrix,
     _BandLU,
@@ -73,27 +73,6 @@ class CheckResult:
 
 # ---------------------------------------------------------------------------
 # projections
-
-
-@dataclass(frozen=True)
-class ProjectionSpec:
-    """Orthogonal projection on the component index space.
-
-    ``eig1`` holds an orthonormal basis of the fixed space (eigenvalue
-    1) as columns, ``eig0`` one of the kernel (eigenvalue 0).
-    """
-
-    matrix: np.ndarray
-    eig1: np.ndarray
-    eig0: np.ndarray
-
-    @property
-    def m(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def rank(self) -> int:
-        return self.eig1.shape[1]
 
 
 def make_projection(k) -> ProjectionSpec:
@@ -580,8 +559,8 @@ def parabola_check(form: FormMatrix, m_tilde: float | None = None) -> CheckResul
         if "parabola_constant" not in form.metadata:
             raise ValidationError("parabola check needs 'm_tilde' or a model that reports one")
         m_tilde = float(form.metadata["parabola_constant"])
-    if m_tilde < 0:
-        raise ValidationError("m_tilde must be >= 0")
+    if not m_tilde >= 0:
+        raise ValidationError(f"m_tilde must be >= 0, got {m_tilde!r}")
     details: dict = {"m_tilde": m_tilde}
     skew = _skew_part(form.form_csr)
     if not np.any(skew.data):

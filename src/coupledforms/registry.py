@@ -1,16 +1,19 @@
 """Registry of criterion identifiers, the check table and the config reader.
 
 Every report line that states a verdict carries one of these ids.
+``CERTIFICATES`` holds the ids a ``certify`` config may request.
 ``CHECKS`` is the one table of the qualitative checks: each id's
 description, the keys a config ``checks`` entry may give it, and its
-runner.  :func:`read_section` reads every config object against such a
-key spec.
+runner, which gets the run's :data:`Inputs` as values.
+:func:`read_section` reads every config object against such a key spec.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+
+import numpy as np
 
 from . import qualitative
 from .errors import ConfigError
@@ -92,19 +95,33 @@ def read_variant(section, variants: dict, tag: str, where: str) -> tuple:
     return name, read_section(section, variants[name], f"{where} {name!r}", known)
 
 
-# ``run(ctx, params)`` gets the keys a ``checks`` entry gave, read
-# against ``keys``, and a context with ``form``, ``seed``, ``cfg`` (the
-# evolution config or None), ``coefficients()`` and ``projection()``,
-# which read their config sections when called, and ``mean_weights()``.  A
-# key that names a library parameter has default None, so an entry that
-# leaves it out gets the library's default.
+# ``run(inputs, params)`` gets the keys a ``checks`` entry gave, read
+# against ``keys``, and the :data:`Inputs` of the run, all read from the
+# config before the first check runs.  A key that names a library
+# parameter has default None, so an entry that leaves it out gets the
+# library's default.
 Check = namedtuple("Check", "description keys run")
 
+# the form, its coefficient field (None unless the model has one), the
+# evolution config (or None), the projection and the seed
+Inputs = namedtuple("Inputs", "form coeffs cfg proj seed")
 
-def _product_subspace(ctx, params: dict) -> CheckResult:
+
+def _mean_weights(form) -> list:
+    # the integral functional of each component: its ambient Gram times the all-ones vector
+    return form.split(form.mass_csr @ np.ones(form.total_dim))
+
+
+def _product_subspace(inputs: Inputs, params: dict) -> CheckResult:
     if params["subspace"] != "mean_zero":
         raise ConfigError("only the mean_zero product subspace is configurable")
-    return qualitative.product_subspace_check(ctx.form, ctx.mean_weights())
+    return qualitative.product_subspace_check(inputs.form, _mean_weights(inputs.form))
+
+
+def _coefficients(inputs: Inputs, check_id: str):
+    if inputs.coeffs is None:
+        raise ConfigError(f"check {check_id!r} needs a coefficient-field model")
+    return inputs.coeffs
 
 
 CERTIFICATES = {
@@ -121,58 +138,58 @@ CHECKS = {
     "sector": Check(
         "numerical range lies inside the sector (exact constants)",
         {"alpha": ("float", None), "shift": ("float", None), "bound": ("float", None)},
-        lambda ctx, p: qualitative.sector_check(ctx.form, **p),
+        lambda inp, p: qualitative.sector_check(inp.form, **p),
     ),
     "parabola": Check(
         "imaginary parts obey the mixed-norm parabola bound (exact)",
         {"m_tilde": ("float", None)},
-        lambda ctx, p: qualitative.parabola_check(ctx.form, **p),
+        lambda inp, p: qualitative.parabola_check(inp.form, **p),
     ),
     # invariance and order checks
     "subspace_C": Check(
         "strip around a projected subspace is invariant (coupling residual, trial side)", {},
-        lambda ctx, p: qualitative.subspace_invariance_check(ctx.form, ctx.projection(), "strip_C"),
+        lambda inp, p: qualitative.subspace_invariance_check(inp.form, inp.proj, "strip_C"),
     ),
     "subspace_B": Check(
         "ball around a projected subspace is invariant (coupling residual, test side)", {},
-        lambda ctx, p: qualitative.subspace_invariance_check(ctx.form, ctx.projection(), "strip_B"),
+        lambda inp, p: qualitative.subspace_invariance_check(inp.form, inp.proj, "strip_B"),
     ),
     "product_subspace": Check(
         "componentwise product subspace is invariant", {"subspace": ("str", "mean_zero")}, _product_subspace
     ),
     "subsystem": Check(
         "leading subsystem evolves autonomously (lower coupling blocks vanish)", {"m0": ("int", REQUIRED)},
-        lambda ctx, p: qualitative.subsystem_invariance_check(ctx.form, **p),
+        lambda inp, p: qualitative.subsystem_invariance_check(inp.form, **p),
     ),
     "row_sums": Check(
         "coefficient row sums are constant across components, cell by cell", {},
-        lambda ctx, p: qualitative.ephaptic_sum_check(ctx.coefficients(), "rows"),
+        lambda inp, p: qualitative.ephaptic_sum_check(_coefficients(inp, "row_sums"), "rows"),
     ),
     "column_sums": Check(
         "coefficient column sums are constant across components, cell by cell", {},
-        lambda ctx, p: qualitative.ephaptic_sum_check(ctx.coefficients(), "columns"),
+        lambda inp, p: qualitative.ephaptic_sum_check(_coefficients(inp, "column_sums"), "columns"),
     ),
     "realness": Check(
-        "all form blocks are real, so real data stay real", {}, lambda ctx, p: qualitative.realness_check(ctx.form)
+        "all form blocks are real, so real data stay real", {}, lambda inp, p: qualitative.realness_check(inp.form)
     ),
     "positivity": Check(
         "nonnegative data stay nonnegative (sign test on couplings plus runtime trials)",
         {"trials": ("int", None), "runtime": ("bool", None)},
-        lambda ctx, p: qualitative.positivity_check(ctx.form, cfg=ctx.cfg, seed=ctx.seed, **p),
+        lambda inp, p: qualitative.positivity_check(inp.form, cfg=inp.cfg, seed=inp.seed, **p),
     ),
     "domination": Check(
         "full evolution dominates the decoupled diagonal evolution on moduli", {"trials": ("int", None)},
-        lambda ctx, p: qualitative.domination_check(ctx.form, cfg=ctx.cfg, seed=ctx.seed, **p),
+        lambda inp, p: qualitative.domination_check(inp.form, cfg=inp.cfg, seed=inp.seed, **p),
     ),
     "linf": Check(
         "unit sup-norm ball stays invariant under the evolution", {"trials": ("int", None)},
-        lambda ctx, p: qualitative.linf_contractivity_check(ctx.form, cfg=ctx.cfg, seed=ctx.seed, **p),
+        lambda inp, p: qualitative.linf_contractivity_check(inp.form, cfg=inp.cfg, seed=inp.seed, **p),
     ),
     "strip_runtime": Check(
         "runtime strip invariance at prescribed distances from the projected subspace",
         {"alpha_levels": ("floats", None), "trials": ("int", None)},
-        lambda ctx, p: qualitative.strip_invariance_runtime(
-            ctx.form, ctx.projection(), cfg=ctx.cfg, seed=ctx.seed, **p
+        lambda inp, p: qualitative.strip_invariance_runtime(
+            inp.form, inp.proj, cfg=inp.cfg, seed=inp.seed, **p
         ),
     ),
 }

@@ -1,5 +1,7 @@
 """Serialization of reports, trajectories and witnesses.
 
+The text and JSON forms of both verdict reports live here: the
+certificate entries of ``certify`` and the check results of ``check``.
 All files are written atomically (temp file in the target directory,
 then rename) and floats use the shortest round-trip decimal form, so a
 repeated run with the same config and seed produces byte-identical
@@ -11,10 +13,10 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from dataclasses import asdict
 
 import numpy as np
 
-from .certificates import CertificateReport
 from .evolution import TrajectoryRecord
 from .registry import CRITERIA
 
@@ -64,9 +66,23 @@ def write_trajectory_csv(record: TrajectoryRecord, path: str) -> None:
     _atomic_write(path, trajectory_to_csv(record))
 
 
-def write_certificate_report(report: CertificateReport, txt_path: str, json_path: str) -> None:
-    _atomic_write(txt_path, report.to_text())
-    payload = {"schema_version": 1, "entries": report.to_records()}
+def certificates_to_text(entries) -> str:
+    """One line per certificate entry: id, status, constants, explanation."""
+    lines = []
+    for e in entries:
+        line = f"[{e.criterion}] {e.status.upper()}"
+        if e.constants:
+            line += " " + " ".join(f"{k}={_fmt(v)}" for k, v in e.constants.items())
+        if e.explanation:
+            line += " :: " + e.explanation
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+def write_certificate_report(entries, txt_path: str, json_path: str) -> None:
+    _atomic_write(txt_path, certificates_to_text(entries))
+    records = [{**asdict(e), "constants": {k: float(v) for k, v in e.constants.items()}} for e in entries]
+    payload = {"schema_version": 1, "entries": records}
     _atomic_write(json_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -82,6 +83,24 @@ class TestCertify:
             {"schema_version": 1, "constants": {"alpha": [[1]]}, "criteria": ["nope"]},
         )
         assert main(["certify", cfg]) == 2
+
+
+    @pytest.mark.parametrize(
+        "constants, message",
+        [
+            ({"alpha": [[2, -1], [-1, 2]], "embedding_norm": 1e200}, "non-finite constant 'bound' in 'continuity'"),
+            ({"alpha": [[1e308, -1e308], [-1e308, 1e308]]}, "non-finite constant 'margin_0' in 'gershgorin'"),
+        ],
+        ids=["embedding-norm", "alpha"],
+    )
+    def test_overflow_exit_two_with_one_line(self, tmp_path, capsys, constants, message):
+        cfg = write_config(tmp_path / "c.json", {"schema_version": 1, "constants": constants})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would print a second line
+            assert main(["certify", cfg, "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"validation error: {message}\n"
+        assert captured.out == "" and not (tmp_path / "out").exists()
 
 
 class TestSimulate:
@@ -405,6 +424,38 @@ class TestCheck:
         err = capsys.readouterr().err
         assert err == "validation error: parabola check needs 'm_tilde' or a model that reports one\n"
         assert list(out.glob("checks.*")) == []
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"projection": {"kind": "bogus"}}, "config error: unknown projection kind 'bogus'\n"),
+            ({"projection": {"matrix": [[1, 0], [0, 0.5]]}}, "validation error: not an orthogonal projection: "),
+            ({"checks": [{"id": "realness"}, {"id": "linf", "trails": 2}]}, "config error: unknown key 'trails' in checks entry\n"),
+            ({"checks": [{"id": "realness"}, {"id": "mystery"}]}, "config error: unknown id 'mystery' in checks entry\n"),
+        ],
+        ids=["projection-kind", "projection-matrix", "key-typo", "id-typo"],
+    )
+    def test_bad_input_exits_two_before_any_check_runs(self, tmp_path, capsys, monkeypatch, overrides, message):
+        ran = []
+        run_check = cli._run_check
+        monkeypatch.setattr(cli, "_run_check", lambda entry, *rest: ran.append(entry["id"]) or run_check(entry, *rest))
+        out = tmp_path / "out"
+        config = {
+            "schema_version": 1,
+            "output": str(out),
+            "model": {"name": "ephaptic", "pattern": {"kind": "difference"}},
+            "grid": {"n_cells": 8},
+            "checks": [{"id": "realness"}],
+            **overrides,
+        }
+        assert main(["check", write_config(tmp_path / "c.json", config), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
+        assert ran == [] and not out.exists()
+        # the same config with the bad part taken out runs its checks
+        config.update(checks=[{"id": "realness"}], projection={"kind": "averaging"})
+        assert main(["check", write_config(tmp_path / "c.json", config), "--quiet"]) == 0
+        assert ran == ["realness"]
 
     def test_rank_zero_projection_strip_runtime(self, tmp_path):
         out = tmp_path / "out"

@@ -246,6 +246,13 @@ class TestEvolve:
         with pytest.raises(ValidationError, match="identical"):
             evolve(form, u0, EvolutionConfig(dt=0.1, t_end=0.2), proj=averaging_projection(2))
 
+    @pytest.mark.parametrize("proj", [[[1, 0], [0, 0.5]], np.full((2, 2), 0.5)], ids=["not-a-projection", "raw-matrix"])
+    def test_projection_must_be_a_validated_spec(self, proj):
+        # make_projection rejects the first (idempotency residual 0.25) and accepts the second
+        form = build_ephaptic(Grid1D(8), CoefficientField.constant(two_fibre_coupling("difference", 2.0, 0.5), 8))
+        with pytest.raises(ValidationError, match="ProjectionSpec"):
+            evolve(form, [np.ones(9), np.zeros(9)], EvolutionConfig(dt=0.1, t_end=0.2), proj=proj)
+
     def test_non_finite_initial_data_rejected(self):
         form = build_constant_coupled(Grid1D(4), np.eye(1))
         bad = [np.full(5, np.nan)]

@@ -24,6 +24,7 @@ from coupledforms import (
     sector_check,
 )
 from coupledforms.certificates import FAIL, NOT_APPLICABLE, PASS
+from coupledforms.errors import ValidationError
 from coupledforms.qualitative import RANGE_CHECK_RTOL
 
 RING = [[2.0, -0.5, 0.0, -0.5], [-0.5, 2.0, -0.5, 0.0], [0.0, -0.5, 2.0, -0.5], [-0.5, 0.0, -0.5, 2.0]]
@@ -186,3 +187,9 @@ class TestParabola:
         res = parabola_check(build_damped_wave(Grid1D(16), 1.0), 0.5)
         assert res.status == NOT_APPLICABLE
         assert res.details["reason"] == "undecided within round-off"
+
+    def test_nan_constant_rejected_and_infinite_passes(self):
+        form = build_damped_wave(Grid1D(16), 1.0)
+        with pytest.raises(ValidationError, match="m_tilde must be >= 0"):
+            parabola_check(form, float("nan"))
+        assert parabola_check(form, float("inf")).status == PASS
