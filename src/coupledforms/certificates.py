@@ -103,9 +103,9 @@ def _as_square(a) -> np.ndarray:
 
 
 def symmetric_part(a) -> np.ndarray:
-    """Return (A + A^T)/2."""
+    """Return (A + A^T)/2, formed as A/2 + A^T/2 so that entries near the float limit do not overflow."""
     a = _as_square(a)
-    return (a + a.T) / 2.0
+    return a / 2.0 + a.T / 2.0
 
 
 def min_symmetric_eigenvalue(a) -> float:
@@ -140,10 +140,11 @@ def gershgorin_check(bundle: ConstantsBundle) -> CertificateEntry:
     eigenvalues of the symmetric part in the open right half plane.
     """
     a = bundle.alpha
+    s = symmetric_part(a)
     m = bundle.m
     margins = np.empty(m)
     for i in range(m):
-        radius = sum(abs(a[i, k] + a[k, i]) / 2.0 for k in range(m) if k != i)
+        radius = sum(abs(s[i, k]) for k in range(m) if k != i)
         margins[i] = a[i, i] - radius
     ok = bool((margins > 0).all())
     constants = {f"margin_{i}": margins[i] for i in range(m)}

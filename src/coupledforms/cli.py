@@ -30,7 +30,7 @@ from .evolution import EvolutionConfig, evolve
 from .forms import FormMatrix
 from .models import CoefficientField, Grid1D
 from .qualitative import CheckResult
-from .registry import CERTIFICATES, CHECKS, REQUIRED, Inputs, _mean_weights, read_section, read_variant
+from .registry import CERTIFICATES, CHECKS, REQUIRED, Inputs, _mean_weights, judge, read_section, read_variant
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -240,6 +240,8 @@ def cmd_check(args) -> int:
     form, coeffs = _parse_model(config)
     proj = _parse_projection(config, form) or qualitative.averaging_projection(form.m)
     inputs = Inputs(form, coeffs, cfg, proj, seed)
+    for entry, p in zip(config["checks"], params):
+        judge(entry["id"], p, inputs)
     out = _resolve_out(config, args)
     results = [_run_check(entry, p, inputs) for entry, p in zip(config["checks"], params)]
     witness_files = {}

@@ -16,12 +16,15 @@ formed from the form's assembled CSR operators (``FormMatrix.form_csr``
 and ``mass_csr``).  In reverse Cuthill--McKee order their half-bandwidth
 is a few entries, so the system is factored by banded LU with partial
 pivoting (LAPACK ``?gbtrf``) and a step, for every trial column at once,
-is one ``?gbtrs`` solve: time linear in the unknown count.  Recorded
-norms take one ``mass_csr`` product per state.
+is one ``?gbtrs`` solve: time linear in the unknown count.
 
-One generator, ``_states``, owns the stepping loop; a run keeps its
-observables and its last state, and ``domination`` walks two generators
-in step instead of storing states.
+One generator, ``_states``, owns the stepping loop.  Only the solve runs
+once per step: the generator fills a block of up to ``BLOCK_BYTES`` of
+states, checks the solve residual of every step in it with one product,
+and yields the block's recorded states.  Recorded norms take one
+``mass_csr`` product per block.  A run keeps its observables and its
+last state, and ``domination`` walks two generators block by block
+instead of storing states.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ from .errors import DimensionError, NumericalError, SolverError, ValidationError
 from .forms import FormMatrix, _BandLU
 
 SCHEMES = ("implicit-euler", "crank-nicolson")
+#: Bytes of states in one block of steps, which is checked and recorded at once.
+BLOCK_BYTES = 256 * 2**10
 
 
 @dataclass(frozen=True)
@@ -125,7 +130,7 @@ class Stepper:
     order (:class:`coupledforms.forms._BandLU`), whatever the form:
     Hermitian or not, real or complex.  Construction raises
     :class:`SolverError` when the factorization fails or its smallest
-    pivot is below ``1e-14 * |lhs|_inf``; :meth:`step` raises it when a
+    pivot is below ``1e-14 * |lhs|_inf``; :meth:`check` raises it when a
     column's solve residual ``|lhs u+ - rhs u|`` exceeds
     ``solver_tolerance * max(1, |rhs u|)``.
     """
@@ -155,18 +160,31 @@ class Stepper:
                 f"(pivot ratio {diag.min() / scale:.3e})"
             )
 
-    def step(self, u: np.ndarray, step_index: int = 0) -> np.ndarray:
-        """Advance a state vector, or each column of a ``(N, k)`` block."""
+    def step(self, u: np.ndarray) -> tuple:
+        """Advance a state vector, or each column of a ``(N, k)`` block, unchecked.
+
+        Returns ``(u+, rhs u)``; :meth:`check` judges the solve.
+        """
         rhs = self._rhs @ u
-        u_next = self._lu.solve(rhs)
-        residual = np.linalg.norm(self._lhs @ u_next - rhs, axis=0)
-        bound = self.cfg.solver_tolerance * np.maximum(1.0, np.linalg.norm(rhs, axis=0))
-        if not np.all(residual <= bound):
+        return self._lu.solve(rhs), rhs
+
+    def check(self, states: np.ndarray, rhs: np.ndarray, steps: np.ndarray) -> None:
+        """Check the solves of an ``(N, b, k)`` block: the states after ``steps`` and their ``rhs u``.
+
+        One product covers the block; the error names the first step
+        with a column over its bound.
+        """
+        n = states.shape[0]
+        rhs = rhs.reshape(n, -1)
+        residual = np.linalg.norm(self._lhs @ states.reshape(n, -1) - rhs, axis=0).reshape(len(steps), -1)
+        bound = self.cfg.solver_tolerance * np.maximum(1.0, np.linalg.norm(rhs, axis=0)).reshape(len(steps), -1)
+        failed = ~(residual <= bound).all(axis=1)
+        if failed.any():
+            j = int(np.argmax(failed))
             raise SolverError(
-                f"{self.cfg.scheme} solve lost accuracy at step {step_index} "
-                f"(dt={self.cfg.dt}, residual {np.max(residual):.3e})"
+                f"{self.cfg.scheme} solve lost accuracy at step {steps[j]} "
+                f"(dt={self.cfg.dt}, residual {np.max(residual[j]):.3e})"
             )
-        return u_next
 
 
 def _stepper(form: FormMatrix, cfg: EvolutionConfig) -> Stepper:
@@ -184,13 +202,29 @@ def _start(form: FormMatrix, u0) -> np.ndarray:
 
 
 def _states(form: FormMatrix, u: np.ndarray, cfg: EvolutionConfig):
-    """Yield ``(k, u)`` at step 0 and every recorded step from flat ``u``; no step overwrites a yielded ``u``."""
+    """Yield ``(steps, states)`` blocks from flat ``u``: recorded step indices and an ``(N, len(steps), k)`` array.
+
+    Step 0 is a block of its own.  After it, each block of steps fills
+    at most ``BLOCK_BYTES`` of states and the solves of all of them are
+    checked before its recorded states, if any, are yielded.  No step
+    overwrites a yielded block.
+    """
     stepper = _stepper(form, cfg)
-    yield 0, u
-    for k in range(1, cfg.n_steps + 1):
-        u = stepper.step(u, step_index=k)
-        if k % cfg.record_every == 0 or k == cfg.n_steps:
-            yield k, u
+    u = u.reshape(u.shape[0], -1)
+    yield np.zeros(1, dtype=int), u[:, None]
+    last = cfg.n_steps
+    width = max(1, BLOCK_BYTES // u.nbytes)
+    for first in range(1, last + 1, width):
+        steps = np.arange(first, min(first + width, last + 1))
+        states = np.empty((u.shape[0], steps.size, u.shape[1]), u.dtype)
+        rhs = np.empty_like(states)
+        for j in range(steps.size):
+            u, rhs[:, j] = stepper.step(u)
+            states[:, j] = u
+        stepper.check(states, rhs, steps)
+        kept = (steps % cfg.record_every == 0) | (steps == last)
+        if kept.any():
+            yield steps[kept], states if kept.all() else states[:, kept]
 
 
 def _squared_norms(form: FormMatrix, u: np.ndarray) -> np.ndarray:
@@ -219,30 +253,31 @@ def _lift(vectors: np.ndarray, n: int) -> scipy.sparse.csr_matrix:
     return scipy.sparse.kron(vectors, scipy.sparse.identity(n), format="csr")
 
 
-def _observables(form: FormMatrix, u: np.ndarray, lifted) -> np.ndarray:
-    """The recorded observables of a ``(N, k)`` state, one row of k values each, in :func:`evolve`'s order.
+def _observables(form: FormMatrix, states: np.ndarray, lifted) -> np.ndarray:
+    """The recorded observables of an ``(N, b, k)`` block of states, ``(names, b, k)`` in :func:`evolve`'s order.
 
-    One ``mass_csr`` product covers the state and, with a projection,
+    One ``mass_csr`` product covers the block and, with a projection,
     the columns ``u - Pu`` and ``Pu``: the distance comes from ``u - Pu``
     itself, since ``|u|^2 - |Pu|^2`` loses half the digits of a distance
     near zero.
     """
-    k = u.shape[1]
+    n, b, k = states.shape
+    u = states.reshape(n, b * k)
     if lifted is not None:
         pu = lifted @ u
-        u_all = np.concatenate([u, u - pu, pu], axis=1)
-    else:
-        u_all = u
-    squares = _squared_norms(form, u_all)
-    norms = _norm(squares)
-    totals = _norm(squares.sum(axis=0)).reshape(-1, k)
-    return np.vstack([totals[:1], u.real.min(axis=0), np.abs(u).max(axis=0), norms[:, :k], totals[1:]])
+        u = np.concatenate([u, u - pu, pu], axis=1)
+    squares = _squared_norms(form, u)
+    norms = _norm(squares[:, : b * k]).reshape(-1, b, k)
+    totals = _norm(squares.sum(axis=0)).reshape(-1, b, k)
+    extremes = np.stack([states.real.min(axis=0), np.abs(states).max(axis=0)])
+    return np.concatenate([totals[:1], extremes, norms, totals[1:]])
 
 
 def evolve(form: FormMatrix, u0, cfg: EvolutionConfig, proj: ProjectionSpec | None = None) -> TrajectoryRecord:
     """Run the configured scheme from ``u0`` and record observables.
 
-    Of the states at step 0 and every recorded step, only the last is kept.
+    States are stepped, checked and recorded a block at a time; of them
+    only the last is kept.
     Components of ``u0`` are vectors ``(dim_i,)`` for one run or
     ``(dim_i, k)`` blocks for k independent trials stepped together
     with one factorization; see :meth:`TrajectoryRecord.trial`.
@@ -268,17 +303,18 @@ def evolve(form: FormMatrix, u0, cfg: EvolutionConfig, proj: ProjectionSpec | No
     names = ["h_norm", "min_value", "sup_norm"] + [f"comp_norm_{i + 1}" for i in range(form.m)]
     if lifted is not None:
         names += ["strip_distance", "projection_norm"]
-    times, rows = [], []
-    for k, u in _states(form, u, cfg):
-        times.append(k * cfg.dt)
-        rows.append(_observables(form, u.reshape(u.shape[0], -1), lifted))
-    # rows[r] holds one row of trial values per name, in the order of names
-    values = np.array(rows)
+    steps, values = [], []
+    for block_steps, states in _states(form, u, cfg):
+        steps.append(block_steps)
+        values.append(_observables(form, states, lifted))
+    # values[i] holds the (times, k) values of names[i]
+    values = np.concatenate(values, axis=1)
     if u.ndim == 1:
         values = values[:, :, 0]
-    observables = {name: values[:, i].copy() for i, name in enumerate(names)}
+    observables = dict(zip(names, values))
     for name, vals in observables.items():
         if not np.isfinite(vals).all():
             raise SolverError(f"observable {name!r} became non-finite during the run")
-    return TrajectoryRecord(np.array(times), observables, form.m, form.split(u))
+    final_state = states[:, -1].reshape(u.shape).copy()
+    return TrajectoryRecord(np.concatenate(steps) * cfg.dt, observables, form.m, form.split(final_state))
 

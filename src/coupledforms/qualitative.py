@@ -122,6 +122,27 @@ def _require_positive(name: str, value: int) -> None:
         raise ValidationError(f"{name} must be >= 1, got {value}")
 
 
+def _require_leading(m: int, m0: int) -> None:
+    if not 2 <= m0 <= m - 1:
+        raise ValidationError(f"m0 must lie in [2, {m - 1}], got {m0}")
+
+
+def _require_levels(alpha_levels: list) -> None:
+    if not alpha_levels or min(alpha_levels) < 0:
+        raise ValidationError("strip distances must be a non-empty list of values >= 0")
+
+
+def _parabola_constant(form: FormMatrix, m_tilde: float | None) -> float:
+    """``m_tilde``, or the model's ``parabola_constant`` when it is None."""
+    if m_tilde is None:
+        if "parabola_constant" not in form.metadata:
+            raise ValidationError("parabola check needs 'm_tilde' or a model that reports one")
+        m_tilde = float(form.metadata["parabola_constant"])
+    if not m_tilde >= 0:
+        raise ValidationError(f"m_tilde must be >= 0, got {m_tilde!r}")
+    return m_tilde
+
+
 def _stack_trials(trials: list) -> list:
     """Per-trial block vectors as one block of ``(dim_i, k)`` trial columns."""
     return [np.stack(components, axis=1) for components in zip(*trials)]
@@ -230,8 +251,7 @@ def subsystem_invariance_check(form: FormMatrix, m0: int) -> CheckResult:
     trailing ones vanishes, so trailing components started at zero stay
     at zero.
     """
-    if not 2 <= m0 <= form.m - 1:
-        raise ValidationError(f"m0 must lie in [2, {form.m - 1}], got {m0}")
+    _require_leading(form.m, m0)
     scale = _form_scale(form)
     worst = max(float(np.linalg.norm(form.block(i, j).data)) for i in range(m0, form.m) for j in range(m0))
     ok = worst <= BLOCK_ZERO_RTOL * scale
@@ -363,8 +383,9 @@ def domination_check(
     diag_run = _states(diagonal, _start(diagonal, u0), cfg)
     full_run = _states(form, _start(form, [np.abs(b) for b in u0]), cfg)
     margins = np.inf
+    # both runs are real with the same shape, so their blocks match step for step
     for (_, diag), (_, full) in zip(diag_run, full_run):
-        margins = np.minimum(margins, (full.real - np.abs(diag)).min(axis=0))
+        margins = np.minimum(margins, (full.real - np.abs(diag)).min(axis=(0, 1)))
     worst = int(np.argmin(margins))
     details = {"worst_margin": float(margins[worst]), "max_coupling_value": worst_alg}
     if margins[worst] < -RUNTIME_CONE_TOL:
@@ -430,15 +451,14 @@ def strip_invariance_runtime(
     ``scaling_consistent`` detail records that they did.
     """
     _require_positive("trials", trials)
+    alpha_levels = [float(a) for a in alpha_levels]
+    _require_levels(alpha_levels)
     cfg = cfg or _DEFAULT_CFG
     if not form.identical_spaces:
         return CheckResult("strip_runtime", NOT_APPLICABLE, {"reason": "component spaces differ"})
     if not is_discretely_accretive(form):
         return CheckResult("strip_runtime", NOT_APPLICABLE, {"reason": "form is not accretive"})
     n = form.spaces[0].dim
-    alpha_levels = [float(a) for a in alpha_levels]
-    if not alpha_levels or min(alpha_levels) < 0:
-        raise ValidationError("strip distances must be a non-empty list of values >= 0")
 
     # Per-trial base draws, shared by all levels.  The in-phase part is
     # three times the strip radius so coupling leaks are visible against
@@ -555,12 +575,7 @@ def parabola_check(form: FormMatrix, m_tilde: float | None = None) -> CheckResul
     ``PARABOLA_INTERVAL_CAP`` intervals do not decide is not-applicable.
     Without ``m_tilde`` the check takes the model's ``parabola_constant``.
     """
-    if m_tilde is None:
-        if "parabola_constant" not in form.metadata:
-            raise ValidationError("parabola check needs 'm_tilde' or a model that reports one")
-        m_tilde = float(form.metadata["parabola_constant"])
-    if not m_tilde >= 0:
-        raise ValidationError(f"m_tilde must be >= 0, got {m_tilde!r}")
+    m_tilde = _parabola_constant(form, m_tilde)
     details: dict = {"m_tilde": m_tilde}
     skew = _skew_part(form.form_csr)
     if not np.any(skew.data):

@@ -5,7 +5,8 @@ Every report line that states a verdict carries one of these ids.
 ``CHECKS`` is the one table of the qualitative checks: each id's
 description, the keys a config ``checks`` entry may give it, and its
 runner, which gets the run's :data:`Inputs` as values.
-:func:`read_section` reads every config object against such a key spec.
+:func:`read_section` reads every config object against such a key spec,
+and :func:`judge` every entry's values before any check runs.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numpy as np
 
 from . import qualitative
 from .errors import ConfigError
-from .qualitative import CheckResult
 
 REQUIRED = object()  # spec default of a key that must be given
 
@@ -96,10 +96,10 @@ def read_variant(section, variants: dict, tag: str, where: str) -> tuple:
 
 
 # ``run(inputs, params)`` gets the keys a ``checks`` entry gave, read
-# against ``keys``, and the :data:`Inputs` of the run, all read from the
-# config before the first check runs.  A key that names a library
-# parameter has default None, so an entry that leaves it out gets the
-# library's default.
+# against ``keys`` and passed by :func:`judge`, and the :data:`Inputs` of
+# the run, all read from the config before the first check runs.  A key
+# that names a library parameter has default None, so an entry that
+# leaves it out gets the library's default.
 Check = namedtuple("Check", "description keys run")
 
 # the form, its coefficient field (None unless the model has one), the
@@ -112,16 +112,20 @@ def _mean_weights(form) -> list:
     return form.split(form.mass_csr @ np.ones(form.total_dim))
 
 
-def _product_subspace(inputs: Inputs, params: dict) -> CheckResult:
-    if params["subspace"] != "mean_zero":
-        raise ConfigError("only the mean_zero product subspace is configurable")
-    return qualitative.product_subspace_check(inputs.form, _mean_weights(inputs.form))
-
-
-def _coefficients(inputs: Inputs, check_id: str):
-    if inputs.coeffs is None:
+def judge(check_id: str, params: dict, inputs: Inputs) -> None:
+    """Raise the error the check ``check_id`` would raise on ``params`` and ``inputs``, without running it."""
+    if check_id in ("row_sums", "column_sums") and inputs.coeffs is None:
         raise ConfigError(f"check {check_id!r} needs a coefficient-field model")
-    return inputs.coeffs
+    if check_id == "product_subspace" and params["subspace"] != "mean_zero":
+        raise ConfigError("only the mean_zero product subspace is configurable")
+    if "trials" in params:
+        qualitative._require_positive("trials", params["trials"])
+    if "m0" in params:
+        qualitative._require_leading(inputs.form.m, params["m0"])
+    if "alpha_levels" in params:
+        qualitative._require_levels(params["alpha_levels"])
+    if check_id == "parabola":
+        qualitative._parabola_constant(inputs.form, params.get("m_tilde"))
 
 
 CERTIFICATES = {
@@ -155,7 +159,8 @@ CHECKS = {
         lambda inp, p: qualitative.subspace_invariance_check(inp.form, inp.proj, "strip_B"),
     ),
     "product_subspace": Check(
-        "componentwise product subspace is invariant", {"subspace": ("str", "mean_zero")}, _product_subspace
+        "componentwise product subspace is invariant", {"subspace": ("str", "mean_zero")},
+        lambda inp, p: qualitative.product_subspace_check(inp.form, _mean_weights(inp.form)),
     ),
     "subsystem": Check(
         "leading subsystem evolves autonomously (lower coupling blocks vanish)", {"m0": ("int", REQUIRED)},
@@ -163,11 +168,11 @@ CHECKS = {
     ),
     "row_sums": Check(
         "coefficient row sums are constant across components, cell by cell", {},
-        lambda inp, p: qualitative.ephaptic_sum_check(_coefficients(inp, "row_sums"), "rows"),
+        lambda inp, p: qualitative.ephaptic_sum_check(inp.coeffs, "rows"),
     ),
     "column_sums": Check(
         "coefficient column sums are constant across components, cell by cell", {},
-        lambda inp, p: qualitative.ephaptic_sum_check(_coefficients(inp, "column_sums"), "columns"),
+        lambda inp, p: qualitative.ephaptic_sum_check(inp.coeffs, "columns"),
     ),
     "realness": Check(
         "all form blocks are real, so real data stay real", {}, lambda inp, p: qualitative.realness_check(inp.form)

@@ -152,7 +152,8 @@ def test_criterion_06_damped_wave_mean_and_parabola():
             u -= ones * (float(ones @ mass @ u) / total)
             u0.append(u)
         cfg = EvolutionConfig(dt=1e-3, t_end=1.0, record_every=10)
-        states = (form.split(u) for _, u in _states(form, _start(form, u0), cfg))
+        blocks = _states(form, _start(form, u0), cfg)
+        states = (form.split(block[:, j, 0]) for _, block in blocks for j in range(block.shape[1]))
         means = [abs(float(ones @ mass @ state[0].real)) / total for state in states]
         assert max(means) <= 1e-8
         assert parabola_check(form, form.metadata["parabola_constant"]).passed

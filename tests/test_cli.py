@@ -89,7 +89,8 @@ class TestCertify:
         "constants, message",
         [
             ({"alpha": [[2, -1], [-1, 2]], "embedding_norm": 1e200}, "non-finite constant 'bound' in 'continuity'"),
-            ({"alpha": [[1e308, -1e308], [-1e308, 1e308]]}, "non-finite constant 'margin_0' in 'gershgorin'"),
+            # the Gershgorin margin -1e308 - 1e308 is not representable
+            ({"alpha": [[-1e308, -1e308], [-1e308, -1e308]]}, "non-finite constant 'margin_0' in 'gershgorin'"),
         ],
         ids=["embedding-norm", "alpha"],
     )
@@ -101,6 +102,16 @@ class TestCertify:
         captured = capsys.readouterr()
         assert captured.err == f"validation error: {message}\n"
         assert captured.out == "" and not (tmp_path / "out").exists()
+
+    def test_representable_symmetric_part_does_not_overflow(self, tmp_path):
+        # (a + a.T)/2 overflowed to -inf here; a/2 + a.T/2 is exact
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "c.json", {"schema_version": 1, "constants": {"alpha": [[-1e308, 0], [0, 1]]}})
+        assert main(["certify", cfg, "--quiet", "--out", str(out)]) == 1
+        entries = {e["criterion"]: e for e in json.loads((out / "certify.json").read_text())["entries"]}
+        assert entries["ellipticity"]["constants"]["alpha"] == -1e308
+        assert entries["stability"]["constants"]["lambda_min"] == -1e308
+        assert [entries[c]["status"] for c in ("gershgorin", "ellipticity", "stability")] == ["fail"] * 3
 
 
 class TestSimulate:
@@ -456,6 +467,53 @@ class TestCheck:
         config.update(checks=[{"id": "realness"}], projection={"kind": "averaging"})
         assert main(["check", write_config(tmp_path / "c.json", config), "--quiet"]) == 0
         assert ran == ["realness"]
+
+    RUNTIME_FIRST = [{"id": "linf", "trials": 5}]
+
+    @pytest.mark.parametrize(
+        "model, later, message",
+        [
+            ({"name": "dynamic_bc_heat"}, {"id": "row_sums"},
+             "config error: check 'row_sums' needs a coefficient-field model"),
+            ({"name": "dynamic_bc_heat"}, {"id": "column_sums"},
+             "config error: check 'column_sums' needs a coefficient-field model"),
+            ({"name": "dynamic_bc_heat"}, {"id": "product_subspace", "subspace": "zero_sum"},
+             "config error: only the mean_zero product subspace is configurable"),
+            ({"name": "dynamic_bc_heat"}, {"id": "domination", "trials": 0},
+             "validation error: trials must be >= 1, got 0"),
+            ({"name": "constant_coupled", "coupling": RING}, {"id": "subsystem", "m0": 1},
+             "validation error: m0 must lie in [2, 3], got 1"),
+            ({"name": "constant_coupled", "coupling": RING}, {"id": "subsystem", "m0": 4},
+             "validation error: m0 must lie in [2, 3], got 4"),
+            ({"name": "dynamic_bc_heat"}, {"id": "strip_runtime", "alpha_levels": []},
+             "validation error: strip distances must be a non-empty list of values >= 0"),
+            ({"name": "dynamic_bc_heat"}, {"id": "parabola"},
+             "validation error: parabola check needs 'm_tilde' or a model that reports one"),
+        ],
+        ids=["row-sums", "column-sums", "subspace", "trials", "m0-low", "m0-high", "levels", "parabola"],
+    )
+    def test_check_inputs_judged_before_any_evolution(self, tmp_path, capsys, monkeypatch, model, later, message):
+        # a later check's bad value used to exit 2 only after the earlier checks had stepped their trials
+        runs = []
+        evolve, states = qualitative.evolve, qualitative._states
+        monkeypatch.setattr(qualitative, "evolve", lambda *a, **k: runs.append("evolve") or evolve(*a, **k))
+        monkeypatch.setattr(qualitative, "_states", lambda *a: runs.append("_states") or states(*a))
+        out = tmp_path / "out"
+        config = {
+            "schema_version": 1,
+            "output": str(out),
+            "model": model,
+            "grid": {"n_cells": 8},
+            "evolution": {"dt": 0.01, "t_end": 0.1},
+            "checks": self.RUNTIME_FIRST + [later],
+        }
+        assert main(["check", write_config(tmp_path / "c.json", config), "--quiet"]) == 2
+        assert capsys.readouterr().err == message + "\n"
+        assert runs == [] and not out.exists()
+        # the runtime check alone does step its trials
+        config["checks"] = self.RUNTIME_FIRST
+        main(["check", write_config(tmp_path / "c.json", config), "--quiet"])
+        assert runs == ["evolve"]
 
     def test_rank_zero_projection_strip_runtime(self, tmp_path):
         out = tmp_path / "out"

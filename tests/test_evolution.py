@@ -22,7 +22,8 @@ from coupledforms import (
     two_fibre_coupling,
 )
 from coupledforms.errors import DimensionError, SolverError, ValidationError
-from coupledforms.evolution import Stepper, _start, _states, _stepper
+from coupledforms import evolution
+from coupledforms.evolution import Stepper, _lift, _observables, _start, _states, _stepper
 from coupledforms.forms import _BandLU
 
 
@@ -44,8 +45,9 @@ def traced_peak(run) -> int:
 
 
 def recorded_states(form, u0, cfg):
-    """The flat state at every step ``evolve(form, u0, cfg)`` records, read from the stepping generator."""
-    return [u for _, u in _states(form, _start(form, u0), cfg)]
+    """The flat state at every step ``evolve(form, u0, cfg)`` records, read from the stepping generator's blocks."""
+    u = _start(form, u0)
+    return [block[:, j].reshape(u.shape) for _, block in _states(form, u, cfg) for j in range(block.shape[1])]
 
 
 class TestConfig:
@@ -80,7 +82,7 @@ class TestStep:
     def test_scalar_implicit_euler(self):
         form = scalar_form(1.0)
         cfg = EvolutionConfig(dt=1.0, t_end=1.0)
-        out = Stepper(form, cfg).step(form.flatten([[1.0]]))
+        out, _ = Stepper(form, cfg).step(form.flatten([[1.0]]))
         assert out[0] == pytest.approx(0.5)
 
     def test_zero_form_is_identity(self):
@@ -88,14 +90,14 @@ class TestStep:
         form = build_ephaptic(grid, CoefficientField(np.zeros((2, 2, 6))))
         rng = np.random.default_rng(0)
         u = [rng.standard_normal(grid.n_nodes) for _ in range(2)]
-        out = Stepper(form, EvolutionConfig(dt=0.5, t_end=1.0)).step(form.flatten(u))
+        out, _ = Stepper(form, EvolutionConfig(dt=0.5, t_end=1.0)).step(form.flatten(u))
         for a, b in zip(form.split(out), u):
             np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-15)
 
     def test_scalar_crank_nicolson_stability_boundary(self):
         form = scalar_form(1.0)
         cfg = EvolutionConfig(dt=2.0, t_end=2.0, scheme="crank-nicolson")
-        out = Stepper(form, cfg).step(form.flatten([[1.0]]))
+        out, _ = Stepper(form, cfg).step(form.flatten([[1.0]]))
         assert out[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_singular_system_raises_named_solver_error(self):
@@ -118,12 +120,16 @@ class TestStep:
 
     def test_inaccurate_solve_raises_named_solver_error(self, monkeypatch):
         # a banded solve that is wrong in one trial column must be caught
-        # by the per-column residual check, not passed on as a state
+        # by the per-column residual check, not passed on as a state, and
+        # named by its own step, not by the first or last of its block
         real_solve = _BandLU.solve
+        solves, first_bad = [], [1]
 
         def corrupt_column(lu, rhs):
+            solves.append(None)
             out = real_solve(lu, rhs)
-            out[:, 1] *= 1.0 + 1e-6
+            if len(solves) >= first_bad[0]:
+                out[:, 1] *= 1.0 + 1e-6
             return out
 
         form = build_constant_coupled(Grid1D(8), [[2.0, -1.0], [-1.0, 2.0]])
@@ -132,6 +138,88 @@ class TestStep:
         cfg = EvolutionConfig(dt=0.05, t_end=0.2, scheme="crank-nicolson")
         with pytest.raises(SolverError, match=r"crank-nicolson solve lost accuracy at step 1 \(dt=0.05"):
             evolve(form, u0, cfg)
+
+        # blocks of 4 steps: step 6 is the second of the block 5..8
+        monkeypatch.setattr(evolution, "BLOCK_BYTES", 4 * _start(form, u0).nbytes)
+        solves.clear()
+        first_bad[0] = 6
+        cfg = EvolutionConfig(dt=0.05, t_end=0.6, scheme="crank-nicolson")
+        with pytest.raises(SolverError, match=r"crank-nicolson solve lost accuracy at step 6 \(dt=0.05"):
+            evolve(form, u0, cfg)
+        # no state of the failing block is handed out before its check
+        solves.clear()
+        handed_out = []
+        with pytest.raises(SolverError, match="at step 6 "):
+            for steps, _ in _states(form, _start(form, u0), cfg):
+                handed_out.append(list(steps))
+        assert handed_out == [[0], [1, 2, 3, 4]]
+
+
+def stepwise_record(form, u0, cfg, proj):
+    """``evolve``'s times, observable rows and final state, from a loop over ``Stepper`` that records state by state."""
+    u = _start(form, u0)
+    shape = u.shape
+    u = u.reshape(shape[0], -1)
+    lifted = None if proj is None else _lift(proj.matrix, form.spaces[0].dim)
+    stepper = Stepper(form, cfg)
+    times, rows = [0.0], [_observables(form, u[:, None], lifted)]
+    for k in range(1, cfg.n_steps + 1):
+        u, _ = stepper.step(u)
+        if k % cfg.record_every == 0 or k == cfg.n_steps:
+            times.append(k * cfg.dt)
+            rows.append(_observables(form, u[:, None], lifted))
+    return np.array(times), np.concatenate(rows, axis=1), u.reshape(shape)
+
+
+BLOCK_CASES = {
+    # form, complex initial data, projection
+    "real": (lambda: ephaptic_difference(), False, False),
+    "real-projected": (lambda: ephaptic_difference(), False, True),
+    "complex-data-projected": (lambda: ephaptic_difference(), True, True),
+    "complex-form": (lambda: build_damped_wave(Grid1D(16), 1.0 + 0.5j), True, False),
+}
+
+
+class TestBlockRecording:
+    """Blocks of 4 steps against the state-by-state loop they replaced: every recorded value bit for bit."""
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("n_steps", [3, 4, 11], ids=["below-block", "one-block", "ragged"])
+    @pytest.mark.parametrize("record_every", [1, 3, 7])
+    @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+    def test_matches_stepwise_loop(self, monkeypatch, case, record_every, n_steps, k):
+        build, complex_data, projected = BLOCK_CASES[case]
+        form = build()
+        rng = np.random.default_rng(n_steps)
+        shapes = [(d,) if k == 1 else (d, k) for d in form.dims]
+        u0 = [rng.standard_normal(shape) for shape in shapes]
+        if complex_data:
+            u0 = [u + 1j * rng.standard_normal(u.shape) for u in u0]
+        proj = averaging_projection(2) if projected else None
+        cfg = EvolutionConfig(dt=0.01, t_end=0.01 * n_steps, scheme="crank-nicolson", record_every=record_every)
+        monkeypatch.setattr(evolution, "BLOCK_BYTES", 4 * _start(form, u0).nbytes)
+        times, rows, final = stepwise_record(form, u0, cfg, proj)
+        record = evolve(form, u0, cfg, proj=proj)
+        np.testing.assert_array_equal(record.times, times)
+        assert len(record.observables) == rows.shape[0]
+        for want, got in zip(rows, record.observables.values()):
+            assert np.array_equal(got, want if k > 1 else want[:, 0])
+        assert np.array_equal(np.concatenate(record.final_state), final)
+
+    def test_blocks_follow_the_byte_budget(self, monkeypatch):
+        form = ephaptic_difference()
+        u = _start(form, [np.ones(17), np.zeros(17)])
+        monkeypatch.setattr(evolution, "BLOCK_BYTES", 4 * u.nbytes + u.nbytes // 2)
+        cfg = EvolutionConfig(dt=0.01, t_end=0.11, record_every=3)
+        blocks = [list(steps) for steps, _ in _states(form, u, cfg)]
+        assert blocks == [[0], [3], [6], [9, 11]]
+
+    def test_default_budget_at_the_benchmark_size(self):
+        # 256 KiB of one 1026-unknown real state: 31 steps a block
+        form = build_ephaptic(Grid1D(512), CoefficientField.constant(two_fibre_coupling("difference", 2.0, 0.5), 512))
+        u = _start(form, [np.ones(513), np.zeros(513)])
+        blocks = _states(form, u, EvolutionConfig(dt=1e-3, t_end=0.04, scheme="crank-nicolson"))
+        assert [len(steps) for steps, _ in blocks] == [1, 31, 9]
 
 
 class TestEvolve:
@@ -462,7 +550,7 @@ class TestBandedStep:
         if data == "complex" or not form.is_real:
             u = u + 1j * rng.standard_normal(shape)
         stepper = Stepper(form, cfg)
-        got = stepper.step(u)
+        got, _ = stepper.step(u)
         want = np.linalg.solve(mass + theta * dt * s, (mass - (1.0 - theta) * dt * s) @ u)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert np.linalg.norm(got - want) <= BANDED_STEP_RTOL * np.linalg.norm(want)

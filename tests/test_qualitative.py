@@ -544,12 +544,13 @@ def ref_domination(form, trials, cfg, seed):
         traj_diag = evolve(diag, u0, cfg)
         full_run = _states(form, _start(form, [np.abs(b) for b in u0]), cfg)
         diag_run = _states(diag, _start(diag, u0), cfg)
-        for (_, full), (_, part) in zip(full_run, diag_run):
-            full, part = form.split(full), diag.split(part)
-            for i in range(form.m):
-                margin = float(np.min(full[i].real - np.abs(part[i])))
-                if margin < worst:
-                    worst, witness = margin, traj_diag
+        for (_, full_block), (_, part_block) in zip(full_run, diag_run):
+            for j in range(full_block.shape[1]):
+                full, part = form.split(full_block[:, j, 0]), diag.split(part_block[:, j, 0])
+                for i in range(form.m):
+                    margin = float(np.min(full[i].real - np.abs(part[i])))
+                    if margin < worst:
+                        worst, witness = margin, traj_diag
     failed = worst < -RUNTIME_CONE_TOL
     return failed, {"worst_margin": worst}, witness, "dominated_run"
 
@@ -640,15 +641,15 @@ def test_runtime_checks_share_one_factor_per_form(monkeypatch):
 
 @pytest.fixture
 def stepped_runs(monkeypatch):
-    """The states every run yields from the stepping generator while a test runs, one list per run."""
+    """The states every run yields from the stepping generator's blocks while a test runs, one list per run."""
     runs = []
 
     def recording(form, u, cfg):
         run = []
         runs.append(run)
-        for k, state in _states(form, u, cfg):
-            run.append(state)
-            yield k, state
+        for steps, states in _states(form, u, cfg):
+            run.extend(states[:, j] for j in range(states.shape[1]))
+            yield steps, states
 
     monkeypatch.setattr(evolution, "_states", recording)
     monkeypatch.setattr(qualitative, "_states", recording)
