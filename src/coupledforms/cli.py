@@ -118,21 +118,17 @@ def _coefficients_from_model(model: dict, grid: Grid1D) -> CoefficientField:
     return field
 
 
-def _parse_model(config: dict):
-    """Return (form, coefficient_field_or_None)."""
+def _parse_model(config: dict) -> FormMatrix:
     name, model = read_variant(config.get("model"), MODELS, "name", "model")
     grid = _parse_grid(config)
     if name == "ephaptic":
-        coeffs = _coefficients_from_model(model, grid)
-        return models.build_ephaptic(grid, coeffs), coeffs
+        return models.build_ephaptic(grid, _coefficients_from_model(model, grid))
     if name == "constant_coupled":
-        coupling = np.asarray(model["coupling"], dtype=float)
-        form = models.build_constant_coupled(grid, coupling)
-        return form, CoefficientField.constant(coupling, grid.n_cells)
+        return models.build_constant_coupled(grid, model["coupling"])
     if name == "damped_wave":
         alpha = model["alpha"]
-        return models.build_damped_wave(grid, complex(*alpha) if isinstance(alpha, list) else alpha), None
-    return models.build_dynamic_bc_heat(grid), None
+        return models.build_damped_wave(grid, complex(*alpha) if isinstance(alpha, list) else alpha)
+    return models.build_dynamic_bc_heat(grid)
 
 
 def _parse_projection(config: dict, form: FormMatrix):
@@ -214,7 +210,7 @@ def cmd_certify(args) -> int:
 
 def cmd_simulate(args) -> int:
     config = _load_config(args.config)
-    form, _ = _parse_model(config)
+    form = _parse_model(config)
     cfg = _parse_evolution(config)
     seed = _resolve_seed(config, args)
     u0 = _build_initial(config, form, seed)
@@ -237,9 +233,9 @@ def cmd_check(args) -> int:
     keys = {cid: check.keys for cid, check in CHECKS.items()}
     params = [read_variant(entry, keys, "id", "checks entry")[1] for entry in config["checks"]]
     cfg = _parse_evolution(config) if "evolution" in config else None
-    form, coeffs = _parse_model(config)
+    form = _parse_model(config)
     proj = _parse_projection(config, form) or qualitative.averaging_projection(form.m)
-    inputs = Inputs(form, coeffs, cfg, proj, seed)
+    inputs = Inputs(form, cfg, proj, seed)
     for entry, p in zip(config["checks"], params):
         judge(entry["id"], p, inputs)
     out = _resolve_out(config, args)

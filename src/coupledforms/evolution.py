@@ -288,6 +288,8 @@ def evolve(form: FormMatrix, u0, cfg: EvolutionConfig, proj: ProjectionSpec | No
     ``projection_norm = |Pu|`` are recorded for the lifted projection.
     """
     u = _start(form, u0)
+    if u.size == 0:
+        raise ValidationError("initial data has no trial columns")
     if not np.isfinite(u).all():
         raise ValidationError("initial data contains non-finite entries")
     lifted = None

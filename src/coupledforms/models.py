@@ -142,7 +142,8 @@ def build_ephaptic(grid: Grid1D, coeffs: CoefficientField) -> FormMatrix:
     Each component lives in the same hat-function space with the plain
     L2 ambient Gram and the H1 domain Gram.  The unbounded line of the
     original problem is truncated to (0, length) with natural boundary
-    conditions; the truncation is recorded in the metadata.
+    conditions; the truncation is recorded in the metadata, and the
+    (immutable) field is kept under ``metadata["coefficients"]``.
     """
     if coeffs.n_cells != grid.n_cells:
         raise DimensionError(
@@ -159,7 +160,7 @@ def build_ephaptic(grid: Grid1D, coeffs: CoefficientField) -> FormMatrix:
         "m": m,
         "grid": {"n_cells": grid.n_cells, "length": grid.length},
         "boundary": "natural (Neumann) on a truncated interval",
-        "coefficients": coeffs.values.tolist(),
+        "coefficients": coeffs,
     }
     return FormMatrix([space] * m, blocks, metadata)
 

@@ -116,6 +116,11 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng([seed, trial])
 
 
+def _draw_trials(seed: int, trials: int, rule) -> np.ndarray:
+    """Seeded trial data as ``(rows, trials)``: column t is ``rule(_trial_rng(seed, t), t)``."""
+    return np.stack([rule(_trial_rng(seed, t), t) for t in range(trials)], axis=1)
+
+
 def _require_positive(name: str, value: int) -> None:
     # zero trials would make a check pass vacuously
     if value < 1:
@@ -143,15 +148,10 @@ def _parabola_constant(form: FormMatrix, m_tilde: float | None) -> float:
     return m_tilde
 
 
-def _stack_trials(trials: list) -> list:
-    """Per-trial block vectors as one block of ``(dim_i, k)`` trial columns."""
-    return [np.stack(components, axis=1) for components in zip(*trials)]
-
-
-def _combine(vectors: np.ndarray, nodal: list, n: int) -> list:
-    """Block vector ``sum_k vectors[:, k] (x) nodal[k]`` on ``n`` nodes."""
-    m, r = vectors.shape
-    return [sum((vectors[i, k] * nodal[k] for k in range(r)), np.zeros(n)) for i in range(m)]
+def _at_norm(form: FormMatrix, u: np.ndarray, radius: float) -> np.ndarray:
+    """Flat trial columns ``u`` scaled to ambient norm ``radius``; zero columns stay zero."""
+    norms = h_norm(form, form.split(u))
+    return radius * u / np.where(norms > 0, norms, 1.0)
 
 
 def _form_scale(form: FormMatrix) -> float:
@@ -333,11 +333,8 @@ def positivity_check(
         return CheckResult("positivity", FAIL, details)
     if not runtime:
         return CheckResult("positivity", PASS, details)
-    u0 = []
-    for t in range(trials):
-        rng = _trial_rng(seed, t)
-        u0.append([rng.random(s.dim) for s in form.spaces])
-    traj = evolve(form, _stack_trials(u0), cfg)
+    u0 = _draw_trials(seed, trials, lambda rng, t: rng.random(form.total_dim))
+    traj = evolve(form, form.split(u0), cfg)
     lows = traj.observable("min_value").min(axis=0)
     worst = int(np.argmin(lows))
     details["worst_nodal_min"] = float(lows[worst])
@@ -373,15 +370,10 @@ def domination_check(
             {"reason": "couplings take positive values on the cone", "max_coupling_value": worst_alg},
         )
     cfg = cfg or _DEFAULT_CFG
-    u0 = []
-    for t in range(trials):
-        rng = _trial_rng(seed, t)
-        draw = rng.random if t == 0 else rng.standard_normal
-        u0.append([draw(s.dim) for s in form.spaces])
-    u0 = _stack_trials(u0)
+    u0 = _draw_trials(seed, trials, lambda rng, t: (rng.standard_normal if t else rng.random)(form.total_dim))
     diagonal = form.diagonal_part()
-    diag_run = _states(diagonal, _start(diagonal, u0), cfg)
-    full_run = _states(form, _start(form, [np.abs(b) for b in u0]), cfg)
+    diag_run = _states(diagonal, _start(diagonal, form.split(u0)), cfg)
+    full_run = _states(form, _start(form, form.split(np.abs(u0))), cfg)
     margins = np.inf
     # both runs are real with the same shape, so their blocks match step for step
     for (_, diag), (_, full) in zip(diag_run, full_run):
@@ -389,7 +381,7 @@ def domination_check(
     worst = int(np.argmin(margins))
     details = {"worst_margin": float(margins[worst]), "max_coupling_value": worst_alg}
     if margins[worst] < -RUNTIME_CONE_TOL:
-        witness = evolve(diagonal, u0, cfg).trial(worst)
+        witness = evolve(diagonal, form.split(u0), cfg).trial(worst)
         return CheckResult("domination", FAIL, details, witness=witness, witness_label="dominated_run")
     return CheckResult("domination", PASS, details)
 
@@ -411,11 +403,9 @@ def linf_contractivity_check(
     _require_positive("trials", trials)
     cfg = cfg or _DEFAULT_CFG
     accretive = is_discretely_accretive(form)
-    u0 = [[np.ones(s.dim) for s in form.spaces]]
-    for t in range(1, trials):
-        rng = _trial_rng(seed, t)
-        u0.append([rng.uniform(-1.0, 1.0, s.dim) for s in form.spaces])
-    traj = evolve(form, _stack_trials(u0), cfg)
+    n = form.total_dim
+    u0 = _draw_trials(seed, trials, lambda rng, t: rng.uniform(-1.0, 1.0, n) if t else np.ones(n))
+    traj = evolve(form, form.split(u0), cfg)
     sup = traj.observable("sup_norm")
     outside = sup > 1.0 + RUNTIME_CONE_TOL
     details = {"worst_sup_norm": float(sup.max()), "accretive": accretive}
@@ -460,38 +450,24 @@ def strip_invariance_runtime(
         return CheckResult("strip_runtime", NOT_APPLICABLE, {"reason": "form is not accretive"})
     n = form.spaces[0].dim
 
-    # Per-trial base draws, shared by all levels.  The in-phase part is
-    # three times the strip radius so coupling leaks are visible against
-    # the tolerance; trial 0 seeds the kernel part with nodal constants,
-    # the slowest modes of a diffusive system.
-    bases = []
-    for t in range(trials):
-        rng = _trial_rng(seed, t)
-        fixed_nodal = [rng.standard_normal(n) for _ in range(proj.eig1.shape[1])]
-        g0 = _combine(proj.eig1, fixed_nodal, n)
-        g_norm = h_norm(form, g0)
-        if g_norm > 0:
-            g0 = [3.0 * b / g_norm for b in g0]
-        k = proj.eig0.shape[1]
-        if k:
-            if t == 0:
-                kernel_nodal = [rng.standard_normal() * np.ones(n) for _ in range(k)]
-            else:
-                kernel_nodal = [rng.standard_normal(n) for _ in range(k)]
-            h0 = _combine(proj.eig0, kernel_nodal, n)
-            k_norm = h_norm(form, h0)
-            h0 = [b / k_norm for b in h0]
-        else:
-            h0 = [np.zeros(n) for _ in range(form.m)]
-        bases.append((g0, h0))
+    # Per-trial base draws, shared by all levels: fixed-space nodal
+    # values, then kernel ones.  The in-phase part is three times the
+    # strip radius so coupling leaks are visible against the tolerance;
+    # trial 0 seeds the kernel part with nodal constants, the slowest
+    # modes of a diffusive system.
+    fixed_rows = proj.rank * n
+    k = proj.eig0.shape[1]
 
+    def rule(rng, t):
+        fixed = rng.standard_normal(fixed_rows)
+        return np.concatenate([fixed, rng.standard_normal(k * n) if t else np.repeat(rng.standard_normal(k), n)])
+
+    draws = _draw_trials(seed, trials, rule)
+    g0 = _at_norm(form, _lift(proj.eig1, n) @ draws[:fixed_rows], 3.0)
+    h0 = _at_norm(form, _lift(proj.eig0, n) @ draws[fixed_rows:], 1.0)
     # one column per (level, trial), level-major
-    u0 = [
-        g0 if alpha == 0.0 else [alpha * (g + h) for g, h in zip(g0, h0)]
-        for alpha in alpha_levels
-        for g0, h0 in bases
-    ]
-    traj = evolve(form, _stack_trials(u0), cfg, proj=proj)
+    u0 = np.concatenate([g0 if alpha == 0.0 else alpha * (g0 + h0) for alpha in alpha_levels], axis=1)
+    traj = evolve(form, form.split(u0), cfg, proj=proj)
     peaks = traj.observable("strip_distance").max(axis=0).reshape(len(alpha_levels), trials)
     exceed = peaks - (np.array(alpha_levels) + RUNTIME_CONE_TOL)[:, None]
     levels = [

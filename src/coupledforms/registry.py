@@ -102,9 +102,8 @@ def read_variant(section, variants: dict, tag: str, where: str) -> tuple:
 # leaves it out gets the library's default.
 Check = namedtuple("Check", "description keys run")
 
-# the form, its coefficient field (None unless the model has one), the
-# evolution config (or None), the projection and the seed
-Inputs = namedtuple("Inputs", "form coeffs cfg proj seed")
+# the form, the evolution config (or None), the projection and the seed
+Inputs = namedtuple("Inputs", "form cfg proj seed")
 
 
 def _mean_weights(form) -> list:
@@ -114,7 +113,7 @@ def _mean_weights(form) -> list:
 
 def judge(check_id: str, params: dict, inputs: Inputs) -> None:
     """Raise the error the check ``check_id`` would raise on ``params`` and ``inputs``, without running it."""
-    if check_id in ("row_sums", "column_sums") and inputs.coeffs is None:
+    if check_id in ("row_sums", "column_sums") and "coefficients" not in inputs.form.metadata:
         raise ConfigError(f"check {check_id!r} needs a coefficient-field model")
     if check_id == "product_subspace" and params["subspace"] != "mean_zero":
         raise ConfigError("only the mean_zero product subspace is configurable")
@@ -168,11 +167,11 @@ CHECKS = {
     ),
     "row_sums": Check(
         "coefficient row sums are constant across components, cell by cell", {},
-        lambda inp, p: qualitative.ephaptic_sum_check(inp.coeffs, "rows"),
+        lambda inp, p: qualitative.ephaptic_sum_check(inp.form.metadata["coefficients"], "rows"),
     ),
     "column_sums": Check(
         "coefficient column sums are constant across components, cell by cell", {},
-        lambda inp, p: qualitative.ephaptic_sum_check(inp.coeffs, "columns"),
+        lambda inp, p: qualitative.ephaptic_sum_check(inp.form.metadata["coefficients"], "columns"),
     ),
     "realness": Check(
         "all form blocks are real, so real data stay real", {}, lambda inp, p: qualitative.realness_check(inp.form)

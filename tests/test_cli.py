@@ -415,7 +415,7 @@ class TestCheck:
         cfg = write_config(tmp_path / "c.json", {**config, "checks": [{"id": check_id}]})
         main(["check", cfg, "--quiet", "--seed", str(seed)])
         (got,) = json.loads((out / "checks.json").read_text())["checks"]
-        form, _ = cli._parse_model(config)
+        form = cli._parse_model(config)
         want = getattr(qualitative, f"{check_id}_check")(form)
         assert (got["check_id"], got["status"], got["details"]) == (check_id, want.status, want.details)
 

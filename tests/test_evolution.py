@@ -440,6 +440,12 @@ class TestBatchedEvolve:
         with pytest.raises(DimensionError):
             evolve(form, [np.ones((5, 2)), np.ones(5)], EvolutionConfig(dt=0.1, t_end=0.2))
 
+    def test_zero_trial_columns_rejected_before_stepping(self):
+        form = build_constant_coupled(Grid1D(8), [[2.0, -0.5], [-0.5, 2.0]])
+        with pytest.raises(ValidationError, match="no trial columns"):
+            evolve(form, [np.ones((9, 0)), np.ones((9, 0))], EvolutionConfig(dt=0.1, t_end=0.3))
+        assert "_steppers" not in vars(form)  # nothing was factored
+
 
 # Agreement of the sparse stepper with a dense LU solve of the same
 # schemes, relative to the largest entry of the reference state.

@@ -35,7 +35,6 @@ from coupledforms.evolution import _start, _states
 from coupledforms.qualitative import (
     BLOCK_ZERO_RTOL,
     RUNTIME_CONE_TOL,
-    _combine,
     _form_scale,
     _trial_rng,
     realness_check,
@@ -515,6 +514,13 @@ class TestStripRuntime:
         with pytest.raises(ValidationError, match="non-empty"):
             strip_invariance_runtime(form, averaging_projection(2), [], cfg=CFG)
 
+    def test_identity_projection_passes(self):
+        # the strip around the whole space: the kernel is empty, so no data leave the projected subspace
+        form, _ = blbekbes_form(n=8)
+        res = strip_invariance_runtime(form, make_projection(np.eye(2)), [0.0, 1.0], cfg=CFG, trials=2)
+        assert res.passed
+        assert [lv["max_distance"] for lv in res.details["levels"]] == [0.0, 0.0]
+
 
 # ---------------------------------------------------------------------------
 # batched runtime checks against the per-trial loops they replaced
@@ -573,20 +579,29 @@ def ref_linf(form, trials, cfg, seed):
     return witness is not None, {"worst_sup_norm": worst, **details}, witness, label
 
 
+def combine(vectors, nodal, n):
+    """Block vector ``sum_k vectors[:, k] (x) nodal[k]`` on ``n`` nodes, component by component."""
+    return [sum((v * x for v, x in zip(row, nodal)), np.zeros(n)) for row in vectors]
+
+
+def strip_nodal(rng, t, proj, n):
+    """Nodal values of one strip trial: fixed-space draws, then kernel draws (constants in trial 0)."""
+    fixed = [rng.standard_normal(n) for _ in range(proj.rank)]
+    k = proj.eig0.shape[1]
+    if t == 0:
+        return fixed, [rng.standard_normal() * np.ones(n) for _ in range(k)]
+    return fixed, [rng.standard_normal(n) for _ in range(k)]
+
+
 def ref_strip(form, proj, alpha_levels, cfg, trials, seed):
     """Level-major loop over (alpha, trial); the first exceeding run is the witness."""
     n = form.spaces[0].dim
     bases = []
     for t in range(trials):
-        rng = _trial_rng(seed, t)
-        g0 = _combine(proj.eig1, [rng.standard_normal(n) for _ in range(proj.rank)], n)
+        fixed_nodal, kernel_nodal = strip_nodal(_trial_rng(seed, t), t, proj, n)
+        g0 = combine(proj.eig1, fixed_nodal, n)
         g0 = [3.0 * b / h_norm(form, g0) for b in g0]
-        k = proj.eig0.shape[1]
-        if t == 0:
-            kernel_nodal = [rng.standard_normal() * np.ones(n) for _ in range(k)]
-        else:
-            kernel_nodal = [rng.standard_normal(n) for _ in range(k)]
-        h0 = _combine(proj.eig0, kernel_nodal, n)
+        h0 = combine(proj.eig0, kernel_nodal, n)
         bases.append((g0, [b / h_norm(form, h0) for b in h0]))
     levels, witness, label = [], None, ""
     for alpha in alpha_levels:
@@ -818,6 +833,57 @@ class TestBatchedChecksMatchPerTrialLoops:
     def test_witness_is_not_the_first_column(self, case, label):
         check, _, args, kwargs, _ = ORACLE_CASES[case]
         assert check(*args(), **kwargs).witness_label == label
+
+
+FOUR_CYCLE = [[3, -1, -1, 0], [-1, 3, 0, -1], [-1, 0, 3, -1], [0, -1, -1, 3]]
+TWO_BLOCKS = make_projection([[0.5, 0.5, 0, 0], [0.5, 0.5, 0, 0], [0, 0, 0.5, 0.5], [0, 0, 0.5, 0.5]])
+
+# check, its form, its arguments, and the draws of trial t from rng in a per-trial loop, a list of arrays
+DRAW_RULES = {
+    "positivity": (
+        positivity_check,
+        lambda: build_dynamic_bc_heat(Grid1D(8)),
+        {},
+        lambda form, rng, t: [rng.random(s.dim) for s in form.spaces],
+    ),
+    "domination": (
+        domination_check,
+        lambda: build_dynamic_bc_heat(Grid1D(8)),
+        {},
+        lambda form, rng, t: [(rng.random if t == 0 else rng.standard_normal)(s.dim) for s in form.spaces],
+    ),
+    "linf": (
+        linf_contractivity_check,
+        lambda: build_dynamic_bc_heat(Grid1D(8)),
+        {},
+        lambda form, rng, t: [np.ones(s.dim) if t == 0 else rng.uniform(-1.0, 1.0, s.dim) for s in form.spaces],
+    ),
+    "strip_runtime": (
+        strip_invariance_runtime,
+        lambda: build_constant_coupled(Grid1D(8), FOUR_CYCLE),
+        {"proj": TWO_BLOCKS, "alpha_levels": [1.0]},
+        lambda form, rng, t: sum(strip_nodal(rng, t, TWO_BLOCKS, form.spaces[0].dim), []),
+    ),
+}
+
+
+@pytest.mark.parametrize("check_id", sorted(DRAW_RULES))
+@pytest.mark.parametrize("seed", [0, 7])
+def test_trial_draws_match_the_per_trial_loop(monkeypatch, check_id, seed):
+    check, make_form, kwargs, draws = DRAW_RULES[check_id]
+    drawn = []
+    draw_trials = qualitative._draw_trials
+
+    def recording(*args):
+        drawn.append(draw_trials(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(qualitative, "_draw_trials", recording)
+    form = make_form()
+    check(form, trials=3, cfg=CFG, seed=seed, **kwargs)
+    want = [np.concatenate(draws(form, _trial_rng(seed, t), t)) for t in range(3)]
+    (got,) = drawn
+    np.testing.assert_array_equal(got, np.stack(want, axis=1))
 
 
 def test_domination_streams_its_runs():
