@@ -14,14 +14,17 @@ meaningful.
 The P1 blocks are tridiagonal or a few trace entries, so the systems are
 formed from the form's assembled CSR operators (``FormMatrix.form_csr``
 and ``mass_csr``).  In reverse Cuthill--McKee order their half-bandwidth
-is a few entries, so the system is factored by banded LU with partial
-pivoting (LAPACK ``?gbtrf``) and a step, for every trial column at once,
-is one ``?gbtrs`` solve: time linear in the unknown count.
+is a few entries.  A Hermitian positive definite system (an accretive
+model's, the damped wave's excepted) is factored by banded Cholesky
+(LAPACK ``?pbtrf``, or ``?pttrf`` when tridiagonal), any other by banded
+LU with partial pivoting (``?gbtrf``); a step, for every trial column at
+once, is one solve: time linear in the unknown count.
 
 One generator, ``_states``, owns the stepping loop.  Only the solve runs
-once per step: the generator fills a block of up to ``BLOCK_BYTES`` of
-states, checks the solve residual of every step in it with one product,
-and yields the block's recorded states.  Recorded norms take one
+once per step, in the factor's RCM order: the generator fills a block of
+up to ``BLOCK_BYTES`` of states, checks the solve residual of every step
+in it with one product, and yields the block's recorded states, put back
+in the form's order by one gather.  Recorded norms take one
 ``mass_csr`` product per block.  A run keeps its observables and its
 last state, and ``domination`` walks two generators block by block
 instead of storing states.
@@ -35,7 +38,7 @@ import numpy as np
 import scipy.sparse
 
 from .errors import DimensionError, NumericalError, SolverError, ValidationError
-from .forms import FormMatrix, _BandLU
+from .forms import FormMatrix, _BandLU, _Pencil
 
 SCHEMES = ("implicit-euler", "crank-nicolson")
 #: Bytes of states in one block of steps, which is checked and recorded at once.
@@ -122,54 +125,61 @@ class ProjectionSpec:
 
 
 class Stepper:
-    """One factorized time-step operator for a fixed form and config.
+    """One factorized time-step operator for a fixed form and config, in RCM coordinates.
 
     The implicit system ``lhs u+ = rhs u`` is formed from the form's
-    CSR operators ``form_csr`` and ``mass_csr``, and ``lhs`` is factored
-    once by banded LU with partial pivoting in reverse Cuthill--McKee
-    order (:class:`coupledforms.forms._BandLU`), whatever the form:
-    Hermitian or not, real or complex.  Construction raises
-    :class:`SolverError` when the factorization fails or its smallest
-    pivot is below ``1e-14 * |lhs|_inf``; :meth:`check` raises it when a
-    column's solve residual ``|lhs u+ - rhs u|`` exceeds
-    ``solver_tolerance * max(1, |rhs u|)``.
+    CSR operators ``form_csr`` and ``mass_csr``.  ``lhs`` is factored by
+    banded Cholesky (:meth:`coupledforms.forms._Pencil.factor`, ``kernel
+    == "cholesky"``) when ``lhs`` and ``rhs`` are exactly Hermitian and
+    ``lhs`` is positive definite, else by banded LU with partial
+    pivoting (:class:`coupledforms.forms._BandLU`, ``"lu"``).  ``order``
+    is the factor's reverse Cuthill--McKee order: ``lhs`` and ``rhs``
+    are permuted to it once, and :meth:`step` and :meth:`check` take
+    states ``u[order]``.  Construction raises :class:`SolverError` when
+    the factorization fails or its smallest pivot is below ``1e-14 *
+    |lhs|_inf``; :meth:`check` raises it when a column's solve residual
+    ``|lhs u+ - rhs u|`` exceeds ``solver_tolerance * max(1, |rhs u|)``.
     """
 
     def __init__(self, form: FormMatrix, cfg: EvolutionConfig):
         # no reference back to the form, which keeps its steppers
         self.cfg = cfg
         mass, s = form.mass_csr, form.form_csr
-        if cfg.scheme == "implicit-euler":
-            lhs = mass + cfg.dt * s
-            self._rhs = mass
-        else:
-            lhs = mass + (cfg.dt / 2.0) * s
-            self._rhs = mass - (cfg.dt / 2.0) * s
-        self._lhs = lhs
+        theta = 1.0 if cfg.scheme == "implicit-euler" else 0.5
+        lhs = mass + (theta * cfg.dt) * s
+        rhs = mass if theta == 1.0 else mass - (theta * cfg.dt) * s
+        hermitian = all((a - a.conj().T).count_nonzero() == 0 for a in (lhs, rhs))
+        pencil = _Pencil(lhs, rhs) if hermitian else None
         try:
-            self._lu = _BandLU(lhs)
+            if pencil is not None and pencil.factor():
+                self.kernel, self._factor = "cholesky", pencil
+            else:
+                self.kernel, self._factor = "lu", _BandLU(lhs)
         except NumericalError as exc:
             raise SolverError(
                 f"{cfg.scheme} system factorization failed at dt={cfg.dt}: {exc}"
             ) from exc
-        diag = np.abs(self._lu.pivots)
+        diag = self._factor.pivots
         scale = max(float(abs(lhs).sum(axis=1).max()), 1e-300)
         if diag.min() <= 1e-14 * scale:
             raise SolverError(
                 f"{cfg.scheme} system is numerically singular at dt={cfg.dt} "
                 f"(pivot ratio {diag.min() / scale:.3e})"
             )
+        self.order = self._factor.order
+        self.position = np.argsort(self.order)
+        self._lhs, self._rhs = (a[self.order][:, self.order] for a in (lhs, rhs))
 
     def step(self, u: np.ndarray) -> tuple:
-        """Advance a state vector, or each column of a ``(N, k)`` block, unchecked.
+        """Advance a state vector, or each column of a ``(N, k)`` block, unchecked; all in ``order``.
 
         Returns ``(u+, rhs u)``; :meth:`check` judges the solve.
         """
         rhs = self._rhs @ u
-        return self._lu.solve(rhs), rhs
+        return self._factor.solve(rhs), rhs
 
     def check(self, states: np.ndarray, rhs: np.ndarray, steps: np.ndarray) -> None:
-        """Check the solves of an ``(N, b, k)`` block: the states after ``steps`` and their ``rhs u``.
+        """Check the solves of an ``(N, b, k)`` block in ``order``: the states after ``steps`` and their ``rhs u``.
 
         One product covers the block; the error names the first step
         with a column over its bound.
@@ -204,14 +214,15 @@ def _start(form: FormMatrix, u0) -> np.ndarray:
 def _states(form: FormMatrix, u: np.ndarray, cfg: EvolutionConfig):
     """Yield ``(steps, states)`` blocks from flat ``u``: recorded step indices and an ``(N, len(steps), k)`` array.
 
-    Step 0 is a block of its own.  After it, each block of steps fills
-    at most ``BLOCK_BYTES`` of states and the solves of all of them are
-    checked before its recorded states, if any, are yielded.  No step
-    overwrites a yielded block.
+    Step 0 is a block of its own.  After it, steps run in the stepper's
+    ``order``, each block fills at most ``BLOCK_BYTES`` of states, and
+    their solves are checked before the recorded ones, if any, are
+    yielded in the form's order, in an array no later step writes to.
     """
     stepper = _stepper(form, cfg)
     u = u.reshape(u.shape[0], -1)
     yield np.zeros(1, dtype=int), u[:, None]
+    u = u[stepper.order]
     last = cfg.n_steps
     width = max(1, BLOCK_BYTES // u.nbytes)
     for first in range(1, last + 1, width):
@@ -224,12 +235,15 @@ def _states(form: FormMatrix, u: np.ndarray, cfg: EvolutionConfig):
         stepper.check(states, rhs, steps)
         kept = (steps % cfg.record_every == 0) | (steps == last)
         if kept.any():
-            yield steps[kept], states if kept.all() else states[:, kept]
+            # back in the form's order, into the spent rhs buffer ("clip" writes straight into out)
+            block = np.take(states, stepper.position, axis=0, out=rhs, mode="clip")
+            yield steps[kept], block if kept.all() else block[:, kept]
 
 
 def _squared_norms(form: FormMatrix, u: np.ndarray) -> np.ndarray:
     """``u_i^H h_gram_i u_i`` per component (rows) of a flat state, one column per trial column of ``u``."""
-    weights = (u.conj() * (form.mass_csr @ u)).real
+    mass_u = form.mass_csr @ u
+    weights = (u.conj() * mass_u).real if np.iscomplexobj(u) else u * mass_u
     return np.add.reduceat(weights, [sl.start for sl in form.block_slices], axis=0)
 
 
@@ -257,18 +271,18 @@ def _observables(form: FormMatrix, states: np.ndarray, lifted) -> np.ndarray:
     """The recorded observables of an ``(N, b, k)`` block of states, ``(names, b, k)`` in :func:`evolve`'s order.
 
     One ``mass_csr`` product covers the block and, with a projection,
-    the columns ``u - Pu`` and ``Pu``: the distance comes from ``u - Pu``
-    itself, since ``|u|^2 - |Pu|^2`` loses half the digits of a distance
-    near zero.
+    one each the blocks ``u - Pu`` and ``Pu``: the distance comes from
+    ``u - Pu`` itself, since ``|u|^2 - |Pu|^2`` loses half the digits of
+    a distance near zero.
     """
     n, b, k = states.shape
     u = states.reshape(n, b * k)
+    squares = [_squared_norms(form, u)]
     if lifted is not None:
         pu = lifted @ u
-        u = np.concatenate([u, u - pu, pu], axis=1)
-    squares = _squared_norms(form, u)
-    norms = _norm(squares[:, : b * k]).reshape(-1, b, k)
-    totals = _norm(squares.sum(axis=0)).reshape(-1, b, k)
+        squares += [_squared_norms(form, u - pu), _squared_norms(form, pu)]
+    norms = _norm(squares[0]).reshape(-1, b, k)
+    totals = _norm(np.array([s.sum(axis=0) for s in squares])).reshape(-1, b, k)
     extremes = np.stack([states.real.min(axis=0), np.abs(states).max(axis=0)])
     return np.concatenate([totals[:1], extremes, norms, totals[1:]])
 

@@ -239,23 +239,29 @@ class FormMatrix:
         return _Pencil(_hermitian_part(self.form_csr), _diagonal(np.ones(self.total_dim))).definite(-tau)
 
     def adjoint(self) -> "FormMatrix":
-        """Form with blocks ``S*_ij = S_ji^H`` (the adjoint form)."""
+        """The adjoint form, blocks ``S*_ij = S_ji^H``; a coefficient field ``c_ij`` becomes ``c_ji``."""
         blocks = [
             [FormBlock(i, j, self.blocks[j][i].matrix.conj().T) for j in range(self.m)]
             for i in range(self.m)
         ]
         meta = dict(self.metadata)
         meta["adjoint_of"] = meta.pop("model", "unnamed")
+        if "coefficients" in meta:
+            field = meta["coefficients"]
+            meta["coefficients"] = type(field)(field.values.transpose(1, 0, 2))
         return FormMatrix(self.spaces, blocks, meta)
 
     def diagonal_part(self) -> "FormMatrix":
-        """Same diagonal blocks, all couplings zeroed."""
+        """Same diagonal blocks, all couplings zeroed, in a coefficient field too."""
         blocks = [
             [FormBlock(i, j, blk.matrix if i == j else np.zeros_like(blk.matrix)) for j, blk in enumerate(row)]
             for i, row in enumerate(self.blocks)
         ]
         meta = dict(self.metadata)
         meta["diagonal_of"] = meta.pop("model", "unnamed")
+        if "coefficients" in meta:
+            field = meta["coefficients"]
+            meta["coefficients"] = type(field)(np.where(np.eye(self.m, dtype=bool)[:, :, None], field.values, 0.0))
         return FormMatrix(self.spaces, blocks, meta)
 
     @cached_property
@@ -402,22 +408,23 @@ class _Pencil:
     """A Hermitian sparse pencil ``(a, b)`` with ``b`` positive definite.
 
     The union pattern of ``a``, ``b`` and any further Hermitian matrices
-    ``rest`` is ordered once by reverse Cuthill--McKee, and the upper
-    triangles of all of them, in that order, are scattered into LAPACK
-    upper band arrays of shape ``(kd+1, N)``, ``kd`` the half-bandwidth
-    of the ordered pattern.  Band storage is never more than the
-    ``N**2`` entries of a dense matrix: a dense pencil has ``kd = N-1``.
+    ``rest`` is ordered once by reverse Cuthill--McKee (``order``), and
+    the upper triangles of all of them, in that order, are scattered
+    into LAPACK upper band arrays of shape ``(kd+1, N)``, ``kd`` the
+    half-bandwidth of the ordered pattern.  Band storage is never more
+    than the ``N**2`` entries of a dense matrix: a dense pencil has
+    ``kd = N-1``.
     """
 
     def __init__(self, a, b, *rest):
         mats = (a, b, *rest)
-        _, entries = _rcm_entries(*mats)
+        self.order, entries = _rcm_entries(*mats)
         kd = max(int(np.abs(row - col).max(initial=0)) for row, col, _ in entries)
         dtype = np.result_type(*(m.dtype for m in mats), float)
         # rows 0..kd of the full band hold the upper triangle in ?pbtrf layout
         full = (_band(*e, kd, 2 * kd + 1, a.shape[0], dtype) for e in entries)
         self.a, self.b, *self.rest = (np.asfortranarray(band[: kd + 1]) for band in full)
-        self._pbtrf = scipy.linalg.get_lapack_funcs("pbtrf", (self.a,))
+        self._pbtrf, self._pbtrs = scipy.linalg.get_lapack_funcs(("pbtrf", "pbtrs"), (self.a,))
 
     def definite(self, mu: float, *weights: float) -> bool:
         """``a - mu*b + sum_k weights[k]*rest[k]`` is positive definite.
@@ -432,22 +439,53 @@ class _Pencil:
         _, info = self._pbtrf(ab, overwrite_ab=True)
         return info == 0
 
+    def factor(self) -> bool:
+        """Factor ``a`` for :meth:`solve`; False when ``a`` is not positive definite.
+
+        A tridiagonal ``a`` is factored by ``?pttrf``, any other by ``?pbtrf``.
+        ``pivots`` are the pivots of elimination: ``D`` of ``L D L^H``, or ``|R_ii|**2`` of ``R^H R``.
+        """
+        if len(self.a) == 2:
+            pttrf, pttrs = scipy.linalg.get_lapack_funcs(("pttrf", "pttrs"), (self.a,))
+            d, e, info = pttrf(self.a[1].real, self.a[0, 1:])
+            self.pivots, self._solve = d, lambda rhs: pttrs(d, e, rhs)[0]
+        else:
+            c, info = self._pbtrf(self.a)
+            self.pivots, self._solve = np.abs(c[-1]) ** 2, lambda rhs: self._pbtrs(c, rhs)[0]
+        return info == 0
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """``a^{-1} b`` in the pencil's ``order``, for a vector or an ``(N, k)`` block, by one LAPACK call."""
+        return _solve_columns(self._solve, self.a, b)
+
+
+def _solve_columns(solve, factor: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``solve`` on ``b`` as ``(N, k)`` columns, ``b`` kept; complex ``b`` on a real ``factor`` as 2k real ones."""
+    rhs = b.reshape(b.shape[0], -1)
+    split = np.iscomplexobj(rhs) and not np.iscomplexobj(factor)
+    if split:
+        rhs = np.concatenate([rhs.real, rhs.imag], axis=1)
+    x = solve(rhs)
+    if split:
+        k = x.shape[1] // 2
+        x = x[:, :k] + 1j * x[:, k:]
+    return x.reshape(b.shape)
+
 
 class _BandLU:
     """LU factors, with partial pivoting, of a square sparse matrix ``a``.
 
-    The pattern of ``a`` is ordered by reverse Cuthill--McKee and ``a``,
-    in that order, is scattered into LAPACK general band storage of
-    shape ``(2*kl + ku + 1, N)`` and factored by ``?gbtrf``; row
-    interchanges widen the upper band by ``kl``, which the storage
-    leaves room for.  Real or complex, Hermitian or not, definite or
-    not: any nonsingular ``a`` factors.  Raises :class:`NumericalError`
-    when a pivot is exactly zero.
+    The pattern of ``a`` is ordered by reverse Cuthill--McKee
+    (``order``) and ``a``, in that order, is scattered into LAPACK
+    general band storage of shape ``(2*kl + ku + 1, N)`` and factored by
+    ``?gbtrf``; row interchanges widen the upper band by ``kl``, which
+    the storage leaves room for.  Real or complex, Hermitian or not,
+    definite or not: any nonsingular ``a`` factors.  Raises
+    :class:`NumericalError` when a pivot is exactly zero.
     """
 
     def __init__(self, a):
         self.order, (entries, _) = _rcm_entries(a, a.T)
-        self.position = np.argsort(self.order)
         row, col, data = entries
         self.kl, self.ku = int((row - col).max(initial=0)), int((col - row).max(initial=0))
         ldab = 2 * self.kl + self.ku + 1
@@ -456,27 +494,12 @@ class _BandLU:
         self.lu, self.ipiv, info = gbtrf(band, self.kl, self.ku, overwrite_ab=True)
         if info > 0:
             raise NumericalError(f"pivot {info} of the banded LU is exactly zero")
-
-    @property
-    def pivots(self) -> np.ndarray:
-        """The diagonal of ``U``: the factor's diagonal row of the band."""
-        return self.lu[self.kl + self.ku]
+        # |U_ii|, from the factor's diagonal row of the band
+        self.pivots = np.abs(self.lu[self.kl + self.ku])
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """``a^{-1} b`` for a vector or for each column of an ``(N, k)`` block, in one ``?gbtrs`` call.
-
-        Complex ``b`` on a real factor is solved as the ``2k`` real
-        columns of its real and imaginary parts.
-        """
-        rhs = b[self.order].reshape(b.shape[0], -1)
-        split = np.iscomplexobj(rhs) and not np.iscomplexobj(self.lu)
-        if split:
-            rhs = np.concatenate([rhs.real, rhs.imag], axis=1)
-        x, _ = self._gbtrs(self.lu, self.kl, self.ku, rhs, self.ipiv, overwrite_b=True)
-        if split:
-            k = x.shape[1] // 2
-            x = x[:, :k] + 1j * x[:, k:]
-        return x[self.position].reshape(b.shape)
+        """``a^{-1} b`` in ``order``, for a vector or an ``(N, k)`` block, by one ``?gbtrs`` call."""
+        return _solve_columns(lambda rhs: self._gbtrs(self.lu, self.kl, self.ku, rhs, self.ipiv)[0], self.lu, b)
 
 
 def _lambda_min(a, b, rtol: float = SPECTRAL_RTOL) -> tuple:

@@ -19,12 +19,13 @@ from coupledforms import (
     h_norm,
     make_projection,
     p1_mass,
+    p1_stiffness,
     two_fibre_coupling,
 )
 from coupledforms.errors import DimensionError, SolverError, ValidationError
 from coupledforms import evolution
-from coupledforms.evolution import Stepper, _lift, _observables, _start, _states, _stepper
-from coupledforms.forms import _BandLU
+from coupledforms.evolution import SCHEMES, Stepper, _lift, _observables, _start, _states, _stepper
+from coupledforms.forms import _BandLU, _Pencil
 
 
 def scalar_form(s_value, mass_value=1.0):
@@ -90,8 +91,9 @@ class TestStep:
         form = build_ephaptic(grid, CoefficientField(np.zeros((2, 2, 6))))
         rng = np.random.default_rng(0)
         u = [rng.standard_normal(grid.n_nodes) for _ in range(2)]
-        out, _ = Stepper(form, EvolutionConfig(dt=0.5, t_end=1.0)).step(form.flatten(u))
-        for a, b in zip(form.split(out), u):
+        stepper = Stepper(form, EvolutionConfig(dt=0.5, t_end=1.0))
+        out, _ = stepper.step(form.flatten(u)[stepper.order])
+        for a, b in zip(form.split(out[stepper.position]), u):
             np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-15)
 
     def test_scalar_crank_nicolson_stability_boundary(self):
@@ -107,22 +109,33 @@ class TestStep:
         with pytest.raises(SolverError, match="implicit-euler.*dt=1.0"):
             Stepper(form, cfg).step(form.flatten([[1.0]]))
 
-    def test_numerically_singular_system_raises_named_solver_error(self):
-        # Mass + dt*S = [[1, 1], [1, 1 + 1e-15]]: nonzero pivots, but the
-        # last is about 5e-16 of the matrix's inf-norm
-        form = FormMatrix(
-            [DiscreteSpace(2, np.eye(2), np.eye(2))],
-            [[np.array([[0.0, 1.0], [1.0, 1e-15]])]],
-        )
+    @pytest.mark.parametrize(
+        "s",
+        [
+            # Mass + dt*S = [[1, 1], [1, 1 + 1e-15]], tridiagonal: nonzero
+            # pivots, but the last is about 5e-16 of the matrix's inf-norm
+            [[0.0, 1.0], [1.0, 1e-15]],
+            # Mass + dt*S = diag(1, 1e-16), factored by ?pbtrf: |R_22|**2 is the last pivot
+            [[0.0, 0.0], [0.0, -1.0 + 1e-16]],
+        ],
+        ids=["tridiagonal", "diagonal"],
+    )
+    def test_numerically_singular_system_raises_named_solver_error(self, s):
+        form = FormMatrix([DiscreteSpace(2, np.eye(2), np.eye(2))], [[np.array(s)]])
         cfg = EvolutionConfig(dt=1.0, t_end=1.0)
         with pytest.raises(SolverError, match="implicit-euler system is numerically singular at dt=1.0"):
             Stepper(form, cfg).step(form.flatten([np.ones(2)]))
 
-    def test_inaccurate_solve_raises_named_solver_error(self, monkeypatch):
+    @pytest.mark.parametrize("kernel", ["cholesky", "lu"])
+    def test_inaccurate_solve_raises_named_solver_error(self, monkeypatch, kernel):
         # a banded solve that is wrong in one trial column must be caught
         # by the per-column residual check, not passed on as a state, and
         # named by its own step, not by the first or last of its block
-        real_solve = _BandLU.solve
+        if kernel == "cholesky":
+            factor, form = _Pencil, build_constant_coupled(Grid1D(8), [[2.0, -1.0], [-1.0, 2.0]])
+        else:
+            factor, form = _BandLU, build_damped_wave(Grid1D(8), 1.0)
+        real_solve = factor.solve
         solves, first_bad = [], [1]
 
         def corrupt_column(lu, rhs):
@@ -132,10 +145,10 @@ class TestStep:
                 out[:, 1] *= 1.0 + 1e-6
             return out
 
-        form = build_constant_coupled(Grid1D(8), [[2.0, -1.0], [-1.0, 2.0]])
-        monkeypatch.setattr(_BandLU, "solve", corrupt_column)
+        monkeypatch.setattr(factor, "solve", corrupt_column)
         u0 = [np.ones((9, 3)), np.ones((9, 3))]
         cfg = EvolutionConfig(dt=0.05, t_end=0.2, scheme="crank-nicolson")
+        assert _stepper(form, cfg).kernel == kernel
         with pytest.raises(SolverError, match=r"crank-nicolson solve lost accuracy at step 1 \(dt=0.05"):
             evolve(form, u0, cfg)
 
@@ -163,12 +176,13 @@ def stepwise_record(form, u0, cfg, proj):
     lifted = None if proj is None else _lift(proj.matrix, form.spaces[0].dim)
     stepper = Stepper(form, cfg)
     times, rows = [0.0], [_observables(form, u[:, None], lifted)]
+    u = u[stepper.order]
     for k in range(1, cfg.n_steps + 1):
         u, _ = stepper.step(u)
         if k % cfg.record_every == 0 or k == cfg.n_steps:
             times.append(k * cfg.dt)
-            rows.append(_observables(form, u[:, None], lifted))
-    return np.array(times), np.concatenate(rows, axis=1), u.reshape(shape)
+            rows.append(_observables(form, u[stepper.position][:, None], lifted))
+    return np.array(times), np.concatenate(rows, axis=1), u[stepper.position].reshape(shape)
 
 
 BLOCK_CASES = {
@@ -532,11 +546,38 @@ def ephaptic_difference():
     return build_ephaptic(Grid1D(16), CoefficientField.constant(coupling, 16))
 
 
+def ephaptic(kind):
+    return build_ephaptic(Grid1D(16), CoefficientField.constant(two_fibre_coupling(kind, 2.0, 0.5), 16))
+
+
+def complex_hermitian_coupling(tridiagonal=False):
+    """A complex Hermitian form: the 2-fibre coupling ``[[2, 1j], [-1j, 2]]``, or one
+    component with stiffness plus the Hermitian tridiagonal ``i*(E - E^T)``."""
+    grid = Grid1D(16)
+    space = DiscreteSpace(grid.n_nodes, p1_mass(grid), p1_mass(grid) + p1_stiffness(grid))
+    stiff = p1_stiffness(grid)
+    if tridiagonal:
+        skew = np.eye(grid.n_nodes, k=1) - np.eye(grid.n_nodes, k=-1)
+        return FormMatrix([space], [[stiff + 0.5j * skew]])
+    return FormMatrix([space] * 2, [[2.0 * stiff, 1j * stiff], [-1j * stiff, 2.0 * stiff]])
+
+
+FOUR_CYCLE = [[3, -1, -1, 0], [-1, 3, 0, -1], [-1, 0, 3, -1], [0, -1, -1, 3]]
+
+# builder, dt and the factor the stepper must hold
 STEP_FORMS = {
-    "ephaptic_difference": (ephaptic_difference, 1e-2),
-    "damped_wave_real": (lambda: build_damped_wave(Grid1D(16), 1.0), 1e-2),
-    "damped_wave_complex": (lambda: build_damped_wave(Grid1D(16), 1.0 + 0.5j), 1e-2),
-    "pivoting": (pivoting_form, 1.0),
+    "ephaptic_difference": (ephaptic_difference, 1e-2, "cholesky"),
+    "ephaptic_sum": (lambda: ephaptic("sum"), 1e-2, "cholesky"),
+    "ephaptic_shared": (lambda: ephaptic("shared"), 1e-2, "cholesky"),
+    "four_cycle": (lambda: build_constant_coupled(Grid1D(16), FOUR_CYCLE), 1e-2, "cholesky"),
+    "dynamic_bc_heat": (lambda: build_dynamic_bc_heat(Grid1D(16)), 1e-2, "cholesky"),
+    "complex_hermitian": (complex_hermitian_coupling, 1e-2, "cholesky"),
+    "complex_hermitian_tridiagonal": (lambda: complex_hermitian_coupling(True), 1e-2, "cholesky"),
+    # Hermitian but indefinite at this dt: ?pbtrf breaks down
+    "indefinite": (lambda: build_constant_coupled(Grid1D(8), [[1.0, 2.0], [2.0, 1.0]]), 0.05, "lu"),
+    "damped_wave_real": (lambda: build_damped_wave(Grid1D(16), 1.0), 1e-2, "lu"),
+    "damped_wave_complex": (lambda: build_damped_wave(Grid1D(16), 1.0 + 0.5j), 1e-2, "lu"),
+    "pivoting": (pivoting_form, 1.0, "lu"),
 }
 
 
@@ -545,7 +586,7 @@ class TestBandedStep:
     @pytest.mark.parametrize("name", sorted(STEP_FORMS))
     @pytest.mark.parametrize("data", ["vector", "block", "complex"])
     def test_step_matches_dense_solve(self, name, scheme, data):
-        build, dt = STEP_FORMS[name]
+        build, dt, kernel = STEP_FORMS[name]
         form = build()
         cfg = EvolutionConfig(dt=dt, t_end=dt, scheme=scheme)
         theta = 1.0 if scheme == "implicit-euler" else 0.5
@@ -556,12 +597,41 @@ class TestBandedStep:
         if data == "complex" or not form.is_real:
             u = u + 1j * rng.standard_normal(shape)
         stepper = Stepper(form, cfg)
-        got, _ = stepper.step(u)
+        assert stepper.kernel == kernel
+        got = stepper.step(u[stepper.order])[0][stepper.position]
         want = np.linalg.solve(mass + theta * dt * s, (mass - (1.0 - theta) * dt * s) @ u)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert np.linalg.norm(got - want) <= BANDED_STEP_RTOL * np.linalg.norm(want)
         if name == "pivoting":
-            assert np.any(stepper._lu.ipiv != np.arange(form.total_dim))
+            assert np.any(stepper._factor.ipiv != np.arange(form.total_dim))
+
+    def test_indefinite_system_factors_by_cholesky_at_a_small_step(self):
+        form = build_constant_coupled(Grid1D(8), [[1.0, 2.0], [2.0, 1.0]])
+        for scheme in SCHEMES:
+            assert Stepper(form, EvolutionConfig(dt=0.05, t_end=0.2, scheme=scheme)).kernel == "lu"
+            assert Stepper(form, EvolutionConfig(dt=1e-3, t_end=0.2, scheme=scheme)).kernel == "cholesky"
+
+    @pytest.mark.parametrize("tridiagonal, routine", [(False, "zpbtrs"), (True, "zpttrs")])
+    def test_complex_hermitian_system_solves_in_complex_arithmetic(self, monkeypatch, tridiagonal, routine):
+        form = complex_hermitian_coupling(tridiagonal)
+        called = []
+        real_get = scipy.linalg.get_lapack_funcs
+
+        def spying_get(names, arrays=()):
+            funcs = real_get(names, arrays)
+            single = isinstance(names, str)
+
+            def spy(f):
+                # a LAPACK wrapper's __name__ is "function <routine>"
+                return lambda *a, **k: called.append(f.__name__.split()[-1]) or f(*a, **k)
+
+            return spy(funcs) if single else tuple(map(spy, funcs))
+
+        monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", spying_get)
+        stepper = Stepper(form, EvolutionConfig(dt=1e-2, t_end=1e-2))
+        u = np.ones(form.total_dim, dtype=complex)
+        stepper.step(u)
+        assert stepper.kernel == "cholesky" and called[-1] == routine
 
     def test_one_stepper_per_form_and_config(self):
         form = build_dynamic_bc_heat(Grid1D(8))

@@ -16,6 +16,7 @@ from coupledforms import (
     build_dynamic_bc_heat,
     build_ephaptic,
     embedding_norm,
+    ephaptic_sum_check,
     estimate_continuity,
     estimate_ellipticity,
     form_apply,
@@ -446,6 +447,20 @@ class TestAdjoint:
             for j in range(2):
                 np.testing.assert_allclose(adj.block(i, j).toarray(), form.block(j, i).toarray().conj().T)
 
+    def test_adjoint_and_diagonal_part_carry_their_coefficient_field(self):
+        grid = Grid1D(4)
+        form = build_ephaptic(grid, CoefficientField.constant([[2, 0], [1, 1]], 4))
+        assert ephaptic_sum_check(form.metadata["coefficients"], "rows").passed
+        # the adjoint's row sums are the field's column sums, 3 and 1
+        adjoint = form.adjoint()
+        assert not ephaptic_sum_check(adjoint.metadata["coefficients"], "rows").passed
+        diagonal = form.diagonal_part()
+        np.testing.assert_array_equal(diagonal.metadata["coefficients"].values[:, :, 0], [[2, 0], [0, 1]])
+        # each field assembles the blocks of its own form
+        for derived in (adjoint, diagonal):
+            rebuilt = build_ephaptic(grid, derived.metadata["coefficients"])
+            assert (rebuilt.form_csr != derived.form_csr).nnz == 0
+
 
 # ---------------------------------------------------------------------------
 # the banded Cholesky primitive against dense LAPACK, which stays here as
@@ -646,8 +661,8 @@ def test_no_dense_spectral_calls(module):
 
 
 def test_forms_has_one_factorization_path():
-    # spectral decisions factor by banded Cholesky, stepping and every
-    # other solve by banded LU, both in RCM order: no module calls SuperLU
+    # spectral decisions, Hermitian steps and Gram solves factor by banded
+    # Cholesky, other steps by banded LU, both in RCM order: no module calls SuperLU
     modules = sorted(module_path("forms.py").parent.glob("*.py"))
     assert len(modules) > 5
     assert [(p.name, c) for p in modules for c in flagged_calls(p, {"splu"}) if c[1] == "splu"] == []
