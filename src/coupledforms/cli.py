@@ -11,7 +11,7 @@ Three subcommands, one JSON config file each:
 
 Exit codes: 0 all requested criteria pass (not-applicable does not
 fail), 1 a criterion failed or the solver broke down, 2 the config did
-not parse or validate.
+not parse or validate, or the problem it sets does not fit in memory.
 """
 
 from __future__ import annotations
@@ -279,7 +279,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # an overflowing input is reported once, by the check that finds it non-finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except ValidationError as exc:
         label = "config error" if isinstance(exc, ConfigError) else "validation error"
         sys.stderr.write(f"{label}: {exc}\n")
@@ -287,6 +289,9 @@ def main(argv=None) -> int:
     except SolverError as exc:
         sys.stderr.write(f"solver failure: {exc}\n")
         return EXIT_FAIL
+    except MemoryError as exc:
+        sys.stderr.write(f"config error: the problem does not fit in memory: {exc}\n")
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -14,11 +14,12 @@ meaningful.
 The P1 blocks are tridiagonal or a few trace entries, so the systems are
 formed from the form's assembled CSR operators (``FormMatrix.form_csr``
 and ``mass_csr``).  In reverse Cuthill--McKee order their half-bandwidth
-is a few entries.  A Hermitian positive definite system (an accretive
-model's, the damped wave's excepted) is factored by banded Cholesky
-(LAPACK ``?pbtrf``, or ``?pttrf`` when tridiagonal), any other by banded
-LU with partial pivoting (``?gbtrf``); a step, for every trial column at
-once, is one solve: time linear in the unknown count.
+is a few entries.  :class:`coupledforms.forms._Factor` factors a
+Hermitian positive definite system (an accretive model's, the damped
+wave's excepted) by banded Cholesky (LAPACK ``?pbtrf``, or ``?pttrf``
+when tridiagonal), any other by banded LU with partial pivoting
+(``?gbtrf``); a step, for every trial column at once, is one solve:
+time linear in the unknown count.
 
 One generator, ``_states``, owns the stepping loop.  Only the solve runs
 once per step, in the factor's RCM order: the generator fills a block of
@@ -38,7 +39,7 @@ import numpy as np
 import scipy.sparse
 
 from .errors import DimensionError, NumericalError, SolverError, ValidationError
-from .forms import FormMatrix, _BandLU, _Pencil
+from .forms import FormMatrix, _Factor
 
 SCHEMES = ("implicit-euler", "crank-nicolson")
 #: Bytes of states in one block of steps, which is checked and recorded at once.
@@ -129,10 +130,9 @@ class Stepper:
 
     The implicit system ``lhs u+ = rhs u`` is formed from the form's
     CSR operators ``form_csr`` and ``mass_csr``.  ``lhs`` is factored by
-    banded Cholesky (:meth:`coupledforms.forms._Pencil.factor`, ``kernel
-    == "cholesky"``) when ``lhs`` and ``rhs`` are exactly Hermitian and
-    ``lhs`` is positive definite, else by banded LU with partial
-    pivoting (:class:`coupledforms.forms._BandLU`, ``"lu"``).  ``order``
+    :class:`coupledforms.forms._Factor`: banded Cholesky (``kernel ==
+    "cholesky"``) when it is exactly Hermitian and positive definite,
+    else banded LU with partial pivoting (``"lu"``).  ``order``
     is the factor's reverse Cuthill--McKee order: ``lhs`` and ``rhs``
     are permuted to it once, and :meth:`step` and :meth:`check` take
     states ``u[order]``.  Construction raises :class:`SolverError` when
@@ -148,17 +148,13 @@ class Stepper:
         theta = 1.0 if cfg.scheme == "implicit-euler" else 0.5
         lhs = mass + (theta * cfg.dt) * s
         rhs = mass if theta == 1.0 else mass - (theta * cfg.dt) * s
-        hermitian = all((a - a.conj().T).count_nonzero() == 0 for a in (lhs, rhs))
-        pencil = _Pencil(lhs, rhs) if hermitian else None
         try:
-            if pencil is not None and pencil.factor():
-                self.kernel, self._factor = "cholesky", pencil
-            else:
-                self.kernel, self._factor = "lu", _BandLU(lhs)
+            self._factor = _Factor(lhs, rhs)
         except NumericalError as exc:
             raise SolverError(
                 f"{cfg.scheme} system factorization failed at dt={cfg.dt}: {exc}"
             ) from exc
+        self.kernel, self.order = self._factor.kernel, self._factor.order
         diag = self._factor.pivots
         scale = max(float(abs(lhs).sum(axis=1).max()), 1e-300)
         if diag.min() <= 1e-14 * scale:
@@ -166,7 +162,6 @@ class Stepper:
                 f"{cfg.scheme} system is numerically singular at dt={cfg.dt} "
                 f"(pivot ratio {diag.min() / scale:.3e})"
             )
-        self.order = self._factor.order
         self.position = np.argsort(self.order)
         self._lhs, self._rhs = (a[self.order][:, self.order] for a in (lhs, rhs))
 

@@ -19,6 +19,11 @@ through dense LAPACK except in :func:`associated_operator`.  The
 ``sector`` and ``parabola`` checks of :mod:`coupledforms.qualitative`
 decide the numerical range of a form with the same primitive, on the
 Hermitian imaginary part ``(S - S^H)/2i`` of the form matrix.
+
+Every linear solve (the time-step systems and the ambient-Gram solves)
+goes through :class:`_Factor`, the one place that chooses between
+banded Cholesky and banded LU (Anderson et al., *LAPACK Users' Guide*,
+1999, band drivers).
 """
 
 from __future__ import annotations
@@ -405,26 +410,25 @@ def _band(row: np.ndarray, col: np.ndarray, data: np.ndarray, offset: int, ldab:
 
 
 class _Pencil:
-    """A Hermitian sparse pencil ``(a, b)`` with ``b`` positive definite.
+    """A Hermitian sparse pencil ``(a, b)`` with ``b`` positive definite, for :meth:`definite`.
 
     The union pattern of ``a``, ``b`` and any further Hermitian matrices
-    ``rest`` is ordered once by reverse Cuthill--McKee (``order``), and
-    the upper triangles of all of them, in that order, are scattered
-    into LAPACK upper band arrays of shape ``(kd+1, N)``, ``kd`` the
-    half-bandwidth of the ordered pattern.  Band storage is never more
-    than the ``N**2`` entries of a dense matrix: a dense pencil has
-    ``kd = N-1``.
+    ``rest`` is ordered once by reverse Cuthill--McKee, and the upper
+    triangles of all of them, in that order, are scattered into LAPACK
+    upper band arrays of shape ``(kd+1, N)``, ``kd`` the half-bandwidth
+    of the ordered pattern.  Band storage is never more than the
+    ``N**2`` entries of a dense matrix: a dense pencil has ``kd = N-1``.
     """
 
     def __init__(self, a, b, *rest):
         mats = (a, b, *rest)
-        self.order, entries = _rcm_entries(*mats)
+        _, entries = _rcm_entries(*mats)
         kd = max(int(np.abs(row - col).max(initial=0)) for row, col, _ in entries)
         dtype = np.result_type(*(m.dtype for m in mats), float)
         # rows 0..kd of the full band hold the upper triangle in ?pbtrf layout
         full = (_band(*e, kd, 2 * kd + 1, a.shape[0], dtype) for e in entries)
         self.a, self.b, *self.rest = (np.asfortranarray(band[: kd + 1]) for band in full)
-        self._pbtrf, self._pbtrs = scipy.linalg.get_lapack_funcs(("pbtrf", "pbtrs"), (self.a,))
+        self._pbtrf = scipy.linalg.get_lapack_funcs("pbtrf", (self.a,))
 
     def definite(self, mu: float, *weights: float) -> bool:
         """``a - mu*b + sum_k weights[k]*rest[k]`` is positive definite.
@@ -439,67 +443,68 @@ class _Pencil:
         _, info = self._pbtrf(ab, overwrite_ab=True)
         return info == 0
 
-    def factor(self) -> bool:
-        """Factor ``a`` for :meth:`solve`; False when ``a`` is not positive definite.
 
-        A tridiagonal ``a`` is factored by ``?pttrf``, any other by ``?pbtrf``.
-        ``pivots`` are the pivots of elimination: ``D`` of ``L D L^H``, or ``|R_ii|**2`` of ``R^H R``.
-        """
-        if len(self.a) == 2:
-            pttrf, pttrs = scipy.linalg.get_lapack_funcs(("pttrf", "pttrs"), (self.a,))
-            d, e, info = pttrf(self.a[1].real, self.a[0, 1:])
+class _Factor:
+    """Banded factors of a square sparse matrix ``a``, for :meth:`solve` in reverse Cuthill--McKee ``order``.
+
+    ``a`` is scattered once into the LAPACK general band storage
+    ``(2*kl + ku + 1, N)`` of ``?gbtrf``, in the RCM order of the union
+    pattern of ``a`` and the further matrices ``rest`` when ``a`` is
+    exactly Hermitian, and of ``a`` and ``a.T`` otherwise.  An exactly
+    Hermitian ``a`` whose upper ``kd+1`` rows factor by ``?pttrf``
+    (tridiagonal, ``kd = 1``) or ``?pbtrf`` is held as that Cholesky
+    factor (``kernel == "cholesky"``); any other, a Hermitian one that
+    is not positive definite included, is factored by ``?gbtrf``, LU
+    with partial pivoting, in the same order (``"lu"``).  Row
+    interchanges widen the upper band by ``kl``, which the storage
+    leaves room for.  ``pivots`` are the pivots of elimination: ``D`` of
+    ``L D L^H``, ``|R_ii|**2`` of ``R^H R`` or ``|U_ii|``.  Raises
+    :class:`NumericalError` when an LU pivot is exactly zero.
+    """
+
+    def __init__(self, a, *rest):
+        hermitian = (a - a.conj().T).count_nonzero() == 0
+        self.order, (entries, *_) = _rcm_entries(a, *rest) if hermitian else _rcm_entries(a, a.T)
+        row, col, data = entries
+        kl, ku = int((row - col).max(initial=0)), int((col - row).max(initial=0))
+        band = _band(row, col, data, kl + ku, 2 * kl + ku + 1, a.shape[0], np.result_type(a.dtype, float))
+        self._complex = np.iscomplexobj(band)
+        if hermitian and self._cholesky(band[kl : kl + ku + 1]):
+            self.kernel = "cholesky"
+            return
+        gbtrf, gbtrs = scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs"), (band,))
+        lu, self.ipiv, info = gbtrf(band, kl, ku, overwrite_ab=True)
+        if info > 0:
+            raise NumericalError(f"pivot {info} of the banded LU is exactly zero")
+        self.kernel, self.pivots = "lu", np.abs(lu[kl + ku])
+        self._solve = lambda rhs: gbtrs(lu, kl, ku, rhs, self.ipiv)[0]
+
+    def _cholesky(self, upper: np.ndarray) -> bool:
+        """Factor the ``?pbtrf`` upper band ``upper``; False when it is not positive definite."""
+        if len(upper) == 2:
+            pttrf, pttrs = scipy.linalg.get_lapack_funcs(("pttrf", "pttrs"), (upper,))
+            d, e, info = pttrf(upper[1].real, upper[0, 1:])
             self.pivots, self._solve = d, lambda rhs: pttrs(d, e, rhs)[0]
         else:
-            c, info = self._pbtrf(self.a)
-            self.pivots, self._solve = np.abs(c[-1]) ** 2, lambda rhs: self._pbtrs(c, rhs)[0]
+            pbtrf, pbtrs = scipy.linalg.get_lapack_funcs(("pbtrf", "pbtrs"), (upper,))
+            c, info = pbtrf(upper)
+            self.pivots, self._solve = np.abs(c[-1]) ** 2, lambda rhs: pbtrs(c, rhs)[0]
         return info == 0
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """``a^{-1} b`` in the pencil's ``order``, for a vector or an ``(N, k)`` block, by one LAPACK call."""
-        return _solve_columns(self._solve, self.a, b)
+        """``a^{-1} b`` in ``order``, for a vector or an ``(N, k)`` block, ``b`` kept, by one LAPACK call.
 
-
-def _solve_columns(solve, factor: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``solve`` on ``b`` as ``(N, k)`` columns, ``b`` kept; complex ``b`` on a real ``factor`` as 2k real ones."""
-    rhs = b.reshape(b.shape[0], -1)
-    split = np.iscomplexobj(rhs) and not np.iscomplexobj(factor)
-    if split:
-        rhs = np.concatenate([rhs.real, rhs.imag], axis=1)
-    x = solve(rhs)
-    if split:
-        k = x.shape[1] // 2
-        x = x[:, :k] + 1j * x[:, k:]
-    return x.reshape(b.shape)
-
-
-class _BandLU:
-    """LU factors, with partial pivoting, of a square sparse matrix ``a``.
-
-    The pattern of ``a`` is ordered by reverse Cuthill--McKee
-    (``order``) and ``a``, in that order, is scattered into LAPACK
-    general band storage of shape ``(2*kl + ku + 1, N)`` and factored by
-    ``?gbtrf``; row interchanges widen the upper band by ``kl``, which
-    the storage leaves room for.  Real or complex, Hermitian or not,
-    definite or not: any nonsingular ``a`` factors.  Raises
-    :class:`NumericalError` when a pivot is exactly zero.
-    """
-
-    def __init__(self, a):
-        self.order, (entries, _) = _rcm_entries(a, a.T)
-        row, col, data = entries
-        self.kl, self.ku = int((row - col).max(initial=0)), int((col - row).max(initial=0))
-        ldab = 2 * self.kl + self.ku + 1
-        band = _band(row, col, data, self.kl + self.ku, ldab, a.shape[0], np.result_type(a.dtype, float))
-        gbtrf, self._gbtrs = scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs"), (band,))
-        self.lu, self.ipiv, info = gbtrf(band, self.kl, self.ku, overwrite_ab=True)
-        if info > 0:
-            raise NumericalError(f"pivot {info} of the banded LU is exactly zero")
-        # |U_ii|, from the factor's diagonal row of the band
-        self.pivots = np.abs(self.lu[self.kl + self.ku])
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """``a^{-1} b`` in ``order``, for a vector or an ``(N, k)`` block, by one ``?gbtrs`` call."""
-        return _solve_columns(lambda rhs: self._gbtrs(self.lu, self.kl, self.ku, rhs, self.ipiv)[0], self.lu, b)
+        Complex ``b`` on a real factor goes in as 2k real columns.
+        """
+        rhs = b.reshape(b.shape[0], -1)
+        split = np.iscomplexobj(rhs) and not self._complex
+        if split:
+            rhs = np.concatenate([rhs.real, rhs.imag], axis=1)
+        x = self._solve(rhs)
+        if split:
+            k = x.shape[1] // 2
+            x = x[:, :k] + 1j * x[:, k:]
+        return x.reshape(b.shape)
 
 
 def _lambda_min(a, b, rtol: float = SPECTRAL_RTOL) -> tuple:

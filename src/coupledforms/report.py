@@ -46,20 +46,12 @@ def trajectory_csv_header(m: int) -> str:
 
 def trajectory_to_csv(record: TrajectoryRecord) -> str:
     """Render a trajectory as CSV text; absent observables give empty fields."""
-    m = record.n_components
-    lines = [trajectory_csv_header(m)]
-    obs = record.observables
-    has_strip = "strip_distance" in obs
-    for k, t in enumerate(record.times):
-        fields = [_fmt(t), _fmt(obs["h_norm"][k])]
-        fields += [_fmt(obs[f"comp_norm_{i + 1}"][k]) for i in range(m)]
-        if has_strip:
-            fields += [_fmt(obs["strip_distance"][k]), _fmt(obs["projection_norm"][k])]
-        else:
-            fields += ["", ""]
-        fields += [_fmt(obs["min_value"][k]), _fmt(obs["sup_norm"][k])]
-        lines.append(",".join(fields))
-    return "\n".join(lines) + "\n"
+    header = trajectory_csv_header(record.n_components)
+    # one column at a time: repr of the Python floats of .tolist() is _fmt of each entry
+    columns = [record.times] + [record.observables.get(name) for name in header.split(",")[1:]]
+    blank = [""] * len(record.times)
+    fields = [blank if c is None else map(repr, np.asarray(c, dtype=float).tolist()) for c in columns]
+    return "\n".join([header, *map(",".join, zip(*fields))]) + "\n"
 
 
 def write_trajectory_csv(record: TrajectoryRecord, path: str) -> None:

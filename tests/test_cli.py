@@ -566,3 +566,63 @@ def test_unusable_output_path_exit_two_with_one_line(tmp_path, capsys, monkeypat
     assert err.count("\n") == 1 and "Traceback" not in err
     assert ran == []  # the output path is checked before any check runs
 
+
+
+# command, config and the validation message of a model input whose assembly overflows
+OVERFLOW_CONFIGS = {
+    "ephaptic-delta": (
+        "check",
+        {
+            "model": {"name": "ephaptic", "pattern": {"kind": "difference"}, "perturb": {"i": 0, "j": 1, "delta": 1e308}},
+            "checks": [{"id": "realness"}],
+        },
+        "block (0,1) contains non-finite entries",
+    ),
+    "damped-wave-check": (
+        "check",
+        {"model": {"name": "damped_wave", "alpha": [1e308, 1e308]}, "checks": [{"id": "realness"}]},
+        "block (1,0) contains non-finite entries",
+    ),
+    "damped-wave-simulate": (
+        "simulate",
+        {
+            "model": {"name": "damped_wave", "alpha": [1e308, 1e308]},
+            "evolution": {"dt": 0.01, "t_end": 0.1},
+            "initial": {"kind": "random"},
+        },
+        "block (1,0) contains non-finite entries",
+    ),
+    "grid-length": (
+        "check",
+        {"model": {"name": "dynamic_bc_heat"}, "grid": {"n_cells": 8, "length": 1e-300}, "checks": [{"id": "realness"}]},
+        "v_gram is not positive definite",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOW_CONFIGS))
+def test_overflowing_model_input_exit_two_with_one_line(tmp_path, capsys, name):
+    command, config, message = OVERFLOW_CONFIGS[name]
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "c.json", {"schema_version": 1, "grid": {"n_cells": 8}, **config})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would print a second line
+        assert main([command, cfg, "--quiet", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"validation error: {message}") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_memory_error_exit_two_with_one_line(tmp_path, capsys, monkeypatch):
+    # the dense blocks of dynamic_bc_heat at 200000 cells would take 298 GiB; nothing that large is allocated here
+    message = "Unable to allocate 298. GiB for an array with shape (200001, 200001) and data type float64"
+
+    def too_large(grid):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli.models, "build_dynamic_bc_heat", too_large)
+    out = tmp_path / "out"
+    config = {"schema_version": 1, "model": {"name": "dynamic_bc_heat"}, "grid": {"n_cells": 200000}, "checks": [{"id": "realness"}]}
+    assert main(["check", write_config(tmp_path / "c.json", config), "--quiet", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: the problem does not fit in memory: {message}\n"
+    assert not out.exists()

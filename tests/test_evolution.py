@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from coupledforms import (
     CoefficientField,
@@ -22,10 +23,10 @@ from coupledforms import (
     p1_stiffness,
     two_fibre_coupling,
 )
-from coupledforms.errors import DimensionError, SolverError, ValidationError
-from coupledforms import evolution
+from coupledforms.errors import DimensionError, NumericalError, SolverError, ValidationError
+from coupledforms import evolution, forms
 from coupledforms.evolution import SCHEMES, Stepper, _lift, _observables, _start, _states, _stepper
-from coupledforms.forms import _BandLU, _Pencil
+from coupledforms.forms import _Factor
 
 
 def scalar_form(s_value, mass_value=1.0):
@@ -132,10 +133,10 @@ class TestStep:
         # by the per-column residual check, not passed on as a state, and
         # named by its own step, not by the first or last of its block
         if kernel == "cholesky":
-            factor, form = _Pencil, build_constant_coupled(Grid1D(8), [[2.0, -1.0], [-1.0, 2.0]])
+            form = build_constant_coupled(Grid1D(8), [[2.0, -1.0], [-1.0, 2.0]])
         else:
-            factor, form = _BandLU, build_damped_wave(Grid1D(8), 1.0)
-        real_solve = factor.solve
+            form = build_damped_wave(Grid1D(8), 1.0)
+        real_solve = _Factor.solve
         solves, first_bad = [], [1]
 
         def corrupt_column(lu, rhs):
@@ -145,7 +146,7 @@ class TestStep:
                 out[:, 1] *= 1.0 + 1e-6
             return out
 
-        monkeypatch.setattr(factor, "solve", corrupt_column)
+        monkeypatch.setattr(_Factor, "solve", corrupt_column)
         u0 = [np.ones((9, 3)), np.ones((9, 3))]
         cfg = EvolutionConfig(dt=0.05, t_end=0.2, scheme="crank-nicolson")
         assert _stepper(form, cfg).kernel == kernel
@@ -530,6 +531,24 @@ class TestDenseReference:
 BANDED_STEP_RTOL = 1e-12
 
 
+def spy_lapack(monkeypatch) -> list:
+    """Names of the LAPACK routines called from here on, in call order, by way of ``scipy.linalg.get_lapack_funcs``."""
+    called = []
+    real_get = scipy.linalg.get_lapack_funcs
+
+    def spying_get(names, arrays=()):
+        funcs = real_get(names, arrays)
+
+        def spy(f):
+            # a LAPACK wrapper's __name__ is "function <routine>"
+            return lambda *a, **k: called.append(f.__name__.split()[-1]) or f(*a, **k)
+
+        return spy(funcs) if isinstance(names, str) else tuple(map(spy, funcs))
+
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", spying_get)
+    return called
+
+
 def pivoting_form():
     """A nonsymmetric form whose systems need row interchanges.
 
@@ -614,20 +633,7 @@ class TestBandedStep:
     @pytest.mark.parametrize("tridiagonal, routine", [(False, "zpbtrs"), (True, "zpttrs")])
     def test_complex_hermitian_system_solves_in_complex_arithmetic(self, monkeypatch, tridiagonal, routine):
         form = complex_hermitian_coupling(tridiagonal)
-        called = []
-        real_get = scipy.linalg.get_lapack_funcs
-
-        def spying_get(names, arrays=()):
-            funcs = real_get(names, arrays)
-            single = isinstance(names, str)
-
-            def spy(f):
-                # a LAPACK wrapper's __name__ is "function <routine>"
-                return lambda *a, **k: called.append(f.__name__.split()[-1]) or f(*a, **k)
-
-            return spy(funcs) if single else tuple(map(spy, funcs))
-
-        monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", spying_get)
+        called = spy_lapack(monkeypatch)
         stepper = Stepper(form, EvolutionConfig(dt=1e-2, t_end=1e-2))
         u = np.ones(form.total_dim, dtype=complex)
         stepper.step(u)
@@ -640,3 +646,53 @@ class TestBandedStep:
         assert _stepper(form, EvolutionConfig(dt=0.02, t_end=0.05)) is not _stepper(form, cfg)
         assert _stepper(form.diagonal_part(), cfg) is not _stepper(form, cfg)
         assert _stepper(build_dynamic_bc_heat(Grid1D(8)), cfg) is not _stepper(form, cfg)
+
+
+def banded(n, diagonals) -> scipy.sparse.csr_array:
+    """n-by-n CSR array holding ``diagonals[k]``, a value or the entries, on diagonal k."""
+    return scipy.sparse.csr_array(sum(np.diag(np.full(n - abs(k), v), k) for k, v in diagonals.items()))
+
+
+# matrix, the kernel that must factor it and the LAPACK routine that must solve with it
+FACTOR_CASES = {
+    "tridiagonal": (banded(12, {0: 2.5, 1: -1.0, -1: -1.0}), "cholesky", "dpttrs"),
+    "pentadiagonal": (banded(12, {0: 5.0, 1: -1.0, -1: -1.0, 2: -1.0, -2: -1.0}), "cholesky", "dpbtrs"),
+    # ?pttrf breaks down at a pivot that is not positive; the same band then goes to ?gbtrf
+    "indefinite": (banded(12, {0: np.tile([2.0, -3.0], 6), 1: 1.0, -1: 1.0}), "lu", "dgbtrs"),
+    "non_hermitian": (banded(12, {0: -1.0, 1: 2.0, -1: 3.0}), "lu", "dgbtrs"),
+    "complex_hermitian": (
+        banded(12, {0: 5.0, 1: -1.0 + 0.5j, -1: -1.0 - 0.5j, 2: -0.5j, -2: 0.5j}), "cholesky", "zpbtrs"
+    ),
+    "complex_non_hermitian": (banded(12, {0: -1.0 + 0.5j, 1: 2.0, -1: 3.0}), "lu", "zgbtrs"),
+}
+
+
+class TestFactor:
+    @pytest.mark.parametrize("data", ["vector", "block", "complex"])
+    @pytest.mark.parametrize("name", sorted(FACTOR_CASES))
+    def test_solve_matches_dense_solve(self, monkeypatch, name, data):
+        a, kernel, routine = FACTOR_CASES[name]
+        orderings = []
+        rcm_entries = forms._rcm_entries
+        monkeypatch.setattr(forms, "_rcm_entries", lambda *mats: orderings.append(None) or rcm_entries(*mats))
+        called = spy_lapack(monkeypatch)
+        rng = np.random.default_rng(4)
+        b = rng.standard_normal(12 if data == "vector" else (12, 3))
+        if data == "complex":
+            b = b + 1j * rng.standard_normal(b.shape)
+        factor = _Factor(a)
+        got = factor.solve(b[factor.order])[np.argsort(factor.order)]
+        want = np.linalg.solve(a.toarray(), b)
+        assert (factor.kernel, called[-1]) == (kernel, routine)
+        assert len(orderings) == 1  # a breakdown falls back to LU in the same order
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.linalg.norm(got - want) <= BANDED_STEP_RTOL * np.linalg.norm(want)
+
+    @pytest.mark.parametrize(
+        "a",
+        [[[0.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 2.0]], [[1.0, 1.0], [1.0, 1.0]]],
+        ids=["zero_column", "hermitian_singular"],
+    )
+    def test_exactly_zero_lu_pivot_raises(self, a):
+        with pytest.raises(NumericalError, match="of the banded LU is exactly zero"):
+            _Factor(scipy.sparse.csr_array(a))
