@@ -181,8 +181,9 @@ class Stepper:
         """
         n = states.shape[0]
         rhs = rhs.reshape(n, -1)
-        residual = np.linalg.norm(self._lhs @ states.reshape(n, -1) - rhs, axis=0).reshape(len(steps), -1)
-        bound = self.cfg.solver_tolerance * np.maximum(1.0, np.linalg.norm(rhs, axis=0)).reshape(len(steps), -1)
+        residual = self._lhs @ states.reshape(n, -1)
+        residual = _column_norms(np.subtract(residual, rhs, out=residual)).reshape(len(steps), -1)
+        bound = self.cfg.solver_tolerance * np.maximum(1.0, _column_norms(rhs)).reshape(len(steps), -1)
         failed = ~(residual <= bound).all(axis=1)
         if failed.any():
             j = int(np.argmax(failed))
@@ -190,6 +191,13 @@ class Stepper:
                 f"{self.cfg.scheme} solve lost accuracy at step {steps[j]} "
                 f"(dt={self.cfg.dt}, residual {np.max(residual[j]):.3e})"
             )
+
+
+def _column_norms(a: np.ndarray) -> np.ndarray:
+    """2-norms of the columns of ``a`` by ``einsum``, which makes no temporary the size of ``a``."""
+    # a block-sized temporary freed per block lets the C heap trim its top and fault the pages in again
+    parts = (a.real, a.imag) if np.iscomplexobj(a) else (a,)
+    return np.sqrt(sum(np.einsum("ij,ij->j", p, p) for p in parts))
 
 
 def _stepper(form: FormMatrix, cfg: EvolutionConfig) -> Stepper:
@@ -237,8 +245,8 @@ def _states(form: FormMatrix, u: np.ndarray, cfg: EvolutionConfig):
 
 def _squared_norms(form: FormMatrix, u: np.ndarray) -> np.ndarray:
     """``u_i^H h_gram_i u_i`` per component (rows) of a flat state, one column per trial column of ``u``."""
-    mass_u = form.mass_csr @ u
-    weights = (u.conj() * mass_u).real if np.iscomplexobj(u) else u * mass_u
+    weights = form.mass_csr @ u
+    weights = (u.conj() * weights).real if np.iscomplexobj(u) else np.multiply(weights, u, out=weights)
     return np.add.reduceat(weights, [sl.start for sl in form.block_slices], axis=0)
 
 
@@ -275,7 +283,8 @@ def _observables(form: FormMatrix, states: np.ndarray, lifted) -> np.ndarray:
     squares = [_squared_norms(form, u)]
     if lifted is not None:
         pu = lifted @ u
-        squares += [_squared_norms(form, u - pu), _squared_norms(form, pu)]
+        projected = _squared_norms(form, pu)  # before u - Pu overwrites Pu
+        squares += [_squared_norms(form, np.subtract(u, pu, out=pu)), projected]
     norms = _norm(squares[0]).reshape(-1, b, k)
     totals = _norm(np.array([s.sum(axis=0) for s in squares])).reshape(-1, b, k)
     extremes = np.stack([states.real.min(axis=0), np.abs(states).max(axis=0)])

@@ -4,7 +4,8 @@ Everything lives in coordinates: a space is a pair of Gram matrices, a
 form is an m-by-m grid of blocks, and ``g^H S_ij f`` evaluates the
 (i, j) block on trial coordinates ``f`` (space j) and test coordinates
 ``g`` (space i).  Keeping the geometry inside the Grams makes the module
-independent of how the underlying meshes look.
+independent of how the underlying meshes look.  Grams and blocks are
+stored as CSR only.
 
 Every spectral constant (coercivity, continuity, accretivity, the
 embedding norm and the positive definiteness of a Gram) is an extremal
@@ -56,13 +57,23 @@ ACCRETIVITY_SCALE_RTOL = 1e-3
 GRAM_RTOL = 1e-12
 
 
-def _as_matrix(a, name: str) -> np.ndarray:
-    a = np.asarray(a)
+def _as_csr(a, name: str) -> scipy.sparse.csr_array:
+    """A canonical float or complex CSR copy of the dense or sparse ``a`` with no stored zeros: ``csr_array(dense)``."""
+    if not scipy.sparse.issparse(a):
+        a = np.asarray(a)
     if a.ndim != 2:
         raise DimensionError(f"{name} must be a matrix, got ndim={a.ndim}")
-    if not np.isfinite(a).all():
+    a = scipy.sparse.csr_array(a, dtype=complex if np.iscomplexobj(a) else float, copy=True)
+    if not np.isfinite(a.data).all():
         raise ValidationError(f"{name} contains non-finite entries")
-    a = np.array(a, dtype=complex if np.iscomplexobj(a) else float)
+    a.sum_duplicates()
+    a.eliminate_zeros()
+    return a
+
+
+def _dense_view(a: scipy.sparse.csr_array) -> np.ndarray:
+    """Read-only dense copy of ``a``, for the dense attributes kept for readers outside the package."""
+    a = a.toarray()
     a.setflags(write=False)
     return a
 
@@ -73,17 +84,14 @@ def _frobenius(a: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.abs(a) ** 2)))
 
 
-def _check_gram(g: np.ndarray, name: str) -> scipy.sparse.csr_array:
-    # returns the CSR form of g; the norms, g - g^H and the Hermitian part
-    # come from its data, with no N-by-N temporaries
-    g = scipy.sparse.csr_array(g)
+def _check_gram(g: scipy.sparse.csr_array, name: str) -> None:
+    # the norms, g - g^H and the Hermitian part come from the CSR data, with no N-by-N temporaries
     g_h = g.conj().T
     scale = max(_frobenius(g.data), 1e-300)
     if _frobenius((g - g_h).data) > HERMITIAN_RTOL * scale:
         raise ValidationError(f"{name} is not Hermitian within tolerance")
     if not _Pencil((g + g_h) * 0.5, _diagonal(g.diagonal().real)).definite(GRAM_RTOL):
         raise ValidationError(f"{name} is not positive definite (within GRAM_RTOL of its diagonal)")
-    return g
 
 
 def _close(a, b, tol: float) -> bool:
@@ -96,29 +104,31 @@ def _close(a, b, tol: float) -> bool:
 class DiscreteSpace:
     """Galerkin space given by its ambient and domain Gram matrices.
 
-    ``h_gram`` is the ambient (state-space) inner product, ``v_gram``
-    the form-domain inner product; both must be Hermitian positive
-    definite of size ``dim``.  They are stored dense; ``h_csr`` and
-    ``v_csr``, their CSR forms, are kept from the validation.  ``==``
-    and ``hash`` go by identity; :meth:`same_geometry` compares values.
+    ``h_csr`` is the ambient (state-space) inner product, ``v_csr`` the
+    form-domain inner product; both must be Hermitian positive definite
+    of size ``dim``.  Each may be given dense or sparse, and is
+    validated and stored once as CSR; ``h_gram`` and ``v_gram`` are
+    dense views of them, built on first read.  ``==`` and ``hash`` go
+    by identity; :meth:`same_geometry` compares values.
     """
 
     dim: int
-    h_gram: np.ndarray
-    v_gram: np.ndarray
+    h_csr: scipy.sparse.csr_array
+    v_csr: scipy.sparse.csr_array
     label: str = ""
-    h_csr: scipy.sparse.csr_array = field(init=False, repr=False)
-    v_csr: scipy.sparse.csr_array = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValidationError("space dimension must be positive")
-        for name in ("h_gram", "v_gram"):
-            g = _as_matrix(getattr(self, name), name)
+        for name, label in (("h_csr", "h_gram"), ("v_csr", "v_gram")):
+            g = _as_csr(getattr(self, name), label)
             if g.shape != (self.dim, self.dim):
-                raise DimensionError(f"{name} must be {self.dim}x{self.dim}, got {g.shape}")
-            object.__setattr__(self, f"{name[0]}_csr", _check_gram(g, name))
+                raise DimensionError(f"{label} must be {self.dim}x{self.dim}, got {g.shape}")
+            _check_gram(g, label)
             object.__setattr__(self, name, g)
+
+    h_gram = cached_property(lambda self: _dense_view(self.h_csr))
+    v_gram = cached_property(lambda self: _dense_view(self.v_csr))
 
     def same_geometry(self, other: "DiscreteSpace", rtol: float = 1e-12) -> bool:
         """Equal dimension and Grams equal within ``rtol``, read as both relative and absolute tolerance."""
@@ -131,57 +141,53 @@ class DiscreteSpace:
 
 @dataclass(frozen=True)
 class FormBlock:
-    """One block of a form matrix: ``a_ij(f, g) = g^H matrix f``."""
+    """One block of the dense view :attr:`FormMatrix.blocks`: ``a_ij(f, g) = g^H matrix f``."""
 
     row: int
     col: int
     matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _as_matrix(self.matrix, f"block ({self.row},{self.col})"))
 
 
 @dataclass(eq=False)
 class FormMatrix:
     """m-by-m grid of form blocks over a list of discrete spaces.
 
-    Blocks and Grams are stored dense, and only this module reads them
-    so.  Every other reader goes through the assembled CSR operators on
-    the product space: ``form_csr`` (the blocks in place, :meth:`block`
-    slices it) and ``mass_csr``/``vgram_csr`` (block diagonals of the
-    ambient and domain Grams).  The spectral routines below build
-    Hermitian pencils from them and factor each shift by banded Cholesky
-    in reverse Cuthill--McKee order; the ``(kd+1)*N`` band arrays of a
-    pencil are never larger than the dense blocks stored here.  Only
-    :func:`associated_operator` densifies the operators.
+    Each block of ``csr_blocks``, dense or sparse, is validated and
+    stored once as CSR; ``blocks`` is a dense view of them, built on
+    first read.  Every reader goes through the assembled CSR operators
+    on the product space: ``form_csr`` (the blocks in place,
+    :meth:`block` slices it) and ``mass_csr``/``vgram_csr`` (block
+    diagonals of the ambient and domain Grams).  The spectral routines
+    below factor Hermitian pencils of them by banded Cholesky in
+    reverse Cuthill--McKee order.  Only :func:`associated_operator`
+    densifies the operators.
 
     Immutable after assembly by convention; all derived matrices are
     cached, so instances are cheap to share between checks.
     """
 
     spaces: list
-    blocks: list
+    csr_blocks: list
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         m = len(self.spaces)
         if m < 1:
             raise ValidationError("need at least one space")
-        if len(self.blocks) != m or any(len(row) != m for row in self.blocks):
+        if len(self.csr_blocks) != m or any(len(row) != m for row in self.csr_blocks):
             raise DimensionError(f"blocks must form an {m}x{m} grid")
-        for i in range(m):
-            for j in range(m):
-                blk = self.blocks[i][j]
-                if not isinstance(blk, FormBlock):
-                    blk = FormBlock(i, j, blk)
-                    self.blocks[i][j] = blk
-                if (blk.row, blk.col) != (i, j):
-                    raise ValidationError(f"block at ({i},{j}) is labelled ({blk.row},{blk.col})")
-                expected = (self.spaces[i].dim, self.spaces[j].dim)
-                if blk.matrix.shape != expected:
-                    raise DimensionError(
-                        f"block ({i},{j}) has shape {blk.matrix.shape}, expected {expected}"
-                    )
+        self.csr_blocks = [[self._stored(i, j, blk) for j, blk in enumerate(row)] for i, row in enumerate(self.csr_blocks)]
+
+    def _stored(self, i: int, j: int, blk) -> scipy.sparse.csr_array:
+        blk, expected = _as_csr(blk, f"block ({i},{j})"), (self.spaces[i].dim, self.spaces[j].dim)
+        if blk.shape != expected:
+            raise DimensionError(f"block ({i},{j}) has shape {blk.shape}, expected {expected}")
+        return blk
+
+    @cached_property
+    def blocks(self) -> list:
+        """Dense view of ``csr_blocks``, rows of :class:`FormBlock`; no reader in the package."""
+        return [[FormBlock(i, j, _dense_view(b)) for j, b in enumerate(row)] for i, row in enumerate(self.csr_blocks)]
 
     @property
     def m(self) -> int:
@@ -211,8 +217,7 @@ class FormMatrix:
     @cached_property
     def form_csr(self) -> scipy.sparse.csr_array:
         """The assembled form matrix, blocks in place."""
-        blocks = [[scipy.sparse.csr_array(blk.matrix) for blk in row] for row in self.blocks]
-        return scipy.sparse.bmat(blocks, format="csr")
+        return scipy.sparse.bmat(self.csr_blocks, format="csr")
 
     @cached_property
     def mass_csr(self) -> scipy.sparse.csr_array:
@@ -245,10 +250,7 @@ class FormMatrix:
 
     def adjoint(self) -> "FormMatrix":
         """The adjoint form, blocks ``S*_ij = S_ji^H``; a coefficient field ``c_ij`` becomes ``c_ji``."""
-        blocks = [
-            [FormBlock(i, j, self.blocks[j][i].matrix.conj().T) for j in range(self.m)]
-            for i in range(self.m)
-        ]
+        blocks = [[self.csr_blocks[j][i].conj().T for j in range(self.m)] for i in range(self.m)]
         meta = dict(self.metadata)
         meta["adjoint_of"] = meta.pop("model", "unnamed")
         if "coefficients" in meta:
@@ -259,8 +261,8 @@ class FormMatrix:
     def diagonal_part(self) -> "FormMatrix":
         """Same diagonal blocks, all couplings zeroed, in a coefficient field too."""
         blocks = [
-            [FormBlock(i, j, blk.matrix if i == j else np.zeros_like(blk.matrix)) for j, blk in enumerate(row)]
-            for i, row in enumerate(self.blocks)
+            [blk if i == j else scipy.sparse.csr_array(blk.shape, dtype=blk.dtype) for j, blk in enumerate(row)]
+            for i, row in enumerate(self.csr_blocks)
         ]
         meta = dict(self.metadata)
         meta["diagonal_of"] = meta.pop("model", "unnamed")
@@ -416,8 +418,7 @@ class _Pencil:
     ``rest`` is ordered once by reverse Cuthill--McKee, and the upper
     triangles of all of them, in that order, are scattered into LAPACK
     upper band arrays of shape ``(kd+1, N)``, ``kd`` the half-bandwidth
-    of the ordered pattern.  Band storage is never more than the
-    ``N**2`` entries of a dense matrix: a dense pencil has ``kd = N-1``.
+    of the ordered pattern.
     """
 
     def __init__(self, a, b, *rest):

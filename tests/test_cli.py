@@ -597,6 +597,11 @@ OVERFLOW_CONFIGS = {
         {"model": {"name": "dynamic_bc_heat"}, "grid": {"n_cells": 8, "length": 1e-300}, "checks": [{"id": "realness"}]},
         "v_gram is not positive definite",
     ),
+    "grid-underflow": (
+        "check",
+        {"model": {"name": "dynamic_bc_heat"}, "grid": {"n_cells": 8, "length": 5e-324}, "checks": [{"id": "realness"}]},
+        "length 5e-324 on 8 cells gives no positive finite cell width",
+    ),
 }
 
 
@@ -614,7 +619,7 @@ def test_overflowing_model_input_exit_two_with_one_line(tmp_path, capsys, name):
 
 
 def test_memory_error_exit_two_with_one_line(tmp_path, capsys, monkeypatch):
-    # the dense blocks of dynamic_bc_heat at 200000 cells would take 298 GiB; nothing that large is allocated here
+    # assembly is replaced by one that raises numpy's MemoryError; nothing that large is allocated here
     message = "Unable to allocate 298. GiB for an array with shape (200001, 200001) and data type float64"
 
     def too_large(grid):

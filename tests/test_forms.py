@@ -47,8 +47,7 @@ def dense_form(form):
 
 
 def single_space_form(matrix, h_gram=None, v_gram=None):
-    matrix = np.asarray(matrix, dtype=float)
-    n = matrix.shape[0]
+    n = np.shape(matrix)[0]
     h = np.eye(n) if h_gram is None else h_gram
     v = np.eye(n) if v_gram is None else v_gram
     return FormMatrix([DiscreteSpace(n, h, v)], [[matrix]])
@@ -109,13 +108,52 @@ class TestDiscreteSpace:
         assert DiscreteSpace(2, g, g).dim == 2
 
 
+class TestCsrStorage:
+    def test_dense_and_sparse_inputs_store_one_canonical_csr(self):
+        dense = np.array([[2.0, 0.0, -1.0], [0.0, 3.0, 0.0], [-1.0, 0.0, 2.0]])
+        # duplicates that sum to the dense entries, and a stored zero
+        coo = scipy.sparse.coo_array(
+            ([2.0, -0.5, -0.5, 3.0, -1.0, 1.0, 1.0, 0.0], ([0, 0, 0, 1, 2, 2, 2, 1], [0, 2, 2, 1, 0, 2, 2, 0])), shape=(3, 3)
+        )
+        want, given_csr = scipy.sparse.csr_array(dense), scipy.sparse.csr_array(dense)
+        for given in (dense, coo, dense.tolist(), given_csr):
+            form = FormMatrix([DiscreteSpace(3, np.eye(3), np.eye(3))], [[given]])
+            (stored,), = form.csr_blocks
+            assert isinstance(stored, scipy.sparse.csr_array) and stored.dtype == float
+            for name in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(getattr(stored, name), getattr(want, name))
+        # the last form stores a copy of given_csr
+        given_csr.data[:] = 9.0
+        assert form.csr_blocks[0][0][0, 0] == 2.0
+
+    def test_rejects_non_finite_sparse_input(self):
+        bad = scipy.sparse.csr_array(np.diag([1.0, np.nan]))
+        with pytest.raises(ValidationError, match="non-finite"):
+            FormMatrix([DiscreteSpace(2, np.eye(2), np.eye(2))], [[bad]])
+        with pytest.raises(ValidationError, match="non-finite"):
+            DiscreteSpace(2, bad, np.eye(2))
+
+    def test_dense_views_are_built_once_and_read_only(self):
+        form = build_dynamic_bc_heat(Grid1D(4))
+        space = form.spaces[0]
+        for csr, name in ((space.h_csr, "h_gram"), (space.v_csr, "v_gram")):
+            view = getattr(space, name)
+            assert getattr(space, name) is view and not view.flags.writeable
+            np.testing.assert_array_equal(view, csr.toarray())
+        assert form.blocks is form.blocks
+        for i, row in enumerate(form.blocks):
+            for j, blk in enumerate(row):
+                assert (blk.row, blk.col) == (i, j) and not blk.matrix.flags.writeable
+                np.testing.assert_array_equal(blk.matrix, form.csr_blocks[i][j].toarray())
+
+
 class TestSameGeometry:
     @staticmethod
     def space(grid, delta):
         # delta on every entry, inside and outside the Grams' sparsity pattern
-        mass = p1_mass(grid)
+        mass = p1_mass(grid).toarray()
         bump = delta * np.ones_like(mass)
-        return DiscreteSpace(grid.n_nodes, mass + bump, mass + p1_stiffness(grid) + bump)
+        return DiscreteSpace(grid.n_nodes, mass + bump, mass + p1_stiffness(grid).toarray() + bump)
 
     @pytest.mark.parametrize("delta, same", [(0.0, True), (1e-13, True), (1e-9, False)])
     def test_agrees_with_dense_allclose(self, delta, same):
@@ -157,8 +195,8 @@ class TestEmbeddingNorm:
 
     def test_p1_grid_against_nonsymmetric_eig_oracle(self):
         grid = Grid1D(10)
-        mass = p1_mass(grid)
-        w = mass + p1_stiffness(grid)
+        mass = p1_mass(grid).toarray()
+        w = mass + p1_stiffness(grid).toarray()
         space = DiscreteSpace(grid.n_nodes, mass, w)
         value = embedding_norm(space)
         assert 0 < value <= 1 + 1e-12
@@ -622,8 +660,9 @@ class TestAccretivityBoundary:
 # no dense eigen, SVD or 2-norm work on N-sized matrices in the library
 
 DENSE_CALLS = {"toarray", "todense", "eigh", "eigvalsh", "svd"}
-# associated_operator returns the dense generator; make_projection splits an m-by-m matrix
-DENSE_ALLOWED = {("forms.py", "associated_operator"), ("qualitative.py", "make_projection")}
+# associated_operator returns the dense generator, _dense_view builds the dense views;
+# make_projection splits an m-by-m matrix
+DENSE_ALLOWED = {("forms.py", "associated_operator"), ("forms.py", "_dense_view"), ("qualitative.py", "make_projection")}
 
 
 def flagged_calls(path: Path, names: set, attributes: set = frozenset()) -> list:
@@ -668,25 +707,21 @@ def test_forms_has_one_factorization_path():
     assert [(p.name, c) for p in modules for c in flagged_calls(p, {"splu"}) if c[1] == "splu"] == []
 
 
-# the dense storage of blocks and Grams, and the dense P1 assembly that fills it
-DENSE_STORAGE = {"blocks", "h_gram", "v_gram"}
-DENSE_ASSEMBLY = {"p1_mass", "p1_stiffness"}
-DENSE_OWNERS = ("forms.py", "models.py")
+# the dense views of the CSR blocks and Grams, kept for readers outside the package
+DENSE_VIEWS = {"blocks", "h_gram", "v_gram"}
 
 
 def dense_readers(path: Path) -> list:
-    flagged = flagged_calls(path, DENSE_ASSEMBLY, DENSE_STORAGE)
-    return [c for c in flagged if c[1] in DENSE_ASSEMBLY | DENSE_STORAGE]
+    return [c for c in flagged_calls(path, set(), DENSE_VIEWS) if c[1] in DENSE_VIEWS]
 
 
-@pytest.mark.parametrize(
-    "module", sorted(p.name for p in module_path("forms.py").parent.glob("*.py") if p.name not in DENSE_OWNERS)
-)
-def test_dense_blocks_are_read_in_forms_and_models_only(module):
-    # every other module reads the form through block(), form_csr, mass_csr and vgram_csr
+@pytest.mark.parametrize("module", sorted(p.name for p in module_path("forms.py").parent.glob("*.py")))
+def test_no_module_reads_the_dense_views(module):
+    # every module, forms.py included, reads the CSR blocks and Grams; forms.py only defines the views
     assert dense_readers(module_path(module)) == []
 
 
-@pytest.mark.parametrize("module", DENSE_OWNERS)
-def test_dense_reader_scan_sees_the_owners(module):
-    assert dense_readers(module_path(module)) != []
+def test_dense_reader_scan_sees_a_reader(tmp_path):
+    source = tmp_path / "reader.py"
+    source.write_text("def read(form):\n    return form.blocks[0][0].matrix, form.spaces[0].h_gram, form.spaces[0].v_gram\n")
+    assert sorted(dense_readers(source)) == [("read", "blocks"), ("read", "h_gram"), ("read", "v_gram")]

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse
 
 from coupledforms import (
     CoefficientField,
@@ -49,6 +52,10 @@ class TestGridAndField:
             Grid1D(1)
         with pytest.raises(ValidationError):
             Grid1D(4, 0.0)
+        # a positive length whose cell width underflows to zero, or one that is infinite
+        for length in (5e-324, np.inf):
+            with pytest.raises(ValidationError, match="cell width"):
+                Grid1D(8, length)
         grid = Grid1D(4, 2.0)
         assert grid.h == pytest.approx(0.5)
         assert np.all(np.diff(grid.nodes) > 0)
@@ -103,10 +110,16 @@ class TestP1Assembly:
     @pytest.mark.parametrize("length", [1.0, 0.37, 7.3])
     def test_equals_per_cell_loop(self, n_cells, length):
         grid = Grid1D(n_cells, length)
-        assert np.array_equal(p1_mass(grid), loop_mass(grid))
+        pairs = [(p1_mass(grid), loop_mass(grid))]
         rng = np.random.default_rng(n_cells)
-        for c in (1.0, 0.25, rng.standard_normal(n_cells)):
-            assert np.array_equal(p1_stiffness(grid, c), loop_stiffness(grid, c))
+        # alternating signs cancel on the interior diagonal; a zero coefficient empties the matrix
+        for c in (1.0, 0.25, rng.standard_normal(n_cells), (-1.0) ** np.arange(n_cells), 0.0):
+            pairs.append((p1_stiffness(grid, c), loop_stiffness(grid, c)))
+        for got, want in pairs:
+            assert isinstance(got, scipy.sparse.csr_array)
+            assert np.array_equal(got.toarray(), want)
+            # no stored zeros: the pattern of csr_array(dense)
+            assert got.nnz == np.count_nonzero(want)
 
     def test_unit_stiffness_interior_rows(self):
         grid = Grid1D(4, 1.0)
@@ -121,7 +134,7 @@ class TestP1Assembly:
                 [0, 0, 0, -1, 1],
             ]
         ) / h
-        np.testing.assert_allclose(stiff, expected)
+        np.testing.assert_allclose(stiff.toarray(), expected)
 
     def test_mass_total_is_length(self):
         grid = Grid1D(7, 3.0)
@@ -143,7 +156,7 @@ class TestP1Assembly:
                     c[k] * hat_slope(grid, p, k) * hat_slope(grid, q, k) * grid.h
                     for k in range(grid.n_cells)
                 )
-        np.testing.assert_allclose(stiff, oracle, atol=1e-14)
+        np.testing.assert_allclose(stiff.toarray(), oracle, atol=1e-14)
 
     def test_mass_matches_simpson_oracle(self):
         # hat products are piecewise quadratic, Simpson per cell is exact
@@ -163,7 +176,7 @@ class TestP1Assembly:
                         fp(a) * fq(a) + 4 * fp(mid) * fq(mid) + fp(b) * fq(b)
                     )
                 oracle[p, q] = total
-        np.testing.assert_allclose(mass, oracle, atol=1e-14)
+        np.testing.assert_allclose(mass.toarray(), oracle, atol=1e-14)
 
 
 class TestEphapticBuilder:
@@ -178,7 +191,7 @@ class TestEphapticBuilder:
         grid = Grid1D(6)
         coeffs = CoefficientField.constant(two_fibre_coupling("difference", 2.0, 0.5), 6)
         form = build_ephaptic(grid, coeffs)
-        unit = p1_stiffness(grid)
+        unit = p1_stiffness(grid).toarray()
         np.testing.assert_allclose(form.block(0, 0).toarray(), 1.5 * unit, atol=1e-14)
         np.testing.assert_allclose(form.block(0, 1).toarray(), -0.5 * unit, atol=1e-14)
 
@@ -281,7 +294,7 @@ class TestDynamicBcBuilder:
     def test_interior_block_is_stiffness(self):
         grid = Grid1D(5)
         form = build_dynamic_bc_heat(grid)
-        np.testing.assert_array_equal(form.block(0, 0).toarray(), p1_stiffness(grid))
+        np.testing.assert_array_equal(form.block(0, 0).toarray(), p1_stiffness(grid).toarray())
 
 
 class TestConstantCoupled:
@@ -303,3 +316,17 @@ class TestConstantCoupled:
         assert stability_check(bundle).status == "fail"
         form = build_constant_coupled(Grid1D(12), coupling)
         assert is_discretely_accretive(form)
+
+    def test_four_cycle_assembly_stays_sparse(self):
+        # dense storage of the 16 blocks and 2 Grams on 2049 nodes would hold 18 arrays of 32 MiB
+        coupling = [[2, -0.5, 0, -0.5], [-0.5, 2, -0.5, 0], [0, -0.5, 2, -0.5], [-0.5, 0, -0.5, 2]]
+        tracemalloc.start()
+        try:
+            form = build_constant_coupled(Grid1D(2048), coupling)
+            operators = (form.form_csr, form.mass_csr, form.vgram_csr)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        # each of the twelve nonzero couplings stores 3 * 2049 - 2 entries, each zero coupling none
+        assert [op.nnz for op in operators] == [12 * 6145, 4 * 6145, 4 * 6145]
