@@ -29,6 +29,7 @@ banded Cholesky and banded LU (Anderson et al., *LAPACK Users' Guide*,
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -129,6 +130,7 @@ class DiscreteSpace:
 
     h_gram = cached_property(lambda self: _dense_view(self.h_csr))
     v_gram = cached_property(lambda self: _dense_view(self.v_csr))
+    _h_factor = cached_property(lambda self: _Factor(self.h_csr))
 
     def same_geometry(self, other: "DiscreteSpace", rtol: float = 1e-12) -> bool:
         """Equal dimension and Grams equal within ``rtol``, read as both relative and absolute tolerance."""
@@ -154,16 +156,17 @@ class FormMatrix:
 
     Each block of ``csr_blocks``, dense or sparse, is validated and
     stored once as CSR; ``blocks`` is a dense view of them, built on
-    first read.  Every reader goes through the assembled CSR operators
-    on the product space: ``form_csr`` (the blocks in place,
-    :meth:`block` slices it) and ``mass_csr``/``vgram_csr`` (block
-    diagonals of the ambient and domain Grams).  The spectral routines
-    below factor Hermitian pencils of them by banded Cholesky in
-    reverse Cuthill--McKee order.  Only :func:`associated_operator`
-    densifies the operators.
+    first read.  Per-block readers take ``csr_blocks`` and the spaces'
+    Grams, readers of the whole form the assembled CSR operators on the
+    product space: ``form_csr`` (the blocks in place, :meth:`block`
+    slices it) and ``mass_csr``/``vgram_csr`` (block diagonals of the
+    ambient and domain Grams).  The spectral routines below factor
+    Hermitian pencils of them by banded Cholesky in reverse
+    Cuthill--McKee order.  Only :func:`associated_operator` densifies
+    the operators.
 
-    Immutable after assembly by convention; all derived matrices are
-    cached, so instances are cheap to share between checks.
+    Immutable after assembly by convention; derived matrices and
+    spectral brackets are cached, so instances are cheap to share.
     """
 
     spaces: list
@@ -547,6 +550,29 @@ def _lambda_max(a, b, rtol: float = SPECTRAL_RTOL) -> tuple:
     return -hi, -lo
 
 
+def _digest(m) -> bytes:
+    """blake2b digest of the canonical CSR of ``m``: shape, dtypes, ``indptr``, ``indices`` and ``data``."""
+    m = scipy.sparse.csr_array(m)
+    if not m.has_canonical_format:
+        m = scipy.sparse.csr_array(scipy.sparse.coo_array(m))
+    h = hashlib.blake2b(repr((m.shape, m.dtype.str, m.indices.dtype.str)).encode(), digest_size=32)
+    for part in (m.indptr, m.indices, m.data):
+        h.update(part)
+    return h.digest()
+
+
+def _bracket(form: FormMatrix, largest: bool, a, b, rtol: float = SPECTRAL_RTOL) -> tuple:
+    """:func:`_lambda_max` (``largest``) or :func:`_lambda_min` of ``(a, b)``, bisected once per pencil content.
+
+    Kept on the form instance only, keyed by ``(largest, rtol)`` and the :func:`_digest` of ``a`` and ``b``.
+    """
+    brackets = vars(form).setdefault("_brackets", {})
+    key = (largest, rtol, _digest(a), _digest(b))
+    if key not in brackets:
+        brackets[key] = (_lambda_max if largest else _lambda_min)(a, b, rtol)
+    return brackets[key]
+
+
 def _midpoint(bracket: tuple) -> float:
     return 0.5 * (bracket[0] + bracket[1])
 
@@ -558,13 +584,13 @@ def estimate_continuity(form: FormMatrix, i: int, j: int) -> float:
     0]]`` against ``diag(v_gram_i, v_gram_j)``, which equals
     ``sup |g^H S_ij f| / (|f|_Vj |g|_Vi)``.
     """
-    si, sj = form.block_slices[i], form.block_slices[j]
-    block = form.form_csr[si, sj]
+    block = form.csr_blocks[i][j]
     if not np.any(block.data):
         return 0.0
-    ni = si.stop - si.start
-    vgram = _placed(ni + sj.stop - sj.start, (form.vgram_csr[si, si], 0, 0), (form.vgram_csr[sj, sj], ni, ni))
-    return _midpoint(_lambda_max(_augmented(block), vgram))
+    vi, vj = form.spaces[i].v_csr, form.spaces[j].v_csr
+    ni = vi.shape[0]
+    vgram = _placed(ni + vj.shape[0], (vi, 0, 0), (vj, ni, ni))
+    return _midpoint(_bracket(form, True, _augmented(block), vgram))
 
 
 def estimate_ellipticity(form: FormMatrix, i: int, shift: float = 0.0) -> float:
@@ -574,9 +600,9 @@ def estimate_ellipticity(form: FormMatrix, i: int, shift: float = 0.0) -> float:
     relative to ``v_gram``, so the block satisfies
     ``Re a_ii(f,f) >= value*|f|_V^2 - shift*|f|_H^2`` sharply.
     """
-    sl = form.block_slices[i]
-    mat = _hermitian_part(form.form_csr[sl, sl]) + shift * form.mass_csr[sl, sl]
-    return _midpoint(_lambda_min(mat, form.vgram_csr[sl, sl]))
+    space = form.spaces[i]
+    mat = _hermitian_part(form.csr_blocks[i][i]) + shift * space.h_csr
+    return _midpoint(_bracket(form, False, mat, space.v_csr))
 
 
 def full_ellipticity(form: FormMatrix, shift: float = 0.0) -> float:
@@ -586,7 +612,7 @@ def full_ellipticity(form: FormMatrix, shift: float = 0.0) -> float:
     matrix against the block-diagonal domain Gram.
     """
     mat = _hermitian_part(form.form_csr) + shift * form.mass_csr
-    return _midpoint(_lambda_min(mat, form.vgram_csr))
+    return _midpoint(_bracket(form, False, mat, form.vgram_csr))
 
 
 def accretivity_margin(form: FormMatrix) -> float:
@@ -595,7 +621,7 @@ def accretivity_margin(form: FormMatrix) -> float:
     Nonnegative (within round-off) exactly when the discrete form is
     accretive.
     """
-    return _midpoint(_lambda_min(_hermitian_part(form.form_csr), _diagonal(np.ones(form.total_dim))))
+    return _midpoint(_bracket(form, False, _hermitian_part(form.form_csr), _diagonal(np.ones(form.total_dim))))
 
 
 def is_discretely_accretive(form: FormMatrix) -> bool:

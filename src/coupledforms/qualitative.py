@@ -28,8 +28,7 @@ from .errors import DimensionError, ValidationError
 from .evolution import EvolutionConfig, ProjectionSpec, TrajectoryRecord, _lift, _start, _states, evolve, h_norm
 from .forms import (
     FormMatrix,
-    _Factor,
-    _lambda_max,
+    _bracket,
     _midpoint,
     _Pencil,
     _skew_part,
@@ -212,7 +211,7 @@ def product_subspace_check(form: FormMatrix, weights) -> CheckResult:
     if len(weights) != form.m:
         raise DimensionError(f"expected {form.m} weight arrays, got {len(weights)}")
     spans, complements = [], []
-    for i, (w, sl) in enumerate(zip(weights, form.block_slices)):
+    for i, w in enumerate(weights):
         w = np.asarray(w)
         if w.ndim == 1:
             w = w[:, None]
@@ -224,14 +223,14 @@ def product_subspace_check(form: FormMatrix, weights) -> CheckResult:
         if np.any(np.abs(np.diag(r)) <= PROJECTION_TOL * np.linalg.norm(w, axis=0)):
             raise ValidationError(f"weights {i} must be nonzero and linearly independent")
         spans.append(span)
-        gram = _Factor(form.mass_csr[sl, sl])
+        gram = form.spaces[i]._h_factor
         h_inv_w = gram.solve(w[gram.order])[np.argsort(gram.order)]
         complements.append(np.linalg.qr(h_inv_w)[0])
     scale = _form_scale(form)
     worst = 0.0
     for i, q in enumerate(complements):
         for j, span in enumerate(spans):
-            x = form.block(i, j).conj().T @ q
+            x = form.csr_blocks[i][j].conj().T @ q
             worst = max(worst, float(np.linalg.norm(x - span @ (span.T @ x))))
     ok = worst <= COUPLING_RESIDUAL_RTOL * scale
     return CheckResult(
@@ -530,7 +529,9 @@ def sector_check(
     skew = _skew_part(form.form_csr)
     exact_bound = 0.0
     if np.any(skew.data):
-        exact_bound = max(_midpoint(_lambda_max(sign * skew, form.vgram_csr)) for sign in (1.0, -1.0))
+        # a real form's -T is the conjugate of T, and conjugate pencils bracket identically
+        signs = (1.0,) if form.is_real else (1.0, -1.0)
+        exact_bound = max(_midpoint(_bracket(form, True, sign * skew, form.vgram_csr)) for sign in signs)
     passed = _within(alpha, exact_alpha) and _within(exact_bound, bound)
     details = {"alpha": alpha, "bound": bound, "exact_alpha": exact_alpha, "exact_bound": exact_bound}
     return CheckResult("sector", PASS if passed else FAIL, details)
@@ -562,7 +563,9 @@ def parabola_check(form: FormMatrix, m_tilde: float | None = None) -> CheckResul
     tested = 0
     for sign in (2.0, -2.0):
         a = sign * skew
-        top_v, top_h = (_lambda_max(a, gram)[1] for gram in (v, h))
+        # a real form's -2T is the conjugate of 2T, with the same tails
+        tail = abs(sign) * skew if form.is_real else a
+        top_v, top_h = (_bracket(form, True, tail, gram)[1] for gram in (v, h))
         if min(top_v, top_h) <= 0:
             continue  # a is negative definite
         pencil = _Pencil(-a, v, h)

@@ -32,9 +32,12 @@ from coupledforms.forms import (
     ACCRETIVITY_RTOL,
     GRAM_RTOL,
     _augmented,
+    _hermitian_part,
+    _midpoint,
     _Pencil,
     _lambda_max,
     _lambda_min,
+    _skew_part,
     accretivity_margin,
     is_discretely_accretive,
 )
@@ -654,6 +657,83 @@ class TestAccretivityBoundary:
         tau = ACCRETIVITY_RTOL * self.rotated_diagonal(values).accretivity_scale
         form = self.rotated_diagonal(values[:-1] + [-factor * tau])
         assert is_discretely_accretive(form) is accretive
+
+
+# ---------------------------------------------------------------------------
+# spectral brackets kept on the form, one per distinct pencil
+
+
+def fresh_brackets(form, shift):
+    """Every spectral constant of ``form`` by its own bisection, on pencils cut from the assembled operators."""
+    herm, mass, vgram = _hermitian_part(form.form_csr), form.mass_csr, form.vgram_csr
+    sl = form.block_slices
+    constants = {
+        "full": _lambda_min(herm + shift * mass, vgram),
+        "accretivity": _lambda_min(herm, scipy.sparse.identity(form.total_dim)),
+    }
+    for i in range(form.m):
+        block = _hermitian_part(form.form_csr[sl[i], sl[i]]) + shift * mass[sl[i], sl[i]]
+        constants[i] = _lambda_min(block, vgram[sl[i], sl[i]])
+        for j in range(form.m):
+            if form.form_csr[sl[i], sl[j]].count_nonzero():
+                v = scipy.sparse.block_diag([vgram[sl[i], sl[i]], vgram[sl[j], sl[j]]])
+                constants[i, j] = _lambda_max(_augmented(form.form_csr[sl[i], sl[j]]), v)
+    return {key: _midpoint(bracket) for key, bracket in constants.items()}
+
+
+def memoized_brackets(form, shift):
+    constants = {"full": full_ellipticity(form, shift), "accretivity": accretivity_margin(form)}
+    for i in range(form.m):
+        constants[i] = estimate_ellipticity(form, i, shift)
+        for j in range(form.m):
+            if form.csr_blocks[i][j].count_nonzero():
+                constants[i, j] = estimate_continuity(form, i, j)
+    return constants
+
+
+class TestBracketMemo:
+    @pytest.mark.parametrize("name", sorted(ORACLE_BUILDERS))
+    def test_memoized_constants_equal_fresh_bisections(self, name):
+        form = ORACLE_BUILDERS[name](Grid1D(24))
+        for shift in (0.0, 0.5):
+            want = fresh_brackets(form, shift)
+            # the first pass fills the memo, the second reads it
+            assert memoized_brackets(form, shift) == want
+            assert memoized_brackets(form, shift) == want
+
+    def test_identical_blocks_share_one_bisection(self, bisections):
+        form = ORACLE_BUILDERS["four_cycle"](Grid1D(16))
+        constants = {(i, j): estimate_continuity(form, i, j) for i in range(4) for j in range(4)}
+        # 3K on the diagonal, -K on the 8 couplings; the other 4 blocks are zero
+        assert len(bisections) == 2
+        assert len({constants[i, i] for i in range(4)}) == 1
+        assert estimate_continuity(form, 0, 1) == constants[1, 3] and len(bisections) == 2
+
+    @pytest.mark.parametrize("n_cells", [16, 64, 256])
+    def test_conjugate_skew_pencils_bracket_identically(self, n_cells):
+        form = build_damped_wave(Grid1D(n_cells), 1.0)
+        skew = _skew_part(form.form_csr)
+        assert form.is_real and skew.count_nonzero()
+        for a in (skew, 2.0 * skew):
+            for gram in (form.vgram_csr, form.mass_csr):
+                assert _lambda_max(a, gram) == _lambda_max(-a, gram)
+
+    @pytest.mark.parametrize("derive", ["rebuilt", "adjoint", "diagonal_part"])
+    def test_no_bracket_is_shared_between_forms(self, bisections, derive):
+        grid = Grid1D(16)
+        form = ORACLE_BUILDERS["four_cycle"](grid)
+        full_ellipticity(form)
+        estimate_ellipticity(form, 0)
+        other = {
+            "rebuilt": lambda: ORACLE_BUILDERS["four_cycle"](grid),
+            "adjoint": form.adjoint,
+            "diagonal_part": form.diagonal_part,
+        }[derive]()
+        assert len(bisections) == 2 and "_brackets" not in vars(other)
+        assert estimate_ellipticity(other, 0) == estimate_ellipticity(form, 0)
+        assert len(bisections) == 3
+        full_ellipticity(other)
+        assert len(bisections) == 4
 
 
 # ---------------------------------------------------------------------------

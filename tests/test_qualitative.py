@@ -18,20 +18,24 @@ from coupledforms import (
     domination_check,
     ephaptic_sum_check,
     evolve,
+    full_ellipticity,
     h_norm,
     linf_contractivity_check,
     make_projection,
     p1_mass,
+    parabola_check,
     positivity_check,
     product_subspace_check,
+    sector_check,
     strip_invariance_runtime,
     subspace_invariance_check,
     subsystem_invariance_check,
     two_fibre_coupling,
 )
-from coupledforms import evolution, qualitative
+from coupledforms import evolution, forms, qualitative
 from coupledforms.errors import ValidationError
 from coupledforms.evolution import _start, _states
+from coupledforms.forms import _lambda_max, _midpoint, _skew_part
 from coupledforms.qualitative import (
     BLOCK_ZERO_RTOL,
     RUNTIME_CONE_TOL,
@@ -652,6 +656,58 @@ def test_runtime_checks_share_one_factor_per_form(monkeypatch):
     for check in (positivity_check, linf_contractivity_check, domination_check):
         check(form, trials=3, cfg=CFG)
     assert len(factored) == 2 and factored[0] is form and factored[1] is not form
+
+
+def test_default_sector_bisects_each_distinct_pencil_once(bisections):
+    # full_ellipticity and the continuity of 3K and of -K: the 12 nonzero blocks hold 2 distinct pencils
+    form = build_constant_coupled(Grid1D(16), RING)
+    first = sector_check(form)
+    assert len(bisections) == 3
+    assert sector_check(form).details == first.details
+    bounded = sector_check(form, bound=5.0)
+    assert len(bisections) == 3
+    for key in ("exact_alpha", "exact_bound"):
+        assert bounded.details[key] == first.details[key]
+
+
+@pytest.mark.parametrize(
+    "alpha, sector_skew, parabola_skew", [(1.0, 1, 2), (1.0 + 0.5j, 2, 4)], ids=["real", "complex"]
+)
+def test_skew_brackets_per_sign(bisections, alpha, sector_skew, parabola_skew):
+    # a real form's -T is the conjugate of T: one bracket serves both signs
+    form = build_damped_wave(Grid1D(16), alpha)
+    full_ellipticity(form)
+    before = len(bisections)
+    res = sector_check(form, bound=1.0)
+    assert len(bisections) - before == sector_skew
+    skew = _skew_part(form.form_csr)
+    assert res.details["exact_bound"] == max(_midpoint(_lambda_max(s * skew, form.vgram_csr)) for s in (1.0, -1.0))
+    before = len(bisections)
+    parabola_check(form)
+    assert len(bisections) - before == parabola_skew
+
+
+@pytest.mark.parametrize(
+    "build, factors",
+    [(lambda g: build_constant_coupled(g, RING), 1), (build_damped_wave, 2)],
+    ids=["ring", "damped_wave"],
+)
+def test_product_subspace_factors_each_space_once(monkeypatch, build, factors):
+    factored = []
+    real_init = forms._Factor.__init__
+
+    def counting_init(factor, a, *rest):
+        factored.append(a.shape)
+        real_init(factor, a, *rest)
+
+    monkeypatch.setattr(forms._Factor, "__init__", counting_init)
+    grid = Grid1D(16)
+    form = build(grid)
+    weights = [mean_weights(grid)] * form.m
+    first = product_subspace_check(form, weights)
+    assert len(factored) == factors
+    assert product_subspace_check(form, weights).details == first.details
+    assert len(factored) == factors
 
 
 @pytest.fixture
