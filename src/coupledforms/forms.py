@@ -131,6 +131,8 @@ class DiscreteSpace:
     h_gram = cached_property(lambda self: _dense_view(self.h_csr))
     v_gram = cached_property(lambda self: _dense_view(self.v_csr))
     _h_factor = cached_property(lambda self: _Factor(self.h_csr))
+    _h_digest = cached_property(lambda self: _digest(self.h_csr))
+    _v_digest = cached_property(lambda self: _digest(self.v_csr))
 
     def same_geometry(self, other: "DiscreteSpace", rtol: float = 1e-12) -> bool:
         """Equal dimension and Grams equal within ``rtol``, read as both relative and absolute tolerance."""
@@ -180,6 +182,8 @@ class FormMatrix:
         if len(self.csr_blocks) != m or any(len(row) != m for row in self.csr_blocks):
             raise DimensionError(f"blocks must form an {m}x{m} grid")
         self.csr_blocks = [[self._stored(i, j, blk) for j, blk in enumerate(row)] for i, row in enumerate(self.csr_blocks)]
+
+    _block_digests = cached_property(lambda self: [[_digest(b) for b in row] for row in self.csr_blocks])
 
     def _stored(self, i: int, j: int, blk) -> scipy.sparse.csr_array:
         blk, expected = _as_csr(blk, f"block ({i},{j})"), (self.spaces[i].dim, self.spaces[j].dim)
@@ -550,27 +554,21 @@ def _lambda_max(a, b, rtol: float = SPECTRAL_RTOL) -> tuple:
     return -hi, -lo
 
 
-def _digest(m) -> bytes:
-    """blake2b digest of the canonical CSR of ``m``: shape, dtypes, ``indptr``, ``indices`` and ``data``."""
-    m = scipy.sparse.csr_array(m)
-    if not m.has_canonical_format:
-        m = scipy.sparse.csr_array(scipy.sparse.coo_array(m))
-    h = hashlib.blake2b(repr((m.shape, m.dtype.str, m.indices.dtype.str)).encode(), digest_size=32)
-    for part in (m.indptr, m.indices, m.data):
-        h.update(part)
-    return h.digest()
+def _digest(m: scipy.sparse.csr_array) -> bytes:
+    """blake2b digest of a stored CSR matrix: shape, dtypes, ``indptr``, ``indices`` and ``data``."""
+    head = repr((m.shape, m.dtype.str, m.indices.dtype.str)).encode()
+    return hashlib.blake2b(b"".join([head, m.indptr, m.indices, m.data]), digest_size=32).digest()
 
 
-def _bracket(form: FormMatrix, largest: bool, a, b, rtol: float = SPECTRAL_RTOL) -> tuple:
-    """:func:`_lambda_max` (``largest``) or :func:`_lambda_min` of ``(a, b)``, bisected once per pencil content.
+def _bracket(form: FormMatrix, largest: bool, key: tuple, pencil) -> tuple:
+    """:func:`_lambda_max` (``largest``) or :func:`_lambda_min` of ``pencil()``, bisected once per ``key`` on the form.
 
-    Kept on the form instance only, keyed by ``(largest, rtol)`` and the :func:`_digest` of ``a`` and ``b``.
+    Forms do not change, so ``key`` names a pencil by its routine, scalars and the :func:`_digest` of what it reads.
     """
     brackets = vars(form).setdefault("_brackets", {})
-    key = (largest, rtol, _digest(a), _digest(b))
-    if key not in brackets:
-        brackets[key] = (_lambda_max if largest else _lambda_min)(a, b, rtol)
-    return brackets[key]
+    if (largest, *key) not in brackets:
+        brackets[largest, *key] = (_lambda_max if largest else _lambda_min)(*pencil())
+    return brackets[largest, *key]
 
 
 def _midpoint(bracket: tuple) -> float:
@@ -587,10 +585,10 @@ def estimate_continuity(form: FormMatrix, i: int, j: int) -> float:
     block = form.csr_blocks[i][j]
     if not np.any(block.data):
         return 0.0
-    vi, vj = form.spaces[i].v_csr, form.spaces[j].v_csr
-    ni = vi.shape[0]
-    vgram = _placed(ni + vj.shape[0], (vi, 0, 0), (vj, ni, ni))
-    return _midpoint(_bracket(form, True, _augmented(block), vgram))
+    si, sj = form.spaces[i], form.spaces[j]
+    key = ("continuity", form._block_digests[i][j], si._v_digest, sj._v_digest)
+    vgram = (si.dim + sj.dim, (si.v_csr, 0, 0), (sj.v_csr, si.dim, si.dim))
+    return _midpoint(_bracket(form, True, key, lambda: (_augmented(block), _placed(*vgram))))
 
 
 def estimate_ellipticity(form: FormMatrix, i: int, shift: float = 0.0) -> float:
@@ -600,9 +598,9 @@ def estimate_ellipticity(form: FormMatrix, i: int, shift: float = 0.0) -> float:
     relative to ``v_gram``, so the block satisfies
     ``Re a_ii(f,f) >= value*|f|_V^2 - shift*|f|_H^2`` sharply.
     """
-    space = form.spaces[i]
-    mat = _hermitian_part(form.csr_blocks[i][i]) + shift * space.h_csr
-    return _midpoint(_bracket(form, False, mat, space.v_csr))
+    s, block = form.spaces[i], form.csr_blocks[i][i]
+    key = ("ellipticity", form._block_digests[i][i], s._h_digest, s._v_digest, shift)
+    return _midpoint(_bracket(form, False, key, lambda: (_hermitian_part(block) + shift * s.h_csr, s.v_csr)))
 
 
 def full_ellipticity(form: FormMatrix, shift: float = 0.0) -> float:
@@ -611,8 +609,8 @@ def full_ellipticity(form: FormMatrix, shift: float = 0.0) -> float:
     Same pencil as :func:`estimate_ellipticity`, using the assembled form
     matrix against the block-diagonal domain Gram.
     """
-    mat = _hermitian_part(form.form_csr) + shift * form.mass_csr
-    return _midpoint(_bracket(form, False, mat, form.vgram_csr))
+    key, h = ("full_ellipticity", shift), form.mass_csr
+    return _midpoint(_bracket(form, False, key, lambda: (_hermitian_part(form.form_csr) + shift * h, form.vgram_csr)))
 
 
 def accretivity_margin(form: FormMatrix) -> float:
@@ -621,7 +619,8 @@ def accretivity_margin(form: FormMatrix) -> float:
     Nonnegative (within round-off) exactly when the discrete form is
     accretive.
     """
-    return _midpoint(_bracket(form, False, _hermitian_part(form.form_csr), _diagonal(np.ones(form.total_dim))))
+    key, n = ("accretivity",), form.total_dim
+    return _midpoint(_bracket(form, False, key, lambda: (_hermitian_part(form.form_csr), _diagonal(np.ones(n)))))
 
 
 def is_discretely_accretive(form: FormMatrix) -> bool:

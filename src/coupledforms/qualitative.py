@@ -506,6 +506,12 @@ def _within(value: float, limit: float) -> bool:
     return value <= limit + RANGE_CHECK_RTOL * max(1.0, abs(value), abs(limit))
 
 
+def _skew_bracket(form: FormMatrix, skew, factor: float, gram: str) -> tuple:
+    """Bracket of ``lambda_max(factor*T, gram)``, kept on the form; a real form's ``-T`` is the conjugate of ``T``."""
+    factor = abs(factor) if form.is_real else factor
+    return _bracket(form, True, ("skew", factor, gram), lambda: (factor * skew, getattr(form, gram)))
+
+
 def sector_check(
     form: FormMatrix, alpha: float | None = None, shift: float = 0.0, bound: float | None = None
 ) -> CheckResult:
@@ -529,9 +535,7 @@ def sector_check(
     skew = _skew_part(form.form_csr)
     exact_bound = 0.0
     if np.any(skew.data):
-        # a real form's -T is the conjugate of T, and conjugate pencils bracket identically
-        signs = (1.0,) if form.is_real else (1.0, -1.0)
-        exact_bound = max(_midpoint(_bracket(form, True, sign * skew, form.vgram_csr)) for sign in signs)
+        exact_bound = max(_midpoint(_skew_bracket(form, skew, sign, "vgram_csr")) for sign in (1.0, -1.0))
     passed = _within(alpha, exact_alpha) and _within(exact_bound, bound)
     details = {"alpha": alpha, "bound": bound, "exact_alpha": exact_alpha, "exact_bound": exact_bound}
     return CheckResult("sector", PASS if passed else FAIL, details)
@@ -563,9 +567,7 @@ def parabola_check(form: FormMatrix, m_tilde: float | None = None) -> CheckResul
     tested = 0
     for sign in (2.0, -2.0):
         a = sign * skew
-        # a real form's -2T is the conjugate of 2T, with the same tails
-        tail = abs(sign) * skew if form.is_real else a
-        top_v, top_h = (_bracket(form, True, tail, gram)[1] for gram in (v, h))
+        top_v, top_h = (_skew_bracket(form, skew, sign, gram)[1] for gram in ("vgram_csr", "mass_csr"))
         if min(top_v, top_h) <= 0:
             continue  # a is negative definite
         pencil = _Pencil(-a, v, h)

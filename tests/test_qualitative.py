@@ -670,6 +670,19 @@ def test_default_sector_bisects_each_distinct_pencil_once(bisections):
         assert bounded.details[key] == first.details[key]
 
 
+def test_kept_brackets_build_and_digest_nothing(monkeypatch):
+    # each stored block and Gram is digested once; a kept bracket neither rebuilds its pencil nor hashes it
+    calls = []
+    for name in ("_digest", "_augmented", "_hermitian_part"):
+        real = getattr(forms, name)
+        monkeypatch.setattr(forms, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    form = build_constant_coupled(Grid1D(16), RING)
+    first = sector_check(form)
+    assert calls.count("_digest") == 17  # 16 blocks and the one space's domain Gram
+    del calls[:]
+    assert sector_check(form).details == first.details and calls == []
+
+
 @pytest.mark.parametrize(
     "alpha, sector_skew, parabola_skew", [(1.0, 1, 2), (1.0 + 0.5j, 2, 4)], ids=["real", "complex"]
 )
