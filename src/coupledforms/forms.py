@@ -7,16 +7,18 @@ form is an m-by-m grid of blocks, and ``g^H S_ij f`` evaluates the
 independent of how the underlying meshes look.  Grams and blocks are
 stored as CSR only.
 
-Every spectral constant (coercivity, continuity, accretivity, the
-embedding norm and the positive definiteness of a Gram) is an extremal
-eigenvalue of a Hermitian sparse pencil ``(a, b)`` with ``b`` positive
-definite.  It is found by bisection on one primitive: is ``a - mu*b``
-positive definite?  One banded Cholesky factorization (LAPACK ``?pbtrf``)
-answers it, in the reverse Cuthill--McKee order of the pencil's pattern,
-which makes every pencil built here narrow-banded (Parlett, *The
-Symmetric Eigenvalue Problem*, ch. 3; George & Liu, *Computer Solution of
-Large Sparse Positive Definite Systems*, 1981).  No N-sized matrix goes
-through dense LAPACK except in :func:`associated_operator`.  The
+Every spectral constant (coercivity, continuity, the embedding norm and
+the positive definiteness of a Gram) is an extremal eigenvalue of a
+Hermitian sparse pencil ``(a, b)`` with ``b`` positive definite.  It is
+found by bisection on one primitive: is ``a - mu*b`` positive definite?
+Accretivity is that primitive once, at a shift scaled by the largest
+column 2-norm of the form matrix.  One banded Cholesky factorization
+(LAPACK ``?pbtrf``) answers it, in the reverse Cuthill--McKee order of
+the pencil's pattern, which makes every pencil built here narrow-banded
+(Parlett, *The Symmetric Eigenvalue Problem*, ch. 3; George & Liu,
+*Computer Solution of Large Sparse Positive Definite Systems*, 1981).
+No N-sized matrix goes through dense LAPACK except in
+:func:`associated_operator`.  The
 ``sector`` and ``parabola`` checks of :mod:`coupledforms.qualitative`
 decide the numerical range of a form with the same primitive, on the
 Hermitian imaginary part ``(S - S^H)/2i`` of the form matrix.
@@ -45,10 +47,8 @@ HERMITIAN_RTOL = 1e-12
 # relative to the larger magnitude of the first bracket (which bounds
 # the eigenvalue).
 SPECTRAL_RTOL = 1e-12
-# Slack of the accretivity test, relative to the form's 2-norm,
-# and the relative width of the bracket that norm is taken from.
+# Slack of the accretivity test, relative to the largest column 2-norm of the form matrix.
 ACCRETIVITY_RTOL = 1e-10
-ACCRETIVITY_SCALE_RTOL = 1e-3
 # A Gram is accepted when ``g - GRAM_RTOL*diag(g)`` is positive definite,
 # that is, when the diagonally scaled Gram has its smallest eigenvalue
 # above GRAM_RTOL.  Elimination round-off leaves the singular Neumann
@@ -237,23 +237,14 @@ class FormMatrix:
         return scipy.sparse.block_diag([s.v_csr for s in self.spaces], format="csr")
 
     @cached_property
-    def accretivity_scale(self) -> float:
-        """Certified lower bound of ``|form_csr|_2``, within ``ACCRETIVITY_SCALE_RTOL``.
-
-        The lower end of a bracket of the largest eigenvalue of the
-        augmented pencil ``[[0, S], [S^H, 0]]`` against the identity,
-        whose positive eigenvalues are the singular values of ``S``.
-        """
-        identity = _diagonal(np.ones(2 * self.total_dim))
-        lower, _ = _lambda_max(_augmented(self.form_csr), identity, ACCRETIVITY_SCALE_RTOL)
-        return max(lower, 1e-300)
-
-    @cached_property
     def accretive(self) -> bool:
         """Verdict of :func:`is_discretely_accretive`, computed once per form."""
-        # one factor: herm(S) + tau*I is positive definite, tau = ACCRETIVITY_RTOL*scale
-        tau = ACCRETIVITY_RTOL * self.accretivity_scale
-        return _Pencil(_hermitian_part(self.form_csr), _diagonal(np.ones(self.total_dim))).definite(-tau)
+        # one factor: herm(S) + tau*I is positive definite, tau = ACCRETIVITY_RTOL*scale,
+        # scale = max_j |S e_j|_2 from the CSR data
+        s = self.form_csr
+        scale = np.sqrt(np.bincount(s.indices, np.abs(s.data) ** 2, s.shape[1]).max())
+        tau = ACCRETIVITY_RTOL * max(scale, 1e-300)
+        return _Pencil(_hermitian_part(s), _diagonal(np.ones(self.total_dim))).definite(-tau)
 
     def adjoint(self) -> "FormMatrix":
         """The adjoint form, blocks ``S*_ij = S_ji^H``; a coefficient field ``c_ij`` becomes ``c_ji``."""
@@ -515,16 +506,16 @@ class _Factor:
         return x.reshape(b.shape)
 
 
-def _lambda_min(a, b, rtol: float = SPECTRAL_RTOL) -> tuple:
+def _lambda_min(a, b) -> tuple:
     """Bracket ``(lo, hi)`` of the smallest eigenvalue of the pencil ``(a, b)``.
 
     ``hi`` starts at the Rayleigh quotient of the all-ones vector, an
     upper bound; ``lo`` steps down from it, doubling the step, until
     ``a - lo*b`` is positive definite.  Bisection then halves the bracket
-    until it is at most ``rtol`` times the larger magnitude of the first
-    bracket.  Each end stays certified: ``lo`` by a Cholesky factor that
-    succeeded, ``hi`` by the Rayleigh quotient or by a shift whose
-    Cholesky factorization broke down (see :meth:`_Pencil.definite`).
+    until it is at most ``SPECTRAL_RTOL`` times the larger magnitude of
+    the first bracket.  Each end stays certified: ``lo`` by a Cholesky
+    factor that succeeded, ``hi`` by the Rayleigh quotient or by a shift
+    whose Cholesky factorization broke down (see :meth:`_Pencil.definite`).
     """
     pencil = _Pencil(a, b)
     if not np.any(pencil.a):
@@ -538,7 +529,7 @@ def _lambda_min(a, b, rtol: float = SPECTRAL_RTOL) -> tuple:
         lo = hi - step
         if not np.isfinite(lo):
             raise NumericalError("no lower bound for the smallest eigenvalue: is the pencil Hermitian-definite?")
-    tol = rtol * max(abs(lo), abs(hi))
+    tol = SPECTRAL_RTOL * max(abs(lo), abs(hi))
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if pencil.definite(mid):
@@ -548,9 +539,9 @@ def _lambda_min(a, b, rtol: float = SPECTRAL_RTOL) -> tuple:
     return lo, hi
 
 
-def _lambda_max(a, b, rtol: float = SPECTRAL_RTOL) -> tuple:
+def _lambda_max(a, b) -> tuple:
     """Bracket ``(lo, hi)`` of the largest eigenvalue of the pencil ``(a, b)``."""
-    lo, hi = _lambda_min(-a, b, rtol)
+    lo, hi = _lambda_min(-a, b)
     return -hi, -lo
 
 
@@ -613,22 +604,14 @@ def full_ellipticity(form: FormMatrix, shift: float = 0.0) -> float:
     return _midpoint(_bracket(form, False, key, lambda: (_hermitian_part(form.form_csr) + shift * h, form.vgram_csr)))
 
 
-def accretivity_margin(form: FormMatrix) -> float:
-    """Smallest eigenvalue of the Hermitian part of the assembled form.
-
-    Nonnegative (within round-off) exactly when the discrete form is
-    accretive.
-    """
-    key, n = ("accretivity",), form.total_dim
-    return _midpoint(_bracket(form, False, key, lambda: (_hermitian_part(form.form_csr), _diagonal(np.ones(n)))))
-
-
 def is_discretely_accretive(form: FormMatrix) -> bool:
     """The Hermitian part of the assembled form exceeds ``-ACCRETIVITY_RTOL*scale``.
 
-    ``scale`` is :attr:`FormMatrix.accretivity_scale`, a certified lower
-    bound of ``|S|_2``, so the test is never looser than one against the
-    exact norm.  The verdict is cached on the form.
+    ``scale`` is the largest column 2-norm of the form matrix ``S``.
+    Since ``|S e_j|_2 <= |S|_2``, it is a certified lower bound of
+    ``|S|_2``, so the test is never looser than one against the exact
+    norm.  One banded Cholesky factorization decides it, and the verdict
+    is cached on the form.
     """
     return form.accretive
 

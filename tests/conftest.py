@@ -9,9 +9,23 @@ def bisections(monkeypatch):
     calls = []
     real = forms._lambda_min
 
-    def counting(a, b, rtol=forms.SPECTRAL_RTOL):
+    def counting(a, b):
         calls.append((a, b))
-        return real(a, b, rtol)
+        return real(a, b)
 
     monkeypatch.setattr(forms, "_lambda_min", counting)
     return calls
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """The shift ``mu`` of every ``forms._Pencil.definite`` call, one banded Cholesky factorization each, while a test runs."""
+    shifts = []
+    real = forms._Pencil.definite
+
+    def counting(self, mu, *weights):
+        shifts.append(mu)
+        return real(self, mu, *weights)
+
+    monkeypatch.setattr(forms._Pencil, "definite", counting)
+    return shifts

@@ -38,7 +38,6 @@ from coupledforms.forms import (
     _lambda_max,
     _lambda_min,
     _skew_part,
-    accretivity_margin,
     is_discretely_accretive,
 )
 from coupledforms.models import CoefficientField
@@ -618,7 +617,7 @@ class TestInertiaPrimitive:
         assert estimate_continuity(form, 0, 1) == pytest.approx(1.0, rel=1e-10)
 
     @pytest.mark.parametrize("name", sorted(ORACLE_BUILDERS))
-    def test_spectral_routines_match_dense(self, name):
+    def test_spectral_routines_match_dense(self, name, factorizations):
         form = ORACLE_BUILDERS[name](Grid1D(48))
         dense = dense_form(form)
         herm = dense_hermitian(dense)
@@ -638,10 +637,15 @@ class TestInertiaPrimitive:
             top = scipy.linalg.eigh(space.h_gram, space.v_gram, eigvals_only=True)[-1]
             assert_matches(embedding_norm(space), np.sqrt(top), np.sqrt(top))
         lam = np.linalg.eigvalsh(herm)
-        assert_matches(accretivity_margin(form), lam[0], np.abs(lam).max())
-        two_norm = np.linalg.norm(dense, 2)
-        assert two_norm * (1 - 2e-3) <= form.accretivity_scale <= two_norm * (1 + 1e-12)
-        assert is_discretely_accretive(form) == (lam[0] >= -ACCRETIVITY_RTOL * two_norm)
+        column_norm = np.linalg.norm(dense, axis=0).max()
+        factorizations.clear()
+        accretive = is_discretely_accretive(form)
+        # one factorization, at mu = -ACCRETIVITY_RTOL * scale
+        (mu,) = factorizations
+        scale = -mu / ACCRETIVITY_RTOL
+        assert scale == pytest.approx(column_norm, rel=1e-12)
+        assert scale <= np.linalg.norm(dense, 2) * (1 + 1e-12)
+        assert accretive == (lam[0] >= -ACCRETIVITY_RTOL * column_norm)
 
 
 class TestAccretivityBoundary:
@@ -652,11 +656,28 @@ class TestAccretivityBoundary:
 
     @pytest.mark.parametrize("factor, accretive", [(0.5, True), (2.0, False)])
     def test_pass_and_fail_around_the_boundary(self, factor, accretive):
-        # the smallest eigenvalue sits at factor * (-rtol * scale)
+        # the smallest eigenvalue sits at factor * (-rtol * scale), scale the largest column 2-norm
         values = [2.0, 1.0, 0.5, 0.0]
-        tau = ACCRETIVITY_RTOL * self.rotated_diagonal(values).accretivity_scale
+        tau = ACCRETIVITY_RTOL * np.linalg.norm(dense_form(self.rotated_diagonal(values)), axis=0).max()
         form = self.rotated_diagonal(values[:-1] + [-factor * tau])
         assert is_discretely_accretive(form) is accretive
+
+
+class TestAccretivityFactorizations:
+    BUILDERS = {
+        "four_cycle": lambda: ORACLE_BUILDERS["four_cycle"](Grid1D(64)),
+        "zero": lambda: single_space_form(np.zeros((5, 5))),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_one_factorization_per_verdict(self, factorizations, name):
+        form = self.BUILDERS[name]()
+        factorizations.clear()
+        assert is_discretely_accretive(form)
+        assert len(factorizations) == 1
+        # the verdict is kept on the form
+        assert is_discretely_accretive(form)
+        assert len(factorizations) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -667,10 +688,7 @@ def fresh_brackets(form, shift):
     """Every spectral constant of ``form`` by its own bisection, on pencils cut from the assembled operators."""
     herm, mass, vgram = _hermitian_part(form.form_csr), form.mass_csr, form.vgram_csr
     sl = form.block_slices
-    constants = {
-        "full": _lambda_min(herm + shift * mass, vgram),
-        "accretivity": _lambda_min(herm, scipy.sparse.identity(form.total_dim)),
-    }
+    constants = {"full": _lambda_min(herm + shift * mass, vgram)}
     for i in range(form.m):
         block = _hermitian_part(form.form_csr[sl[i], sl[i]]) + shift * mass[sl[i], sl[i]]
         constants[i] = _lambda_min(block, vgram[sl[i], sl[i]])
@@ -682,7 +700,7 @@ def fresh_brackets(form, shift):
 
 
 def memoized_brackets(form, shift):
-    constants = {"full": full_ellipticity(form, shift), "accretivity": accretivity_margin(form)}
+    constants = {"full": full_ellipticity(form, shift)}
     for i in range(form.m):
         constants[i] = estimate_ellipticity(form, i, shift)
         for j in range(form.m):
