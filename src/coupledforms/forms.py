@@ -13,10 +13,13 @@ Hermitian sparse pencil ``(a, b)`` with ``b`` positive definite.  It is
 found by bisection on one primitive: is ``a - mu*b`` positive definite?
 Accretivity is that primitive once, at a shift scaled by the largest
 column 2-norm of the form matrix.  One banded Cholesky factorization
-(LAPACK ``?pbtrf``) answers it, in the reverse Cuthill--McKee order of
-the pencil's pattern, which makes every pencil built here narrow-banded
-(Parlett, *The Symmetric Eigenvalue Problem*, ch. 3; George & Liu,
-*Computer Solution of Large Sparse Positive Definite Systems*, 1981).
+(LAPACK ``?pbtrf``, on the lower band) answers it, in the reverse
+Cuthill--McKee order of the pencil's pattern, which makes every pencil
+built here narrow-banded (Parlett, *The Symmetric Eigenvalue Problem*,
+ch. 3; George & Liu, *Computer Solution of Large Sparse Positive
+Definite Systems*, 1981).  Brackets are kept on the form, one per
+distinct pencil up to the symmetries that leave the constant unchanged:
+a block and its negation share a continuity bracket.
 No N-sized matrix goes through dense LAPACK except in
 :func:`associated_operator`.  The
 ``sector`` and ``parabola`` checks of :mod:`coupledforms.qualitative`
@@ -26,7 +29,7 @@ Hermitian imaginary part ``(S - S^H)/2i`` of the form matrix.
 Every linear solve (the time-step systems and the ambient-Gram solves)
 goes through :class:`_Factor`, the one place that chooses between
 banded Cholesky and banded LU (Anderson et al., *LAPACK Users' Guide*,
-1999, band drivers).
+1999, band drivers), in the upper band layout.
 """
 
 from __future__ import annotations
@@ -183,7 +186,7 @@ class FormMatrix:
             raise DimensionError(f"blocks must form an {m}x{m} grid")
         self.csr_blocks = [[self._stored(i, j, blk) for j, blk in enumerate(row)] for i, row in enumerate(self.csr_blocks)]
 
-    _block_digests = cached_property(lambda self: [[_digest(b) for b in row] for row in self.csr_blocks])
+    _block_digests = cached_property(lambda self: [[_signed_digest(b) for b in row] for row in self.csr_blocks])
 
     def _stored(self, i: int, j: int, blk) -> scipy.sparse.csr_array:
         blk, expected = _as_csr(blk, f"block ({i},{j})"), (self.spaces[i].dim, self.spaces[j].dim)
@@ -413,10 +416,12 @@ class _Pencil:
     """A Hermitian sparse pencil ``(a, b)`` with ``b`` positive definite, for :meth:`definite`.
 
     The union pattern of ``a``, ``b`` and any further Hermitian matrices
-    ``rest`` is ordered once by reverse Cuthill--McKee, and the upper
+    ``rest`` is ordered once by reverse Cuthill--McKee, and the lower
     triangles of all of them, in that order, are scattered into LAPACK
-    upper band arrays of shape ``(kd+1, N)``, ``kd`` the half-bandwidth
-    of the ordered pattern.
+    lower band arrays of shape ``(kd+1, N)``: entry (i, j), ``i >= j``,
+    at ``[i - j, j]``, ``kd`` the half-bandwidth of the ordered pattern.
+    ``?pbtf2`` updates each column of the lower layout by a unit-stride
+    ``?syr``/``?her``, where the upper layout strides by ``kd``.
     """
 
     def __init__(self, a, b, *rest):
@@ -424,22 +429,26 @@ class _Pencil:
         _, entries = _rcm_entries(*mats)
         kd = max(int(np.abs(row - col).max(initial=0)) for row, col, _ in entries)
         dtype = np.result_type(*(m.dtype for m in mats), float)
-        # rows 0..kd of the full band hold the upper triangle in ?pbtrf layout
-        full = (_band(*e, kd, 2 * kd + 1, a.shape[0], dtype) for e in entries)
-        self.a, self.b, *self.rest = (np.asfortranarray(band[: kd + 1]) for band in full)
+        lower = ((row >= col, row, col, data) for row, col, data in entries)
+        self.a, self.b, *self.rest = (_band(r[k], c[k], d[k], 0, kd + 1, a.shape[0], dtype) for k, r, c, d in lower)
+        self._work = np.empty_like(self.a)
         self._pbtrf = scipy.linalg.get_lapack_funcs("pbtrf", (self.a,))
 
     def definite(self, mu: float, *weights: float) -> bool:
         """``a - mu*b + sum_k weights[k]*rest[k]`` is positive definite.
 
         Without ``weights``: every eigenvalue of the pencil exceeds
-        ``mu``.  One banded Cholesky factorization; it breaks down
-        (``info > 0``) at the first pivot that is not positive.
+        ``mu``.  One banded Cholesky factorization, in place on a
+        workspace kept on the pencil; it breaks down (``info > 0``) at
+        the first pivot that is not positive.
         """
-        ab = self.a - mu * self.b
+        ab = self._work
+        # the same bits as a - mu*b
+        np.multiply(self.b, -mu, out=ab)
+        ab += self.a
         for w, band in zip(weights, self.rest):
             ab += w * band
-        _, info = self._pbtrf(ab, overwrite_ab=True)
+        _, info = self._pbtrf(ab, lower=1, overwrite_ab=True)
         return info == 0
 
 
@@ -480,6 +489,7 @@ class _Factor:
 
     def _cholesky(self, upper: np.ndarray) -> bool:
         """Factor the ``?pbtrf`` upper band ``upper``; False when it is not positive definite."""
+        # upper, unlike _Pencil: a factor is solved with many times, and ?pbtrs is faster on the upper band
         if len(upper) == 2:
             pttrf, pttrs = scipy.linalg.get_lapack_funcs(("pttrf", "pttrs"), (upper,))
             d, e, info = pttrf(upper[1].real, upper[0, 1:])
@@ -551,6 +561,18 @@ def _digest(m: scipy.sparse.csr_array) -> bytes:
     return hashlib.blake2b(b"".join([head, m.indptr, m.indices, m.data]), digest_size=32).digest()
 
 
+def _signed_digest(m: scipy.sparse.csr_array) -> tuple:
+    """``(sign, digest)``: the :func:`_digest` of ``sign*m``, ``sign`` making its first stored entry positive.
+
+    ``m`` and ``-m`` share the digest and differ in ``sign``.  A complex
+    entry is positive when its real part is, or its real part is zero
+    and its imaginary part is positive.
+    """
+    first = m.data[0] if m.nnz else 1.0
+    sign = -1.0 if (first.real, first.imag) < (0.0, 0.0) else 1.0
+    return sign, _digest(-m if sign < 0 else m)
+
+
 def _bracket(form: FormMatrix, largest: bool, key: tuple, pencil) -> tuple:
     """:func:`_lambda_max` (``largest``) or :func:`_lambda_min` of ``pencil()``, bisected once per ``key`` on the form.
 
@@ -571,13 +593,16 @@ def estimate_continuity(form: FormMatrix, i: int, j: int) -> float:
 
     The largest eigenvalue of the augmented block ``[[0, S_ij], [S_ij^H,
     0]]`` against ``diag(v_gram_i, v_gram_j)``, which equals
-    ``sup |g^H S_ij f| / (|f|_Vj |g|_Vi)``.
+    ``sup |g^H S_ij f| / (|f|_Vj |g|_Vi)``.  The pencils of ``S_ij`` and
+    ``-S_ij`` are congruent by ``diag(I, -I)`` and have one constant, so
+    the bracket is kept per block up to sign: the first of the two asked
+    bisects, the other reads its bracket.
     """
     block = form.csr_blocks[i][j]
     if not np.any(block.data):
         return 0.0
     si, sj = form.spaces[i], form.spaces[j]
-    key = ("continuity", form._block_digests[i][j], si._v_digest, sj._v_digest)
+    key = ("continuity", form._block_digests[i][j][1], si._v_digest, sj._v_digest)
     vgram = (si.dim + sj.dim, (si.v_csr, 0, 0), (sj.v_csr, si.dim, si.dim))
     return _midpoint(_bracket(form, True, key, lambda: (_augmented(block), _placed(*vgram))))
 
@@ -590,7 +615,7 @@ def estimate_ellipticity(form: FormMatrix, i: int, shift: float = 0.0) -> float:
     ``Re a_ii(f,f) >= value*|f|_V^2 - shift*|f|_H^2`` sharply.
     """
     s, block = form.spaces[i], form.csr_blocks[i][i]
-    key = ("ellipticity", form._block_digests[i][i], s._h_digest, s._v_digest, shift)
+    key = ("ellipticity", *form._block_digests[i][i], s._h_digest, s._v_digest, shift)
     return _midpoint(_bracket(form, False, key, lambda: (_hermitian_part(block) + shift * s.h_csr, s.v_csr)))
 
 

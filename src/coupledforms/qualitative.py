@@ -507,9 +507,15 @@ def _within(value: float, limit: float) -> bool:
 
 
 def _skew_bracket(form: FormMatrix, skew, factor: float, gram: str) -> tuple:
-    """Bracket of ``lambda_max(factor*T, gram)``, kept on the form; a real form's ``-T`` is the conjugate of ``T``."""
-    factor = abs(factor) if form.is_real else factor
-    return _bracket(form, True, ("skew", factor, gram), lambda: (factor * skew, getattr(form, gram)))
+    """Bracket of ``lambda_max(factor*T, gram)``, ``|factor|`` times the bracket of ``sign(factor)*T`` kept on the form.
+
+    ``lambda_max(cT, G) = |c|*lambda_max(sign(c)*T, G)``, so one bisection
+    per sign serves every factor; a real form's ``-T`` is the conjugate of
+    ``T``, so one serves both signs.
+    """
+    sign = 1.0 if form.is_real else math.copysign(1.0, factor)
+    lo, hi = _bracket(form, True, ("skew", sign, gram), lambda: (sign * skew, getattr(form, gram)))
+    return abs(factor) * lo, abs(factor) * hi
 
 
 def sector_check(

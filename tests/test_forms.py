@@ -37,6 +37,7 @@ from coupledforms.forms import (
     _Pencil,
     _lambda_max,
     _lambda_min,
+    _rcm_entries,
     _skew_part,
     is_discretely_accretive,
 )
@@ -535,6 +536,8 @@ ORACLE_BUILDERS = {
         g, CoefficientField.constant(two_fibre_coupling("difference", 2.0, 0.5), g.n_cells)
     ),
     "non_accretive": lambda g: build_constant_coupled(g, [[1.0, -2.0], [-2.0, 1.0]]),
+    # K and -K on the diagonal and off it: one continuity bracket, two ellipticity brackets
+    "negated_blocks": lambda g: build_constant_coupled(g, [[1.0, -1.0], [1.0, -1.0]]),
     "damped_wave": lambda g: build_damped_wave(g, 1.0),
     "damped_wave_complex": lambda g: build_damped_wave(g, 1.0 + 0.5j),
     "dynamic_bc_heat": build_dynamic_bc_heat,
@@ -591,6 +594,55 @@ class TestInertiaPrimitive:
             assert pencil.definite(mu) == (mu < lam[0]), (shape, mu)
         lo, hi = _lambda_min(scipy.sparse.csr_array(a), scipy.sparse.csr_array(b))
         assert lo <= lam[0] + 1e-10 * abs(lam[0]) and lam[0] - 1e-10 * abs(lam[0]) <= hi
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("n, kd", [(n, kd) for n in (1, 9, 64) for kd in sorted({0, 1, 3, n - 1}) if kd < n])
+    def test_lower_band_decides_as_the_upper_band(self, n, kd, dtype):
+        # the pencil factors its lower band; an upper band of the same ordered pencil, built here, must agree
+        rng = np.random.default_rng(n * 100 + kd)
+        inside = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= kd
+
+        def draw():
+            x = rng.standard_normal((n, n))
+            if dtype is complex:
+                x = x + 1j * rng.standard_normal((n, n))
+            return np.where(inside, x, 0)
+
+        a = draw()
+        a = a + a.conj().T
+        b = np.abs(draw())
+        b = b + b.T + 2.0 * (2 * kd + 1) * np.eye(n)
+        pencil = _Pencil(scipy.sparse.csr_array(a), scipy.sparse.csr_array(b))
+        order = _rcm_entries(scipy.sparse.csr_array(a), scipy.sparse.csr_array(b))[0]
+        a, b = a[np.ix_(order, order)], b[np.ix_(order, order)]
+        width = pencil.a.shape[0] - 1
+        assert width <= kd
+        assert np.array_equal(pencil.a[0], np.diag(a)) and np.array_equal(pencil.b[0], np.diag(b))
+        pbtrf = scipy.linalg.get_lapack_funcs("pbtrf", (pencil.a,))
+
+        def upper_factor(mu):
+            ab = np.zeros((width + 1, n), dtype=pencil.a.dtype, order="F")
+            for d in range(width + 1):
+                ab[width - d, d:] = np.diag(a - mu * b, d)
+            return pbtrf(ab)
+
+        def dense(band, lower):
+            m = np.zeros((n, n), dtype=band.dtype)
+            for d in range(width + 1):
+                if lower:
+                    m[np.arange(d, n), np.arange(n - d)] = band[d, : n - d]
+                else:
+                    m[np.arange(n - d), np.arange(d, n)] = band[width - d, d:]
+            return m
+
+        lam = scipy.linalg.eigh(a, b, eigvals_only=True)
+        delta = 1e-6 * np.abs(lam).max()
+        for mu in (lam[0] - delta, lam[0] + delta):
+            upper, info = upper_factor(mu)
+            assert pencil.definite(mu) == (info == 0) == (mu < lam[0]), mu
+            if dtype is float and info == 0:
+                # pencil.definite factored its workspace in place
+                assert np.array_equal(dense(pencil._work, lower=True), dense(upper, lower=False).T)
 
     @pytest.mark.parametrize("kind", [scipy.sparse.csr_matrix, scipy.sparse.csr_array])
     def test_sparse_matrix_and_array_inputs(self, kind):

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from coupledforms import (
     CoefficientField,
@@ -17,6 +18,7 @@ from coupledforms import (
     build_ephaptic,
     domination_check,
     ephaptic_sum_check,
+    estimate_continuity,
     evolve,
     full_ellipticity,
     h_norm,
@@ -684,10 +686,11 @@ def test_kept_brackets_build_and_digest_nothing(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "alpha, sector_skew, parabola_skew", [(1.0, 1, 2), (1.0 + 0.5j, 2, 4)], ids=["real", "complex"]
+    "alpha, sector_skew, parabola_skew", [(1.0, 1, 1), (1.0 + 0.5j, 2, 2)], ids=["real", "complex"]
 )
 def test_skew_brackets_per_sign(bisections, alpha, sector_skew, parabola_skew):
-    # a real form's -T is the conjugate of T: one bracket serves both signs
+    # a real form's -T is the conjugate of T: one bracket serves both signs;
+    # parabola's (+-2T, gram) tails are twice the (+-T, gram) brackets, so it adds only those on H
     form = build_damped_wave(Grid1D(16), alpha)
     full_ellipticity(form)
     before = len(bisections)
@@ -696,8 +699,36 @@ def test_skew_brackets_per_sign(bisections, alpha, sector_skew, parabola_skew):
     skew = _skew_part(form.form_csr)
     assert res.details["exact_bound"] == max(_midpoint(_lambda_max(s * skew, form.vgram_csr)) for s in (1.0, -1.0))
     before = len(bisections)
-    parabola_check(form)
+    assert parabola_check(form).status == "pass"
     assert len(bisections) - before == parabola_skew
+    signs = (1.0,) if form.is_real else (1.0, -1.0)
+    kept = {key[2:]: bracket for key, bracket in form._brackets.items() if key[1] == "skew"}
+    assert sorted(kept) == sorted((s, g) for s in signs for g in ("vgram_csr", "mass_csr"))
+    before = len(bisections)
+    for (sign, gram), (lo, hi) in kept.items():
+        assert qualitative._skew_bracket(form, skew, 2.0 * sign, gram) == (2.0 * lo, 2.0 * hi)
+    assert len(bisections) == before
+
+
+def test_continuity_is_kept_per_block_up_to_sign(factorizations):
+    # the damped wave's blocks (1, 1) = K and (1, 0) = -K over equal domain Grams share one bisection
+    form = build_damped_wave(Grid1D(16))
+    first = estimate_continuity(form, 1, 1)
+    factorizations.clear()
+    assert estimate_continuity(form, 1, 0) == first
+    assert factorizations == []
+    # the mass M has a nonzero sum, so the Rayleigh quotient that starts the bisection changes sign with the block
+    mass, w = form.spaces[1].h_csr, form.spaces[1].v_csr
+    assert float(mass.sum()) > 0.0
+    zero = scipy.sparse.csr_array(mass.shape)
+    pair = FormMatrix(form.spaces, [[zero, -mass], [mass, zero]])
+    # the largest singular value of M whitened by the domain Gram W on both sides
+    root = np.linalg.cholesky(w.toarray())
+    half = scipy.linalg.solve_triangular(root, mass.toarray(), lower=True)
+    want = np.linalg.norm(scipy.linalg.solve_triangular(root, half.T, lower=True), 2)
+    for i, j in ((0, 1), (1, 0)):
+        assert estimate_continuity(pair, i, j) == pytest.approx(want, rel=1e-10)
+    assert estimate_continuity(pair, 0, 1) == estimate_continuity(pair, 1, 0)
 
 
 @pytest.mark.parametrize(
