@@ -21,10 +21,9 @@ Definite Systems*, 1981).  Brackets are kept on the form, one per
 distinct pencil up to the symmetries that leave the constant unchanged:
 a block and its negation share a continuity bracket.
 No N-sized matrix goes through dense LAPACK except in
-:func:`associated_operator`.  The
-``sector`` and ``parabola`` checks of :mod:`coupledforms.qualitative`
-decide the numerical range of a form with the same primitive, on the
-Hermitian imaginary part ``(S - S^H)/2i`` of the form matrix.
+:func:`associated_operator`.  :func:`full_ellipticity` and the ``sector``
+and ``parabola`` checks of :mod:`coupledforms.qualitative` read the
+numerical range of a form through its support function (:func:`_support`).
 
 Every linear solve (the time-step systems and the ambient-Gram solves)
 goes through :class:`_Factor`, the one place that chooses between
@@ -163,12 +162,11 @@ class FormMatrix:
     stored once as CSR; ``blocks`` is a dense view of them, built on
     first read.  Per-block readers take ``csr_blocks`` and the spaces'
     Grams, readers of the whole form the assembled CSR operators on the
-    product space: ``form_csr`` (the blocks in place, :meth:`block`
-    slices it) and ``mass_csr``/``vgram_csr`` (block diagonals of the
-    ambient and domain Grams).  The spectral routines below factor
-    Hermitian pencils of them by banded Cholesky in reverse
-    Cuthill--McKee order.  Only :func:`associated_operator` densifies
-    the operators.
+    product space: ``form_csr`` (the blocks in place) and
+    ``mass_csr``/``vgram_csr`` (block diagonals of the ambient and domain
+    Grams).  The spectral routines below factor Hermitian pencils of them
+    by banded Cholesky in reverse Cuthill--McKee order.  Only
+    :func:`associated_operator` densifies the operators.
 
     Immutable after assembly by convention; derived matrices and
     spectral brackets are cached, so instances are cheap to share.
@@ -215,10 +213,6 @@ class FormMatrix:
     def block_slices(self) -> list:
         offsets = np.concatenate([[0], np.cumsum(self.dims)])
         return [slice(int(offsets[i]), int(offsets[i + 1])) for i in range(self.m)]
-
-    def block(self, i: int, j: int) -> scipy.sparse.csr_array:
-        """Block (i, j) of ``form_csr``, a ``(dim_i, dim_j)`` CSR array."""
-        return self.form_csr[self.block_slices[i], self.block_slices[j]]
 
     @cached_property
     def is_real(self) -> bool:
@@ -344,11 +338,6 @@ def _diagonal(values: np.ndarray) -> scipy.sparse.coo_array:
 
 def _hermitian_part(a):
     return (a + a.conj().T) * 0.5
-
-
-def _skew_part(a):
-    """``(a - a^H)/2i``, Hermitian: ``Im(f^H a f) = f^H _skew_part(a) f``."""
-    return (a - a.conj().T) * -0.5j
 
 
 def _placed(n: int, *blocks) -> scipy.sparse.coo_array:
@@ -526,10 +515,11 @@ def _lambda_min(a, b) -> tuple:
     the first bracket.  Each end stays certified: ``lo`` by a Cholesky
     factor that succeeded, ``hi`` by the Rayleigh quotient or by a shift
     whose Cholesky factorization broke down (see :meth:`_Pencil.definite`).
+    A sparse ``a`` with no nonzero entry gives ``(0, 0)`` and builds no pencil.
     """
-    pencil = _Pencil(a, b)
-    if not np.any(pencil.a):
+    if not np.any(a.data):
         return 0.0, 0.0
+    pencil = _Pencil(a, b)
     ones = np.ones(a.shape[0])
     hi = float(np.vdot(ones, a @ ones).real / np.vdot(ones, b @ ones).real)
     step = max(abs(hi), float(np.abs(pencil.a).max() / np.abs(pencil.b).max()))
@@ -619,14 +609,34 @@ def estimate_ellipticity(form: FormMatrix, i: int, shift: float = 0.0) -> float:
     return _midpoint(_bracket(form, False, key, lambda: (_hermitian_part(block) + shift * s.h_csr, s.v_csr)))
 
 
+def _hermitian_along(form: FormMatrix, direction) -> scipy.sparse.csr_array:
+    """``herm(conj(d)*S)``, the matrix of ``Re(conj(d) a(f, f))``; a quarter turn ``d`` only negates or swaps parts."""
+    s = form.form_csr
+    return _hermitian_part(-s if direction == -1 else s * np.conj(direction))
+
+
+def _support(form: FormMatrix, direction, gram: str = "vgram_csr", shift: float = 0.0) -> tuple:
+    """Bracket of ``lambda_max(herm(conj(d)*S) - shift*M, G)`` for a quarter turn ``d`` in {-1, 1j, -1j}.
+
+    That is ``sup (Re(conj(d) a(f,f)) - shift*|f|_H^2) / |f|_G^2``, the support
+    function of the numerical range (Gustafson & Rao, *Numerical Range*,
+    1997), with ``G`` the form's ``gram`` and ``M`` its ``mass_csr``.  It is
+    kept on the form per direction; a real form's ``herm(1j*S)`` is the
+    conjugate of ``herm(-1j*S)``, with its spectrum, so ``-1j`` reads ``1j``.
+    """
+    if form.is_real and direction == -1j:
+        direction = 1j
+    key, h = ("support", direction, gram, shift), form.mass_csr
+    return _bracket(form, True, key, lambda: (_hermitian_along(form, direction) - shift * h, getattr(form, gram)))
+
+
 def full_ellipticity(form: FormMatrix, shift: float = 0.0) -> float:
     """Coercivity constant of the whole form over the product space.
 
     Same pencil as :func:`estimate_ellipticity`, using the assembled form
-    matrix against the block-diagonal domain Gram.
+    matrix against the block-diagonal domain Gram: the support in direction -1, negated.
     """
-    key, h = ("full_ellipticity", shift), form.mass_csr
-    return _midpoint(_bracket(form, False, key, lambda: (_hermitian_part(form.form_csr) + shift * h, form.vgram_csr)))
+    return -_midpoint(_support(form, -1, shift=shift))
 
 
 def is_discretely_accretive(form: FormMatrix) -> bool:

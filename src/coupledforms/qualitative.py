@@ -7,11 +7,11 @@ algebraic tests read the CSR blocks and draw nothing at random: the
 coupling sign entrywise, strip invariance from the sparse lifted residual
 ``lift(L)^H S lift(R)``, and product-subspace invariance from the
 constraint functionals of each factor.  The numerical-range checks
-(``sector``, ``parabola``) decide their bounds exactly, by banded
-Cholesky factorizations of pencils on the Hermitian imaginary part of
-the form matrix.  Checks return a :class:`CheckResult`; hypothesis
-failures yield a ``not-applicable`` verdict rather than an error so
-batch runs can report them.
+(``sector``, ``parabola``) decide their bounds exactly, from the
+supports of the numerical range that :mod:`coupledforms.forms` brackets.
+Checks return a :class:`CheckResult`; hypothesis failures yield a
+``not-applicable`` verdict rather than an error so batch runs can report
+them.
 """
 
 from __future__ import annotations
@@ -28,10 +28,10 @@ from .errors import DimensionError, ValidationError
 from .evolution import EvolutionConfig, ProjectionSpec, TrajectoryRecord, _lift, _start, _states, evolve, h_norm
 from .forms import (
     FormMatrix,
-    _bracket,
+    _hermitian_along,
     _midpoint,
     _Pencil,
-    _skew_part,
+    _support,
     estimate_continuity,
     full_ellipticity,
     is_discretely_accretive,
@@ -253,7 +253,7 @@ def subsystem_invariance_check(form: FormMatrix, m0: int) -> CheckResult:
     """
     _require_leading(form.m, m0)
     scale = _form_scale(form)
-    worst = max(float(np.linalg.norm(form.block(i, j).data)) for i in range(m0, form.m) for j in range(m0))
+    worst = max(float(np.linalg.norm(form.csr_blocks[i][j].data)) for i in range(m0, form.m) for j in range(m0))
     ok = worst <= BLOCK_ZERO_RTOL * scale
     return CheckResult(
         "subsystem",
@@ -302,7 +302,7 @@ def _off_diagonal_sign_violation(form: FormMatrix) -> tuple:
     """
     tol = BLOCK_ZERO_RTOL * max(1.0, _form_scale(form))
     entries = [
-        (float(form.block(i, j).real.max()), (i, j)) for i in range(form.m) for j in range(form.m) if i != j
+        (float(form.csr_blocks[i][j].real.max()), (i, j)) for i in range(form.m) for j in range(form.m) if i != j
     ]
     worst, where = max(entries, key=lambda entry: entry[0], default=(0.0, None))
     return worst > tol, worst, where
@@ -506,18 +506,6 @@ def _within(value: float, limit: float) -> bool:
     return value <= limit + RANGE_CHECK_RTOL * max(1.0, abs(value), abs(limit))
 
 
-def _skew_bracket(form: FormMatrix, skew, factor: float, gram: str) -> tuple:
-    """Bracket of ``lambda_max(factor*T, gram)``, ``|factor|`` times the bracket of ``sign(factor)*T`` kept on the form.
-
-    ``lambda_max(cT, G) = |c|*lambda_max(sign(c)*T, G)``, so one bisection
-    per sign serves every factor; a real form's ``-T`` is the conjugate of
-    ``T``, so one serves both signs.
-    """
-    sign = 1.0 if form.is_real else math.copysign(1.0, factor)
-    lo, hi = _bracket(form, True, ("skew", sign, gram), lambda: (sign * skew, getattr(form, gram)))
-    return abs(factor) * lo, abs(factor) * hi
-
-
 def sector_check(
     form: FormMatrix, alpha: float | None = None, shift: float = 0.0, bound: float | None = None
 ) -> CheckResult:
@@ -526,22 +514,20 @@ def sector_check(
     Passes when every ``f`` satisfies ``Re a(f,f) >= alpha*|f|_V^2 -
     shift*|f|_H^2`` and ``|Im a(f,f)| <= bound*|f|_V^2``, up to a slack of
     ``RANGE_CHECK_RTOL`` relative to the larger constant (at least 1).
-    Both sides are decided by exact constants, reported as
-    ``exact_alpha`` (:func:`~coupledforms.forms.full_ellipticity` at
-    ``shift``) and ``exact_bound``, the larger of ``lambda_max(+-T, V)``
-    for ``T = (S - S^H)/2i``, the Hermitian imaginary part of the form
-    matrix.  Without ``alpha`` the check uses ``exact_alpha``, without
-    ``bound`` the 2-norm of the matrix of block continuity constants.
+    Both sides are decided by exact constants, the supports of the
+    numerical range (:func:`~coupledforms.forms._support`), reported as
+    ``exact_alpha``, the support in direction -1 at ``shift`` negated,
+    and ``exact_bound``, the larger support in directions ``+-i``.
+    Without ``alpha`` the check uses ``exact_alpha``, without ``bound``
+    the 2-norm of the matrix of block continuity constants.
     """
     exact_alpha = full_ellipticity(form, shift)
     if alpha is None:
         alpha = exact_alpha
     if bound is None:
         bound = spectral_norm([[estimate_continuity(form, i, j) for j in range(form.m)] for i in range(form.m)])
-    skew = _skew_part(form.form_csr)
-    exact_bound = 0.0
-    if np.any(skew.data):
-        exact_bound = max(_midpoint(_skew_bracket(form, skew, sign, "vgram_csr")) for sign in (1.0, -1.0))
+    # sup |Im a(f,f)|/|f|_V^2 is at least 0; the supports of a Hermitian form are -0.0
+    exact_bound = max(0.0, *(_midpoint(_support(form, d)) for d in (1j, -1j)))
     passed = _within(alpha, exact_alpha) and _within(exact_bound, bound)
     details = {"alpha": alpha, "bound": bound, "exact_alpha": exact_alpha, "exact_bound": exact_bound}
     return CheckResult("sector", PASS if passed else FAIL, details)
@@ -553,33 +539,32 @@ def parabola_check(form: FormMatrix, m_tilde: float | None = None) -> CheckResul
     As ``2 |f|_V |f|_H = min_{t>0} (t |f|_V^2 + |f|_H^2/t)``, this holds
     exactly when ``m_tilde*(tV + H/t) -+ 2T`` is positive semidefinite for
     every ``t > 0``, ``T = (S - S^H)/2i``.  With ``c = m_tilde*(1 +
-    RANGE_CHECK_RTOL)``, the extremal eigenvalues settle every ``t`` outside
-    ``[c/lambda_max(+-2T, H), lambda_max(+-2T, V)/c]``.  Inside, one banded
-    Cholesky factorization of ``c(lo*V + H/hi) -+ 2T`` covers an interval
-    ``[lo, hi]``, as ``tV + H/t >= lo*V + H/hi`` on it.  An uncovered interval
-    is split, breadth first, at its geometric midpoint ``t``, unless
-    ``c(tV + H/t) -+ 2T`` is not positive definite: then ``t`` is a witness
-    of failure, reported as ``failing_t``.  A tie that
-    ``PARABOLA_INTERVAL_CAP`` intervals do not decide is not-applicable.
-    Without ``m_tilde`` the check takes the model's ``parabola_constant``.
+    RANGE_CHECK_RTOL)``, the tails settle every ``t`` outside
+    ``[c/lambda_max(+-2T, H), lambda_max(+-2T, V)/c]``, twice the supports
+    in directions ``+-i``.  Inside, one banded Cholesky factorization of
+    ``c(lo*V + H/hi) -+ 2T`` covers an interval ``[lo, hi]``, as
+    ``tV + H/t >= lo*V + H/hi`` on it.  An uncovered interval is split,
+    breadth first, at its geometric midpoint ``t``, unless ``c(tV + H/t)
+    -+ 2T`` is not positive definite: then ``t`` is a witness of failure,
+    reported as ``failing_t``.  A tie that ``PARABOLA_INTERVAL_CAP``
+    intervals do not decide is not-applicable.  Without ``m_tilde`` the
+    check takes the model's ``parabola_constant``.
     """
     m_tilde = _parabola_constant(form, m_tilde)
     details: dict = {"m_tilde": m_tilde}
-    skew = _skew_part(form.form_csr)
-    if not np.any(skew.data):
-        return CheckResult("parabola", PASS, details)
     c = m_tilde * (1.0 + RANGE_CHECK_RTOL)
-    v, h = form.vgram_csr, form.mass_csr
-    tested = 0
-    for sign in (2.0, -2.0):
-        a = sign * skew
-        top_v, top_h = (_skew_bracket(form, skew, sign, gram)[1] for gram in ("vgram_csr", "mass_csr"))
+    tested, tails = 0, []
+    for d in (1j, -1j):  # +-2T = 2*herm(conj(d)*S)
+        top_v, top_h = (2.0 * _support(form, d, gram)[1] for gram in ("vgram_csr", "mass_csr"))
+        tails += [top_v, top_h]
         if min(top_v, top_h) <= 0:
-            continue  # a is negative definite
-        pencil = _Pencil(-a, v, h)
-        # with m_tilde = 0 no tail holds, and every t asks the same: is -a definite?
+            continue  # +-2T is negative semidefinite
+        # with m_tilde = 0 no tail holds, and every t asks the same: is -+2T definite?
         lo, hi = (c / top_h, top_v / c) if c > 0 else (1.0, 1.0)
-        queue = deque([(lo, hi)] if lo <= hi else [])
+        if lo > hi:
+            continue
+        pencil = _Pencil(-2.0 * _hermitian_along(form, d), form.vgram_csr, form.mass_csr)
+        queue = deque([(lo, hi)])
         while queue:
             lo, hi = queue.popleft()
             tested += 1
@@ -591,4 +576,6 @@ def parabola_check(form: FormMatrix, m_tilde: float | None = None) -> CheckResul
             if tested >= PARABOLA_INTERVAL_CAP:
                 return CheckResult("parabola", NOT_APPLICABLE, {**details, "reason": "undecided within round-off"})
             queue.extend([(lo, t), (t, hi)])
-    return CheckResult("parabola", PASS, {**details, "intervals": tested})
+    if any(tails):  # T is not 0
+        details["intervals"] = tested
+    return CheckResult("parabola", PASS, details)

@@ -29,3 +29,17 @@ def factorizations(monkeypatch):
 
     monkeypatch.setattr(forms._Pencil, "definite", counting)
     return shifts
+
+
+@pytest.fixture
+def pencils(monkeypatch):
+    """Every ``forms._Pencil`` built while a test runs, one banded scatter each."""
+    built = []
+    real = forms._Pencil.__init__
+
+    def counting(self, a, b, *rest):
+        built.append(self)
+        real(self, a, b, *rest)
+
+    monkeypatch.setattr(forms._Pencil, "__init__", counting)
+    return built

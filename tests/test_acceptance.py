@@ -215,7 +215,7 @@ def test_criterion_09_operator_blocks_identify_entrywise():
             scale = max(np.abs(op).max(), 1.0)
             for i in range(form.m):
                 for j in range(form.m):
-                    expected = -np.linalg.solve(form.spaces[i].h_gram, form.block(i, j).toarray())
+                    expected = -np.linalg.solve(form.spaces[i].h_gram, form.csr_blocks[i][j].toarray())
                     got = op[form.block_slices[i], form.block_slices[j]]
                     assert np.abs(got - expected).max() <= 1e-12 * scale
 

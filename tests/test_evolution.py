@@ -304,7 +304,7 @@ class TestEvolve:
         base = build_constant_coupled(grid, [[2.0, -1.0], [-1.0, 2.0]])
         mass = p1_mass(grid)
         blocks = [
-            [base.block(i, j).toarray() + (mass if i == j else 0.0) for j in range(2)]
+            [base.csr_blocks[i][j].toarray() + (mass if i == j else 0.0) for j in range(2)]
             for i in range(2)
         ]
         form = FormMatrix(base.spaces, blocks, {"model": "coercive_test"})
@@ -476,7 +476,7 @@ def dense_reference_states(form, u0, cfg):
     """States of ``cfg``'s scheme stepped with a dense LAPACK LU, one per step."""
     theta = 1.0 if cfg.scheme == "implicit-euler" else 0.5
     mass = dense_mass(form)
-    full = np.block([[form.block(i, j).toarray() for j in range(form.m)] for i in range(form.m)])
+    full = np.block([[form.csr_blocks[i][j].toarray() for j in range(form.m)] for i in range(form.m)])
     lhs = mass + theta * cfg.dt * full
     rhs = mass - (1.0 - theta) * cfg.dt * full
     lu = scipy.linalg.lu_factor(lhs)

@@ -38,7 +38,7 @@ from coupledforms.forms import (
     _lambda_max,
     _lambda_min,
     _rcm_entries,
-    _skew_part,
+    _support,
     is_discretely_accretive,
 )
 from coupledforms.models import CoefficientField
@@ -256,7 +256,7 @@ class TestFormApply:
         g = [rng.standard_normal(n) for _ in range(3)]
         total = form_apply(form, f, g)
         by_blocks = sum(
-            complex(np.vdot(g[i], form.block(i, j) @ f[j]))
+            complex(np.vdot(g[i], form.csr_blocks[i][j] @ f[j]))
             for i in range(3)
             for j in range(3)
         )
@@ -320,7 +320,7 @@ class TestAssembledOperators:
         stored = [[blk.matrix for blk in row] for row in form.blocks]
         for i in range(form.m):
             for j in range(form.m):
-                block = form.block(i, j)
+                block = form.form_csr[form.block_slices[i], form.block_slices[j]]
                 assert isinstance(block, scipy.sparse.csr_array)
                 np.testing.assert_array_equal(block.toarray(), stored[i][j])
         assert form.is_real is not any(np.iscomplexobj(m) for row in stored for m in row)
@@ -347,7 +347,7 @@ class TestEstimateContinuity:
         assert bound <= 1.0 + 1e-12
         rng = np.random.default_rng(13)
         w = form.spaces[0].v_gram
-        s = form.block(0, 1).toarray()
+        s = form.csr_blocks[0][1].toarray()
         best = 0.0
         for _ in range(3000):
             f = rng.standard_normal(grid.n_nodes)
@@ -385,7 +385,7 @@ class TestEstimateEllipticity:
         value = estimate_ellipticity(form, 0, 0.5)
         rng = np.random.default_rng(3)
         space = form.spaces[0]
-        mat = form.block(0, 0).toarray() + 0.5 * space.h_gram
+        mat = form.csr_blocks[0][0].toarray() + 0.5 * space.h_gram
         # every Rayleigh quotient bounds the constant from above; the
         # constant vector is the hand-derived minimizer (the stiffness
         # part vanishes on it, leaving the 0.5 mass shift)
@@ -415,7 +415,7 @@ class TestEstimateEllipticity:
             mat = (dense + dense.T) / 2 + 0.3 * mass
             quotient = (vec @ mat @ vec) / (vec @ vgram @ vec)
             space = form.spaces[i]
-            diag = (f @ (form.block(i, i).toarray() + 0.3 * space.h_gram) @ f) / (f @ space.v_gram @ f)
+            diag = (f @ (form.csr_blocks[i][i].toarray() + 0.3 * space.h_gram) @ f) / (f @ space.v_gram @ f)
             assert quotient == pytest.approx(diag, rel=1e-12)
             assert full <= quotient + 1e-9
 
@@ -441,7 +441,7 @@ class TestAssociatedOperator:
         scale = np.abs(op).max()
         for i in range(2):
             for j in range(2):
-                expected = -np.linalg.solve(form.spaces[i].h_gram, form.block(i, j).toarray())
+                expected = -np.linalg.solve(form.spaces[i].h_gram, form.csr_blocks[i][j].toarray())
                 got = op[form.block_slices[i], form.block_slices[j]]
                 assert np.abs(got - expected).max() <= 1e-12 * scale
 
@@ -486,7 +486,7 @@ class TestAdjoint:
         adj = form.adjoint()
         for i in range(2):
             for j in range(2):
-                np.testing.assert_allclose(adj.block(i, j).toarray(), form.block(j, i).toarray().conj().T)
+                np.testing.assert_allclose(adj.csr_blocks[i][j].toarray(), form.csr_blocks[j][i].toarray().conj().T)
 
     def test_adjoint_and_diagonal_part_carry_their_coefficient_field(self):
         grid = Grid1D(4)
@@ -525,7 +525,7 @@ def dense_continuity(form, i, j):
     """Largest singular value of the block whitened by the domain Grams."""
     li = np.linalg.cholesky(form.spaces[i].v_gram)
     lj = np.linalg.cholesky(form.spaces[j].v_gram)
-    x = scipy.linalg.solve_triangular(li, form.block(i, j).toarray(), lower=True)
+    x = scipy.linalg.solve_triangular(li, form.csr_blocks[i][j].toarray(), lower=True)
     w = scipy.linalg.solve_triangular(lj, x.conj().T, lower=True).conj().T
     return float(np.linalg.norm(w, 2))
 
@@ -553,7 +553,7 @@ def oracle_pencils(form):
     return [
         (herm + 0.5 * dense_blockdiag(form, "h_gram"), vgram),
         (herm, np.eye(form.total_dim)),
-        (dense_augmented(form.block(0, 1).toarray()), v01),
+        (dense_augmented(form.csr_blocks[0][1].toarray()), v01),
     ]
 
 
@@ -678,7 +678,7 @@ class TestInertiaPrimitive:
             lam = scipy.linalg.eigh(herm + shift * mass, vgram, eigvals_only=True)
             assert_matches(full_ellipticity(form, shift), lam[0], np.abs(lam).max())
             for i, space in enumerate(form.spaces):
-                block = dense_hermitian(form.block(i, i).toarray()) + shift * space.h_gram
+                block = dense_hermitian(form.csr_blocks[i][i].toarray()) + shift * space.h_gram
                 lam = scipy.linalg.eigh(block, space.v_gram, eigvals_only=True)
                 assert_matches(estimate_ellipticity(form, i, shift), lam[0], np.abs(lam).max())
         norms = [[dense_continuity(form, i, j) for j in range(form.m)] for i in range(form.m)]
@@ -779,10 +779,19 @@ class TestBracketMemo:
         assert len({constants[i, i] for i in range(4)}) == 1
         assert estimate_continuity(form, 0, 1) == constants[1, 3] and len(bisections) == 2
 
+    @pytest.mark.parametrize("name", sorted(ORACLE_BUILDERS))
+    def test_supports_equal_the_bisections_of_their_pencils(self, name):
+        # the +-i supports are the brackets of lambda_max(+-T, G), T = (S - S^H)/2i built from S here
+        form = ORACLE_BUILDERS[name](Grid1D(24))
+        skew = (form.form_csr - form.form_csr.conj().T) * -0.5j
+        for gram in ("vgram_csr", "mass_csr"):
+            for direction, a in ((1j, skew), (-1j, -skew)):
+                assert _support(form, direction, gram) == _lambda_max(a, getattr(form, gram))
+
     @pytest.mark.parametrize("n_cells", [16, 64, 256])
     def test_conjugate_skew_pencils_bracket_identically(self, n_cells):
         form = build_damped_wave(Grid1D(n_cells), 1.0)
-        skew = _skew_part(form.form_csr)
+        skew = (form.form_csr - form.form_csr.conj().T) * -0.5j
         assert form.is_real and skew.count_nonzero()
         for a in (skew, 2.0 * skew):
             for gram in (form.vgram_csr, form.mass_csr):

@@ -185,15 +185,15 @@ class TestEphapticBuilder:
         form = build_ephaptic(grid, CoefficientField(np.zeros((2, 2, 4))))
         for i in range(2):
             for j in range(2):
-                assert np.abs(form.block(i, j).toarray()).max() == 0.0
+                assert np.abs(form.csr_blocks[i][j].toarray()).max() == 0.0
 
     def test_two_fibre_difference_pattern_scales_unit_stiffness(self):
         grid = Grid1D(6)
         coeffs = CoefficientField.constant(two_fibre_coupling("difference", 2.0, 0.5), 6)
         form = build_ephaptic(grid, coeffs)
         unit = p1_stiffness(grid).toarray()
-        np.testing.assert_allclose(form.block(0, 0).toarray(), 1.5 * unit, atol=1e-14)
-        np.testing.assert_allclose(form.block(0, 1).toarray(), -0.5 * unit, atol=1e-14)
+        np.testing.assert_allclose(form.csr_blocks[0][0].toarray(), 1.5 * unit, atol=1e-14)
+        np.testing.assert_allclose(form.csr_blocks[0][1].toarray(), -0.5 * unit, atol=1e-14)
 
     def test_assembly_is_linear_in_coefficients(self):
         grid = Grid1D(5)
@@ -206,7 +206,7 @@ class TestEphapticBuilder:
         for i in range(2):
             for j in range(2):
                 np.testing.assert_allclose(
-                    f_sum.block(i, j).toarray(), f_a.block(i, j).toarray() + f_b.block(i, j).toarray(), atol=1e-13
+                    f_sum.csr_blocks[i][j].toarray(), f_a.csr_blocks[i][j].toarray() + f_b.csr_blocks[i][j].toarray(), atol=1e-13
                 )
 
     def test_mismatched_cells_rejected(self):
@@ -228,7 +228,7 @@ class TestEphapticBuilder:
             build_damped_wave(grid, 1.0),
             build_dynamic_bc_heat(grid),
         ]
-        fulls = [np.block([[f.block(i, j).toarray() for j in range(f.m)] for i in range(f.m)]) for f in builders]
+        fulls = [np.block([[f.csr_blocks[i][j].toarray() for j in range(f.m)] for i in range(f.m)]) for f in builders]
         for full in fulls:
             assert np.isfinite(full).all()
         np.testing.assert_array_equal(fulls[0], fulls[0].T)
@@ -237,11 +237,11 @@ class TestEphapticBuilder:
 class TestDampedWaveBuilder:
     def test_zero_alpha_kills_lower_coupling(self):
         form = build_damped_wave(Grid1D(6), 0.0)
-        assert np.abs(form.block(1, 0).toarray()).max() == 0.0
+        assert np.abs(form.csr_blocks[1][0].toarray()).max() == 0.0
 
     def test_upper_coupling_is_negative_domain_gram(self):
         form = build_damped_wave(Grid1D(6), 2.0)
-        np.testing.assert_array_equal(form.block(0, 1).toarray() + form.spaces[0].v_gram, 0.0)
+        np.testing.assert_array_equal(form.csr_blocks[0][1].toarray() + form.spaces[0].v_gram, 0.0)
 
     def test_cross_terms_cancel_imaginary_parts(self):
         grid = Grid1D(8)
@@ -251,8 +251,8 @@ class TestDampedWaveBuilder:
         for _ in range(20):
             f = rng.standard_normal(n)
             g = rng.standard_normal(n)
-            a12 = np.vdot(g, form.block(0, 1).toarray() @ f)
-            a21 = np.vdot(f, form.block(1, 0).toarray() @ g)
+            a12 = np.vdot(g, form.csr_blocks[0][1].toarray() @ f)
+            a21 = np.vdot(f, form.csr_blocks[1][0].toarray() @ g)
             assert (a12 + a21).imag == pytest.approx(0.0, abs=1e-14)
 
     def test_parabola_bound_from_builder(self):
@@ -268,7 +268,7 @@ class TestDampedWaveBuilder:
 
     def test_complex_alpha_blocks(self):
         form = build_damped_wave(Grid1D(4), 1j)
-        assert np.iscomplexobj(form.block(1, 0))
+        assert np.iscomplexobj(form.csr_blocks[1][0])
         assert form.metadata["parabola_constant"] == pytest.approx(1.0 + abs(1j - 1.0))
 
 
@@ -276,7 +276,7 @@ class TestDynamicBcBuilder:
     def test_trace_pairing_values(self):
         grid = Grid1D(8)
         form = build_dynamic_bc_heat(grid)
-        s21 = form.block(1, 0).toarray()
+        s21 = form.csr_blocks[1][0].toarray()
         n = grid.n_nodes
         left_hat = np.zeros(n)
         left_hat[0] = 1.0
@@ -289,19 +289,19 @@ class TestDynamicBcBuilder:
 
     def test_boundary_diffusion_block_vanishes(self):
         form = build_dynamic_bc_heat(Grid1D(5))
-        assert np.abs(form.block(1, 1).toarray()).max() == 0.0
+        assert np.abs(form.csr_blocks[1][1].toarray()).max() == 0.0
 
     def test_interior_block_is_stiffness(self):
         grid = Grid1D(5)
         form = build_dynamic_bc_heat(grid)
-        np.testing.assert_array_equal(form.block(0, 0).toarray(), p1_stiffness(grid).toarray())
+        np.testing.assert_array_equal(form.csr_blocks[0][0].toarray(), p1_stiffness(grid).toarray())
 
 
 class TestConstantCoupled:
     def test_identity_decouples(self):
         form = build_constant_coupled(Grid1D(4), np.eye(2))
-        assert np.abs(form.block(0, 1).toarray()).max() == 0.0
-        assert np.abs(form.block(1, 0).toarray()).max() == 0.0
+        assert np.abs(form.csr_blocks[0][1].toarray()).max() == 0.0
+        assert np.abs(form.csr_blocks[1][0].toarray()).max() == 0.0
 
     def test_certificate_consistency_small(self):
         grid = Grid1D(16)

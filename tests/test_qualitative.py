@@ -37,7 +37,7 @@ from coupledforms import (
 from coupledforms import evolution, forms, qualitative
 from coupledforms.errors import ValidationError
 from coupledforms.evolution import _start, _states
-from coupledforms.forms import _lambda_max, _midpoint, _skew_part
+from coupledforms.forms import _lambda_max, _midpoint, _support
 from coupledforms.qualitative import (
     BLOCK_ZERO_RTOL,
     RUNTIME_CONE_TOL,
@@ -223,7 +223,7 @@ def dense_product_residual(form, weights):
         bases.append((q[:, :rank], qc[:, : space.dim - rank]))
     for i in range(form.m):
         for j in range(form.m):
-            res = np.linalg.norm(bases[i][1].conj().T @ form.block(i, j).toarray() @ bases[j][0])
+            res = np.linalg.norm(bases[i][1].conj().T @ form.csr_blocks[i][j].toarray() @ bases[j][0])
             worst = max(worst, float(res))
     return worst
 
@@ -660,14 +660,16 @@ def test_runtime_checks_share_one_factor_per_form(monkeypatch):
     assert len(factored) == 2 and factored[0] is form and factored[1] is not form
 
 
-def test_default_sector_bisects_each_distinct_pencil_once(bisections):
-    # full_ellipticity and the continuity of 3K and of -K: the 12 nonzero blocks hold 2 distinct pencils
+def test_default_sector_bisects_each_distinct_pencil_once(pencils):
+    # full_ellipticity and the continuity of 3K and of -K: the 12 nonzero blocks hold 2 distinct pencils;
+    # the +-i supports of the Hermitian form are 0 and build no pencil
     form = build_constant_coupled(Grid1D(16), RING)
+    pencils.clear()
     first = sector_check(form)
-    assert len(bisections) == 3
+    assert len(pencils) == 3
     assert sector_check(form).details == first.details
     bounded = sector_check(form, bound=5.0)
-    assert len(bisections) == 3
+    assert len(pencils) == 3
     for key in ("exact_alpha", "exact_bound"):
         assert bounded.details[key] == first.details[key]
 
@@ -685,29 +687,64 @@ def test_kept_brackets_build_and_digest_nothing(monkeypatch):
     assert sector_check(form).details == first.details and calls == []
 
 
-@pytest.mark.parametrize(
-    "alpha, sector_skew, parabola_skew", [(1.0, 1, 1), (1.0 + 0.5j, 2, 2)], ids=["real", "complex"]
-)
-def test_skew_brackets_per_sign(bisections, alpha, sector_skew, parabola_skew):
-    # a real form's -T is the conjugate of T: one bracket serves both signs;
-    # parabola's (+-2T, gram) tails are twice the (+-T, gram) brackets, so it adds only those on H
+@pytest.mark.parametrize("alpha, directions", [(1.0, {1j}), (1.0 + 0.5j, {1j, -1j})], ids=["real", "complex"])
+def test_support_brackets_per_direction(bisections, monkeypatch, alpha, directions):
+    # a real form's herm(1j*S) is the conjugate of herm(-1j*S): one bracket serves both directions;
+    # parabola's +-2T tails are twice the +-i supports, so after sector it adds only those on H
     form = build_damped_wave(Grid1D(16), alpha)
+
+    def kept():
+        return {key[2:] for key in form._brackets if key[2] in (1j, -1j)}
+
     full_ellipticity(form)
     before = len(bisections)
     res = sector_check(form, bound=1.0)
-    assert len(bisections) - before == sector_skew
-    skew = _skew_part(form.form_csr)
-    assert res.details["exact_bound"] == max(_midpoint(_lambda_max(s * skew, form.vgram_csr)) for s in (1.0, -1.0))
+    assert len(bisections) - before == len(directions)
+    assert kept() == {(d, "vgram_csr", 0.0) for d in directions}
+    skew = (form.form_csr - form.form_csr.conj().T) * -0.5j
+    assert res.details["exact_bound"] == max(_midpoint(_lambda_max(a, form.vgram_csr)) for a in (skew, -skew))
+    covers = {}
+    real = forms._Pencil.definite
+
+    def definite(pencil, mu, *weights):
+        if weights:  # a cover pencil; bisections pass no weights
+            covers.setdefault(pencil, (mu, *weights))
+        return real(pencil, mu, *weights)
+
+    monkeypatch.setattr(forms._Pencil, "definite", definite)
+    m_tilde = 0.6
     before = len(bisections)
-    assert parabola_check(form).status == "pass"
-    assert len(bisections) - before == parabola_skew
-    signs = (1.0,) if form.is_real else (1.0, -1.0)
-    kept = {key[2:]: bracket for key, bracket in form._brackets.items() if key[1] == "skew"}
-    assert sorted(kept) == sorted((s, g) for s in signs for g in ("vgram_csr", "mass_csr"))
+    assert parabola_check(form, m_tilde).passed
+    assert len(bisections) - before == len(directions)
+    assert kept() == {(d, g, 0.0) for d in directions for g in ("vgram_csr", "mass_csr")}
+    # each cover pencil first factors at the ends of the interval its tails leave, [c/top_h, top_v/c]
     before = len(bisections)
-    for (sign, gram), (lo, hi) in kept.items():
-        assert qualitative._skew_bracket(form, skew, 2.0 * sign, gram) == (2.0 * lo, 2.0 * hi)
+    tails = [[2.0 * _support(form, d, g)[1] for g in ("vgram_csr", "mass_csr")] for d in (1j, -1j)]
     assert len(bisections) == before
+    c = m_tilde * (1.0 + qualitative.RANGE_CHECK_RTOL)
+    assert list(covers.values()) == [(-c * (c / top_h), c / (top_v / c)) for top_v, top_h in tails]
+
+
+def test_range_checks_build_only_what_they_read(monkeypatch, pencils):
+    # a second sector reads every kept support: it neither forms a Hermitian part nor builds a pencil
+    calls = []
+    real = forms._hermitian_part
+    monkeypatch.setattr(forms, "_hermitian_part", lambda a: calls.append(a) or real(a))
+    for form in (build_constant_coupled(Grid1D(16), RING), build_damped_wave(Grid1D(16))):
+        first = sector_check(form)
+        calls.clear()
+        pencils.clear()
+        assert sector_check(form).details == first.details
+        assert calls == [] and pencils == []
+    # on the real damped wave the tails decide the default m_tilde: parabola bisects the mass supports
+    # and builds no cover pencil; below that constant it still covers intervals
+    form = build_damped_wave(Grid1D(64))
+    sector_check(form)
+    pencils.clear()
+    assert parabola_check(form).details == {"m_tilde": 1.0, "intervals": 0}
+    assert len(pencils) == 1
+    res = parabola_check(form, m_tilde=0.51)
+    assert res.passed and res.details["intervals"] == 78
 
 
 def test_continuity_is_kept_per_block_up_to_sign(factorizations):
