@@ -20,7 +20,6 @@ from .forms import (
     DiscreteSpace,
     FormBlock,
     FormMatrix,
-    associated_operator,
     embedding_norm,
     estimate_continuity,
     estimate_ellipticity,

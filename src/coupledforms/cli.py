@@ -38,7 +38,8 @@ EXIT_CONFIG = 2
 
 SCHEMA_VERSION = 1
 
-# key -> (kind, default) of each config object, read by registry.read_section
+# key -> (kind, default) of each config object, read by registry.read_section;
+# a key that names a library parameter has default None, so the library's default applies
 TOP = {
     "schema_version": ("int", REQUIRED),
     "seed": ("int", 0),
@@ -52,23 +53,23 @@ CONSTANTS = {
     "alpha": ("matrix", REQUIRED),
     "omega": ("matrix", None),
     "m_diag": ("floats", None),
-    "embedding_norm": ("float", 1.0),
+    "embedding_norm": ("float", None),
 }
 MODELS = {
     "ephaptic": {"coefficients": ("cells", None), "pattern": ("object", None), "perturb": ("object", None)},
     "constant_coupled": {"coupling": ("matrix", REQUIRED)},
-    "damped_wave": {"alpha": ("complex", 1.0)},
+    "damped_wave": {"alpha": ("complex", None)},
     "dynamic_bc_heat": {},
 }
-PATTERN = {"kind": ("str", "difference"), "diffusion": ("float", 2.0), "coupling": ("float", 0.5)}
+PATTERN = {"kind": ("str", "difference"), "diffusion": ("float", None), "coupling": ("float", None)}
 PERTURB = {"i": ("int", REQUIRED), "j": ("int", REQUIRED), "delta": ("float", REQUIRED)}
-GRID = {"n_cells": ("int", REQUIRED), "length": ("float", 1.0)}
+GRID = {"n_cells": ("int", REQUIRED), "length": ("float", None)}
 EVOLUTION = {
     "dt": ("float", REQUIRED),
     "t_end": ("float", REQUIRED),
-    "scheme": ("str", "implicit-euler"),
-    "record_every": ("int", 1),
-    "solver_tolerance": ("float", 1e-9),
+    "scheme": ("str", None),
+    "record_every": ("int", None),
+    "solver_tolerance": ("float", None),
 }
 INITIAL = {"kind": ("str", "zero"), "amplitude": ("float", 1.0)}
 PROJECTION = {"kind": ("str", "averaging"), "matrix": ("matrix", None)}
@@ -101,10 +102,7 @@ def _parse_evolution(config: dict) -> EvolutionConfig:
 def _coefficients_from_model(model: dict, grid: Grid1D) -> CoefficientField:
     if "pattern" in model:
         pattern = read_section(model["pattern"], PATTERN, "model pattern")
-        matrix = models.two_fibre_coupling(
-            pattern["kind"], diffusion=pattern["diffusion"], coupling=pattern["coupling"]
-        )
-        field = CoefficientField.constant(matrix, grid.n_cells)
+        field = CoefficientField.constant(models.two_fibre_coupling(**pattern), grid.n_cells)
     elif "coefficients" in model:
         cells = [[np.asarray(c, dtype=float) for c in row] for row in model["coefficients"]]
         if any(c.size not in (1, grid.n_cells) for row in cells for c in row):
@@ -126,8 +124,9 @@ def _parse_model(config: dict) -> FormMatrix:
     if name == "constant_coupled":
         return models.build_constant_coupled(grid, model["coupling"])
     if name == "damped_wave":
-        alpha = model["alpha"]
-        return models.build_damped_wave(grid, complex(*alpha) if isinstance(alpha, list) else alpha)
+        if isinstance(model.get("alpha"), list):
+            model["alpha"] = complex(*model["alpha"])
+        return models.build_damped_wave(grid, **model)
     return models.build_dynamic_bc_heat(grid)
 
 
@@ -198,9 +197,9 @@ def cmd_certify(args) -> int:
     if unknown:
         raise ConfigError(f"unknown certificate criteria requested: {unknown}")
     m = len(constants["alpha"])
-    omega = constants.get("omega", np.zeros((m, m)))
-    m_diag = constants.get("m_diag", np.zeros(m))
-    entries = run_all_certificates(ConstantsBundle(constants["alpha"], omega, m_diag, constants["embedding_norm"]))
+    constants.setdefault("omega", np.zeros((m, m)))
+    constants.setdefault("m_diag", np.zeros(m))
+    entries = run_all_certificates(ConstantsBundle(**constants))
     out = _resolve_out(config, args)
     report.write_certificate_report(entries, os.path.join(out, "certify.txt"), os.path.join(out, "certify.json"))
     if not args.quiet:
@@ -240,17 +239,12 @@ def cmd_check(args) -> int:
         judge(entry["id"], p, inputs)
     out = _resolve_out(config, args)
     results = [_run_check(entry, p, inputs) for entry, p in zip(config["checks"], params)]
-    witness_files = {}
-    for res in results:
-        if res.witness is not None:
-            name = f"witness_{res.check_id}.csv"
+    for res, name in zip(results, report._witness_names(results)):
+        if name:
             report.write_trajectory_csv(res.witness, os.path.join(out, name))
-            witness_files[res.check_id] = name
-    report.write_check_report(
-        results, os.path.join(out, "checks.txt"), os.path.join(out, "checks.json"), witness_files
-    )
+    report.write_check_report(results, os.path.join(out, "checks.txt"), os.path.join(out, "checks.json"))
     if not args.quiet:
-        sys.stdout.write(report.check_results_to_text(results, witness_files))
+        sys.stdout.write(report.check_results_to_text(results))
     return EXIT_FAIL if any(r.failed for r in results) else EXIT_OK
 
 

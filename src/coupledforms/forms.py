@@ -20,10 +20,10 @@ ch. 3; George & Liu, *Computer Solution of Large Sparse Positive
 Definite Systems*, 1981).  Brackets are kept on the form, one per
 distinct pencil up to the symmetries that leave the constant unchanged:
 a block and its negation share a continuity bracket.
-No N-sized matrix goes through dense LAPACK except in
-:func:`associated_operator`.  :func:`full_ellipticity` and the ``sector``
-and ``parabola`` checks of :mod:`coupledforms.qualitative` read the
-numerical range of a form through its support function (:func:`_support`).
+No N-sized matrix goes through dense LAPACK.  :func:`full_ellipticity`
+and the ``sector`` and ``parabola`` checks of
+:mod:`coupledforms.qualitative` read the numerical range of a form
+through its support function (:func:`_support`).
 
 Every linear solve (the time-step systems and the ambient-Gram solves)
 goes through :class:`_Factor`, the one place that chooses between
@@ -165,8 +165,8 @@ class FormMatrix:
     product space: ``form_csr`` (the blocks in place) and
     ``mass_csr``/``vgram_csr`` (block diagonals of the ambient and domain
     Grams).  The spectral routines below factor Hermitian pencils of them
-    by banded Cholesky in reverse Cuthill--McKee order.  Only
-    :func:`associated_operator` densifies the operators.
+    by banded Cholesky in reverse Cuthill--McKee order.  No reader in
+    the package densifies the operators.
 
     Immutable after assembly by convention; derived matrices and
     spectral brackets are cached, so instances are cheap to share.
@@ -649,16 +649,4 @@ def is_discretely_accretive(form: FormMatrix) -> bool:
     is cached on the form.
     """
     return form.accretive
-
-
-def associated_operator(form: FormMatrix) -> np.ndarray:
-    """Discrete generator ``-Mass^{-1} S`` of the evolution problem.
-
-    Block (i, j) of the result equals ``-h_gram_i^{-1} S_ij``, the
-    coordinate analogue of reading the operator off the form entrywise.
-    """
-    try:
-        return -np.linalg.solve(form.mass_csr.toarray(), form.form_csr.toarray())
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"ambient Gram is singular: {exc}") from exc
 

@@ -53,13 +53,17 @@ _DEFAULT_CFG = EvolutionConfig(dt=1e-2, t_end=0.2, scheme="implicit-euler", reco
 
 @dataclass
 class CheckResult:
-    """Verdict of one qualitative check."""
+    """Verdict of one qualitative check.
+
+    A failed runtime check keeps the trajectory of one failing trial as
+    its ``witness``; the ``check`` command writes it to the CSV that
+    :mod:`coupledforms.report` names.  Other results have ``witness`` None.
+    """
 
     check_id: str
     status: str
     details: dict = field(default_factory=dict)
     witness: TrajectoryRecord | None = None
-    witness_label: str = ""
 
     @property
     def passed(self) -> bool:
@@ -339,9 +343,7 @@ def positivity_check(
     worst = int(np.argmin(lows))
     details["worst_nodal_min"] = float(lows[worst])
     if lows[worst] < -RUNTIME_CONE_TOL:
-        return CheckResult(
-            "positivity", FAIL, details, witness=traj.trial(worst), witness_label="negative_node"
-        )
+        return CheckResult("positivity", FAIL, details, witness=traj.trial(worst))
     return CheckResult("positivity", PASS, details)
 
 
@@ -382,7 +384,7 @@ def domination_check(
     details = {"worst_margin": float(margins[worst]), "max_coupling_value": worst_alg}
     if margins[worst] < -RUNTIME_CONE_TOL:
         witness = evolve(diagonal, form.split(u0), cfg).trial(worst)
-        return CheckResult("domination", FAIL, details, witness=witness, witness_label="dominated_run")
+        return CheckResult("domination", FAIL, details, witness=witness)
     return CheckResult("domination", PASS, details)
 
 
@@ -413,8 +415,7 @@ def linf_contractivity_check(
     if violators.size:
         c = int(violators[0])
         details["first_violation_time"] = float(traj.times[np.argmax(outside[:, c])])
-        label = "constant_one" if c == 0 else f"uniform_{c}"
-        return CheckResult("linf", FAIL, details, witness=traj.trial(c), witness_label=label)
+        return CheckResult("linf", FAIL, details, witness=traj.trial(c))
     if not accretive:
         return CheckResult(
             "linf", NOT_APPLICABLE, {**details, "reason": "form is not accretive, no violation found"}
@@ -479,13 +480,8 @@ def strip_invariance_runtime(
         }
         for lv, alpha in enumerate(alpha_levels)
     ]
-    witness = None
-    witness_label = ""
     failing = np.flatnonzero(exceed.reshape(-1) > 0)
-    if failing.size:
-        lv, t = divmod(int(failing[0]), trials)
-        witness = traj.trial(int(failing[0]))
-        witness_label = f"alpha_{alpha_levels[lv]}_trial_{t}"
+    witness = traj.trial(int(failing[0])) if failing.size else None
     positive = [lv["passed"] for lv in levels if lv["alpha"] > 0]
     scaling_consistent = len(set(positive)) <= 1
     all_pass = all(lv["passed"] for lv in levels)
@@ -494,7 +490,6 @@ def strip_invariance_runtime(
         PASS if all_pass else FAIL,
         {"levels": levels, "scaling_consistent": scaling_consistent},
         witness=witness,
-        witness_label=witness_label,
     )
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from collections import Counter
 from dataclasses import asdict
 
 import numpy as np
@@ -88,19 +89,36 @@ def _detail_text(value) -> str:
     return str(value)
 
 
-def check_results_to_text(results, witness_files=None) -> str:
-    """One verdict block per check: id, status, details, witness file."""
-    witness_files = witness_files or {}
-    blocks = []
+def _witness_names(results) -> list:
+    """File name of each result's witness CSV, or None for a result without a witness.
+
+    The first witness of a check id is ``witness_<id>.csv`` and the n-th
+    ``witness_<id>_<n>.csv``, so a repeated id gives each entry its own file.
+    """
+    seen = Counter()
+    names = []
     for res in results:
+        if res.witness is None:
+            names.append(None)
+            continue
+        seen[res.check_id] += 1
+        n = seen[res.check_id]
+        names.append(f"witness_{res.check_id}.csv" if n == 1 else f"witness_{res.check_id}_{n}.csv")
+    return names
+
+
+def check_results_to_text(results) -> str:
+    """One verdict block per check: id, status, details, witness file."""
+    blocks = []
+    for res, witness in zip(results, _witness_names(results)):
         lines = [f"[{res.check_id}] {res.status.upper()}"]
         desc = CRITERIA.get(res.check_id)
         if desc:
             lines.append(f"  about: {desc}")
         for key, value in res.details.items():
             lines.append(f"  {key}: {_detail_text(value)}")
-        if res.check_id in witness_files:
-            lines.append(f"  witness_csv: {witness_files[res.check_id]}")
+        if witness:
+            lines.append(f"  witness_csv: {witness}")
         blocks.append("\n".join(lines))
     return "\n".join(blocks) + "\n"
 
@@ -120,22 +138,19 @@ def _jsonable(value):
     return str(value)
 
 
-def check_results_to_records(results, witness_files=None) -> list:
-    witness_files = witness_files or {}
-    records = []
-    for res in results:
-        records.append(
-            {
-                "check_id": res.check_id,
-                "status": res.status,
-                "details": _jsonable(res.details),
-                "witness_csv": witness_files.get(res.check_id),
-            }
-        )
-    return records
+def check_results_to_records(results) -> list:
+    return [
+        {
+            "check_id": res.check_id,
+            "status": res.status,
+            "details": _jsonable(res.details),
+            "witness_csv": witness,
+        }
+        for res, witness in zip(results, _witness_names(results))
+    ]
 
 
-def write_check_report(results, txt_path: str, json_path: str, witness_files=None) -> None:
-    _atomic_write(txt_path, check_results_to_text(results, witness_files))
-    payload = {"schema_version": 1, "checks": check_results_to_records(results, witness_files)}
+def write_check_report(results, txt_path: str, json_path: str) -> None:
+    _atomic_write(txt_path, check_results_to_text(results))
+    payload = {"schema_version": 1, "checks": check_results_to_records(results)}
     _atomic_write(json_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")

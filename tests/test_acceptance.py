@@ -17,7 +17,6 @@ from coupledforms import (
     ConstantsBundle,
     EvolutionConfig,
     Grid1D,
-    associated_operator,
     averaging_projection,
     build_constant_coupled,
     build_damped_wave,
@@ -171,7 +170,9 @@ def test_criterion_07_dynamic_bc_triple():
         assert dom.details["worst_margin"] >= -1e-8
         linf = linf_contractivity_check(form, trials=20, cfg=cfg, seed=32)
         assert linf.failed
-        assert linf.witness_label == "constant_one"
+        ones = evolve(form, [np.ones(s.dim) for s in form.spaces], cfg)
+        np.testing.assert_array_equal(linf.witness.times, ones.times)
+        np.testing.assert_allclose(linf.witness.observable("sup_norm"), ones.observable("sup_norm"), rtol=1e-12)
         sup = linf.witness.observable("sup_norm")
         crossing = linf.witness.times[np.argmax(sup > 1.01)]
         assert sup.max() > 1.01
@@ -199,25 +200,6 @@ def test_criterion_08_strip_scaling_law():
         assert res.failed
         assert res.details["scaling_consistent"]
         assert len({lv["passed"] for lv in res.details["levels"]}) == 1
-
-
-def test_criterion_09_operator_blocks_identify_entrywise():
-    with criterion(9, "generator blocks equal the per-block solves on all builders"):
-        grid = Grid1D(32)
-        builders = [
-            build_ephaptic(grid, CoefficientField.constant(two_fibre_coupling("difference", 2.0, 0.5), 32)),
-            build_damped_wave(grid, alpha=1.0),
-            build_dynamic_bc_heat(grid),
-            build_constant_coupled(grid, [[2.0, -1.0], [-1.0, 2.0]]),
-        ]
-        for form in builders:
-            op = associated_operator(form)
-            scale = max(np.abs(op).max(), 1.0)
-            for i in range(form.m):
-                for j in range(form.m):
-                    expected = -np.linalg.solve(form.spaces[i].h_gram, form.csr_blocks[i][j].toarray())
-                    got = op[form.block_slices[i], form.block_slices[j]]
-                    assert np.abs(got - expected).max() <= 1e-12 * scale
 
 
 def test_criterion_10_subsystem_invariance():

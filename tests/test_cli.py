@@ -207,6 +207,31 @@ class TestCheck:
         assert "witness_csv: witness_linf.csv" in text
         assert (out / "witness_linf.csv").exists()
 
+    def test_repeated_check_ids_keep_their_own_witnesses(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = write_config(
+            tmp_path / "c.json",
+            {
+                "schema_version": 1,
+                "output": str(out),
+                "model": {"name": "ephaptic", "coefficients": [[1.0]]},
+                "grid": {"n_cells": 64},
+                "evolution": {"scheme": "crank-nicolson", "dt": 0.01, "t_end": 0.2},
+                "checks": [
+                    {"id": "positivity", "trials": 3},
+                    {"id": "positivity", "runtime": False},
+                    {"id": "linf", "trials": 2},
+                    {"id": "positivity", "trials": 2},
+                ],
+            },
+        )
+        assert main(["check", cfg, "--quiet"]) == 1
+        records = json.loads((out / "checks.json").read_text())["checks"]
+        assert [r["status"] for r in records] == ["fail", "pass", "fail", "fail"]
+        names = ["witness_positivity.csv", None, "witness_linf.csv", "witness_positivity_2.csv"]
+        assert [r["witness_csv"] for r in records] == names
+        assert sorted(p.name for p in out.glob("witness_*.csv")) == sorted(filter(None, names))
+
     def test_balanced_ephaptic_all_pass(self, tmp_path):
         out = tmp_path / "out"
         cfg = write_config(

@@ -10,7 +10,6 @@ from coupledforms import (
     DiscreteSpace,
     FormMatrix,
     Grid1D,
-    associated_operator,
     build_constant_coupled,
     build_damped_wave,
     build_dynamic_bc_heat,
@@ -420,32 +419,6 @@ class TestEstimateEllipticity:
             assert full <= quotient + 1e-9
 
 
-class TestAssociatedOperator:
-    def test_scalar(self):
-        form = single_space_form([[2.0]])
-        np.testing.assert_allclose(associated_operator(form), [[-2.0]])
-
-    def test_block_diagonal_stays_block_diagonal(self):
-        grid = Grid1D(6)
-        form = build_constant_coupled(grid, np.diag([1.0, 3.0]))
-        op = associated_operator(form)
-        s0, s1 = form.block_slices
-        assert np.abs(op[s0, s1]).max() == 0.0
-        assert np.abs(op[s1, s0]).max() == 0.0
-
-    def test_blocks_match_independent_solves(self):
-        grid = Grid1D(8)
-        coeffs = CoefficientField.constant([[2.0, -0.5], [-0.5, 2.0]], 8)
-        form = build_ephaptic(grid, coeffs)
-        op = associated_operator(form)
-        scale = np.abs(op).max()
-        for i in range(2):
-            for j in range(2):
-                expected = -np.linalg.solve(form.spaces[i].h_gram, form.csr_blocks[i][j].toarray())
-                got = op[form.block_slices[i], form.block_slices[j]]
-                assert np.abs(got - expected).max() <= 1e-12 * scale
-
-
 class TestSectorAndParabola:
     def test_sector_passes_with_certified_constants(self):
         grid = Grid1D(8)
@@ -819,9 +792,8 @@ class TestBracketMemo:
 # no dense eigen, SVD or 2-norm work on N-sized matrices in the library
 
 DENSE_CALLS = {"toarray", "todense", "eigh", "eigvalsh", "svd"}
-# associated_operator returns the dense generator, _dense_view builds the dense views;
-# make_projection splits an m-by-m matrix
-DENSE_ALLOWED = {("forms.py", "associated_operator"), ("forms.py", "_dense_view"), ("qualitative.py", "make_projection")}
+# _dense_view builds the dense views; make_projection splits an m-by-m matrix
+DENSE_ALLOWED = {("forms.py", "_dense_view"), ("qualitative.py", "make_projection")}
 
 
 def flagged_calls(path: Path, names: set, attributes: set = frozenset()) -> list:
