@@ -40,7 +40,7 @@ from coupledforms import (
     two_fibre_coupling,
 )
 from coupledforms.cli import main
-from coupledforms.evolution import _start, _states
+from coupledforms.evolution import Stepper, _start, _states
 
 
 @contextmanager
@@ -200,6 +200,30 @@ def test_criterion_08_strip_scaling_law():
         assert res.failed
         assert res.details["scaling_consistent"]
         assert len({lv["passed"] for lv in res.details["levels"]}) == 1
+
+
+def test_criterion_09_operator_blocks_identify_entrywise():
+    with criterion(9, "generator blocks equal the per-block solves on all builders"):
+        grid = Grid1D(32)
+        builders = [
+            build_ephaptic(grid, CoefficientField.constant(two_fibre_coupling("difference", 2.0, 0.5), 32)),
+            build_damped_wave(grid, alpha=1.0),
+            build_dynamic_bc_heat(grid),
+            build_constant_coupled(grid, [[2.0, -1.0], [-1.0, 2.0]]),
+        ]
+        dt = 1e-3
+        for form in builders:
+            # the implicit-Euler step of every unit vector is (I - dt A)^-1, A = -Mass^-1 S
+            stepper = Stepper(form, EvolutionConfig(dt=dt, t_end=dt))
+            eye = np.eye(form.total_dim)
+            step = stepper.step(eye[stepper.order])[0][stepper.position]
+            op = (eye - np.linalg.inv(step)) / dt
+            scale = max(np.abs(op).max(), 1.0)
+            for i in range(form.m):
+                for j in range(form.m):
+                    expected = -np.linalg.solve(form.spaces[i].h_gram, form.csr_blocks[i][j].toarray())
+                    got = op[form.block_slices[i], form.block_slices[j]]
+                    assert np.abs(got - expected).max() <= 1e-12 * scale
 
 
 def test_criterion_10_subsystem_invariance():

@@ -8,6 +8,7 @@ import scipy.sparse
 
 from coupledforms import (
     DiscreteSpace,
+    EvolutionConfig,
     FormMatrix,
     Grid1D,
     build_constant_coupled,
@@ -27,6 +28,7 @@ from coupledforms import (
     two_fibre_coupling,
 )
 from coupledforms.errors import DimensionError, ValidationError
+from coupledforms.evolution import Stepper
 from coupledforms.forms import (
     ACCRETIVITY_RTOL,
     GRAM_RTOL,
@@ -417,6 +419,43 @@ class TestEstimateEllipticity:
             diag = (f @ (form.csr_blocks[i][i].toarray() + 0.3 * space.h_gram) @ f) / (f @ space.v_gram @ f)
             assert quotient == pytest.approx(diag, rel=1e-12)
             assert full <= quotient + 1e-9
+
+
+def stepped_generator(form, dt=1e-3):
+    """The associated operator ``A = -Mass^-1 S`` that the implicit-Euler step applies.
+
+    The step of every unit vector is ``U = (I - dt A)^-1``, so ``A = (I - U^-1) / dt``.
+    """
+    stepper = Stepper(form, EvolutionConfig(dt=dt, t_end=dt))
+    n = form.total_dim
+    step = stepper.step(np.eye(n)[stepper.order])[0][stepper.position]
+    return (np.eye(n) - np.linalg.inv(step)) / dt
+
+
+class TestAssociatedOperator:
+    def test_scalar(self):
+        form = single_space_form([[2.0]])
+        np.testing.assert_allclose(stepped_generator(form), [[-2.0]], rtol=1e-12)
+
+    def test_block_diagonal_stays_block_diagonal(self):
+        grid = Grid1D(6)
+        form = build_constant_coupled(grid, np.diag([1.0, 3.0]))
+        op = stepped_generator(form)
+        s0, s1 = form.block_slices
+        assert np.abs(op[s0, s1]).max() == 0.0
+        assert np.abs(op[s1, s0]).max() == 0.0
+
+    def test_blocks_match_independent_solves(self):
+        grid = Grid1D(8)
+        coeffs = CoefficientField.constant([[2.0, -0.5], [-0.5, 2.0]], 8)
+        form = build_ephaptic(grid, coeffs)
+        op = stepped_generator(form)
+        scale = np.abs(op).max()
+        for i in range(2):
+            for j in range(2):
+                expected = -np.linalg.solve(form.spaces[i].h_gram, form.csr_blocks[i][j].toarray())
+                got = op[form.block_slices[i], form.block_slices[j]]
+                assert np.abs(got - expected).max() <= 1e-12 * scale
 
 
 class TestSectorAndParabola:
