@@ -25,10 +25,10 @@ One generator, ``_states``, owns the stepping loop.  Only the solve runs
 once per step, in the factor's RCM order: the generator fills a block of
 up to ``BLOCK_BYTES`` of states, checks the solve residual of every step
 in it with one product, and yields the block's recorded states, put back
-in the form's order by one gather.  Recorded norms take one
-``mass_csr`` product per block.  A run keeps its observables and its
-last state, and ``domination`` walks two generators block by block
-instead of storing states.
+in the form's order by one gather.  Recorded norms take one ``mass_csr``
+product per block, the strip observables one more.  A run keeps its
+observables and its last state, and ``domination`` walks two generators
+block by block instead of storing states.
 """
 
 from __future__ import annotations
@@ -270,25 +270,24 @@ def _lift(vectors: np.ndarray, n: int) -> scipy.sparse.csr_matrix:
     return scipy.sparse.kron(vectors, scipy.sparse.identity(n), format="csr")
 
 
-def _observables(form: FormMatrix, states: np.ndarray, lifted) -> np.ndarray:
+def _observables(form: FormMatrix, states: np.ndarray, lifted, rank: int) -> np.ndarray:
     """The recorded observables of an ``(N, b, k)`` block of states, ``(names, b, k)`` in :func:`evolve`'s order.
 
-    One ``mass_csr`` product covers the block and, with a projection,
-    one each the blocks ``u - Pu`` and ``Pu``: the distance comes from
-    ``u - Pu`` itself, since ``|u|^2 - |Pu|^2`` loses half the digits of
-    a distance near zero.
+    One ``mass_csr`` product covers the block and, with a projection, one
+    more its coordinates ``lifted @ u`` in the basis ``[eig1 | eig0]``:
+    the first ``rank`` rows give ``|Pu|`` and the rest ``|u - Pu|``, so a
+    distance near zero keeps its digits.
     """
     n, b, k = states.shape
     u = states.reshape(n, b * k)
-    squares = [_squared_norms(form, u)]
+    squares = _squared_norms(form, u)
+    totals = [squares.sum(axis=0)]
     if lifted is not None:
-        pu = lifted @ u
-        projected = _squared_norms(form, pu)  # before u - Pu overwrites Pu
-        squares += [_squared_norms(form, np.subtract(u, pu, out=pu)), projected]
-    norms = _norm(squares[0]).reshape(-1, b, k)
-    totals = _norm(np.array([s.sum(axis=0) for s in squares])).reshape(-1, b, k)
+        coordinates = _squared_norms(form, lifted @ u)
+        totals += [coordinates[rank:].sum(axis=0), coordinates[:rank].sum(axis=0)]
+    totals = _norm(np.array(totals)).reshape(-1, b, k)
     extremes = np.stack([states.real.min(axis=0), np.abs(states).max(axis=0)])
-    return np.concatenate([totals[:1], extremes, norms, totals[1:]])
+    return np.concatenate([totals[:1], extremes, _norm(squares).reshape(-1, b, k), totals[1:]])
 
 
 def evolve(form: FormMatrix, u0, cfg: EvolutionConfig, proj: ProjectionSpec | None = None) -> TrajectoryRecord:
@@ -303,14 +302,16 @@ def evolve(form: FormMatrix, u0, cfg: EvolutionConfig, proj: ProjectionSpec | No
     When ``proj``, a :class:`ProjectionSpec` (anything else raises
     :class:`ValidationError`), is given, all component spaces must be
     identical and the strip observables ``strip_distance = |u - Pu|`` and
-    ``projection_norm = |Pu|`` are recorded for the lifted projection.
+    ``projection_norm = |Pu|`` are recorded from the coordinates of ``u``
+    in the projection's lifted eigenbasis.
     """
     u = _start(form, u0)
     if u.size == 0:
         raise ValidationError("initial data has no trial columns")
     if not np.isfinite(u).all():
         raise ValidationError("initial data contains non-finite entries")
-    lifted = None
+    names = ["h_norm", "min_value", "sup_norm"] + [f"comp_norm_{i + 1}" for i in range(form.m)]
+    lifted, rank = None, 0
     if proj is not None:
         if not isinstance(proj, ProjectionSpec):
             raise ValidationError(f"proj must be a ProjectionSpec from make_projection, got {type(proj).__name__}")
@@ -318,15 +319,13 @@ def evolve(form: FormMatrix, u0, cfg: EvolutionConfig, proj: ProjectionSpec | No
             raise ValidationError("a lifted projection requires all component spaces to be identical")
         if proj.m != form.m:
             raise DimensionError(f"projection matrix must be {form.m}x{form.m}")
-        lifted = _lift(proj.matrix, form.spaces[0].dim)
-
-    names = ["h_norm", "min_value", "sup_norm"] + [f"comp_norm_{i + 1}" for i in range(form.m)]
-    if lifted is not None:
+        lifted, rank = _lift(np.hstack([proj.eig1, proj.eig0]).conj().T, form.spaces[0].dim), proj.rank
         names += ["strip_distance", "projection_norm"]
+
     steps, values = [], []
     for block_steps, states in _states(form, u, cfg):
         steps.append(block_steps)
-        values.append(_observables(form, states, lifted))
+        values.append(_observables(form, states, lifted, rank))
     # values[i] holds the (times, k) values of names[i]
     values = np.concatenate(values, axis=1)
     if u.ndim == 1:

@@ -217,6 +217,25 @@ class TestBundleValidation:
         with pytest.raises(DimensionError):
             ConstantsBundle(np.eye(2), np.zeros((3, 3)), [0.0, 0.0])
 
+    def test_empty_bundle_rejected(self):
+        with pytest.raises(ValidationError, match="need at least one component"):
+            ConstantsBundle(np.zeros((0, 0)), np.zeros((0, 0)), np.zeros(0))
+
+    def test_m_diag_length_rejected(self):
+        with pytest.raises(DimensionError, match="m_diag must have length 2"):
+            ConstantsBundle(np.eye(2), np.zeros((2, 2)), [0.0, 0.0, 0.0])
+
+    def test_non_finite_constant_rejected(self):
+        with pytest.raises(ValidationError, match="constants must be finite"):
+            ConstantsBundle(np.eye(2), np.full((2, 2), np.nan), [0.0, 0.0])
+
+    def test_negative_embedding_norm_rejected(self):
+        with pytest.raises(ValidationError, match="embedding_norm must be >= 0"):
+            bundle(np.eye(2), e=-1.0)
+
+    def test_spectral_norm_of_an_empty_matrix(self):
+        assert spectral_norm(np.zeros((0, 0))) == 0.0
+
 
 class TestReport:
     def test_all_criteria_present_once(self):

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
-from coupledforms import cli, qualitative
+from coupledforms import cli, qualitative, report
 from coupledforms.cli import main
 
 
@@ -656,3 +660,123 @@ def test_memory_error_exit_two_with_one_line(tmp_path, capsys, monkeypatch):
     assert main(["check", write_config(tmp_path / "c.json", config), "--quiet", "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"config error: the problem does not fit in memory: {message}\n"
     assert not out.exists()
+
+
+def test_solver_failure_exits_one_with_one_line(tmp_path, capsys):
+    # an anti-diffusive coupling grows without bound until a solve loses accuracy
+    config = {
+        "schema_version": 1,
+        "model": {"name": "constant_coupled", "coupling": [[-1.0]]},
+        "grid": {"n_cells": 8},
+        "evolution": {"dt": 0.01, "t_end": 100},
+        "initial": {"kind": "random"},
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would print a second line
+        code = main(["simulate", write_config(tmp_path / "c.json", config), "--quiet", "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: implicit-euler solve lost accuracy at step ") and err.count("\n") == 1
+
+
+# command, a change to that command's base config, and the one stderr line it gives
+ONE_LINE_CONFIGS = {
+    "schema-version": ("simulate", {"schema_version": 2}, "config error: schema_version must be 1, got 2"),
+    "ephaptic-without-coefficients": (
+        "simulate",
+        {"model": {"name": "ephaptic"}},
+        "config error: ephaptic model needs 'coefficients' or 'pattern'",
+    ),
+    "in-phase-unequal-dimensions": (
+        "simulate",
+        {"model": {"name": "dynamic_bc_heat"}},
+        "config error: in_phase initial data needs identical component dimensions",
+    ),
+    "non-square-coupling": (
+        "check",
+        {"model": {"name": "constant_coupled", "coupling": [[1.0, 2.0]]}},
+        "validation error: coupling matrix must be square, got (1, 2)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_LINE_CONFIGS))
+def test_invalid_input_exits_two_with_one_line(tmp_path, capsys, name):
+    command, changes, message = ONE_LINE_CONFIGS[name]
+    if command == "simulate":
+        config = base_simulate_config("unused")
+    else:
+        config = {"schema_version": 1, "grid": {"n_cells": 8}, "checks": [{"id": "realness"}]}
+    config.update(changes)
+    out = tmp_path / "out"
+    assert main([command, write_config(tmp_path / "c.json", config), "--quiet", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert not out.exists()
+
+
+def test_constant_data_report_on_stdout(tmp_path, capsys):
+    # constants lie in the kernel of every stiffness block, so the state does not move
+    out = tmp_path / "out"
+    config = base_simulate_config(str(out), initial={"kind": "constant", "amplitude": 2.0})
+    assert main(["simulate", write_config(tmp_path / "c.json", config)]) == 0
+    assert capsys.readouterr().out == f"wrote {out / 'trajectory.csv'} (11 records)\n"
+    header, rows = read_rows(out / "trajectory.csv")
+    for name in ("min_value", "sup_norm"):
+        assert [float(r[header.index(name)]) for r in rows] == pytest.approx([2.0] * 11, rel=1e-12)
+
+
+def test_check_report_on_stdout(tmp_path, capsys):
+    out = tmp_path / "out"
+    config = {
+        "schema_version": 1,
+        "model": {"name": "ephaptic", "pattern": {"kind": "difference"}},
+        "grid": {"n_cells": 8},
+        "checks": [{"id": "realness"}, {"id": "row_sums"}],
+    }
+    assert main(["check", write_config(tmp_path / "c.json", config), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == (out / "checks.txt").read_text()
+
+
+def test_module_entry_point(tmp_path):
+    # python -m coupledforms.cli runs main and exits with its code
+    config = write_config(tmp_path / "c.json", {"schema_version": 1, "constants": {"alpha": [[2, -1], [-1, 2]]}})
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for argv, code in (([config], 0), ([str(tmp_path / "missing.json")], 2)):
+        done = subprocess.run(
+            [sys.executable, "-m", "coupledforms.cli", "certify", *argv, "--quiet", "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == code, done.stderr
+    assert (tmp_path / "out" / "certify.json").is_file()
+
+
+def assert_same_files(a, b):
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    return names
+
+
+def test_check_determinism_byte_identical(tmp_path):
+    config = write_config(tmp_path / "c.json", dict(OUTPUT_PATH_CONFIGS["check"], schema_version=1))
+    for out in ("a", "b"):
+        assert main(["check", config, "--quiet", "--seed", "3", "--out", str(tmp_path / out)]) == 1
+    assert assert_same_files(tmp_path / "a", tmp_path / "b") == ["checks.json", "checks.txt", "witness_linf.csv"]
+
+
+def test_certify_determinism_byte_identical(tmp_path):
+    config = {"schema_version": 1, "seed": 5, "constants": {"alpha": [[2, -1], [-1, 2]], "omega": [[0, 0.5], [0.5, 0]]}}
+    config = write_config(tmp_path / "c.json", config)
+    for out in ("a", "b"):
+        assert main(["certify", config, "--quiet", "--out", str(tmp_path / out)]) == 0
+    assert assert_same_files(tmp_path / "a", tmp_path / "b") == ["certify.json", "certify.txt"]
+
+
+def test_failed_write_leaves_no_temporary_file(tmp_path):
+    # a directory stands at the target path, so the rename that completes the write fails
+    (tmp_path / "taken").mkdir()
+    with pytest.raises(OSError):
+        report._atomic_write(str(tmp_path / "taken"), "text\n")
+    assert [p.name for p in tmp_path.rglob("*")] == ["taken"]

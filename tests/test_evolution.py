@@ -174,15 +174,17 @@ def stepwise_record(form, u0, cfg, proj):
     u = _start(form, u0)
     shape = u.shape
     u = u.reshape(shape[0], -1)
-    lifted = None if proj is None else _lift(proj.matrix, form.spaces[0].dim)
+    lifted, rank = None, 0
+    if proj is not None:
+        lifted, rank = _lift(np.hstack([proj.eig1, proj.eig0]).conj().T, form.spaces[0].dim), proj.rank
     stepper = Stepper(form, cfg)
-    times, rows = [0.0], [_observables(form, u[:, None], lifted)]
+    times, rows = [0.0], [_observables(form, u[:, None], lifted, rank)]
     u = u[stepper.order]
     for k in range(1, cfg.n_steps + 1):
         u, _ = stepper.step(u)
         if k % cfg.record_every == 0 or k == cfg.n_steps:
             times.append(k * cfg.dt)
-            rows.append(_observables(form, u[stepper.position][:, None], lifted))
+            rows.append(_observables(form, u[stepper.position][:, None], lifted, rank))
     return np.array(times), np.concatenate(rows, axis=1), u[stepper.position].reshape(shape)
 
 
@@ -356,6 +358,17 @@ class TestEvolve:
         with pytest.raises(ValidationError, match="ProjectionSpec"):
             evolve(form, [np.ones(9), np.zeros(9)], EvolutionConfig(dt=0.1, t_end=0.2), proj=proj)
 
+    def test_projection_size_must_match(self):
+        form = build_constant_coupled(Grid1D(4), np.eye(2))
+        with pytest.raises(DimensionError, match="projection matrix must be 2x2"):
+            evolve(form, [np.ones(5), np.ones(5)], EvolutionConfig(dt=0.1, t_end=0.2), proj=averaging_projection(3))
+
+    def test_overflowing_observable_raises(self):
+        # finite data whose squared norm overflows: the solves pass, the recorded h_norm does not
+        form = build_constant_coupled(Grid1D(4), np.eye(1))
+        with np.errstate(over="ignore"), pytest.raises(SolverError, match="observable 'h_norm' became non-finite"):
+            evolve(form, [np.full(5, 1e200)], EvolutionConfig(dt=0.1, t_end=0.2))
+
     def test_non_finite_initial_data_rejected(self):
         form = build_constant_coupled(Grid1D(4), np.eye(1))
         bad = [np.full(5, np.nan)]
@@ -509,11 +522,11 @@ class TestDenseReference:
         reference = dense_reference_states(form, u0, cfg)
         assert_matches_dense(traj, recorded_states(form, u0, cfg), reference)
         lifted = np.kron(proj.matrix, np.eye(17))
-        projected = [lifted @ u for u in reference]
         mass = dense_mass(form)
-        want = np.array([np.sqrt(np.vdot(p, mass @ p).real) for p in projected])
-        got = traj.observable("projection_norm")
-        assert np.max(np.abs(got - want)) <= DENSE_REFERENCE_RTOL * np.max(want)
+        for name, part in (("projection_norm", lambda u: lifted @ u), ("strip_distance", lambda u: u - lifted @ u)):
+            want = np.array([np.sqrt(np.vdot(part(u), mass @ part(u)).real) for u in reference])
+            got = traj.observable(name)
+            assert np.max(np.abs(got - want)) <= DENSE_REFERENCE_RTOL * np.max(want), name
 
     @pytest.mark.parametrize("scheme", ["implicit-euler", "crank-nicolson"])
     def test_batched_complex_damped_wave(self, scheme):

@@ -27,7 +27,7 @@ from coupledforms import (
     sector_check,
     two_fibre_coupling,
 )
-from coupledforms.errors import DimensionError, ValidationError
+from coupledforms.errors import DimensionError, NumericalError, ValidationError
 from coupledforms.evolution import Stepper
 from coupledforms.forms import (
     ACCRETIVITY_RTOL,
@@ -106,6 +106,18 @@ class TestDiscreteSpace:
         g = np.kron(np.eye(3), [[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ValidationError, match="positive definite"):
             DiscreteSpace(6, np.eye(6), g)
+
+    def test_rejects_non_positive_dimension(self):
+        with pytest.raises(ValidationError, match="space dimension must be positive"):
+            DiscreteSpace(0, np.eye(1), np.eye(1))
+
+    def test_rejects_gram_of_the_wrong_shape(self):
+        with pytest.raises(DimensionError, match=r"v_gram must be 2x2, got \(3, 3\)"):
+            DiscreteSpace(2, np.eye(2), np.eye(3))
+
+    def test_rejects_gram_that_is_not_a_matrix(self):
+        with pytest.raises(DimensionError, match="h_gram must be a matrix, got ndim=1"):
+            DiscreteSpace(2, np.ones(2), np.eye(2))
 
     def test_accepts_complex_hermitian_gram(self):
         g = np.array([[2.0, 1j], [-1j, 2.0]])
@@ -271,6 +283,23 @@ class TestFormApply:
             form_apply(form, [np.ones((1, 2))], [np.ones((1, 2))])
 
 
+class TestFormMatrixShapes:
+    def test_rejects_no_spaces(self):
+        with pytest.raises(ValidationError, match="need at least one space"):
+            FormMatrix([], [])
+
+    def test_rejects_a_ragged_block_grid(self):
+        space = DiscreteSpace(2, np.eye(2), np.eye(2))
+        with pytest.raises(DimensionError, match="blocks must form an 2x2 grid"):
+            FormMatrix([space, space], [[np.eye(2), np.eye(2)], [np.eye(2)]])
+
+    def test_rejects_a_block_of_the_wrong_shape(self):
+        spaces = [DiscreteSpace(2, np.eye(2), np.eye(2)), DiscreteSpace(3, np.eye(3), np.eye(3))]
+        blocks = [[np.eye(2), np.zeros((2, 3))], [np.zeros((2, 2)), np.eye(3)]]
+        with pytest.raises(DimensionError, match=r"block \(1,0\) has shape \(2, 2\), expected \(3, 2\)"):
+            FormMatrix(spaces, blocks)
+
+
 class TestFlattenSplit:
     def test_round_trip_keeps_trial_axis(self):
         form = build_constant_coupled(Grid1D(4), np.eye(2))
@@ -285,6 +314,16 @@ class TestFlattenSplit:
         form = build_constant_coupled(Grid1D(4), np.eye(2))
         with pytest.raises(DimensionError):
             form.flatten([np.ones((5, 3)), np.ones((5, 2))])
+
+    def test_component_count_mismatch(self):
+        form = build_constant_coupled(Grid1D(4), np.eye(2))
+        with pytest.raises(DimensionError, match="expected 2 component vectors, got 1"):
+            form.flatten([np.ones(5)])
+
+    def test_split_length_mismatch(self):
+        form = build_constant_coupled(Grid1D(4), np.eye(2))
+        with pytest.raises(DimensionError, match="vector has length 9, expected 10"):
+            form.split(np.ones(9))
 
     def test_identical_spaces(self):
         assert build_constant_coupled(Grid1D(4), np.eye(2)).identical_spaces
@@ -895,3 +934,10 @@ def test_dense_reader_scan_sees_a_reader(tmp_path):
     source = tmp_path / "reader.py"
     source.write_text("def read(form):\n    return form.blocks[0][0].matrix, form.spaces[0].h_gram, form.spaces[0].v_gram\n")
     assert sorted(dense_readers(source)) == [("read", "blocks"), ("read", "h_gram"), ("read", "v_gram")]
+
+
+def test_lambda_min_without_a_lower_bound_raises():
+    # a - mu*b = diag(-1 - 2mu, -1 + mu) is definite at no shift: the downward search overflows
+    a, b = (scipy.sparse.csr_array(np.diag(d)) for d in ([-1.0, -1.0], [2.0, -1.0]))
+    with pytest.raises(NumericalError, match="no lower bound for the smallest eigenvalue"), np.errstate(over="ignore"):
+        _lambda_min(a, b)

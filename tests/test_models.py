@@ -66,6 +66,10 @@ class TestGridAndField:
         with pytest.raises(ValidationError):
             CoefficientField(np.full((2, 2, 3), np.inf))
 
+    def test_constant_field_needs_a_square_matrix(self):
+        with pytest.raises(DimensionError, match=r"coupling matrix must be square, got \(2, 3\)"):
+            CoefficientField.constant(np.zeros((2, 3)), 4)
+
     def test_perturbed_bumps_one_block(self):
         field = CoefficientField.constant(np.eye(2), 3).perturbed(1, 0, 0.5)
         np.testing.assert_array_equal(field.values[:, :, 2], [[1.0, 0.0], [0.5, 1.0]])

@@ -35,7 +35,7 @@ from coupledforms import (
     two_fibre_coupling,
 )
 from coupledforms import evolution, forms, qualitative
-from coupledforms.errors import ValidationError
+from coupledforms.errors import DimensionError, ValidationError
 from coupledforms.evolution import _start, _states
 from coupledforms.forms import _lambda_max, _midpoint, _support
 from coupledforms.qualitative import (
@@ -73,6 +73,8 @@ class TestProjections:
     def test_averaging_sizes(self):
         assert averaging_projection(1).matrix[0, 0] == pytest.approx(1.0)
         assert averaging_projection(3).rank == 1
+        with pytest.raises(ValidationError, match="m must be >= 1"):
+            averaging_projection(0)
 
     def test_non_hermitian_rejected_with_residuals(self):
         with pytest.raises(ValidationError, match="residual"):
@@ -84,6 +86,16 @@ class TestProjections:
 
 
 class TestSubspaceInvariance:
+    def test_rejects_an_unknown_direction(self):
+        form = build_constant_coupled(Grid1D(8), np.eye(2))
+        with pytest.raises(ValidationError, match="direction must be strip_C or strip_B, got 'strip'"):
+            subspace_invariance_check(form, averaging_projection(2), "strip")
+
+    def test_rejects_a_projection_of_another_size(self):
+        form = build_constant_coupled(Grid1D(8), np.eye(2))
+        with pytest.raises(DimensionError, match="projection size does not match the number of components"):
+            subspace_invariance_check(form, averaging_projection(3))
+
     def test_decoupled_identical_blocks_pass(self):
         form = build_constant_coupled(Grid1D(8), np.eye(2))
         res = subspace_invariance_check(form, averaging_projection(2), "strip_C")
@@ -437,6 +449,10 @@ class TestDomination:
         assert res.passed
         assert res.details["worst_margin"] == pytest.approx(0.0, abs=1e-10)
 
+    def test_complex_form_not_applicable(self):
+        res = domination_check(build_damped_wave(Grid1D(8), 1.0 + 0.5j), trials=2, cfg=CFG)
+        assert (res.status, res.details) == ("not-applicable", {"reason": "form is not real"})
+
     def test_positive_coupling_not_applicable(self):
         grid = Grid1D(8)
         coeffs = CoefficientField.constant([[1.0, 0.5], [0.5, 1.0]], 8)
@@ -465,8 +481,22 @@ class TestLinfContractivity:
         res = linf_contractivity_check(form, trials=2, cfg=CFG)
         assert res.passed
 
+    def test_non_accretive_without_violation_not_applicable(self):
+        # u' = 1e-12 u grows by 2e-13 over the run: below the cone tolerance, but not contractive
+        form = FormMatrix([DiscreteSpace(1, [[1.0]], [[1.0]])], [[np.array([[-1e-12]])]])
+        res = linf_contractivity_check(form, trials=2, cfg=CFG)
+        assert res.status == "not-applicable"
+        assert res.details["reason"] == "form is not accretive, no violation found"
+        assert res.details["accretive"] is False and res.details["worst_sup_norm"] <= 1.0 + RUNTIME_CONE_TOL
+
 
 class TestStripRuntime:
+    def test_non_accretive_form_not_applicable(self):
+        # the coupling has eigenvalues 3 and -1
+        form = build_constant_coupled(Grid1D(8), [[1.0, 2.0], [2.0, 1.0]])
+        res = strip_invariance_runtime(form, averaging_projection(2), cfg=CFG)
+        assert (res.status, res.details) == ("not-applicable", {"reason": "form is not accretive"})
+
     def test_balanced_pattern_passes_all_levels(self):
         form, _ = blbekbes_form()
         res = strip_invariance_runtime(
