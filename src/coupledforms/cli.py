@@ -72,7 +72,8 @@ EVOLUTION = {
     "solver_tolerance": ("float", None),
 }
 INITIAL = {"kind": ("str", "zero"), "amplitude": ("float", 1.0)}
-PROJECTION = {"kind": ("str", "averaging"), "matrix": ("matrix", None)}
+# an absent kind means averaging; None tells it from a kind given next to a matrix
+PROJECTION = {"kind": ("str", None), "matrix": ("matrix", None)}
 
 
 def _load_config(path: str) -> dict:
@@ -100,6 +101,8 @@ def _parse_evolution(config: dict) -> EvolutionConfig:
 
 
 def _coefficients_from_model(model: dict, grid: Grid1D) -> CoefficientField:
+    if "pattern" in model and "coefficients" in model:
+        raise ConfigError("ephaptic model takes 'coefficients' or 'pattern', not both")
     if "pattern" in model:
         pattern = read_section(model["pattern"], PATTERN, "model pattern")
         field = CoefficientField.constant(models.two_fibre_coupling(**pattern), grid.n_cells)
@@ -134,9 +137,11 @@ def _parse_projection(config: dict, form: FormMatrix):
     if "projection" not in config:
         return None
     section = read_section(config["projection"], PROJECTION, "projection")
+    if "matrix" in section and "kind" in section:
+        raise ConfigError("projection takes 'matrix' or 'kind', not both")
     if "matrix" in section:
         return qualitative.make_projection(np.asarray(section["matrix"], dtype=float))
-    if section["kind"] == "averaging":
+    if section.get("kind", "averaging") == "averaging":
         return qualitative.averaging_projection(form.m)
     raise ConfigError(f"unknown projection kind {section['kind']!r}")
 

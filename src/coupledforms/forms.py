@@ -118,7 +118,6 @@ class DiscreteSpace:
     dim: int
     h_csr: scipy.sparse.csr_array
     v_csr: scipy.sparse.csr_array
-    label: str = ""
 
     def __post_init__(self):
         if self.dim < 1:
@@ -136,12 +135,12 @@ class DiscreteSpace:
     _h_digest = cached_property(lambda self: _digest(self.h_csr))
     _v_digest = cached_property(lambda self: _digest(self.v_csr))
 
-    def same_geometry(self, other: "DiscreteSpace", rtol: float = 1e-12) -> bool:
-        """Equal dimension and Grams equal within ``rtol``, read as both relative and absolute tolerance."""
+    def same_geometry(self, other: "DiscreteSpace") -> bool:
+        """Equal dimension and Grams equal within 1e-12, read as both relative and absolute tolerance."""
         return self is other or (
             self.dim == other.dim
-            and _close(self.h_csr, other.h_csr, rtol)
-            and _close(self.v_csr, other.v_csr, rtol)
+            and _close(self.h_csr, other.h_csr, 1e-12)
+            and _close(self.v_csr, other.v_csr, 1e-12)
         )
 
 
@@ -168,8 +167,10 @@ class FormMatrix:
     by banded Cholesky in reverse Cuthill--McKee order.  No reader in
     the package densifies the operators.
 
-    Immutable after assembly by convention; derived matrices and
-    spectral brackets are cached, so instances are cheap to share.
+    ``metadata`` holds what a check reads beyond the blocks: a coefficient
+    field under ``"coefficients"`` or a ``"parabola_constant"``.  Immutable
+    after assembly by convention; derived matrices and spectral brackets
+    are cached, so instances are cheap to share.
     """
 
     spaces: list
@@ -244,23 +245,31 @@ class FormMatrix:
         return _Pencil(_hermitian_part(s), _diagonal(np.ones(self.total_dim))).definite(-tau)
 
     def adjoint(self) -> "FormMatrix":
-        """The adjoint form, blocks ``S*_ij = S_ji^H``; a coefficient field ``c_ij`` becomes ``c_ji``."""
+        """The adjoint form, blocks ``S*_ij = S_ji^H``; a coefficient field ``c_ij`` becomes ``c_ji``.
+
+        ``Im a*(f, f) = -Im a(f, f)`` and the real parts agree, so a
+        ``parabola_constant`` of the form holds for its adjoint.
+        """
         blocks = [[self.csr_blocks[j][i].conj().T for j in range(self.m)] for i in range(self.m)]
         meta = dict(self.metadata)
-        meta["adjoint_of"] = meta.pop("model", "unnamed")
         if "coefficients" in meta:
             field = meta["coefficients"]
             meta["coefficients"] = type(field)(field.values.transpose(1, 0, 2))
         return FormMatrix(self.spaces, blocks, meta)
 
     def diagonal_part(self) -> "FormMatrix":
-        """Same diagonal blocks, all couplings zeroed, in a coefficient field too."""
+        """Same diagonal blocks, all couplings zeroed, in a coefficient field too.
+
+        The diagonal part is the mean of ``D S D`` over the sign matrices
+        ``D = diag(+-I)``.  Each ``D`` keeps both block-diagonal norms, so
+        ``|Im a(Df, Df)| <= m_tilde |f|_V |f|_H`` for all ``D`` bounds the
+        mean: a ``parabola_constant`` of the form holds for its diagonal part.
+        """
         blocks = [
             [blk if i == j else scipy.sparse.csr_array(blk.shape, dtype=blk.dtype) for j, blk in enumerate(row)]
             for i, row in enumerate(self.csr_blocks)
         ]
         meta = dict(self.metadata)
-        meta["diagonal_of"] = meta.pop("model", "unnamed")
         if "coefficients" in meta:
             field = meta["coefficients"]
             meta["coefficients"] = type(field)(np.where(np.eye(self.m, dtype=bool)[:, :, None], field.values, 0.0))
@@ -310,12 +319,10 @@ def embedding_norm(space: DiscreteSpace) -> float:
     """Norm of the identity from the form domain into the ambient space.
 
     The square root of the largest eigenvalue of the pencil
-    ``(h_gram, v_gram)``.
+    ``(h_gram, v_gram)``, positive: the bracket's lower end starts at the
+    all-ones Rayleigh quotient, positive for definite Grams, and only rises.
     """
-    top = _midpoint(_lambda_max(space.h_csr, space.v_csr))
-    if top <= 0:
-        raise ValidationError(f"space {space.label!r} has a degenerate embedding")
-    return float(np.sqrt(top))
+    return float(np.sqrt(_midpoint(_lambda_max(space.h_csr, space.v_csr))))
 
 
 def form_apply(form: FormMatrix, f, g) -> complex:

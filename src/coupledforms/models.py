@@ -132,9 +132,9 @@ def p1_stiffness(grid: Grid1D, cell_values=1.0) -> scipy.sparse.csr_array:
     return _p1_assemble(grid.n_cells, c * (1.0 / grid.h), c * (-1.0 / grid.h))
 
 
-def _h1_space(grid: Grid1D, label: str) -> DiscreteSpace:
+def _h1_space(grid: Grid1D) -> DiscreteSpace:
     mass = p1_mass(grid)
-    return DiscreteSpace(grid.n_nodes, mass, mass + p1_stiffness(grid), label)
+    return DiscreteSpace(grid.n_nodes, mass, mass + p1_stiffness(grid))
 
 
 def build_ephaptic(grid: Grid1D, coeffs: CoefficientField) -> FormMatrix:
@@ -143,24 +143,16 @@ def build_ephaptic(grid: Grid1D, coeffs: CoefficientField) -> FormMatrix:
     Each component lives in the same hat-function space with the plain
     L2 ambient Gram and the H1 domain Gram.  The unbounded line of the
     original problem is truncated to (0, length) with natural boundary
-    conditions; the truncation is recorded in the metadata, and the
-    (immutable) field is kept under ``metadata["coefficients"]``.
+    conditions.  The (immutable) field is kept under
+    ``metadata["coefficients"]``, which the row- and column-sum checks read.
     """
     if coeffs.n_cells != grid.n_cells:
         raise DimensionError(
             f"coefficient field has {coeffs.n_cells} cells, grid has {grid.n_cells}"
         )
     m = coeffs.m
-    space = _h1_space(grid, "h1")
     blocks = [[p1_stiffness(grid, coeffs.values[i, j]) for j in range(m)] for i in range(m)]
-    metadata = {
-        "model": "ephaptic",
-        "m": m,
-        "grid": {"n_cells": grid.n_cells, "length": grid.length},
-        "boundary": "natural (Neumann) on a truncated interval",
-        "coefficients": coeffs,
-    }
-    return FormMatrix([space] * m, blocks, metadata)
+    return FormMatrix([_h1_space(grid)] * m, blocks, {"coefficients": coeffs})
 
 
 def build_damped_wave(grid: Grid1D, alpha: complex = 1.0) -> FormMatrix:
@@ -177,26 +169,13 @@ def build_damped_wave(grid: Grid1D, alpha: complex = 1.0) -> FormMatrix:
     stiff = p1_stiffness(grid)
     w = mass + stiff
     n = grid.n_nodes
-    spaces = [
-        DiscreteSpace(n, w, w, "h1_phase"),
-        DiscreteSpace(n, mass, w, "l2_velocity"),
-    ]
+    spaces = [DiscreteSpace(n, w, w), DiscreteSpace(n, mass, w)]
     alpha = complex(alpha)
     s21 = -alpha * stiff
     if alpha.imag == 0.0:
         s21 = s21.real
-        alpha_meta = alpha.real
-    else:
-        alpha_meta = [alpha.real, alpha.imag]
     blocks = [[scipy.sparse.csr_array((n, n)), -w], [s21, stiff]]
-    metadata = {
-        "model": "damped_wave",
-        "m": 2,
-        "grid": {"n_cells": grid.n_cells, "length": grid.length},
-        "alpha": alpha_meta,
-        "parabola_constant": 1.0 + abs(alpha - 1.0),
-    }
-    return FormMatrix(spaces, blocks, metadata)
+    return FormMatrix(spaces, blocks, {"parabola_constant": 1.0 + abs(alpha - 1.0)})
 
 
 def build_dynamic_bc_heat(grid: Grid1D) -> FormMatrix:
@@ -205,21 +184,12 @@ def build_dynamic_bc_heat(grid: Grid1D) -> FormMatrix:
     Component 1 is the interior hat space, component 2 the two endpoint
     values with identity Grams.  The couplings carry the boundary trace
     with a negative sign; the boundary diffusion block is zero because a
-    two-point boundary has no tangential direction, which the metadata
-    records.
+    two-point boundary has no tangential direction.
     """
     n = grid.n_nodes
-    space1 = _h1_space(grid, "h1_interior")
-    space2 = DiscreteSpace(2, np.eye(2), np.eye(2), "boundary_values")
     trace = scipy.sparse.csr_array(([1.0, 1.0], ([0, n - 1], [0, 1])), shape=(n, 2))
     blocks = [[p1_stiffness(grid), -trace], [-trace.T, np.zeros((2, 2))]]
-    metadata = {
-        "model": "dynamic_bc_heat",
-        "m": 2,
-        "grid": {"n_cells": grid.n_cells, "length": grid.length},
-        "boundary_diffusion": "zero (two-point boundary has no tangential Laplacian)",
-    }
-    return FormMatrix([space1, space2], blocks, metadata)
+    return FormMatrix([_h1_space(grid), DiscreteSpace(2, np.eye(2), np.eye(2))], blocks)
 
 
 def build_constant_coupled(grid: Grid1D, coupling) -> FormMatrix:
@@ -229,8 +199,4 @@ def build_constant_coupled(grid: Grid1D, coupling) -> FormMatrix:
     assembled blocks are exactly ``coupling[i, j]`` times the unit
     stiffness matrix.
     """
-    coupling = np.asarray(coupling, dtype=float)
-    form = build_ephaptic(grid, CoefficientField.constant(coupling, grid.n_cells))
-    form.metadata["model"] = "constant_coupled"
-    form.metadata["coupling"] = coupling.tolist()
-    return form
+    return build_ephaptic(grid, CoefficientField.constant(coupling, grid.n_cells))

@@ -84,6 +84,9 @@ MALFORMED = {
     "runtime_string": ("check", ("checks",), [{"id": "positivity", "runtime": "no"}]),
     "output_number": ("check", ("output",), 5),
     "criteria_nested": ("certify", ("criteria",), [["x"]]),
+    # keys that say one thing two ways are exclusive
+    "pattern_with_coefficients": ("simulate", ("model", "coefficients"), [[5, 1], [1, 5]]),
+    "projection_matrix_with_kind": ("simulate", ("projection",), {"kind": "averaging", "matrix": [[1, 0], [0, 1]]}),
 }
 
 

@@ -238,6 +238,24 @@ class TestEphapticBuilder:
         np.testing.assert_array_equal(fulls[0], fulls[0].T)
 
 
+@pytest.mark.parametrize(
+    "build, keys",
+    [
+        (lambda grid: build_ephaptic(grid, CoefficientField.constant(np.eye(2), grid.n_cells)), {"coefficients"}),
+        (lambda grid: build_constant_coupled(grid, np.eye(3)), {"coefficients"}),
+        (lambda grid: build_damped_wave(grid, 1.0), {"parabola_constant"}),
+        (lambda grid: build_damped_wave(grid, 1.0 + 0.5j), {"parabola_constant"}),
+        (build_dynamic_bc_heat, set()),
+    ],
+    ids=["ephaptic", "constant_coupled", "damped_wave", "damped_wave_complex", "dynamic_bc_heat"],
+)
+def test_forms_carry_only_the_metadata_a_check_reads(build, keys):
+    # row_sums and column_sums read "coefficients", parabola without m_tilde reads "parabola_constant"
+    form = build(Grid1D(6))
+    assert set(form.metadata) == keys
+    assert set(form.adjoint().metadata) == set(form.diagonal_part().metadata) == keys
+
+
 class TestDampedWaveBuilder:
     def test_zero_alpha_kills_lower_coupling(self):
         form = build_damped_wave(Grid1D(6), 0.0)
@@ -274,6 +292,15 @@ class TestDampedWaveBuilder:
         form = build_damped_wave(Grid1D(4), 1j)
         assert np.iscomplexobj(form.csr_blocks[1][0])
         assert form.metadata["parabola_constant"] == pytest.approx(1.0 + abs(1j - 1.0))
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.0 + 0.5j])
+    def test_derived_forms_hold_the_model_parabola_constant(self, alpha):
+        # the adjoint negates Im a; the diagonal part is the mean of D S D over the sign matrices D = diag(+-I)
+        form = build_damped_wave(Grid1D(12), alpha)
+        for derived in (form.adjoint(), form.diagonal_part()):
+            result = parabola_check(derived)
+            assert result.passed
+            assert result.details["m_tilde"] == form.metadata["parabola_constant"]
 
 
 class TestDynamicBcBuilder:
