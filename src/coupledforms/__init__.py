@@ -54,6 +54,5 @@ from .qualitative import (
     subspace_invariance_check,
     subsystem_invariance_check,
 )
-from .registry import CRITERIA
 
 __version__ = "0.1.0"

@@ -36,26 +36,26 @@ class ConstantsBundle:
         Coupling-strength matrix; off-diagonal entries must be <= 0
         (they enter continuity bounds with a flipped sign), diagonal
         entries carry the per-component coercivity constants.
-    omega : (m, m) array
+    omega : (m, m) array, default zeros
         Weak-coupling constants multiplying the ambient-space norms.
-    m_diag : (m,) array
+    m_diag : (m,) array, default zeros
         Continuity constants of the diagonal forms, nonnegative.
     embedding_norm : float
         Norm of the injection of the form domain into the ambient space.
     """
 
     alpha: np.ndarray
-    omega: np.ndarray
-    m_diag: np.ndarray
+    omega: np.ndarray = None
+    m_diag: np.ndarray = None
     embedding_norm: float = 1.0
 
     def __post_init__(self):
         alpha = np.array(self.alpha, dtype=float)
-        omega = np.array(self.omega, dtype=float)
-        m_diag = np.array(self.m_diag, dtype=float)
         if alpha.ndim != 2 or alpha.shape[0] != alpha.shape[1]:
             raise DimensionError(f"alpha must be square, got shape {alpha.shape}")
         m = alpha.shape[0]
+        omega = np.zeros((m, m)) if self.omega is None else np.array(self.omega, dtype=float)
+        m_diag = np.zeros(m) if self.m_diag is None else np.array(self.m_diag, dtype=float)
         if m < 1:
             raise ValidationError("need at least one component")
         if omega.shape != (m, m):
@@ -268,9 +268,10 @@ def stability_check(bundle: ConstantsBundle) -> CertificateEntry:
 DEFAULT_REQUESTED = ("gershgorin", "ellipticity", "stability")
 
 
-def run_all_certificates(bundle: ConstantsBundle, diagonal_accretive: bool = True) -> list:
+def run_all_certificates(bundle: ConstantsBundle) -> list:
     """Evaluate every scalar certificate on one bundle; the entries in fixed order.
 
+    The accretivity entry takes the diagonal forms as accretive.
     Constants too large for floating point overflow without warnings, and
     the first non-finite constant raises :class:`ValidationError`.
     """
@@ -281,7 +282,7 @@ def run_all_certificates(bundle: ConstantsBundle, diagonal_accretive: bool = Tru
             gershgorin_check(bundle),
             ell,
             CertificateEntry("continuity", PASS, {"bound": bound}, "continuity constant of the full form"),
-            accretivity_certificate(bundle, diagonal_accretive=diagonal_accretive),
+            accretivity_certificate(bundle),
             CertificateEntry(
                 "analyticity_angle",
                 PASS if ell.passed else NOT_APPLICABLE,

@@ -140,7 +140,10 @@ def _parse_projection(config: dict, form: FormMatrix):
     if "matrix" in section and "kind" in section:
         raise ConfigError("projection takes 'matrix' or 'kind', not both")
     if "matrix" in section:
-        return qualitative.make_projection(np.asarray(section["matrix"], dtype=float))
+        proj = qualitative.make_projection(np.asarray(section["matrix"], dtype=float))
+        if proj.m != form.m:
+            raise ConfigError(f"projection matrix must be {form.m}x{form.m} for this model, got {proj.m}x{proj.m}")
+        return proj
     if section.get("kind", "averaging") == "averaging":
         return qualitative.averaging_projection(form.m)
     raise ConfigError(f"unknown projection kind {section['kind']!r}")
@@ -201,9 +204,6 @@ def cmd_certify(args) -> int:
     unknown = [c for c in requested if c not in CERTIFICATES]
     if unknown:
         raise ConfigError(f"unknown certificate criteria requested: {unknown}")
-    m = len(constants["alpha"])
-    constants.setdefault("omega", np.zeros((m, m)))
-    constants.setdefault("m_diag", np.zeros(m))
     entries = run_all_certificates(ConstantsBundle(**constants))
     out = _resolve_out(config, args)
     report.write_certificate_report(entries, os.path.join(out, "certify.txt"), os.path.join(out, "certify.json"))
@@ -219,6 +219,8 @@ def cmd_simulate(args) -> int:
     seed = _resolve_seed(config, args)
     u0 = _build_initial(config, form, seed)
     proj = _parse_projection(config, form)
+    if proj is not None and not form.identical_spaces:
+        raise ConfigError("a lifted projection requires all component spaces to be identical")
     out = _resolve_out(config, args)
     record = evolve(form, u0, cfg, proj=proj)
     path = os.path.join(out, "trajectory.csv")

@@ -79,17 +79,16 @@ class EvolutionConfig:
 class TrajectoryRecord:
     """Observables at ``times`` and the last state of one evolution run.
 
-    ``final_state`` holds per-component coordinates.  Observables always
-    include the ambient norm, the per-component norms and the nodal
-    extremes; the strip observables appear when a projection was
-    supplied.  A run started from ``(dim, k)`` components holds k trials:
-    each observable has one column per trial and the final state keeps
-    the trial axis.
+    ``final_state`` holds the coordinates of each component, one array
+    per component.  Observables always include the ambient norm, the
+    per-component norms and the nodal extremes; the strip observables
+    appear when a projection was supplied.  A run started from ``(dim,
+    k)`` components holds k trials: each observable has one column per
+    trial and the final state keeps the trial axis.
     """
 
     times: np.ndarray
     observables: dict
-    n_components: int
     final_state: list
 
     def observable(self, name: str) -> np.ndarray:
@@ -99,7 +98,7 @@ class TrajectoryRecord:
         """The run of trial column ``c`` of a batched record."""
         observables = {name: vals[:, c].copy() for name, vals in self.observables.items()}
         final_state = [b[:, c].copy() for b in self.final_state]
-        return TrajectoryRecord(self.times, observables, self.n_components, final_state)
+        return TrajectoryRecord(self.times, observables, final_state)
 
 
 @dataclass(frozen=True)
@@ -132,10 +131,10 @@ class Stepper:
     CSR operators ``form_csr`` and ``mass_csr``.  ``lhs`` is factored by
     :class:`coupledforms.forms._Factor`: banded Cholesky (``kernel ==
     "cholesky"``) when it is exactly Hermitian and positive definite,
-    else banded LU with partial pivoting (``"lu"``).  ``order``
-    is the factor's reverse Cuthill--McKee order: ``lhs`` and ``rhs``
-    are permuted to it once, and :meth:`step` and :meth:`check` take
-    states ``u[order]``.  Construction raises :class:`SolverError` when
+    else banded LU with partial pivoting (``"lu"``).  ``order`` is the
+    factor's reverse Cuthill--McKee order of ``lhs`` and its transpose:
+    ``lhs`` and ``rhs`` are permuted to it once, and :meth:`step` and
+    :meth:`check` take states ``u[order]``.  Construction raises :class:`SolverError` when
     the factorization fails or its smallest pivot is below ``1e-14 *
     |lhs|_inf``; :meth:`check` raises it when a column's solve residual
     ``|lhs u+ - rhs u|`` exceeds ``solver_tolerance * max(1, |rhs u|)``.
@@ -149,7 +148,7 @@ class Stepper:
         lhs = mass + (theta * cfg.dt) * s
         rhs = mass if theta == 1.0 else mass - (theta * cfg.dt) * s
         try:
-            self._factor = _Factor(lhs, rhs)
+            self._factor = _Factor(lhs)
         except NumericalError as exc:
             raise SolverError(
                 f"{cfg.scheme} system factorization failed at dt={cfg.dt}: {exc}"
@@ -335,5 +334,5 @@ def evolve(form: FormMatrix, u0, cfg: EvolutionConfig, proj: ProjectionSpec | No
         if not np.isfinite(vals).all():
             raise SolverError(f"observable {name!r} became non-finite during the run")
     final_state = states[:, -1].reshape(u.shape).copy()
-    return TrajectoryRecord(np.concatenate(steps) * cfg.dt, observables, form.m, form.split(final_state))
+    return TrajectoryRecord(np.concatenate(steps) * cfg.dt, observables, form.split(final_state))
 

@@ -453,8 +453,7 @@ class _Factor:
 
     ``a`` is scattered once into the LAPACK general band storage
     ``(2*kl + ku + 1, N)`` of ``?gbtrf``, in the RCM order of the union
-    pattern of ``a`` and the further matrices ``rest`` when ``a`` is
-    exactly Hermitian, and of ``a`` and ``a.T`` otherwise.  An exactly
+    pattern of ``a`` and ``a.T``, whatever the kernel.  An exactly
     Hermitian ``a`` whose upper ``kd+1`` rows factor by ``?pttrf``
     (tridiagonal, ``kd = 1``) or ``?pbtrf`` is held as that Cholesky
     factor (``kernel == "cholesky"``); any other, a Hermitian one that
@@ -466,9 +465,9 @@ class _Factor:
     :class:`NumericalError` when an LU pivot is exactly zero.
     """
 
-    def __init__(self, a, *rest):
+    def __init__(self, a):
         hermitian = (a - a.conj().T).count_nonzero() == 0
-        self.order, (entries, *_) = _rcm_entries(a, *rest) if hermitian else _rcm_entries(a, a.T)
+        self.order, (entries, _) = _rcm_entries(a, a.T)
         row, col, data = entries
         kl, ku = int((row - col).max(initial=0)), int((col - row).max(initial=0))
         band = _band(row, col, data, kl + ku, 2 * kl + ku + 1, a.shape[0], np.result_type(a.dtype, float))

@@ -48,7 +48,7 @@ RANGE_CHECK_RTOL = 1e-9
 # Most t-intervals one parabola check tests before it calls a tie undecided.
 PARABOLA_INTERVAL_CAP = 1024
 
-_DEFAULT_CFG = EvolutionConfig(dt=1e-2, t_end=0.2, scheme="implicit-euler", record_every=1)
+_DEFAULT_CFG = EvolutionConfig(dt=1e-2, t_end=0.2)
 
 
 @dataclass

@@ -1,10 +1,12 @@
 """Registry of criterion identifiers, the check table and the config reader.
 
 Every report line that states a verdict carries one of these ids.
-``CERTIFICATES`` holds the ids a ``certify`` config may request.
-``CHECKS`` is the one table of the qualitative checks: each id's
-description, the keys a config ``checks`` entry may give it, and its
-runner, which gets the run's :data:`Inputs` as values.
+``CERTIFICATES`` lists the six ids a ``certify`` config may request,
+in the order :func:`coupledforms.certificates.run_all_certificates`
+returns them.  ``CHECKS`` is the one table of the qualitative checks:
+each id's description (the one a ``check`` report prints), the keys a
+config ``checks`` entry may give it, and its runner, which gets the
+run's :data:`Inputs` as values.
 :func:`read_section` reads every config object against such a key spec,
 and :func:`judge` every entry's values before any check runs.
 """
@@ -115,8 +117,6 @@ def judge(check_id: str, params: dict, inputs: Inputs) -> None:
     """Raise the error the check ``check_id`` would raise on ``params`` and ``inputs``, without running it."""
     if check_id in ("row_sums", "column_sums") and "coefficients" not in inputs.form.metadata:
         raise ConfigError(f"check {check_id!r} needs a coefficient-field model")
-    if check_id == "product_subspace" and params["subspace"] != "mean_zero":
-        raise ConfigError("only the mean_zero product subspace is configurable")
     if "trials" in params:
         qualitative._require_positive("trials", params["trials"])
     if "m0" in params:
@@ -127,14 +127,7 @@ def judge(check_id: str, params: dict, inputs: Inputs) -> None:
         qualitative._parabola_constant(inputs.form, params.get("m_tilde"))
 
 
-CERTIFICATES = {
-    "gershgorin": "row-dominance test on the coupling matrix, sufficient for positive definiteness",
-    "ellipticity": "smallest eigenvalue of the symmetrized coupling matrix certifies coercivity",
-    "continuity": "operator-norm bound on the full form from diagonal and coupling constants",
-    "accretivity": "off-diagonal coupling blocks positive/negative semidefinite, sufficient for accretivity",
-    "analyticity_angle": "sector half-angle of the generated analytic semigroup",
-    "stability": "positive definite coupling with zero weak-coupling constants implies exponential decay",
-}
+CERTIFICATES = ("gershgorin", "ellipticity", "continuity", "accretivity", "analyticity_angle", "stability")
 
 CHECKS = {
     # numerical-range checks
@@ -158,7 +151,7 @@ CHECKS = {
         lambda inp, p: qualitative.subspace_invariance_check(inp.form, inp.proj, "strip_B"),
     ),
     "product_subspace": Check(
-        "componentwise product subspace is invariant", {"subspace": ("str", "mean_zero")},
+        "componentwise product subspace is invariant", {},
         lambda inp, p: qualitative.product_subspace_check(inp.form, _mean_weights(inp.form)),
     ),
     "subsystem": Check(
@@ -197,5 +190,3 @@ CHECKS = {
         ),
     ),
 }
-
-CRITERIA = {**CERTIFICATES, **{check_id: check.description for check_id, check in CHECKS.items()}}

@@ -19,7 +19,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .evolution import TrajectoryRecord
-from .registry import CRITERIA
+from .registry import CHECKS
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -47,7 +47,7 @@ def trajectory_csv_header(m: int) -> str:
 
 def trajectory_to_csv(record: TrajectoryRecord) -> str:
     """Render a trajectory as CSV text; absent observables give empty fields."""
-    header = trajectory_csv_header(record.n_components)
+    header = trajectory_csv_header(len(record.final_state))
     # one column at a time: repr of the Python floats of .tolist() is _fmt of each entry
     columns = [record.times] + [record.observables.get(name) for name in header.split(",")[1:]]
     blank = [""] * len(record.times)
@@ -111,10 +111,7 @@ def check_results_to_text(results) -> str:
     """One verdict block per check: id, status, details, witness file."""
     blocks = []
     for res, witness in zip(results, _witness_names(results)):
-        lines = [f"[{res.check_id}] {res.status.upper()}"]
-        desc = CRITERIA.get(res.check_id)
-        if desc:
-            lines.append(f"  about: {desc}")
+        lines = [f"[{res.check_id}] {res.status.upper()}", f"  about: {CHECKS[res.check_id].description}"]
         for key, value in res.details.items():
             lines.append(f"  {key}: {_detail_text(value)}")
         if witness:

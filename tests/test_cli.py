@@ -164,6 +164,25 @@ class TestSimulate:
         cfg = write_config(tmp_path / "c.json", config)
         assert main(["simulate", cfg, "--quiet"]) == 2
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"model": {"name": "damped_wave"}, "initial": {"kind": "random"}},
+             "config error: a lifted projection requires all component spaces to be identical\n"),
+            ({"projection": {"matrix": [[1, 0, 0], [0, 0, 0], [0, 0, 0]]}},
+             "config error: projection matrix must be 2x2 for this model, got 3x3\n"),
+        ],
+        ids=["spaces-differ", "size"],
+    )
+    def test_unfit_projection_exit_two_before_any_step(self, tmp_path, capsys, monkeypatch, overrides, message):
+        stepped = []
+        monkeypatch.setattr(cli, "evolve", lambda *args, **kwargs: stepped.append(args))
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "c.json", base_simulate_config(str(out), **overrides))
+        assert main(["simulate", cfg, "--quiet"]) == 2
+        assert capsys.readouterr().err == message
+        assert stepped == [] and not out.exists()
+
     def test_determinism_byte_identical(self, tmp_path):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
@@ -293,7 +312,7 @@ class TestCheck:
                 "evolution": {"dt": 0.01, "t_end": 0.1},
                 "checks": [
                     {"id": "parabola"},
-                    {"id": "product_subspace", "subspace": "mean_zero"},
+                    {"id": "product_subspace"},
                 ],
             },
         )
@@ -470,10 +489,12 @@ class TestCheck:
         [
             ({"projection": {"kind": "bogus"}}, "config error: unknown projection kind 'bogus'\n"),
             ({"projection": {"matrix": [[1, 0], [0, 0.5]]}}, "validation error: not an orthogonal projection: "),
+            ({"projection": {"matrix": [[1, 0, 0], [0, 0, 0], [0, 0, 0]]}},
+             "config error: projection matrix must be 2x2 for this model, got 3x3\n"),
             ({"checks": [{"id": "realness"}, {"id": "linf", "trails": 2}]}, "config error: unknown key 'trails' in checks entry\n"),
             ({"checks": [{"id": "realness"}, {"id": "mystery"}]}, "config error: unknown id 'mystery' in checks entry\n"),
         ],
-        ids=["projection-kind", "projection-matrix", "key-typo", "id-typo"],
+        ids=["projection-kind", "projection-matrix", "projection-size", "key-typo", "id-typo"],
     )
     def test_bad_input_exits_two_before_any_check_runs(self, tmp_path, capsys, monkeypatch, overrides, message):
         ran = []
@@ -506,8 +527,9 @@ class TestCheck:
              "config error: check 'row_sums' needs a coefficient-field model"),
             ({"name": "dynamic_bc_heat"}, {"id": "column_sums"},
              "config error: check 'column_sums' needs a coefficient-field model"),
-            ({"name": "dynamic_bc_heat"}, {"id": "product_subspace", "subspace": "zero_sum"},
-             "config error: only the mean_zero product subspace is configurable"),
+            # the retired key, even with its one former value, is unknown like any typo
+            ({"name": "dynamic_bc_heat"}, {"id": "product_subspace", "subspace": "mean_zero"},
+             "config error: unknown key 'subspace' in checks entry"),
             ({"name": "dynamic_bc_heat"}, {"id": "domination", "trials": 0},
              "validation error: trials must be >= 1, got 0"),
             ({"name": "constant_coupled", "coupling": RING}, {"id": "subsystem", "m0": 1},

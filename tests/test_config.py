@@ -173,7 +173,7 @@ FUZZ_BASES = [
             {"id": "parabola", "m_tilde": 1.0},
             {"id": "subspace_C"},
             {"id": "subspace_B"},
-            {"id": "product_subspace", "subspace": "mean_zero"},
+            {"id": "product_subspace"},
             {"id": "subsystem", "m0": 2},
             {"id": "realness"},
             {"id": "positivity", "trials": 2, "runtime": True},
