@@ -15,7 +15,7 @@ from .certificates import (
     symmetric_part,
 )
 from .errors import DimensionError, NumericalError, SolverError, ValidationError
-from .evolution import EvolutionConfig, TrajectoryRecord, evolve, h_norm
+from .evolution import EvolutionConfig, ProjectionSpec, TrajectoryRecord, evolve, h_norm
 from .forms import (
     DiscreteSpace,
     FormBlock,
@@ -40,12 +40,10 @@ from .models import (
 )
 from .qualitative import (
     CheckResult,
-    ProjectionSpec,
     averaging_projection,
     domination_check,
     ephaptic_sum_check,
     linf_contractivity_check,
-    make_projection,
     parabola_check,
     positivity_check,
     product_subspace_check,

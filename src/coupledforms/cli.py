@@ -26,7 +26,7 @@ import numpy as np
 from . import certificates, models, qualitative, report
 from .certificates import FAIL, ConstantsBundle, run_all_certificates
 from .errors import ConfigError, SolverError, ValidationError
-from .evolution import EvolutionConfig, evolve
+from .evolution import EvolutionConfig, ProjectionSpec, evolve
 from .forms import FormMatrix
 from .models import CoefficientField, Grid1D
 from .qualitative import CheckResult
@@ -140,7 +140,7 @@ def _parse_projection(config: dict, form: FormMatrix):
     if "matrix" in section and "kind" in section:
         raise ConfigError("projection takes 'matrix' or 'kind', not both")
     if "matrix" in section:
-        proj = qualitative.make_projection(np.asarray(section["matrix"], dtype=float))
+        proj = ProjectionSpec(np.asarray(section["matrix"], dtype=float))
         if proj.m != form.m:
             raise ConfigError(f"projection matrix must be {form.m}x{form.m} for this model, got {proj.m}x{proj.m}")
         return proj

@@ -26,14 +26,15 @@ once per step, in the factor's RCM order: the generator fills a block of
 up to ``BLOCK_BYTES`` of states, checks the solve residual of every step
 in it with one product, and yields the block's recorded states, put back
 in the form's order by one gather.  Recorded norms take one ``mass_csr``
-product per block, the strip observables one more.  A run keeps its
-observables and its last state, and ``domination`` walks two generators
-block by block instead of storing states.
+product per block, the strip observables one more, in the basis that a
+:class:`ProjectionSpec` splits from its matrix once it has checked it.  A
+run keeps its observables and its last state, and ``domination`` walks
+two generators block by block instead of storing states.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse
@@ -44,6 +45,7 @@ from .forms import FormMatrix, _Factor
 SCHEMES = ("implicit-euler", "crank-nicolson")
 #: Bytes of states in one block of steps, which is checked and recorded at once.
 BLOCK_BYTES = 256 * 2**10
+PROJECTION_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -103,17 +105,33 @@ class TrajectoryRecord:
 
 @dataclass(frozen=True)
 class ProjectionSpec:
-    """Orthogonal projection on the component index space.
+    """Orthogonal projection on the component index space, checked and split on construction.
 
-    ``eig1`` holds an orthonormal basis of the fixed space (eigenvalue
-    1) as columns, ``eig0`` one of the kernel (eigenvalue 0).  Build it
-    with :func:`coupledforms.qualitative.make_projection`, which checks
-    that the matrix is one.
+    ``matrix`` is copied and frozen: a non-empty, finite square matrix, Hermitian and idempotent within
+    ``PROJECTION_TOL`` (relative; the error reports both residuals).  ``eig1`` holds an orthonormal basis
+    of its fixed space (eigenvalue 1) as columns, ``eig0`` one of its kernel (eigenvalue 0).
     """
 
     matrix: np.ndarray
-    eig1: np.ndarray
-    eig0: np.ndarray
+    eig1: np.ndarray = field(init=False)
+    eig0: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        k = np.asarray(self.matrix, dtype=complex)
+        if k.ndim != 2 or k.shape[0] != k.shape[1]:
+            raise DimensionError(f"projection matrix must be square, got {k.shape}")
+        if k.size == 0 or not np.isfinite(k).all():
+            raise ValidationError("projection matrix must be non-empty and finite")
+        scale = max(1.0, float(np.linalg.norm(k)))
+        herm_res, idem_res = (float(np.linalg.norm(r)) for r in (k - k.conj().T, k @ k - k))
+        if herm_res > PROJECTION_TOL * scale or idem_res > PROJECTION_TOL * max(scale, scale**2):
+            residuals = f"hermitian residual {herm_res:.3e}, idempotency residual {idem_res:.3e}"
+            raise ValidationError(f"not an orthogonal projection: {residuals}")
+        k = k.real.copy() if np.abs(k.imag).max() == 0.0 else np.array(k)
+        k.setflags(write=False)
+        vals, vecs = np.linalg.eigh((k + k.conj().T) / 2.0)
+        for name, value in (("matrix", k), ("eig1", vecs[:, vals > 0.5]), ("eig0", vecs[:, vals <= 0.5])):
+            object.__setattr__(self, name, value)
 
     @property
     def m(self) -> int:
@@ -313,7 +331,7 @@ def evolve(form: FormMatrix, u0, cfg: EvolutionConfig, proj: ProjectionSpec | No
     lifted, rank = None, 0
     if proj is not None:
         if not isinstance(proj, ProjectionSpec):
-            raise ValidationError(f"proj must be a ProjectionSpec from make_projection, got {type(proj).__name__}")
+            raise ValidationError(f"proj must be a ProjectionSpec, got {type(proj).__name__}")
         if not form.identical_spaces:
             raise ValidationError("a lifted projection requires all component spaces to be identical")
         if proj.m != form.m:

@@ -234,16 +234,6 @@ class FormMatrix:
         """Block diagonal of the form-domain Grams."""
         return scipy.sparse.block_diag([s.v_csr for s in self.spaces], format="csr")
 
-    @cached_property
-    def accretive(self) -> bool:
-        """Verdict of :func:`is_discretely_accretive`, computed once per form."""
-        # one factor: herm(S) + tau*I is positive definite, tau = ACCRETIVITY_RTOL*scale,
-        # scale = max_j |S e_j|_2 from the CSR data
-        s = self.form_csr
-        scale = np.sqrt(np.bincount(s.indices, np.abs(s.data) ** 2, s.shape[1]).max())
-        tau = ACCRETIVITY_RTOL * max(scale, 1e-300)
-        return _Pencil(_hermitian_part(s), _diagonal(np.ones(self.total_dim))).definite(-tau)
-
     def adjoint(self) -> "FormMatrix":
         """The adjoint form, blocks ``S*_ij = S_ji^H``; a coefficient field ``c_ij`` becomes ``c_ji``.
 
@@ -345,21 +335,6 @@ def _diagonal(values: np.ndarray) -> scipy.sparse.coo_array:
 
 def _hermitian_part(a):
     return (a + a.conj().T) * 0.5
-
-
-def _placed(n: int, *blocks) -> scipy.sparse.coo_array:
-    """n-by-n COO array holding each ``(matrix, row offset, column offset)`` of ``blocks``."""
-    parts = [(scipy.sparse.coo_array(m), r, c) for m, r, c in blocks]
-    rows = np.concatenate([p.row + r for p, r, _ in parts])
-    cols = np.concatenate([p.col + c for p, _, c in parts])
-    data = np.concatenate([p.data for p, _, _ in parts])
-    return scipy.sparse.coo_array((data, (rows, cols)), shape=(n, n))
-
-
-def _augmented(s) -> scipy.sparse.coo_array:
-    """``[[0, s], [s^H, 0]]``: its positive eigenvalues are the singular values of ``s``."""
-    rows, cols = s.shape
-    return _placed(rows + cols, (s, 0, rows), (s.conj().T, rows, 0))
 
 
 def _entries(m) -> tuple:
@@ -511,17 +486,36 @@ class _Factor:
         return x.reshape(b.shape)
 
 
+def _eigenvalue_floor(pencil: _Pencil) -> float:
+    """``-2*rho/GRAM_RTOL``, below the smallest eigenvalue of ``(a, b)`` when ``b`` passed :func:`_check_gram`.
+
+    A ``b`` that passed, or a block diagonal of such, has ``x^H b x >= GRAM_RTOL * x^H D x`` with ``D = diag(b) > 0``.
+    Gershgorin on ``D^-1/2 a D^-1/2``, ``rho`` its largest absolute row sum (from the lower bands, O(N*kd)), gives
+    ``x^H a x >= -rho * x^H D x``, so ``lambda_min >= -rho/GRAM_RTOL``; the factor 2 covers the round-off of the
+    factorization that accepted ``b``.  A ``b`` with a diagonal entry that is not positive is no Gram: ``+inf``.
+    """
+    d = pencil.b[0].real
+    if not (d > 0).all():
+        return np.inf
+    n, scale, rows = d.size, 1.0 / np.sqrt(d), np.abs(pencil.a[0]) / d
+    for k in range(1, len(pencil.a)):
+        # entry (j + k, j) sits at [k, j]: it adds to row j + k and, mirrored, to row j
+        part = np.abs(pencil.a[k, : n - k]) * scale[k:] * scale[: n - k]
+        rows[k:] += part
+        rows[: n - k] += part
+    return -2.0 * float(rows.max()) / GRAM_RTOL
+
+
 def _lambda_min(a, b) -> tuple:
     """Bracket ``(lo, hi)`` of the smallest eigenvalue of the pencil ``(a, b)``.
 
-    ``hi`` starts at the Rayleigh quotient of the all-ones vector, an
-    upper bound; ``lo`` steps down from it, doubling the step, until
-    ``a - lo*b`` is positive definite.  Bisection then halves the bracket
-    until it is at most ``SPECTRAL_RTOL`` times the larger magnitude of
-    the first bracket.  Each end stays certified: ``lo`` by a Cholesky
-    factor that succeeded, ``hi`` by the Rayleigh quotient or by a shift
-    whose Cholesky factorization broke down (see :meth:`_Pencil.definite`).
-    A sparse ``a`` with no nonzero entry gives ``(0, 0)`` and builds no pencil.
+    ``hi`` starts at the Rayleigh quotient of the all-ones vector, an upper bound; ``lo`` steps down from
+    it, doubling the step, until ``a - lo*b`` is positive definite, and a shift that fails at or below
+    :func:`_eigenvalue_floor` (computed at the first failure) raises :class:`NumericalError`.  Bisection
+    then halves the bracket until it is at most ``SPECTRAL_RTOL`` times the larger magnitude of the first
+    bracket.  Each end stays certified: ``lo`` by a Cholesky factor that succeeded, ``hi`` by the Rayleigh
+    quotient or by a shift whose Cholesky factorization broke down (see :meth:`_Pencil.definite`).  A
+    sparse ``a`` with no nonzero entry gives ``(0, 0)`` and builds no pencil.
     """
     if not np.any(a.data):
         return 0.0, 0.0
@@ -529,12 +523,13 @@ def _lambda_min(a, b) -> tuple:
     ones = np.ones(a.shape[0])
     hi = float(np.vdot(ones, a @ ones).real / np.vdot(ones, b @ ones).real)
     step = max(abs(hi), float(np.abs(pencil.a).max() / np.abs(pencil.b).max()))
-    lo = hi - step
+    lo, floor = hi - step, None
     while not pencil.definite(lo):
+        floor = _eigenvalue_floor(pencil) if floor is None else floor
+        if lo <= floor:
+            raise NumericalError("no lower bound for the smallest eigenvalue: is the pencil Hermitian-definite?")
         hi, step = lo, 2.0 * step
         lo = hi - step
-        if not np.isfinite(lo):
-            raise NumericalError("no lower bound for the smallest eigenvalue: is the pencil Hermitian-definite?")
     tol = SPECTRAL_RTOL * max(abs(lo), abs(hi))
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
@@ -588,7 +583,8 @@ def estimate_continuity(form: FormMatrix, i: int, j: int) -> float:
     """Best continuity constant of block (i, j) in the domain norms.
 
     The largest eigenvalue of the augmented block ``[[0, S_ij], [S_ij^H,
-    0]]`` against ``diag(v_gram_i, v_gram_j)``, which equals
+    0]]`` against ``diag(v_gram_i, v_gram_j)`` (``scipy.sparse.bmat`` and
+    ``block_diag`` build them), which equals
     ``sup |g^H S_ij f| / (|f|_Vj |g|_Vi)``.  The pencils of ``S_ij`` and
     ``-S_ij`` are congruent by ``diag(I, -I)`` and have one constant, so
     the bracket is kept per block up to sign: the first of the two asked
@@ -599,8 +595,11 @@ def estimate_continuity(form: FormMatrix, i: int, j: int) -> float:
         return 0.0
     si, sj = form.spaces[i], form.spaces[j]
     key = ("continuity", form._block_digests[i][j][1], si._v_digest, sj._v_digest)
-    vgram = (si.dim + sj.dim, (si.v_csr, 0, 0), (sj.v_csr, si.dim, si.dim))
-    return _midpoint(_bracket(form, True, key, lambda: (_augmented(block), _placed(*vgram))))
+
+    def pencil():
+        return scipy.sparse.bmat([[None, block], [block.conj().T, None]]), scipy.sparse.block_diag([si.v_csr, sj.v_csr])
+
+    return _midpoint(_bracket(form, True, key, pencil))
 
 
 def estimate_ellipticity(form: FormMatrix, i: int, shift: float = 0.0) -> float:
@@ -652,7 +651,12 @@ def is_discretely_accretive(form: FormMatrix) -> bool:
     Since ``|S e_j|_2 <= |S|_2``, it is a certified lower bound of
     ``|S|_2``, so the test is never looser than one against the exact
     norm.  One banded Cholesky factorization decides it, and the verdict
-    is cached on the form.
+    is kept on the form.
     """
-    return form.accretive
+    if "_accretive" not in vars(form):
+        s = form.form_csr
+        scale = np.sqrt(np.bincount(s.indices, np.abs(s.data) ** 2, s.shape[1]).max())
+        tau = ACCRETIVITY_RTOL * max(scale, 1e-300)
+        form._accretive = _Pencil(_hermitian_part(s), _diagonal(np.ones(form.total_dim))).definite(-tau)
+    return form._accretive
 

@@ -4,14 +4,15 @@ Each invariance or order check comes in up to two flavours: an algebraic
 test on the form blocks (exact, up to round-off) and a runtime test that
 evolves seeded trial data and inspects the recorded observables.  The
 algebraic tests read the CSR blocks and draw nothing at random: the
-coupling sign entrywise, strip invariance from the sparse lifted residual
-``lift(L)^H S lift(R)``, and product-subspace invariance from the
-constraint functionals of each factor.  The numerical-range checks
-(``sector``, ``parabola``) decide their bounds exactly, from the
-supports of the numerical range that :mod:`coupledforms.forms` brackets.
-Checks return a :class:`CheckResult`; hypothesis failures yield a
-``not-applicable`` verdict rather than an error so batch runs can report
-them.
+coupling sign entrywise, strip invariance from the Frobenius norm of the
+stored entries of the sparse lifted residual ``lift(L)^H S lift(R)``, with
+``L`` and ``R`` the bases a :class:`ProjectionSpec` splits from its
+matrix, and product-subspace invariance from the constraint functionals
+of each factor.  The numerical-range checks (``sector``, ``parabola``)
+decide their bounds exactly, from the supports of the numerical range
+that :mod:`coupledforms.forms` brackets.  Checks return a
+:class:`CheckResult`; hypothesis failures yield a ``not-applicable``
+verdict rather than an error so batch runs can report them.
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg
 
 from .certificates import FAIL, NOT_APPLICABLE, PASS, spectral_norm
 from .errors import DimensionError, ValidationError
-from .evolution import EvolutionConfig, ProjectionSpec, TrajectoryRecord, _lift, _start, _states, evolve, h_norm
+from .evolution import PROJECTION_TOL, EvolutionConfig, ProjectionSpec, TrajectoryRecord, _lift, _start, _states
+from .evolution import evolve, h_norm
 from .forms import (
     FormMatrix,
     _hermitian_along,
@@ -38,7 +39,6 @@ from .forms import (
 )
 from .models import CoefficientField
 
-PROJECTION_TOL = 1e-12
 COUPLING_RESIDUAL_RTOL = 1e-9
 BLOCK_ZERO_RTOL = 1e-12
 SUM_SPREAD_TOL = 1e-12
@@ -78,37 +78,11 @@ class CheckResult:
 # projections
 
 
-def make_projection(k) -> ProjectionSpec:
-    """Validate an orthogonal projection matrix and split its eigenbasis.
-
-    Rejects matrices that are not Hermitian and idempotent within
-    ``1e-12`` (relative), reporting both residual norms.
-    """
-    k = np.asarray(k, dtype=complex)
-    if k.ndim != 2 or k.shape[0] != k.shape[1]:
-        raise DimensionError(f"projection matrix must be square, got {k.shape}")
-    scale = max(1.0, float(np.linalg.norm(k)))
-    herm_res = float(np.linalg.norm(k - k.conj().T))
-    idem_res = float(np.linalg.norm(k @ k - k))
-    if herm_res > PROJECTION_TOL * scale or idem_res > PROJECTION_TOL * max(scale, scale**2):
-        raise ValidationError(
-            "not an orthogonal projection: "
-            f"hermitian residual {herm_res:.3e}, idempotency residual {idem_res:.3e}"
-        )
-    if np.abs(k.imag).max() == 0.0:
-        k = k.real.copy()
-    vals, vecs = np.linalg.eigh((k + k.conj().T) / 2.0)
-    ones = vals > 0.5
-    k_frozen = np.array(k)
-    k_frozen.setflags(write=False)
-    return ProjectionSpec(k_frozen, vecs[:, ones], vecs[:, ~ones])
-
-
 def averaging_projection(m: int) -> ProjectionSpec:
     """Rank-one projection onto equal components, ``K_ij = 1/m``."""
     if m < 1:
         raise ValidationError("m must be >= 1")
-    return make_projection(np.full((m, m), 1.0 / m))
+    return ProjectionSpec(np.full((m, m), 1.0 / m))
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +161,7 @@ def subspace_invariance_check(form: FormMatrix, proj: ProjectionSpec, direction:
     fixed = _lift(proj.eig1, n)
     kernel = _lift(proj.eig0, n)
     test, trial = (kernel, fixed) if direction == "strip_C" else (fixed, kernel)
-    residual = float(scipy.sparse.linalg.norm(test.conj().T @ form.form_csr @ trial))
+    residual = float(np.linalg.norm((test.conj().T @ form.form_csr @ trial).data))
     scale = _form_scale(form)
     ok = residual <= COUPLING_RESIDUAL_RTOL * scale
     return CheckResult(

@@ -36,6 +36,11 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+def _json_default(value):
+    """json's ``default`` hook: a numpy scalar is written as its Python value, anything else as its ``str``."""
+    return value.item() if isinstance(value, np.generic) else str(value)
+
+
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -74,9 +79,8 @@ def certificates_to_text(entries) -> str:
 
 def write_certificate_report(entries, txt_path: str, json_path: str) -> None:
     _atomic_write(txt_path, certificates_to_text(entries))
-    records = [{**asdict(e), "constants": {k: float(v) for k, v in e.constants.items()}} for e in entries]
-    payload = {"schema_version": 1, "entries": records}
-    _atomic_write(json_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    payload = {"schema_version": 1, "entries": [asdict(e) for e in entries]}
+    _atomic_write(json_path, json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n")
 
 
 def _detail_text(value) -> str:
@@ -120,27 +124,12 @@ def check_results_to_text(results) -> str:
     return "\n".join(blocks) + "\n"
 
 
-def _jsonable(value):
-    # bool before int: bool is a subclass of int
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return str(value)
-
-
 def check_results_to_records(results) -> list:
     return [
         {
             "check_id": res.check_id,
             "status": res.status,
-            "details": _jsonable(res.details),
+            "details": res.details,
             "witness_csv": witness,
         }
         for res, witness in zip(results, _witness_names(results))
@@ -150,4 +139,4 @@ def check_results_to_records(results) -> list:
 def write_check_report(results, txt_path: str, json_path: str) -> None:
     _atomic_write(txt_path, check_results_to_text(results))
     payload = {"schema_version": 1, "checks": check_results_to_records(results)}
-    _atomic_write(json_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _atomic_write(json_path, json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n")

@@ -11,6 +11,7 @@ from coupledforms import (
     EvolutionConfig,
     FormMatrix,
     Grid1D,
+    ProjectionSpec,
     averaging_projection,
     build_constant_coupled,
     build_damped_wave,
@@ -18,7 +19,6 @@ from coupledforms import (
     build_ephaptic,
     evolve,
     h_norm,
-    make_projection,
     p1_mass,
     p1_stiffness,
     two_fibre_coupling,
@@ -353,7 +353,7 @@ class TestEvolve:
 
     @pytest.mark.parametrize("proj", [[[1, 0], [0, 0.5]], np.full((2, 2), 0.5)], ids=["not-a-projection", "raw-matrix"])
     def test_projection_must_be_a_validated_spec(self, proj):
-        # make_projection rejects the first (idempotency residual 0.25) and accepts the second
+        # ProjectionSpec rejects the first (idempotency residual 0.25) and accepts the second
         form = build_ephaptic(Grid1D(8), CoefficientField.constant(two_fibre_coupling("difference", 2.0, 0.5), 8))
         with pytest.raises(ValidationError, match="ProjectionSpec"):
             evolve(form, [np.ones(9), np.zeros(9)], EvolutionConfig(dt=0.1, t_end=0.2), proj=proj)
@@ -514,7 +514,7 @@ class TestDenseReference:
         form = TestBatchedEvolve.broken_ephaptic(16)
         assert form.is_real
         v = np.array([1.0, 1j]) / np.sqrt(2.0)
-        proj = make_projection(np.outer(v, v.conj()))
+        proj = ProjectionSpec(np.outer(v, v.conj()))
         rng = np.random.default_rng(8)
         u0 = [rng.standard_normal(17) for _ in range(2)]
         cfg = EvolutionConfig(dt=1e-2, t_end=0.5, scheme="crank-nicolson")

@@ -32,7 +32,6 @@ from coupledforms.evolution import Stepper
 from coupledforms.forms import (
     ACCRETIVITY_RTOL,
     GRAM_RTOL,
-    _augmented,
     _hermitian_part,
     _midpoint,
     _Pencil,
@@ -713,7 +712,8 @@ class TestInertiaPrimitive:
         # Cholesky breaks down at the first pivot
         form = build_damped_wave(Grid1D(16), 1.0)
         s0, s1 = form.block_slices
-        aug = _augmented(form.form_csr[s0, s1])
+        block = form.form_csr[s0, s1]
+        aug = scipy.sparse.bmat([[None, block], [block.conj().T, None]])
         v01 = scipy.sparse.block_diag([form.vgram_csr[s0, s0], form.vgram_csr[s1, s1]])
         assert not _Pencil(aug, v01).definite(0.0)
         assert estimate_continuity(form, 0, 1) == pytest.approx(dense_continuity(form, 0, 1), rel=1e-10)
@@ -798,7 +798,8 @@ def fresh_brackets(form, shift):
         for j in range(form.m):
             if form.form_csr[sl[i], sl[j]].count_nonzero():
                 v = scipy.sparse.block_diag([vgram[sl[i], sl[i]], vgram[sl[j], sl[j]]])
-                constants[i, j] = _lambda_max(_augmented(form.form_csr[sl[i], sl[j]]), v)
+                block = form.form_csr[sl[i], sl[j]]
+                constants[i, j] = _lambda_max(scipy.sparse.bmat([[None, block], [block.conj().T, None]]), v)
     return {key: _midpoint(bracket) for key, bracket in constants.items()}
 
 
@@ -870,18 +871,20 @@ class TestBracketMemo:
 # no dense eigen, SVD or 2-norm work on N-sized matrices in the library
 
 DENSE_CALLS = {"toarray", "todense", "eigh", "eigvalsh", "svd"}
-# _dense_view builds the dense views; make_projection splits an m-by-m matrix
-DENSE_ALLOWED = {("forms.py", "_dense_view"), ("qualitative.py", "make_projection")}
+# _dense_view builds the dense views; a ProjectionSpec splits its m-by-m matrix
+DENSE_ALLOWED = {("forms.py", "_dense_view"), ("evolution.py", "ProjectionSpec.__post_init__")}
 
 
 def flagged_calls(path: Path, names: set, attributes: set = frozenset()) -> list:
     """``(function, name)`` for each call in a module to one of ``names`` or to ``norm(., 2)``,
-    and for each read of an attribute in ``attributes``."""
+    and for each read of an attribute in ``attributes``.  A method's function is ``Class.method``."""
     found = []
 
     def visit(node, owner):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and owner is None:
-            owner = node.name
+        if isinstance(node, ast.ClassDef) and owner is None:
+            owner = f"{node.name}."
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and (owner is None or owner.endswith(".")):
+            owner = f"{owner or ''}{node.name}"
         if isinstance(node, ast.Attribute) and node.attr in attributes:
             found.append((owner, node.attr))
         if isinstance(node, ast.Call):
@@ -902,7 +905,7 @@ def module_path(module: str) -> Path:
     return Path(__file__).resolve().parents[1] / "src" / "coupledforms" / module
 
 
-@pytest.mark.parametrize("module", ["forms.py", "qualitative.py"])
+@pytest.mark.parametrize("module", ["evolution.py", "forms.py", "qualitative.py"])
 def test_no_dense_spectral_calls(module):
     calls = flagged_calls(module_path(module), DENSE_CALLS)
     assert [c for c in calls if (module, c[0]) not in DENSE_ALLOWED] == []
@@ -936,8 +939,19 @@ def test_dense_reader_scan_sees_a_reader(tmp_path):
     assert sorted(dense_readers(source)) == [("read", "blocks"), ("read", "h_gram"), ("read", "v_gram")]
 
 
-def test_lambda_min_without_a_lower_bound_raises():
-    # a - mu*b = diag(-1 - 2mu, -1 + mu) is definite at no shift: the downward search overflows
+def test_lambda_min_without_a_lower_bound_raises(factorizations):
+    # a - mu*b = diag(-1 - 2mu, -1 + mu) is definite at no shift; b has a negative diagonal entry,
+    # so it is no Gram and the search stops at its first failed shift
     a, b = (scipy.sparse.csr_array(np.diag(d)) for d in ([-1.0, -1.0], [2.0, -1.0]))
-    with pytest.raises(NumericalError, match="no lower bound for the smallest eigenvalue"), np.errstate(over="ignore"):
+    with pytest.raises(NumericalError, match="no lower bound for the smallest eigenvalue"):
         _lambda_min(a, b)
+    assert len(factorizations) <= 2
+
+
+def test_lambda_min_stops_at_the_gershgorin_floor(factorizations):
+    # b has a positive diagonal but is indefinite (eigenvalues 3 and -1), so -I - mu*b is definite at no
+    # shift; the search doubles down to -2*rho/GRAM_RTOL = -2e12 and stops there instead of overflowing
+    a, b = scipy.sparse.csr_array(-np.eye(2)), scipy.sparse.csr_array([[1.0, 2.0], [2.0, 1.0]])
+    with pytest.raises(NumericalError, match="no lower bound for the smallest eigenvalue"):
+        _lambda_min(a, b)
+    assert len(factorizations) <= 45 and min(factorizations) <= -2.0 / GRAM_RTOL

@@ -11,6 +11,7 @@ from coupledforms import (
     EvolutionConfig,
     FormMatrix,
     Grid1D,
+    ProjectionSpec,
     averaging_projection,
     build_constant_coupled,
     build_damped_wave,
@@ -23,7 +24,6 @@ from coupledforms import (
     full_ellipticity,
     h_norm,
     linf_contractivity_check,
-    make_projection,
     p1_mass,
     parabola_check,
     positivity_check,
@@ -66,7 +66,7 @@ class TestProjections:
         assert abs(v0 @ v1) < 1e-14
 
     def test_identity_projection(self):
-        proj = make_projection(np.eye(3))
+        proj = ProjectionSpec(np.eye(3))
         assert proj.rank == 3
         assert proj.eig0.shape == (3, 0)
 
@@ -78,11 +78,42 @@ class TestProjections:
 
     def test_non_hermitian_rejected_with_residuals(self):
         with pytest.raises(ValidationError, match="residual"):
-            make_projection([[1.0, 1.0], [0.0, 0.0]])
+            ProjectionSpec([[1.0, 1.0], [0.0, 0.0]])
 
     def test_non_idempotent_rejected(self):
         with pytest.raises(ValidationError):
-            make_projection(0.5 * np.eye(2))
+            ProjectionSpec(0.5 * np.eye(2))
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [[[np.nan, 0.0], [0.0, 1.0]], [[np.inf, 0.0], [0.0, 0.0]], np.zeros((0, 0))],
+        ids=["nan", "inf", "empty"],
+    )
+    def test_non_finite_or_empty_rejected(self, matrix):
+        # a NaN residual compares False with every bound, and an empty matrix has no largest entry
+        with pytest.raises(ValidationError, match="projection matrix must be non-empty and finite"):
+            ProjectionSpec(matrix)
+
+    def test_bases_are_split_from_the_matrix_only(self):
+        # bases that disagree with the matrix cannot be given: strip observables come from the split
+        with pytest.raises(TypeError):
+            ProjectionSpec(np.eye(2), np.zeros((2, 0)), np.eye(2))
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [np.eye(3), np.zeros((2, 2)), np.full((3, 3), 1.0 / 3.0), np.outer([1.0, 1j], [1.0, -1j]) / 2.0],
+        ids=["identity", "zero", "averaging", "complex"],
+    )
+    def test_fixed_space_basis_reproduces_the_matrix(self, matrix):
+        proj = ProjectionSpec(matrix)
+        np.testing.assert_allclose(proj.eig1 @ proj.eig1.conj().T, matrix, rtol=0, atol=1e-14)
+        assert proj.eig1.shape[1] + proj.eig0.shape[1] == proj.m
+
+    def test_caller_matrix_is_copied(self):
+        for matrix in (np.eye(2), np.eye(2, dtype=complex), np.outer([1.0, 1j], [1.0, -1j]) / 2.0):
+            proj = ProjectionSpec(matrix)
+            assert matrix.flags.writeable and not proj.matrix.flags.writeable
+            assert not np.shares_memory(proj.matrix, matrix)
 
 
 class TestSubspaceInvariance:
@@ -254,8 +285,8 @@ class TestResidualsMatchDenseOracles:
         "case",
         [
             lambda: (build_constant_coupled(Grid1D(16), RING), averaging_projection(4)),
-            lambda: (build_constant_coupled(Grid1D(16), RING), make_projection(PAIRS)),
-            lambda: (build_constant_coupled(Grid1D(16), RING), make_projection(np.diag([1.0, 1.0, 0.0, 0.0]))),
+            lambda: (build_constant_coupled(Grid1D(16), RING), ProjectionSpec(PAIRS)),
+            lambda: (build_constant_coupled(Grid1D(16), RING), ProjectionSpec(np.diag([1.0, 1.0, 0.0, 0.0]))),
             lambda: (ephaptic(16, delta=0.6), averaging_projection(2)),
         ],
         ids=["ring_averaging", "ring_pairs", "ring_leading_pair", "two_fibre_failing"],
@@ -532,7 +563,7 @@ class TestStripRuntime:
     def test_rank_zero_projection_passes(self):
         # the zero matrix projects onto {0}, so the strip is a ball around 0
         form, _ = blbekbes_form(n=8)
-        res = strip_invariance_runtime(form, make_projection(np.zeros((2, 2))), [0.0, 1.0], cfg=CFG)
+        res = strip_invariance_runtime(form, ProjectionSpec(np.zeros((2, 2))), [0.0, 1.0], cfg=CFG)
         assert [lv["passed"] for lv in res.details["levels"]] == [True, True]
         assert res.passed
 
@@ -554,7 +585,7 @@ class TestStripRuntime:
     def test_identity_projection_passes(self):
         # the strip around the whole space: the kernel is empty, so no data leave the projected subspace
         form, _ = blbekbes_form(n=8)
-        res = strip_invariance_runtime(form, make_projection(np.eye(2)), [0.0, 1.0], cfg=CFG, trials=2)
+        res = strip_invariance_runtime(form, ProjectionSpec(np.eye(2)), [0.0, 1.0], cfg=CFG, trials=2)
         assert res.passed
         assert [lv["max_distance"] for lv in res.details["levels"]] == [0.0, 0.0]
 
@@ -708,9 +739,9 @@ def test_default_sector_bisects_each_distinct_pencil_once(pencils):
 def test_kept_brackets_build_and_digest_nothing(monkeypatch):
     # each stored block and Gram is digested once; a kept bracket neither rebuilds its pencil nor hashes it
     calls = []
-    for name in ("_digest", "_augmented", "_hermitian_part"):
-        real = getattr(forms, name)
-        monkeypatch.setattr(forms, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    for owner, name in ((forms, "_digest"), (scipy.sparse, "bmat"), (forms, "_hermitian_part")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, real=real, name=name, **kw: calls.append(name) or real(*a, **kw))
     form = build_constant_coupled(Grid1D(16), RING)
     first = sector_check(form)
     assert calls.count("_digest") == 17  # 16 blocks and the one space's domain Gram
@@ -1005,7 +1036,7 @@ class TestBatchedChecksMatchPerTrialLoops:
 
 
 FOUR_CYCLE = [[3, -1, -1, 0], [-1, 3, 0, -1], [-1, 0, 3, -1], [0, -1, -1, 3]]
-TWO_BLOCKS = make_projection([[0.5, 0.5, 0, 0], [0.5, 0.5, 0, 0], [0, 0, 0.5, 0.5], [0, 0, 0.5, 0.5]])
+TWO_BLOCKS = ProjectionSpec([[0.5, 0.5, 0, 0], [0.5, 0.5, 0, 0], [0, 0, 0.5, 0.5], [0, 0, 0.5, 0.5]])
 
 # check, its form, its arguments, and the draws of trial t from rng in a per-trial loop, a list of arrays
 DRAW_RULES = {
