@@ -95,16 +95,11 @@ class CertificateEntry:
         return self.status == PASS
 
 
-def _as_square(a) -> np.ndarray:
+def symmetric_part(a) -> np.ndarray:
+    """Return (A + A^T)/2, formed as A/2 + A^T/2 so that entries near the float limit do not overflow."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-    return a
-
-
-def symmetric_part(a) -> np.ndarray:
-    """Return (A + A^T)/2, formed as A/2 + A^T/2 so that entries near the float limit do not overflow."""
-    a = _as_square(a)
     return a / 2.0 + a.T / 2.0
 
 

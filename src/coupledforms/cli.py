@@ -72,8 +72,8 @@ EVOLUTION = {
     "solver_tolerance": ("float", None),
 }
 INITIAL = {"kind": ("str", "zero"), "amplitude": ("float", 1.0)}
-# an absent kind means averaging; None tells it from a kind given next to a matrix
-PROJECTION = {"kind": ("str", None), "matrix": ("matrix", None)}
+# without a matrix the projection is the averaging one
+PROJECTION = {"matrix": ("matrix", None)}
 
 
 def _load_config(path: str) -> dict:
@@ -90,10 +90,6 @@ def _load_config(path: str) -> dict:
     if config["schema_version"] != SCHEMA_VERSION:
         raise ConfigError(f"schema_version must be {SCHEMA_VERSION}, got {config['schema_version']!r}")
     return config
-
-
-def _parse_grid(config: dict) -> Grid1D:
-    return Grid1D(**read_section(config.get("grid"), GRID, "grid"))
 
 
 def _parse_evolution(config: dict) -> EvolutionConfig:
@@ -121,7 +117,7 @@ def _coefficients_from_model(model: dict, grid: Grid1D) -> CoefficientField:
 
 def _parse_model(config: dict) -> FormMatrix:
     name, model = read_variant(config.get("model"), MODELS, "name", "model")
-    grid = _parse_grid(config)
+    grid = Grid1D(**read_section(config.get("grid"), GRID, "grid"))
     if name == "ephaptic":
         return models.build_ephaptic(grid, _coefficients_from_model(model, grid))
     if name == "constant_coupled":
@@ -137,16 +133,12 @@ def _parse_projection(config: dict, form: FormMatrix):
     if "projection" not in config:
         return None
     section = read_section(config["projection"], PROJECTION, "projection")
-    if "matrix" in section and "kind" in section:
-        raise ConfigError("projection takes 'matrix' or 'kind', not both")
-    if "matrix" in section:
-        proj = ProjectionSpec(np.asarray(section["matrix"], dtype=float))
-        if proj.m != form.m:
-            raise ConfigError(f"projection matrix must be {form.m}x{form.m} for this model, got {proj.m}x{proj.m}")
-        return proj
-    if section.get("kind", "averaging") == "averaging":
+    if "matrix" not in section:
         return qualitative.averaging_projection(form.m)
-    raise ConfigError(f"unknown projection kind {section['kind']!r}")
+    proj = ProjectionSpec(np.asarray(section["matrix"], dtype=float))
+    if proj.m != form.m:
+        raise ConfigError(f"projection matrix must be {form.m}x{form.m} for this model, got {proj.m}x{proj.m}")
+    return proj
 
 
 def _build_initial(config: dict, form: FormMatrix, seed: int) -> list:

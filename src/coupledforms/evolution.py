@@ -6,10 +6,10 @@ two schemes below solve
     implicit Euler:   (Mass + dt*S) u+ = Mass u
     Crank-Nicolson:   (Mass + dt/2*S) u+ = (Mass - dt/2*S) u
 
-with one factorization per (form, config), kept on the form and reused
-across all steps and all runs.  Both schemes are unconditionally stable
-for accretive forms, which is what makes the downstream invariance tests
-meaningful.
+with one factorization per (form, config), kept in the form's memo and
+reused across all steps and all runs.  Both schemes are unconditionally
+stable for accretive forms, which is what makes the downstream invariance
+tests meaningful.
 
 The P1 blocks are tridiagonal or a few trace entries, so the systems are
 formed from the form's assembled CSR operators (``FormMatrix.form_csr``
@@ -23,13 +23,14 @@ time linear in the unknown count.
 
 One generator, ``_states``, owns the stepping loop.  Only the solve runs
 once per step, in the factor's RCM order: the generator fills a block of
-up to ``BLOCK_BYTES`` of states, checks the solve residual of every step
-in it with one product, and yields the block's recorded states, put back
-in the form's order by one gather.  Recorded norms take one ``mass_csr``
-product per block, the strip observables one more, in the basis that a
-:class:`ProjectionSpec` splits from its matrix once it has checked it.  A
-run keeps its observables and its last state, and ``domination`` walks
-two generators block by block instead of storing states.
+up to ``BLOCK_BYTES`` of states, checks the backward error of every
+step's solve in it with one product, and yields the block's recorded
+states, put back in the form's order by one gather.  Recorded norms take
+one ``mass_csr`` product per block, the strip observables one more, in
+the basis that a :class:`ProjectionSpec` splits from its matrix once it
+has checked it.  A run keeps its observables and its last state, and
+``domination`` walks two generators block by block instead of storing
+states.
 """
 
 from __future__ import annotations
@@ -103,13 +104,14 @@ class TrajectoryRecord:
         return TrajectoryRecord(self.times, observables, final_state)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectionSpec:
     """Orthogonal projection on the component index space, checked and split on construction.
 
     ``matrix`` is copied and frozen: a non-empty, finite square matrix, Hermitian and idempotent within
     ``PROJECTION_TOL`` (relative; the error reports both residuals).  ``eig1`` holds an orthonormal basis
-    of its fixed space (eigenvalue 1) as columns, ``eig0`` one of its kernel (eigenvalue 0).
+    of its fixed space (eigenvalue 1) as columns, ``eig0`` one of its kernel (eigenvalue 0).  ``==`` and
+    ``hash`` go by identity.
     """
 
     matrix: np.ndarray
@@ -154,8 +156,11 @@ class Stepper:
     ``lhs`` and ``rhs`` are permuted to it once, and :meth:`step` and
     :meth:`check` take states ``u[order]``.  Construction raises :class:`SolverError` when
     the factorization fails or its smallest pivot is below ``1e-14 *
-    |lhs|_inf``; :meth:`check` raises it when a column's solve residual
-    ``|lhs u+ - rhs u|`` exceeds ``solver_tolerance * max(1, |rhs u|)``.
+    |lhs|_inf``; :meth:`check` raises it when a column's residual
+    ``|lhs u+ - rhs u|_2`` exceeds ``solver_tolerance * (|lhs|_inf |u+|_2 +
+    |rhs u|_2)``: a normwise backward error above ``solver_tolerance``,
+    which no change of units moves (Rigal & Gaches 1967; Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2002, Thm 7.1).
     """
 
     def __init__(self, form: FormMatrix, cfg: EvolutionConfig):
@@ -173,11 +178,12 @@ class Stepper:
             ) from exc
         self.kernel, self.order = self._factor.kernel, self._factor.order
         diag = self._factor.pivots
-        scale = max(float(abs(lhs).sum(axis=1).max()), 1e-300)
-        if diag.min() <= 1e-14 * scale:
+        # |lhs|_inf, the largest absolute row sum
+        self._lhs_norm = max(float(abs(lhs).sum(axis=1).max()), 1e-300)
+        if diag.min() <= 1e-14 * self._lhs_norm:
             raise SolverError(
                 f"{cfg.scheme} system is numerically singular at dt={cfg.dt} "
-                f"(pivot ratio {diag.min() / scale:.3e})"
+                f"(pivot ratio {diag.min() / self._lhs_norm:.3e})"
             )
         self.position = np.argsort(self.order)
         self._lhs, self._rhs = (a[self.order][:, self.order] for a in (lhs, rhs))
@@ -197,10 +203,11 @@ class Stepper:
         with a column over its bound.
         """
         n = states.shape[0]
-        rhs = rhs.reshape(n, -1)
-        residual = self._lhs @ states.reshape(n, -1)
-        residual = _column_norms(np.subtract(residual, rhs, out=residual)).reshape(len(steps), -1)
-        bound = self.cfg.solver_tolerance * np.maximum(1.0, _column_norms(rhs)).reshape(len(steps), -1)
+        states, rhs = states.reshape(n, -1), rhs.reshape(n, -1)
+        bound = self.cfg.solver_tolerance * (self._lhs_norm * _column_norms(states) + _column_norms(rhs))
+        residual = self._lhs @ states
+        residual = _column_norms(np.subtract(residual, rhs, out=residual))
+        residual, bound = residual.reshape(len(steps), -1), bound.reshape(len(steps), -1)
         failed = ~(residual <= bound).all(axis=1)
         if failed.any():
             j = int(np.argmax(failed))
@@ -218,11 +225,8 @@ def _column_norms(a: np.ndarray) -> np.ndarray:
 
 
 def _stepper(form: FormMatrix, cfg: EvolutionConfig) -> Stepper:
-    """The form's :class:`Stepper` for ``cfg``, factored on first use and kept on the form instance."""
-    steppers = vars(form).setdefault("_steppers", {})
-    if cfg not in steppers:
-        steppers[cfg] = Stepper(form, cfg)
-    return steppers[cfg]
+    """The form's :class:`Stepper` for ``cfg``, factored on first use and kept on the form."""
+    return form._kept(("stepper", cfg), lambda: Stepper(form, cfg))
 
 
 def _start(form: FormMatrix, u0) -> np.ndarray:

@@ -17,9 +17,12 @@ column 2-norm of the form matrix.  One banded Cholesky factorization
 Cuthill--McKee order of the pencil's pattern, which makes every pencil
 built here narrow-banded (Parlett, *The Symmetric Eigenvalue Problem*,
 ch. 3; George & Liu, *Computer Solution of Large Sparse Positive
-Definite Systems*, 1981).  Brackets are kept on the form, one per
-distinct pencil up to the symmetries that leave the constant unchanged:
-a block and its negation share a continuity bracket.
+Definite Systems*, 1981).  A pencil with a non-finite entry, or a shift
+that overflows it, raises :class:`ValidationError`.  Brackets are kept in
+the form's one memo (:meth:`FormMatrix._kept`), with the accretivity
+verdict and the time steppers, one per distinct pencil up to the
+symmetries that leave the constant unchanged: a block and its negation
+share a continuity bracket.
 No N-sized matrix goes through dense LAPACK.  :func:`full_ellipticity`
 and the ``sector`` and ``parabola`` checks of
 :mod:`coupledforms.qualitative` read the numerical range of a form
@@ -169,13 +172,14 @@ class FormMatrix:
 
     ``metadata`` holds what a check reads beyond the blocks: a coefficient
     field under ``"coefficients"`` or a ``"parabola_constant"``.  Immutable
-    after assembly by convention; derived matrices and spectral brackets
-    are cached, so instances are cheap to share.
+    after assembly by convention; derived matrices are cached and derived
+    values kept by :meth:`_kept`, so instances are cheap to share.
     """
 
     spaces: list
     csr_blocks: list
     metadata: dict = field(default_factory=dict)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         m = len(self.spaces)
@@ -186,6 +190,12 @@ class FormMatrix:
         self.csr_blocks = [[self._stored(i, j, blk) for j, blk in enumerate(row)] for i, row in enumerate(self.csr_blocks)]
 
     _block_digests = cached_property(lambda self: [[_signed_digest(b) for b in row] for row in self.csr_blocks])
+
+    def _kept(self, key: tuple, make):
+        """The value kept under ``key``, made by ``make()`` on the first call; ``key`` names what makes it."""
+        if key not in self._memo:
+            self._memo[key] = make()
+        return self._memo[key]
 
     def _stored(self, i: int, j: int, blk) -> scipy.sparse.csr_array:
         blk, expected = _as_csr(blk, f"block ({i},{j})"), (self.spaces[i].dim, self.spaces[j].dim)
@@ -402,6 +412,8 @@ class _Pencil:
         dtype = np.result_type(*(m.dtype for m in mats), float)
         lower = ((row >= col, row, col, data) for row, col, data in entries)
         self.a, self.b, *self.rest = (_band(r[k], c[k], d[k], 0, kd + 1, a.shape[0], dtype) for k, r, c, d in lower)
+        if not all(np.isfinite(band).all() for band in (self.a, self.b, *self.rest)):
+            raise ValidationError("a spectral pencil has non-finite entries: the form or a shift overflows")
         self._work = np.empty_like(self.a)
         self._pbtrf = scipy.linalg.get_lapack_funcs("pbtrf", (self.a,))
 
@@ -411,7 +423,9 @@ class _Pencil:
         Without ``weights``: every eigenvalue of the pencil exceeds
         ``mu``.  One banded Cholesky factorization, in place on a
         workspace kept on the pencil; it breaks down (``info > 0``) at
-        the first pivot that is not positive.
+        the first pivot that is not positive.  A NaN pivot does not break
+        it down, so a factor with a non-finite diagonal, of a shifted
+        matrix that overflowed, raises :class:`ValidationError`.
         """
         ab = self._work
         # the same bits as a - mu*b
@@ -420,6 +434,8 @@ class _Pencil:
         for w, band in zip(weights, self.rest):
             ab += w * band
         _, info = self._pbtrf(ab, lower=1, overwrite_ab=True)
+        if info == 0 and not np.isfinite(ab[0]).all():
+            raise ValidationError(f"a spectral pencil overflows at mu = {mu:.3e}: the form or a shift is too large")
         return info == 0
 
 
@@ -564,17 +580,6 @@ def _signed_digest(m: scipy.sparse.csr_array) -> tuple:
     return sign, _digest(-m if sign < 0 else m)
 
 
-def _bracket(form: FormMatrix, largest: bool, key: tuple, pencil) -> tuple:
-    """:func:`_lambda_max` (``largest``) or :func:`_lambda_min` of ``pencil()``, bisected once per ``key`` on the form.
-
-    Forms do not change, so ``key`` names a pencil by its routine, scalars and the :func:`_digest` of what it reads.
-    """
-    brackets = vars(form).setdefault("_brackets", {})
-    if (largest, *key) not in brackets:
-        brackets[largest, *key] = (_lambda_max if largest else _lambda_min)(*pencil())
-    return brackets[largest, *key]
-
-
 def _midpoint(bracket: tuple) -> float:
     return 0.5 * (bracket[0] + bracket[1])
 
@@ -596,10 +601,11 @@ def estimate_continuity(form: FormMatrix, i: int, j: int) -> float:
     si, sj = form.spaces[i], form.spaces[j]
     key = ("continuity", form._block_digests[i][j][1], si._v_digest, sj._v_digest)
 
-    def pencil():
-        return scipy.sparse.bmat([[None, block], [block.conj().T, None]]), scipy.sparse.block_diag([si.v_csr, sj.v_csr])
+    def bracket():
+        augmented = scipy.sparse.bmat([[None, block], [block.conj().T, None]])
+        return _lambda_max(augmented, scipy.sparse.block_diag([si.v_csr, sj.v_csr]))
 
-    return _midpoint(_bracket(form, True, key, pencil))
+    return _midpoint(form._kept(key, bracket))
 
 
 def estimate_ellipticity(form: FormMatrix, i: int, shift: float = 0.0) -> float:
@@ -611,7 +617,7 @@ def estimate_ellipticity(form: FormMatrix, i: int, shift: float = 0.0) -> float:
     """
     s, block = form.spaces[i], form.csr_blocks[i][i]
     key = ("ellipticity", *form._block_digests[i][i], s._h_digest, s._v_digest, shift)
-    return _midpoint(_bracket(form, False, key, lambda: (_hermitian_part(block) + shift * s.h_csr, s.v_csr)))
+    return _midpoint(form._kept(key, lambda: _lambda_min(_hermitian_part(block) + shift * s.h_csr, s.v_csr)))
 
 
 def _hermitian_along(form: FormMatrix, direction) -> scipy.sparse.csr_array:
@@ -632,7 +638,7 @@ def _support(form: FormMatrix, direction, gram: str = "vgram_csr", shift: float 
     if form.is_real and direction == -1j:
         direction = 1j
     key, h = ("support", direction, gram, shift), form.mass_csr
-    return _bracket(form, True, key, lambda: (_hermitian_along(form, direction) - shift * h, getattr(form, gram)))
+    return form._kept(key, lambda: _lambda_max(_hermitian_along(form, direction) - shift * h, getattr(form, gram)))
 
 
 def full_ellipticity(form: FormMatrix, shift: float = 0.0) -> float:
@@ -653,10 +659,12 @@ def is_discretely_accretive(form: FormMatrix) -> bool:
     norm.  One banded Cholesky factorization decides it, and the verdict
     is kept on the form.
     """
-    if "_accretive" not in vars(form):
+
+    def make():
         s = form.form_csr
         scale = np.sqrt(np.bincount(s.indices, np.abs(s.data) ** 2, s.shape[1]).max())
         tau = ACCRETIVITY_RTOL * max(scale, 1e-300)
-        form._accretive = _Pencil(_hermitian_part(s), _diagonal(np.ones(form.total_dim))).definite(-tau)
-    return form._accretive
+        return _Pencil(_hermitian_part(s), _diagonal(np.ones(form.total_dim))).definite(-tau)
+
+    return form._kept(("accretive",), make)
 

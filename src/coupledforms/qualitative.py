@@ -12,7 +12,9 @@ of each factor.  The numerical-range checks (``sector``, ``parabola``)
 decide their bounds exactly, from the supports of the numerical range
 that :mod:`coupledforms.forms` brackets.  Checks return a
 :class:`CheckResult`; hypothesis failures yield a ``not-applicable``
-verdict rather than an error so batch runs can report them.
+verdict rather than an error so batch runs can report them.  Each
+algebraic tolerance is relative, to the form's Frobenius norm or to the
+largest coefficient of a field, so scaling the form moves no verdict.
 """
 
 from __future__ import annotations
@@ -241,7 +243,7 @@ def subsystem_invariance_check(form: FormMatrix, m0: int) -> CheckResult:
 
 
 def ephaptic_sum_check(coeffs: CoefficientField, which: str = "rows") -> CheckResult:
-    """Cell-wise constancy of coefficient row or column sums."""
+    """Cell-wise constancy of coefficient row or column sums, up to ``SUM_SPREAD_TOL`` times the largest coefficient."""
     if which == "rows":
         sums = coeffs.values.sum(axis=1)
         check_id = "row_sums"
@@ -254,7 +256,7 @@ def ephaptic_sum_check(coeffs: CoefficientField, which: str = "rows") -> CheckRe
     max_dev = float(spread.max())
     return CheckResult(
         check_id,
-        PASS if max_dev <= SUM_SPREAD_TOL else FAIL,
+        PASS if max_dev <= SUM_SPREAD_TOL * np.abs(coeffs.values).max() else FAIL,
         {"max_deviation": max_dev},
     )
 
@@ -278,7 +280,7 @@ def _off_diagonal_sign_violation(form: FormMatrix) -> tuple:
     every entry of ``B`` is ``<= 0``, so the entrywise test decides the
     sign on the whole cone.
     """
-    tol = BLOCK_ZERO_RTOL * max(1.0, _form_scale(form))
+    tol = BLOCK_ZERO_RTOL * _form_scale(form)
     entries = [
         (float(form.csr_blocks[i][j].real.max()), (i, j)) for i in range(form.m) for j in range(form.m) if i != j
     ]

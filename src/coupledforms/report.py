@@ -45,19 +45,15 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def trajectory_csv_header(m: int) -> str:
-    comp = ",".join(f"comp_norm_{i + 1}" for i in range(m))
-    return f"t,h_norm,{comp},strip_distance,projection_norm,min_value,sup_norm"
-
-
 def trajectory_to_csv(record: TrajectoryRecord) -> str:
     """Render a trajectory as CSV text; absent observables give empty fields."""
-    header = trajectory_csv_header(len(record.final_state))
+    comps = [f"comp_norm_{i + 1}" for i in range(len(record.final_state))]
+    names = ["h_norm", *comps, "strip_distance", "projection_norm", "min_value", "sup_norm"]
     # one column at a time: repr of the Python floats of .tolist() is _fmt of each entry
-    columns = [record.times] + [record.observables.get(name) for name in header.split(",")[1:]]
+    columns = [record.times] + [record.observables.get(name) for name in names]
     blank = [""] * len(record.times)
     fields = [blank if c is None else map(repr, np.asarray(c, dtype=float).tolist()) for c in columns]
-    return "\n".join([header, *map(",".join, zip(*fields))]) + "\n"
+    return "\n".join([",".join(["t", *names]), *map(",".join, zip(*fields))]) + "\n"
 
 
 def write_trajectory_csv(record: TrajectoryRecord, path: str) -> None:

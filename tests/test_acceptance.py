@@ -261,7 +261,7 @@ def test_criterion_11_simulate_determinism(tmp_path):
             "grid": {"n_cells": 64},
             "evolution": {"dt": 1e-2, "t_end": 0.5, "record_every": 2},
             "initial": {"kind": "random"},
-            "projection": {"kind": "averaging"},
+            "projection": {},
         }
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(config))

@@ -25,7 +25,7 @@ def base_simulate_config(out, **overrides):
         "grid": {"n_cells": 32, "length": 1.0},
         "evolution": {"scheme": "implicit-euler", "dt": 0.01, "t_end": 0.2, "record_every": 2},
         "initial": {"kind": "in_phase", "amplitude": 1.0},
-        "projection": {"kind": "averaging"},
+        "projection": {},
     }
     config.update(overrides)
     return config
@@ -467,6 +467,23 @@ class TestCheck:
         want = getattr(qualitative, f"{check_id}_check")(form)
         assert (got["check_id"], got["status"], got["details"]) == (check_id, want.status, want.details)
 
+    @pytest.mark.parametrize("shift", [1e308, -1e308])
+    @pytest.mark.parametrize(
+        "model",
+        [{"name": "constant_coupled", "coupling": [[2, -1], [-1, 2]]}, {"name": "damped_wave", "alpha": [1, 0.5]}],
+        ids=["coupled", "wave"],
+    )
+    def test_overflowing_sector_shift_exits_two_with_one_line(self, tmp_path, capsys, model, shift):
+        # it used to exit 1 with exact_alpha NaN; the shift overflows only when sector runs, after the output
+        # directory is made, so the directory exists but holds no report
+        out = tmp_path / "out"
+        config = {"schema_version": 1, "output": str(out), "model": model, "grid": {"n_cells": 8}}
+        cfg = write_config(tmp_path / "c.json", {**config, "checks": [{"id": "sector", "shift": shift}]})
+        assert main(["check", cfg, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: a spectral pencil ") and err.count("\n") == 1
+        assert out.is_dir() and list(out.iterdir()) == []
+
     def test_parabola_without_constant_exit_two_with_one_line(self, tmp_path, capsys):
         out = tmp_path / "out"
         cfg = write_config(
@@ -487,7 +504,8 @@ class TestCheck:
     @pytest.mark.parametrize(
         "overrides, message",
         [
-            ({"projection": {"kind": "bogus"}}, "config error: unknown projection kind 'bogus'\n"),
+            # the retired key, even with its one former value, is unknown like any typo
+            ({"projection": {"kind": "averaging"}}, "config error: unknown key 'kind' in projection\n"),
             ({"projection": {"matrix": [[1, 0], [0, 0.5]]}}, "validation error: not an orthogonal projection: "),
             ({"projection": {"matrix": [[1, 0, 0], [0, 0, 0], [0, 0, 0]]}},
              "config error: projection matrix must be 2x2 for this model, got 3x3\n"),
@@ -514,7 +532,7 @@ class TestCheck:
         assert err.startswith(message) and err.count("\n") == 1
         assert ran == [] and not out.exists()
         # the same config with the bad part taken out runs its checks
-        config.update(checks=[{"id": "realness"}], projection={"kind": "averaging"})
+        config.update(checks=[{"id": "realness"}], projection={})
         assert main(["check", write_config(tmp_path / "c.json", config), "--quiet"]) == 0
         assert ran == ["realness"]
 

@@ -86,6 +86,8 @@ MALFORMED = {
     "criteria_nested": ("certify", ("criteria",), [["x"]]),
     # keys that say one thing two ways are exclusive
     "pattern_with_coefficients": ("simulate", ("model", "coefficients"), [[5, 1], [1, 5]]),
+    # the retired projection key, even with its one former value, is unknown like any typo
+    "projection_kind": ("simulate", ("projection",), {"kind": "averaging"}),
     "projection_matrix_with_kind": ("simulate", ("projection",), {"kind": "averaging", "matrix": [[1, 0], [0, 1]]}),
 }
 
@@ -153,7 +155,7 @@ FUZZ_BASES = [
         "grid": {"n_cells": 4, "length": 1.0},
         "evolution": {"dt": 0.1, "t_end": 0.5, "scheme": "crank-nicolson", "record_every": 2, "solver_tolerance": 1e-9},
         "initial": {"kind": "in_phase", "amplitude": 1.0},
-        "projection": {"kind": "averaging"},
+        "projection": {},
     },
     {
         "schema_version": 1,

@@ -168,6 +168,31 @@ class TestStep:
                 handed_out.append(list(steps))
         assert handed_out == [[0], [1, 2, 3, 4]]
 
+    RING = np.array([[3, -1, -1, 0], [-1, 3, 0, -1], [-1, 0, 3, -1], [0, -1, -1, 3]])
+
+    @pytest.mark.parametrize("n_cells, scale", [(1024, 1e6), (64, 1e8)])
+    def test_backward_stable_solve_of_a_rescaled_coupling_steps(self, n_cells, scale):
+        # |Mass u| is far below 1 here, so a residual bound of solver_tolerance*max(1, |rhs u|) was absolute
+        # and failed these solves at step 1 (residual 1.5e-8 at 1024 cells); their backward error is round-off
+        form = build_constant_coupled(Grid1D(n_cells), scale * self.RING)
+        rng = np.random.default_rng(0)
+        record = evolve(form, [rng.uniform(-1.0, 1.0, d) for d in form.dims], EvolutionConfig(dt=1e-2, t_end=0.05))
+        assert len(record.times) == 6
+
+    def test_single_corrupted_entry_on_a_large_system_raises(self, monkeypatch):
+        # N = 65,540: the bound grows with |lhs|_inf |u+|, but one entry off by 1e-6 (residual 1.3e-3) stays above it
+        form = build_constant_coupled(Grid1D(16384), self.RING)
+        real_solve = _Factor.solve
+
+        def corrupt_entry(factor, rhs):
+            out = real_solve(factor, rhs)
+            out[out.shape[0] // 2] += 1e-6
+            return out
+
+        monkeypatch.setattr(_Factor, "solve", corrupt_entry)
+        with pytest.raises(SolverError, match=r"implicit-euler solve lost accuracy at step 1 "):
+            evolve(form, [np.ones(d) for d in form.dims], EvolutionConfig(dt=1e-2, t_end=0.02))
+
 
 def stepwise_record(form, u0, cfg, proj):
     """``evolve``'s times, observable rows and final state, from a loop over ``Stepper`` that records state by state."""
@@ -472,7 +497,7 @@ class TestBatchedEvolve:
         form = build_constant_coupled(Grid1D(8), [[2.0, -0.5], [-0.5, 2.0]])
         with pytest.raises(ValidationError, match="no trial columns"):
             evolve(form, [np.ones((9, 0)), np.ones((9, 0))], EvolutionConfig(dt=0.1, t_end=0.3))
-        assert "_steppers" not in vars(form)  # nothing was factored
+        assert form._memo == {}  # nothing was factored
 
 
 # Agreement of the sparse stepper with a dense LU solve of the same

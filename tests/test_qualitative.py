@@ -41,6 +41,7 @@ from coupledforms.forms import _lambda_max, _midpoint, _support
 from coupledforms.qualitative import (
     BLOCK_ZERO_RTOL,
     RUNTIME_CONE_TOL,
+    SUM_SPREAD_TOL,
     _form_scale,
     _trial_rng,
     realness_check,
@@ -64,6 +65,12 @@ class TestProjections:
         np.testing.assert_allclose(np.abs(v1), [np.sqrt(0.5)] * 2, atol=1e-14)
         v0 = proj.eig0[:, 0]
         assert abs(v0 @ v1) < 1e-14
+
+    def test_equality_and_hash_go_by_identity(self):
+        # the generated ones compared and hashed the ndarray fields: == raised ValueError, hash TypeError
+        proj, other = averaging_projection(2), averaging_projection(2)
+        assert proj == proj and proj != other and hash(proj) == hash(proj)
+        assert len({proj, other}) == 2
 
     def test_identity_projection(self):
         proj = ProjectionSpec(np.eye(3))
@@ -364,6 +371,18 @@ class TestSumChecks:
         assert res.failed
         assert res.details["max_deviation"] == pytest.approx(1.0)
 
+    def test_tiny_unbalanced_field_fails(self):
+        # rows sum to 1e-13 and 2e-13: a spread below the old absolute SUM_SPREAD_TOL, but half the sums
+        res = ephaptic_sum_check(CoefficientField.constant(1e-13 * np.array([[2.0, -1.0], [-1.0, 3.0]]), 4), "rows")
+        assert res.failed and res.details["max_deviation"] == pytest.approx(1e-13)
+
+    def test_large_balanced_field_passes_within_round_off(self):
+        # per-cell rows that sum to 1e6 exactly, up to the round-off of summing them
+        values = np.random.default_rng(2).uniform(-1e6, 1e6, (3, 3, 64))
+        values[:, 2] = 1e6 - values[:, 0] - values[:, 1]
+        res = ephaptic_sum_check(CoefficientField(values), "rows")
+        assert res.passed and SUM_SPREAD_TOL < res.details["max_deviation"] < 1e-9
+
     def test_bad_axis_rejected(self):
         coeffs = CoefficientField.constant(np.eye(2), 4)
         with pytest.raises(ValidationError):
@@ -433,7 +452,7 @@ def sign_edge_form(ratio):
     n = 4
     spaces = [DiscreteSpace(n, np.eye(n), np.eye(n)) for _ in range(2)]
     blocks = [[3.0 * np.eye(n), -np.eye(n)], [-np.eye(n), 3.0 * np.eye(n)]]
-    tol = BLOCK_ZERO_RTOL * max(1.0, _form_scale(FormMatrix(spaces, [row[:] for row in blocks])))
+    tol = BLOCK_ZERO_RTOL * _form_scale(FormMatrix(spaces, [row[:] for row in blocks]))
     blocks[0][1][0, 1] = ratio * tol
     return FormMatrix(spaces, blocks), tol
 
@@ -452,6 +471,13 @@ class TestSignTolerance:
         res = positivity_check(form, runtime=False)
         assert res.passed
         assert res.details["max_coupling_value"] == pytest.approx(0.5 * tol, rel=1e-12)
+
+    @pytest.mark.parametrize("s", [1.0, 1e-6, 1e-12, 1e-15])
+    def test_sign_verdicts_do_not_depend_on_units(self, s):
+        # scaling the form is a change of time units; an absolute floor of BLOCK_ZERO_RTOL once passed it at 1e-15
+        form = build_constant_coupled(Grid1D(8), s * np.array([[2.0, 0.5], [0.5, 2.0]]))
+        assert positivity_check(form, runtime=False).failed
+        assert domination_check(form, trials=2, cfg=CFG).status == "not-applicable"
 
     @pytest.mark.parametrize(
         "build",
@@ -756,7 +782,7 @@ def test_support_brackets_per_direction(bisections, monkeypatch, alpha, directio
     form = build_damped_wave(Grid1D(16), alpha)
 
     def kept():
-        return {key[2:] for key in form._brackets if key[2] in (1j, -1j)}
+        return {key[1:] for key in form._memo if key[0] == "support" and key[1] in (1j, -1j)}
 
     full_ellipticity(form)
     before = len(bisections)
