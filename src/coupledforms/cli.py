@@ -69,7 +69,6 @@ EVOLUTION = {
     "t_end": ("float", REQUIRED),
     "scheme": ("str", None),
     "record_every": ("int", None),
-    "solver_tolerance": ("float", None),
 }
 INITIAL = {"kind": ("str", "zero"), "amplitude": ("float", 1.0)}
 # without a matrix the projection is the averaging one

@@ -6,7 +6,7 @@ two schemes below solve
     implicit Euler:   (Mass + dt*S) u+ = Mass u
     Crank-Nicolson:   (Mass + dt/2*S) u+ = (Mass - dt/2*S) u
 
-with one factorization per (form, config), kept in the form's memo and
+with one factorization per (form, dt, scheme), kept in the form's memo and
 reused across all steps and all runs.  Both schemes are unconditionally
 stable for accretive forms, which is what makes the downstream invariance
 tests meaningful.
@@ -47,17 +47,18 @@ SCHEMES = ("implicit-euler", "crank-nicolson")
 #: Bytes of states in one block of steps, which is checked and recorded at once.
 BLOCK_BYTES = 256 * 2**10
 PROJECTION_TOL = 1e-12
+#: Largest normwise backward error of a step's solve that :meth:`Stepper.check` accepts.
+SOLVER_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """Time-stepping parameters."""
+    """Time-stepping parameters; ``t_end`` must be a whole number of steps ``dt``, within 1e-9 relative."""
 
     dt: float
     t_end: float
     scheme: str = "implicit-euler"
     record_every: int = 1
-    solver_tolerance: float = 1e-9
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -70,12 +71,14 @@ class EvolutionConfig:
             raise ValidationError("dt must not exceed t_end")
         if self.record_every < 1:
             raise ValidationError("record_every must be >= 1")
-        if not 0 < self.solver_tolerance <= 1e-6:
-            raise ValidationError("solver_tolerance must lie in (0, 1e-6]")
+        # t_end/dt is rounded first: fl(0.3/0.1) is 2.9999999999999996, a few ulps from 3
+        steps = self.t_end / self.dt
+        if not (steps < np.inf and abs(round(steps) * self.dt - self.t_end) <= 1e-9 * self.t_end):
+            raise ValidationError(f"t_end must be a whole number of steps: t_end/dt = {steps:.6g}")
 
     @property
     def n_steps(self) -> int:
-        return max(1, int(round(self.t_end / self.dt)))
+        return int(round(self.t_end / self.dt))
 
 
 @dataclass
@@ -145,7 +148,7 @@ class ProjectionSpec:
 
 
 class Stepper:
-    """One factorized time-step operator for a fixed form and config, in RCM coordinates.
+    """One factorized time-step operator for a fixed form, ``cfg.dt`` and ``cfg.scheme``, in RCM coordinates.
 
     The implicit system ``lhs u+ = rhs u`` is formed from the form's
     CSR operators ``form_csr`` and ``mass_csr``.  ``lhs`` is factored by
@@ -157,15 +160,15 @@ class Stepper:
     :meth:`check` take states ``u[order]``.  Construction raises :class:`SolverError` when
     the factorization fails or its smallest pivot is below ``1e-14 *
     |lhs|_inf``; :meth:`check` raises it when a column's residual
-    ``|lhs u+ - rhs u|_2`` exceeds ``solver_tolerance * (|lhs|_inf |u+|_2 +
-    |rhs u|_2)``: a normwise backward error above ``solver_tolerance``,
+    ``|lhs u+ - rhs u|_2`` exceeds ``SOLVER_TOLERANCE * (|lhs|_inf |u+|_2 +
+    |rhs u|_2)``: a normwise backward error above ``SOLVER_TOLERANCE``,
     which no change of units moves (Rigal & Gaches 1967; Higham,
     *Accuracy and Stability of Numerical Algorithms*, 2002, Thm 7.1).
     """
 
     def __init__(self, form: FormMatrix, cfg: EvolutionConfig):
         # no reference back to the form, which keeps its steppers
-        self.cfg = cfg
+        self.dt, self.scheme = cfg.dt, cfg.scheme
         mass, s = form.mass_csr, form.form_csr
         theta = 1.0 if cfg.scheme == "implicit-euler" else 0.5
         lhs = mass + (theta * cfg.dt) * s
@@ -204,7 +207,7 @@ class Stepper:
         """
         n = states.shape[0]
         states, rhs = states.reshape(n, -1), rhs.reshape(n, -1)
-        bound = self.cfg.solver_tolerance * (self._lhs_norm * _column_norms(states) + _column_norms(rhs))
+        bound = SOLVER_TOLERANCE * (self._lhs_norm * _column_norms(states) + _column_norms(rhs))
         residual = self._lhs @ states
         residual = _column_norms(np.subtract(residual, rhs, out=residual))
         residual, bound = residual.reshape(len(steps), -1), bound.reshape(len(steps), -1)
@@ -212,8 +215,8 @@ class Stepper:
         if failed.any():
             j = int(np.argmax(failed))
             raise SolverError(
-                f"{self.cfg.scheme} solve lost accuracy at step {steps[j]} "
-                f"(dt={self.cfg.dt}, residual {np.max(residual[j]):.3e})"
+                f"{self.scheme} solve lost accuracy at step {steps[j]} "
+                f"(dt={self.dt}, residual {np.max(residual[j]):.3e})"
             )
 
 
@@ -225,8 +228,8 @@ def _column_norms(a: np.ndarray) -> np.ndarray:
 
 
 def _stepper(form: FormMatrix, cfg: EvolutionConfig) -> Stepper:
-    """The form's :class:`Stepper` for ``cfg``, factored on first use and kept on the form."""
-    return form._kept(("stepper", cfg), lambda: Stepper(form, cfg))
+    """The form's :class:`Stepper` for ``cfg.dt`` and ``cfg.scheme``, factored on first use and kept on the form."""
+    return form._kept(("stepper", cfg.dt, cfg.scheme), lambda: Stepper(form, cfg))
 
 
 def _start(form: FormMatrix, u0) -> np.ndarray:

@@ -20,9 +20,9 @@ ch. 3; George & Liu, *Computer Solution of Large Sparse Positive
 Definite Systems*, 1981).  A pencil with a non-finite entry, or a shift
 that overflows it, raises :class:`ValidationError`.  Brackets are kept in
 the form's one memo (:meth:`FormMatrix._kept`), with the accretivity
-verdict and the time steppers, one per distinct pencil up to the
-symmetries that leave the constant unchanged: a block and its negation
-share a continuity bracket.
+verdict and the time steppers, each keyed by what it reads: a block
+and its negation share a continuity bracket, and a coercivity bracket
+is kept per diagonal block and shift.
 No N-sized matrix goes through dense LAPACK.  :func:`full_ellipticity`
 and the ``sector`` and ``parabola`` checks of
 :mod:`coupledforms.qualitative` read the numerical range of a form
@@ -112,30 +112,30 @@ class DiscreteSpace:
 
     ``h_csr`` is the ambient (state-space) inner product, ``v_csr`` the
     form-domain inner product; both must be Hermitian positive definite
-    of size ``dim``.  Each may be given dense or sparse, and is
+    and of one size, ``dim``.  Each may be given dense or sparse, and is
     validated and stored once as CSR; ``h_gram`` and ``v_gram`` are
     dense views of them, built on first read.  ``==`` and ``hash`` go
     by identity; :meth:`same_geometry` compares values.
     """
 
-    dim: int
     h_csr: scipy.sparse.csr_array
     v_csr: scipy.sparse.csr_array
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValidationError("space dimension must be positive")
-        for name, label in (("h_csr", "h_gram"), ("v_csr", "v_gram")):
-            g = _as_csr(getattr(self, name), label)
-            if g.shape != (self.dim, self.dim):
-                raise DimensionError(f"{label} must be {self.dim}x{self.dim}, got {g.shape}")
+        h, v = _as_csr(self.h_csr, "h_gram"), _as_csr(self.v_csr, "v_gram")
+        if not 0 < h.shape[0] == h.shape[1] or v.shape != h.shape:
+            raise DimensionError(f"Grams must be non-empty, square and of one size: h_gram {h.shape}, v_gram {v.shape}")
+        for name, label, g in (("h_csr", "h_gram", h), ("v_csr", "v_gram", v)):
             _check_gram(g, label)
             object.__setattr__(self, name, g)
+
+    @property
+    def dim(self) -> int:
+        return self.h_csr.shape[0]
 
     h_gram = cached_property(lambda self: _dense_view(self.h_csr))
     v_gram = cached_property(lambda self: _dense_view(self.v_csr))
     _h_factor = cached_property(lambda self: _Factor(self.h_csr))
-    _h_digest = cached_property(lambda self: _digest(self.h_csr))
     _v_digest = cached_property(lambda self: _digest(self.v_csr))
 
     def same_geometry(self, other: "DiscreteSpace") -> bool:
@@ -170,10 +170,10 @@ class FormMatrix:
     by banded Cholesky in reverse Cuthill--McKee order.  No reader in
     the package densifies the operators.
 
-    ``metadata`` holds what a check reads beyond the blocks: a coefficient
-    field under ``"coefficients"`` or a ``"parabola_constant"``.  Immutable
-    after assembly by convention; derived matrices are cached and derived
-    values kept by :meth:`_kept`, so instances are cheap to share.
+    ``metadata`` holds what a check reads beyond the blocks, as a model's
+    builder wrote it; derived forms carry none.  Immutable after assembly
+    by convention; derived matrices are cached and derived values kept by
+    :meth:`_kept`, so instances are cheap to share.
     """
 
     spaces: list
@@ -245,35 +245,17 @@ class FormMatrix:
         return scipy.sparse.block_diag([s.v_csr for s in self.spaces], format="csr")
 
     def adjoint(self) -> "FormMatrix":
-        """The adjoint form, blocks ``S*_ij = S_ji^H``; a coefficient field ``c_ij`` becomes ``c_ji``.
-
-        ``Im a*(f, f) = -Im a(f, f)`` and the real parts agree, so a
-        ``parabola_constant`` of the form holds for its adjoint.
-        """
+        """The adjoint form, blocks ``S*_ij = S_ji^H``, with empty ``metadata``."""
         blocks = [[self.csr_blocks[j][i].conj().T for j in range(self.m)] for i in range(self.m)]
-        meta = dict(self.metadata)
-        if "coefficients" in meta:
-            field = meta["coefficients"]
-            meta["coefficients"] = type(field)(field.values.transpose(1, 0, 2))
-        return FormMatrix(self.spaces, blocks, meta)
+        return FormMatrix(self.spaces, blocks)
 
     def diagonal_part(self) -> "FormMatrix":
-        """Same diagonal blocks, all couplings zeroed, in a coefficient field too.
-
-        The diagonal part is the mean of ``D S D`` over the sign matrices
-        ``D = diag(+-I)``.  Each ``D`` keeps both block-diagonal norms, so
-        ``|Im a(Df, Df)| <= m_tilde |f|_V |f|_H`` for all ``D`` bounds the
-        mean: a ``parabola_constant`` of the form holds for its diagonal part.
-        """
+        """Same diagonal blocks, all couplings zeroed, with empty ``metadata``."""
         blocks = [
             [blk if i == j else scipy.sparse.csr_array(blk.shape, dtype=blk.dtype) for j, blk in enumerate(row)]
             for i, row in enumerate(self.csr_blocks)
         ]
-        meta = dict(self.metadata)
-        if "coefficients" in meta:
-            field = meta["coefficients"]
-            meta["coefficients"] = type(field)(np.where(np.eye(self.m, dtype=bool)[:, :, None], field.values, 0.0))
-        return FormMatrix(self.spaces, blocks, meta)
+        return FormMatrix(self.spaces, blocks)
 
     @cached_property
     def identical_spaces(self) -> bool:
@@ -568,16 +550,14 @@ def _digest(m: scipy.sparse.csr_array) -> bytes:
     return hashlib.blake2b(b"".join([head, m.indptr, m.indices, m.data]), digest_size=32).digest()
 
 
-def _signed_digest(m: scipy.sparse.csr_array) -> tuple:
-    """``(sign, digest)``: the :func:`_digest` of ``sign*m``, ``sign`` making its first stored entry positive.
+def _signed_digest(m: scipy.sparse.csr_array) -> bytes:
+    """The :func:`_digest` of ``sign*m``, ``sign`` making its first stored entry positive: ``m`` and ``-m`` share it.
 
-    ``m`` and ``-m`` share the digest and differ in ``sign``.  A complex
-    entry is positive when its real part is, or its real part is zero
-    and its imaginary part is positive.
+    A complex entry is positive when its real part is, or its real part
+    is zero and its imaginary part is positive.
     """
     first = m.data[0] if m.nnz else 1.0
-    sign = -1.0 if (first.real, first.imag) < (0.0, 0.0) else 1.0
-    return sign, _digest(-m if sign < 0 else m)
+    return _digest(-m if (first.real, first.imag) < (0.0, 0.0) else m)
 
 
 def _midpoint(bracket: tuple) -> float:
@@ -599,7 +579,7 @@ def estimate_continuity(form: FormMatrix, i: int, j: int) -> float:
     if not np.any(block.data):
         return 0.0
     si, sj = form.spaces[i], form.spaces[j]
-    key = ("continuity", form._block_digests[i][j][1], si._v_digest, sj._v_digest)
+    key = ("continuity", form._block_digests[i][j], si._v_digest, sj._v_digest)
 
     def bracket():
         augmented = scipy.sparse.bmat([[None, block], [block.conj().T, None]])
@@ -615,8 +595,7 @@ def estimate_ellipticity(form: FormMatrix, i: int, shift: float = 0.0) -> float:
     relative to ``v_gram``, so the block satisfies
     ``Re a_ii(f,f) >= value*|f|_V^2 - shift*|f|_H^2`` sharply.
     """
-    s, block = form.spaces[i], form.csr_blocks[i][i]
-    key = ("ellipticity", *form._block_digests[i][i], s._h_digest, s._v_digest, shift)
+    s, block, key = form.spaces[i], form.csr_blocks[i][i], ("ellipticity", i, shift)
     return _midpoint(form._kept(key, lambda: _lambda_min(_hermitian_part(block) + shift * s.h_csr, s.v_csr)))
 
 

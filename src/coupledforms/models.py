@@ -134,7 +134,7 @@ def p1_stiffness(grid: Grid1D, cell_values=1.0) -> scipy.sparse.csr_array:
 
 def _h1_space(grid: Grid1D) -> DiscreteSpace:
     mass = p1_mass(grid)
-    return DiscreteSpace(grid.n_nodes, mass, mass + p1_stiffness(grid))
+    return DiscreteSpace(mass, mass + p1_stiffness(grid))
 
 
 def build_ephaptic(grid: Grid1D, coeffs: CoefficientField) -> FormMatrix:
@@ -169,7 +169,7 @@ def build_damped_wave(grid: Grid1D, alpha: complex = 1.0) -> FormMatrix:
     stiff = p1_stiffness(grid)
     w = mass + stiff
     n = grid.n_nodes
-    spaces = [DiscreteSpace(n, w, w), DiscreteSpace(n, mass, w)]
+    spaces = [DiscreteSpace(w, w), DiscreteSpace(mass, w)]
     alpha = complex(alpha)
     s21 = -alpha * stiff
     if alpha.imag == 0.0:
@@ -189,7 +189,7 @@ def build_dynamic_bc_heat(grid: Grid1D) -> FormMatrix:
     n = grid.n_nodes
     trace = scipy.sparse.csr_array(([1.0, 1.0], ([0, n - 1], [0, 1])), shape=(n, 2))
     blocks = [[p1_stiffness(grid), -trace], [-trace.T, np.zeros((2, 2))]]
-    return FormMatrix([_h1_space(grid), DiscreteSpace(2, np.eye(2), np.eye(2))], blocks)
+    return FormMatrix([_h1_space(grid), DiscreteSpace(np.eye(2), np.eye(2))], blocks)
 
 
 def build_constant_coupled(grid: Grid1D, coupling) -> FormMatrix:

@@ -107,8 +107,10 @@ def _require_positive(name: str, value: int) -> None:
 
 
 def _require_leading(m: int, m0: int) -> None:
-    if not 2 <= m0 <= m - 1:
-        raise ValidationError(f"m0 must lie in [2, {m - 1}], got {m0}")
+    if m == 1:
+        raise ValidationError("a one-component model has no proper subsystem")
+    if not 1 <= m0 <= m - 1:
+        raise ValidationError(f"m0 must lie in [1, {m - 1}], got {m0}")
 
 
 def _require_levels(alpha_levels: list) -> None:

@@ -116,18 +116,19 @@ def _coefficients(form: ModalForm, u0) -> np.ndarray:
     return np.stack([scipy.fft.dct(np.asarray(u, dtype=float), type=1) / 2.0 for u in u0], axis=1) / weight[:, None]
 
 
-def crank_nicolson(form: ModalForm, u0, dt: float, n_steps: int, projection) -> dict:
-    """``h_norm``, ``strip_distance`` and ``projection_norm`` after every Crank-Nicolson step, step 0 included.
+def theta_scheme(form: ModalForm, u0, dt: float, n_steps: int, projection, theta: float = 0.5) -> dict:
+    """``h_norm``, ``strip_distance`` and ``projection_norm`` after every theta-scheme step, step 0 included.
 
-    Each mode solves ``(H_k + dt/2 S_k) a+ = (H_k - dt/2 S_k) a`` with its
-    own m-by-m amplification matrix.  The ambient norm is ``sum_k
+    Each mode solves ``(H_k + theta dt S_k) a+ = (H_k - (1 - theta) dt S_k) a``
+    with its own m-by-m amplification matrix: theta 1/2 is Crank-Nicolson,
+    theta 1 implicit Euler.  The ambient norm is ``sum_k
     |v_k|_D^2 a_k^H H_k a_k``; the strip observables take ``P a_k`` and
     ``a_k - P a_k`` with the m-by-m ``projection``, which commutes with
     ``H_k`` when every component has the same Gram.
     """
     s, h, _ = form.mode_matrices()
     _, _, weight = form.modes()
-    amplification = np.linalg.solve(h + 0.5 * dt * s, h - 0.5 * dt * s)
+    amplification = np.linalg.solve(h + theta * dt * s, h - (1.0 - theta) * dt * s)
     a = _coefficients(form, u0).astype(complex)
     p = np.asarray(projection, dtype=complex)
     parts = {"h_norm": np.eye(form.m), "strip_distance": np.eye(form.m) - p, "projection_norm": p}

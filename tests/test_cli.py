@@ -550,10 +550,10 @@ class TestCheck:
              "config error: unknown key 'subspace' in checks entry"),
             ({"name": "dynamic_bc_heat"}, {"id": "domination", "trials": 0},
              "validation error: trials must be >= 1, got 0"),
-            ({"name": "constant_coupled", "coupling": RING}, {"id": "subsystem", "m0": 1},
-             "validation error: m0 must lie in [2, 3], got 1"),
+            ({"name": "constant_coupled", "coupling": RING}, {"id": "subsystem", "m0": 0},
+             "validation error: m0 must lie in [1, 3], got 0"),
             ({"name": "constant_coupled", "coupling": RING}, {"id": "subsystem", "m0": 4},
-             "validation error: m0 must lie in [2, 3], got 4"),
+             "validation error: m0 must lie in [1, 3], got 4"),
             ({"name": "dynamic_bc_heat"}, {"id": "strip_runtime", "alpha_levels": []},
              "validation error: strip distances must be a non-empty list of values >= 0"),
             ({"name": "dynamic_bc_heat"}, {"id": "parabola"},
@@ -736,6 +736,23 @@ ONE_LINE_CONFIGS = {
         "check",
         {"model": {"name": "constant_coupled", "coupling": [[1.0, 2.0]]}},
         "validation error: coupling matrix must be square, got (1, 2)",
+    ),
+    # the solve tolerance is a constant of the package, no longer a setting
+    "retired-solver-tolerance": (
+        "simulate",
+        {"evolution": {"dt": 0.01, "t_end": 0.2, "solver_tolerance": 1e-9}},
+        "config error: unknown key 'solver_tolerance' in evolution",
+    ),
+    # rounded to two steps, this run would have ended at t = 0.12
+    "simulate-t-end-between-steps": (
+        "simulate",
+        {"evolution": {"dt": 0.06, "t_end": 0.1}},
+        "validation error: t_end must be a whole number of steps: t_end/dt = 1.66667",
+    ),
+    "check-t-end-between-steps": (
+        "check",
+        {"model": {"name": "constant_coupled", "coupling": [[1.0]]}, "evolution": {"dt": 0.3, "t_end": 0.5}},
+        "validation error: t_end must be a whole number of steps: t_end/dt = 1.66667",
     ),
 }
 

@@ -89,6 +89,10 @@ MALFORMED = {
     # the retired projection key, even with its one former value, is unknown like any typo
     "projection_kind": ("simulate", ("projection",), {"kind": "averaging"}),
     "projection_matrix_with_kind": ("simulate", ("projection",), {"kind": "averaging", "matrix": [[1, 0], [0, 1]]}),
+    # the solve tolerance is a constant of the package, no longer a setting
+    "solver_tolerance": ("simulate", ("evolution", "solver_tolerance"), 1e-9),
+    "t_end_not_whole_steps": ("simulate", ("evolution",), {"dt": 0.06, "t_end": 0.1}),
+    "check_t_end_not_whole_steps": ("check", ("evolution",), {"dt": 0.3, "t_end": 0.5}),
 }
 
 
@@ -153,7 +157,7 @@ FUZZ_BASES = [
         "schema_version": 1,
         "model": {**PATTERN_MODEL, "perturb": {"i": 0, "j": 1, "delta": 0.5}},
         "grid": {"n_cells": 4, "length": 1.0},
-        "evolution": {"dt": 0.1, "t_end": 0.5, "scheme": "crank-nicolson", "record_every": 2, "solver_tolerance": 1e-9},
+        "evolution": {"dt": 0.1, "t_end": 0.5, "scheme": "crank-nicolson", "record_every": 2},
         "initial": {"kind": "in_phase", "amplitude": 1.0},
         "projection": {},
     },

@@ -31,7 +31,7 @@ from coupledforms.forms import _Factor
 
 def scalar_form(s_value, mass_value=1.0):
     return FormMatrix(
-        [DiscreteSpace(1, [[mass_value]], [[mass_value]])],
+        [DiscreteSpace([[mass_value]], [[mass_value]])],
         [[np.array([[s_value]])]],
     )
 
@@ -61,8 +61,6 @@ class TestConfig:
             {"dt": 2.0, "t_end": 1.0},
             {"dt": 0.1, "t_end": 1.0, "scheme": "forward-euler"},
             {"dt": 0.1, "t_end": 1.0, "record_every": 0},
-            {"dt": 0.1, "t_end": 1.0, "solver_tolerance": 1e-3},
-            {"dt": 0.1, "t_end": 1.0, "solver_tolerance": 0.0},
             {"dt": 0.1, "t_end": np.inf},
             {"dt": np.inf, "t_end": np.inf},
             {"dt": np.nan, "t_end": 1.0},
@@ -78,6 +76,24 @@ class TestConfig:
 
     def test_step_count(self):
         assert EvolutionConfig(dt=1e-3, t_end=1.0).n_steps == 1000
+
+    @pytest.mark.parametrize("dt, t_end", [(0.06, 0.1), (0.3, 0.5), (0.04, 0.1), (1e-320, 1.0)])
+    def test_t_end_that_is_not_a_whole_number_of_steps_is_refused(self, dt, t_end):
+        # rounded, the first three runs would end at 0.12, 0.6 and 0.08; the last has t_end/dt = inf
+        with pytest.raises(ValidationError, match="t_end must be a whole number of steps"):
+            EvolutionConfig(dt=dt, t_end=t_end)
+
+    @pytest.mark.parametrize("dt, t_end, n_steps", [(0.01, 0.37, 37), (1e-3, 1.0, 1000), (0.1, 0.3, 3)])
+    def test_whole_number_of_steps_is_accepted(self, dt, t_end, n_steps):
+        # fl(0.3/0.1) is 2.9999999999999996: the ratio is rounded before it is compared
+        cfg = EvolutionConfig(dt=dt, t_end=t_end)
+        assert cfg.n_steps == n_steps
+        assert cfg.n_steps * cfg.dt == pytest.approx(t_end, rel=1e-9)
+
+    def test_solver_tolerance_is_a_constant(self):
+        assert evolution.SOLVER_TOLERANCE == 1e-9
+        with pytest.raises(TypeError):
+            EvolutionConfig(dt=0.1, t_end=1.0, solver_tolerance=1e-9)
 
 
 class TestStep:
@@ -122,7 +138,7 @@ class TestStep:
         ids=["tridiagonal", "diagonal"],
     )
     def test_numerically_singular_system_raises_named_solver_error(self, s):
-        form = FormMatrix([DiscreteSpace(2, np.eye(2), np.eye(2))], [[np.array(s)]])
+        form = FormMatrix([DiscreteSpace(np.eye(2), np.eye(2))], [[np.array(s)]])
         cfg = EvolutionConfig(dt=1.0, t_end=1.0)
         with pytest.raises(SolverError, match="implicit-euler system is numerically singular at dt=1.0"):
             Stepper(form, cfg).step(form.flatten([np.ones(2)]))
@@ -415,7 +431,7 @@ class TestHNorm:
 
     def test_euclidean_case(self):
         form = FormMatrix(
-            [DiscreteSpace(2, np.eye(2), np.eye(2))],
+            [DiscreteSpace(np.eye(2), np.eye(2))],
             [[np.zeros((2, 2))]],
         )
         assert h_norm(form, [np.array([3.0, 4.0])]) == pytest.approx(5.0)
@@ -595,7 +611,7 @@ def pivoting_form():
     """
     n = 6
     s = -np.eye(n) + np.diag(np.full(n - 1, 2.0), 1) + np.diag(np.full(n - 1, 3.0), -1)
-    return FormMatrix([DiscreteSpace(n, np.eye(n), np.eye(n))], [[s]])
+    return FormMatrix([DiscreteSpace(np.eye(n), np.eye(n))], [[s]])
 
 
 def ephaptic_difference():
@@ -611,7 +627,7 @@ def complex_hermitian_coupling(tridiagonal=False):
     """A complex Hermitian form: the 2-fibre coupling ``[[2, 1j], [-1j, 2]]``, or one
     component with stiffness plus the Hermitian tridiagonal ``i*(E - E^T)``."""
     grid = Grid1D(16)
-    space = DiscreteSpace(grid.n_nodes, p1_mass(grid), p1_mass(grid) + p1_stiffness(grid))
+    space = DiscreteSpace(p1_mass(grid), p1_mass(grid) + p1_stiffness(grid))
     stiff = p1_stiffness(grid)
     if tridiagonal:
         skew = np.eye(grid.n_nodes, k=1) - np.eye(grid.n_nodes, k=-1)
@@ -681,9 +697,22 @@ class TestBandedStep:
         form = build_dynamic_bc_heat(Grid1D(8))
         cfg = EvolutionConfig(dt=0.01, t_end=0.05)
         assert _stepper(form, cfg) is _stepper(form, EvolutionConfig(dt=0.01, t_end=0.05))
-        assert _stepper(form, EvolutionConfig(dt=0.02, t_end=0.05)) is not _stepper(form, cfg)
+        assert _stepper(form, EvolutionConfig(dt=0.02, t_end=0.06)) is not _stepper(form, cfg)
         assert _stepper(form.diagonal_part(), cfg) is not _stepper(form, cfg)
         assert _stepper(build_dynamic_bc_heat(Grid1D(8)), cfg) is not _stepper(form, cfg)
+
+    def test_configs_that_differ_only_in_t_end_or_record_every_share_one_stepper(self):
+        form = build_dynamic_bc_heat(Grid1D(8))
+        cfg = EvolutionConfig(dt=0.01, t_end=0.05)
+        stepper = _stepper(form, cfg)
+        assert _stepper(form, EvolutionConfig(dt=0.01, t_end=0.05, scheme="crank-nicolson")) is not stepper
+        u0 = [np.linspace(-1.0, 1.0, d) for d in form.dims]
+        for other in (EvolutionConfig(dt=0.01, t_end=0.2), EvolutionConfig(dt=0.01, t_end=0.05, record_every=2)):
+            assert _stepper(form, other) is stepper
+            # the shared stepper steps each run to its own end, as a stepper of its own would
+            shared, alone = evolve(form, u0, other), evolve(build_dynamic_bc_heat(Grid1D(8)), u0, other)
+            np.testing.assert_array_equal(shared.times, alone.times)
+            np.testing.assert_array_equal(shared.observable("h_norm"), alone.observable("h_norm"))
 
 
 def banded(n, diagonals) -> scipy.sparse.csr_array:

@@ -16,7 +16,6 @@ from coupledforms import (
     build_dynamic_bc_heat,
     build_ephaptic,
     embedding_norm,
-    ephaptic_sum_check,
     estimate_continuity,
     estimate_ellipticity,
     form_apply,
@@ -53,23 +52,23 @@ def single_space_form(matrix, h_gram=None, v_gram=None):
     n = np.shape(matrix)[0]
     h = np.eye(n) if h_gram is None else h_gram
     v = np.eye(n) if v_gram is None else v_gram
-    return FormMatrix([DiscreteSpace(n, h, v)], [[matrix]])
+    return FormMatrix([DiscreteSpace(h, v)], [[matrix]])
 
 
 class TestDiscreteSpace:
     def test_rejects_non_hermitian_gram(self):
         with pytest.raises(ValidationError, match="Hermitian"):
-            DiscreteSpace(2, [[1.0, 0.5], [0.0, 1.0]], np.eye(2))
+            DiscreteSpace([[1.0, 0.5], [0.0, 1.0]], np.eye(2))
 
     def test_rejects_indefinite_gram(self):
         with pytest.raises(ValidationError, match="positive definite"):
-            DiscreteSpace(2, np.diag([1.0, -1.0]), np.eye(2))
+            DiscreteSpace(np.diag([1.0, -1.0]), np.eye(2))
 
     def test_rejects_nan(self):
         g = np.eye(2)
         g[0, 0] = np.nan
         with pytest.raises(ValidationError):
-            DiscreteSpace(2, g, np.eye(2))
+            DiscreteSpace(g, np.eye(2))
 
     def test_rejects_singular_gram(self):
         # Neumann stiffness alone: constants are in its kernel, and
@@ -79,7 +78,7 @@ class TestDiscreteSpace:
             for n_cells in [*range(2, 70), 100, 128, 255, 256, 1000]:
                 grid = Grid1D(n_cells, length)
                 with pytest.raises(ValidationError, match="positive definite"):
-                    DiscreteSpace(grid.n_nodes, p1_mass(grid), p1_stiffness(grid))
+                    DiscreteSpace(p1_mass(grid), p1_stiffness(grid))
 
     @pytest.mark.parametrize("n_cells", [2, 128, 2048])
     def test_accepts_p1_mass_and_h1_grams(self, n_cells):
@@ -87,7 +86,7 @@ class TestDiscreteSpace:
         for length in (1.0, 0.7):
             grid = Grid1D(n_cells, length)
             mass = p1_mass(grid)
-            assert DiscreteSpace(grid.n_nodes, mass, mass + p1_stiffness(grid)).dim == n_cells + 1
+            assert DiscreteSpace(mass, mass + p1_stiffness(grid)).dim == n_cells + 1
 
     @pytest.mark.parametrize("factor, accepted", [(2.0, True), (0.5, False)])
     def test_gram_margin_boundary(self, factor, accepted):
@@ -95,32 +94,41 @@ class TestDiscreteSpace:
         eps = factor * GRAM_RTOL
         g = np.array([[1.0, 1.0 - eps], [1.0 - eps, 1.0]])
         if accepted:
-            assert DiscreteSpace(2, np.eye(2), g).dim == 2
+            assert DiscreteSpace(np.eye(2), g).dim == 2
         else:
             with pytest.raises(ValidationError, match="positive definite"):
-                DiscreteSpace(2, np.eye(2), g)
+                DiscreteSpace(np.eye(2), g)
 
     def test_rejects_zero_diagonal_gram(self):
         # Cholesky breaks down at the first zero pivot
         g = np.kron(np.eye(3), [[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ValidationError, match="positive definite"):
-            DiscreteSpace(6, np.eye(6), g)
+            DiscreteSpace(np.eye(6), g)
 
-    def test_rejects_non_positive_dimension(self):
-        with pytest.raises(ValidationError, match="space dimension must be positive"):
-            DiscreteSpace(0, np.eye(1), np.eye(1))
+    def test_rejects_empty_grams(self):
+        with pytest.raises(DimensionError, match=r"non-empty, square and of one size: h_gram \(0, 0\)"):
+            DiscreteSpace(np.eye(0), np.eye(0))
 
     def test_rejects_gram_of_the_wrong_shape(self):
-        with pytest.raises(DimensionError, match=r"v_gram must be 2x2, got \(3, 3\)"):
-            DiscreteSpace(2, np.eye(2), np.eye(3))
+        with pytest.raises(DimensionError, match=r"of one size: h_gram \(2, 2\), v_gram \(3, 3\)"):
+            DiscreteSpace(np.eye(2), np.eye(3))
+
+    def test_rejects_non_square_ambient_gram(self):
+        with pytest.raises(DimensionError, match=r"h_gram \(2, 3\), v_gram \(2, 3\)"):
+            DiscreteSpace(np.ones((2, 3)), np.ones((2, 3)))
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_dimension_is_read_from_the_grams(self, n):
+        space = DiscreteSpace(np.eye(n), 2.0 * np.eye(n))
+        assert space.dim == n == space.h_csr.shape[0]
 
     def test_rejects_gram_that_is_not_a_matrix(self):
         with pytest.raises(DimensionError, match="h_gram must be a matrix, got ndim=1"):
-            DiscreteSpace(2, np.ones(2), np.eye(2))
+            DiscreteSpace(np.ones(2), np.eye(2))
 
     def test_accepts_complex_hermitian_gram(self):
         g = np.array([[2.0, 1j], [-1j, 2.0]])
-        assert DiscreteSpace(2, g, g).dim == 2
+        assert DiscreteSpace(g, g).dim == 2
 
 
 class TestCsrStorage:
@@ -132,7 +140,7 @@ class TestCsrStorage:
         )
         want, given_csr = scipy.sparse.csr_array(dense), scipy.sparse.csr_array(dense)
         for given in (dense, coo, dense.tolist(), given_csr):
-            form = FormMatrix([DiscreteSpace(3, np.eye(3), np.eye(3))], [[given]])
+            form = FormMatrix([DiscreteSpace(np.eye(3), np.eye(3))], [[given]])
             (stored,), = form.csr_blocks
             assert isinstance(stored, scipy.sparse.csr_array) and stored.dtype == float
             for name in ("indptr", "indices", "data"):
@@ -144,9 +152,9 @@ class TestCsrStorage:
     def test_rejects_non_finite_sparse_input(self):
         bad = scipy.sparse.csr_array(np.diag([1.0, np.nan]))
         with pytest.raises(ValidationError, match="non-finite"):
-            FormMatrix([DiscreteSpace(2, np.eye(2), np.eye(2))], [[bad]])
+            FormMatrix([DiscreteSpace(np.eye(2), np.eye(2))], [[bad]])
         with pytest.raises(ValidationError, match="non-finite"):
-            DiscreteSpace(2, bad, np.eye(2))
+            DiscreteSpace(bad, np.eye(2))
 
     def test_dense_views_are_built_once_and_read_only(self):
         form = build_dynamic_bc_heat(Grid1D(4))
@@ -168,7 +176,7 @@ class TestSameGeometry:
         # delta on every entry, inside and outside the Grams' sparsity pattern
         mass = p1_mass(grid).toarray()
         bump = delta * np.ones_like(mass)
-        return DiscreteSpace(grid.n_nodes, mass + bump, mass + p1_stiffness(grid).toarray() + bump)
+        return DiscreteSpace(mass + bump, mass + p1_stiffness(grid).toarray() + bump)
 
     @pytest.mark.parametrize("delta, same", [(0.0, True), (1e-13, True), (1e-9, False)])
     def test_agrees_with_dense_allclose(self, delta, same):
@@ -203,16 +211,16 @@ class TestSameGeometry:
 
 class TestEmbeddingNorm:
     def test_identity_grams(self):
-        assert embedding_norm(DiscreteSpace(3, np.eye(3), np.eye(3))) == pytest.approx(1.0)
+        assert embedding_norm(DiscreteSpace(np.eye(3), np.eye(3))) == pytest.approx(1.0)
 
     def test_scaled_domain(self):
-        assert embedding_norm(DiscreteSpace(3, np.eye(3), 4 * np.eye(3))) == pytest.approx(0.5)
+        assert embedding_norm(DiscreteSpace(np.eye(3), 4 * np.eye(3))) == pytest.approx(0.5)
 
     def test_p1_grid_against_nonsymmetric_eig_oracle(self):
         grid = Grid1D(10)
         mass = p1_mass(grid).toarray()
         w = mass + p1_stiffness(grid).toarray()
-        space = DiscreteSpace(grid.n_nodes, mass, w)
+        space = DiscreteSpace(mass, w)
         value = embedding_norm(space)
         assert 0 < value <= 1 + 1e-12
         # independent route: eigenvalues of inv(W) @ M through the
@@ -234,7 +242,7 @@ class TestFormApply:
 
     def test_block_orientation(self):
         # only the (1, 2) block is set: trial lives in space 2, test in space 1
-        spaces = [DiscreteSpace(1, np.eye(1), np.eye(1))] * 2
+        spaces = [DiscreteSpace(np.eye(1), np.eye(1))] * 2
         blocks = [
             [np.zeros((1, 1)), np.ones((1, 1))],
             [np.zeros((1, 1)), np.zeros((1, 1))],
@@ -288,12 +296,12 @@ class TestFormMatrixShapes:
             FormMatrix([], [])
 
     def test_rejects_a_ragged_block_grid(self):
-        space = DiscreteSpace(2, np.eye(2), np.eye(2))
+        space = DiscreteSpace(np.eye(2), np.eye(2))
         with pytest.raises(DimensionError, match="blocks must form an 2x2 grid"):
             FormMatrix([space, space], [[np.eye(2), np.eye(2)], [np.eye(2)]])
 
     def test_rejects_a_block_of_the_wrong_shape(self):
-        spaces = [DiscreteSpace(2, np.eye(2), np.eye(2)), DiscreteSpace(3, np.eye(3), np.eye(3))]
+        spaces = [DiscreteSpace(np.eye(2), np.eye(2)), DiscreteSpace(np.eye(3), np.eye(3))]
         blocks = [[np.eye(2), np.zeros((2, 3))], [np.zeros((2, 2)), np.eye(3)]]
         with pytest.raises(DimensionError, match=r"block \(1,0\) has shape \(2, 2\), expected \(3, 2\)"):
             FormMatrix(spaces, blocks)
@@ -519,7 +527,7 @@ class TestSectorAndParabola:
     def test_parabola_imaginary_diagonal_fails(self):
         n = 4
         v = np.eye(n)
-        form = FormMatrix([DiscreteSpace(n, np.eye(n), v)], [[1j * v]])
+        form = FormMatrix([DiscreteSpace(np.eye(n), v)], [[1j * v]])
         res = parabola_check(form, 0.0)
         assert res.failed
 
@@ -537,20 +545,6 @@ class TestAdjoint:
         for i in range(2):
             for j in range(2):
                 np.testing.assert_allclose(adj.csr_blocks[i][j].toarray(), form.csr_blocks[j][i].toarray().conj().T)
-
-    def test_adjoint_and_diagonal_part_carry_their_coefficient_field(self):
-        grid = Grid1D(4)
-        form = build_ephaptic(grid, CoefficientField.constant([[2, 0], [1, 1]], 4))
-        assert ephaptic_sum_check(form.metadata["coefficients"], "rows").passed
-        # the adjoint's row sums are the field's column sums, 3 and 1
-        adjoint = form.adjoint()
-        assert not ephaptic_sum_check(adjoint.metadata["coefficients"], "rows").passed
-        diagonal = form.diagonal_part()
-        np.testing.assert_array_equal(diagonal.metadata["coefficients"].values[:, :, 0], [[2, 0], [0, 1]])
-        # each field assembles the blocks of its own form
-        for derived in (adjoint, diagonal):
-            rebuilt = build_ephaptic(grid, derived.metadata["coefficients"])
-            assert (rebuilt.form_csr != derived.form_csr).nnz == 0
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,10 @@ from coupledforms.qualitative import sector_check
 RING = [[3, -1, -1, 0], [-1, 3, 0, -1], [-1, 0, 3, -1], [0, -1, -1, 3]]
 #: Agreement of modal values with dense ``eigh``, relative to the pencil's largest eigenvalue magnitude.
 DENSE_RTOL = 1e-12
-#: Agreement of ``evolve``'s observables with exact modal Crank-Nicolson, relative per value.
+#: Agreement of ``evolve``'s observables with the exact modal theta-scheme, relative per value.
 EVOLVE_RTOL = 1e-12
 ITEM_4 = "ROADMAP item 4: the spectral bracket is not certified in floating point and misses the modal value"
+ITEM_2 = "ROADMAP item 2: the implicit-Euler gap to the modal oracle grows like 1/h**2, 5.5e-11 at 2048 cells"
 
 MODELS = {
     # the package's builder and the modal form of one model, on n cells of an interval of length L
@@ -88,21 +89,32 @@ class TestOracle:
             assert abs(modal_constant(name, n_cells) - 0.5) <= 4 * np.finfo(float).eps
 
 
+def assert_two_fibre_run_matches_oracle(n_cells: int, n_steps: int, scheme: str, theta: float) -> None:
+    """``evolve`` on the two-fibre ``difference`` model against the modal theta-scheme, dt 1e-3, averaging projection."""
+    coupling = two_fibre_coupling("difference", diffusion=2.0, coupling=0.5)
+    form = build_ephaptic(Grid1D(n_cells), CoefficientField.constant(coupling, n_cells))
+    rng = np.random.default_rng(n_cells)
+    u0 = [rng.standard_normal(n_cells + 1) for _ in range(2)]
+    dt = 1e-3
+    cfg = EvolutionConfig(dt=dt, t_end=dt * n_steps, scheme=scheme)
+    record = evolve(form, u0, cfg, proj=averaging_projection(2))
+    exact = modal.theta_scheme(modal.ephaptic(coupling, n_cells), u0, dt, n_steps, np.full((2, 2), 0.5), theta)
+    for name, want in exact.items():
+        got = record.observable(name)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want) / want) <= EVOLVE_RTOL, name
+
+
 class TestEvolve:
     @pytest.mark.parametrize("n_cells, n_steps", [(64, 200), (2048, 100)])
     def test_two_fibre_crank_nicolson(self, n_cells, n_steps):
-        coupling = two_fibre_coupling("difference", diffusion=2.0, coupling=0.5)
-        form = build_ephaptic(Grid1D(n_cells), CoefficientField.constant(coupling, n_cells))
-        rng = np.random.default_rng(n_cells)
-        u0 = [rng.standard_normal(n_cells + 1) for _ in range(2)]
-        dt = 1e-3
-        cfg = EvolutionConfig(dt=dt, t_end=dt * n_steps, scheme="crank-nicolson")
-        record = evolve(form, u0, cfg, proj=averaging_projection(2))
-        exact = modal.crank_nicolson(modal.ephaptic(coupling, n_cells), u0, dt, n_steps, np.full((2, 2), 0.5))
-        for name, want in exact.items():
-            got = record.observable(name)
-            assert got.shape == want.shape
-            assert np.max(np.abs(got - want) / want) <= EVOLVE_RTOL, name
+        assert_two_fibre_run_matches_oracle(n_cells, n_steps, "crank-nicolson", 0.5)
+
+    @pytest.mark.parametrize(
+        "n_cells, n_steps", [(64, 200), pytest.param(2048, 100, marks=pytest.mark.xfail(strict=True, reason=ITEM_2))]
+    )
+    def test_two_fibre_implicit_euler(self, n_cells, n_steps):
+        assert_two_fibre_run_matches_oracle(n_cells, n_steps, "implicit-euler", 1.0)
 
 
 def _missed(*cases):

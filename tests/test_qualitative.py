@@ -349,8 +349,25 @@ class TestSubsystemInvariance:
 
     def test_m0_range_enforced(self):
         form = build_ephaptic(Grid1D(8), self.three_component_field())
-        for m0 in (0, 1, 3, 7):
-            with pytest.raises(ValidationError):
+        for m0 in (0, 3, 7):
+            with pytest.raises(ValidationError, match=r"m0 must lie in \[1, 2\]"):
+                subsystem_invariance_check(form, m0)
+
+    @pytest.mark.parametrize(
+        "coupling, passed",
+        [([[2.0, 0.0], [-1.0, 2.0]], False), ([[2.0, -1.0], [0.0, 2.0]], True), (RING, False)],
+        ids=["lower-coupling", "upper-coupling", "four-cycle"],
+    )
+    def test_one_leading_component(self, coupling, passed):
+        # m0 = 1: the first component evolves alone when no block couples it into the others
+        res = subsystem_invariance_check(build_constant_coupled(Grid1D(8), coupling), 1)
+        assert res.passed is passed and res.details["m0"] == 1
+        assert (res.details["max_block_norm"] == 0.0) is passed
+
+    def test_one_component_model_has_no_proper_subsystem(self):
+        form = build_constant_coupled(Grid1D(8), [[1.0]])
+        for m0 in (0, 1):
+            with pytest.raises(ValidationError, match="a one-component model has no proper subsystem"):
                 subsystem_invariance_check(form, m0)
 
 
@@ -450,7 +467,7 @@ class TestPositivity:
 def sign_edge_form(ratio):
     """Two identity-Gram components; one coupling entry at ``ratio`` times the sign tolerance."""
     n = 4
-    spaces = [DiscreteSpace(n, np.eye(n), np.eye(n)) for _ in range(2)]
+    spaces = [DiscreteSpace(np.eye(n), np.eye(n)) for _ in range(2)]
     blocks = [[3.0 * np.eye(n), -np.eye(n)], [-np.eye(n), 3.0 * np.eye(n)]]
     tol = BLOCK_ZERO_RTOL * _form_scale(FormMatrix(spaces, [row[:] for row in blocks]))
     blocks[0][1][0, 1] = ratio * tol
@@ -540,7 +557,7 @@ class TestLinfContractivity:
 
     def test_non_accretive_without_violation_not_applicable(self):
         # u' = 1e-12 u grows by 2e-13 over the run: below the cone tolerance, but not contractive
-        form = FormMatrix([DiscreteSpace(1, [[1.0]], [[1.0]])], [[np.array([[-1e-12]])]])
+        form = FormMatrix([DiscreteSpace([[1.0]], [[1.0]])], [[np.array([[-1e-12]])]])
         res = linf_contractivity_check(form, trials=2, cfg=CFG)
         assert res.status == "not-applicable"
         assert res.details["reason"] == "form is not accretive, no violation found"
@@ -935,7 +952,7 @@ def cone_leaking_form():
     # one component, so the coupling test is vacuous, but the block's
     # positive off-diagonal entries drive small nodes negative
     s = np.full((3, 3), 0.9) + 0.1 * np.eye(3)
-    return FormMatrix([DiscreteSpace(3, np.eye(3), np.eye(3))], [[s]])
+    return FormMatrix([DiscreteSpace(np.eye(3), np.eye(3))], [[s]])
 
 
 # consistent P1 mass with dt well below h^2 is not an M-matrix scheme

@@ -69,7 +69,7 @@ def _slack(a, v, h):
 def _imaginary_identity(sign, n=4):
     """``a(f, f) = sign*i*|f|^2`` with ``V = H = I``: both sharp constants are 1, on one side only."""
     eye = np.eye(n)
-    return FormMatrix([DiscreteSpace(n, eye, eye)], [[sign * 1j * eye]])
+    return FormMatrix([DiscreteSpace(eye, eye)], [[sign * 1j * eye]])
 
 
 def _dense_skew(form):
