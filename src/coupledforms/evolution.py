@@ -14,7 +14,14 @@ tests meaningful.
 The P1 blocks are tridiagonal or a few trace entries, so the systems are
 formed from the form's assembled CSR operators (``FormMatrix.form_csr``
 and ``mass_csr``).  In reverse Cuthill--McKee order their half-bandwidth
-is a few entries.  :class:`coupledforms.forms._Factor` factors a
+is a few entries.  A form that is a real symmetric coupling ``C``
+times one block over one ambient Gram, such as the ephaptic system with
+constant coefficients, is stepped mode by mode instead: the eigenbasis
+of the m-by-m ``C`` splits each system into m scalar ones, tridiagonal
+for P1 (the fast diagonalization of Lynch, Rice & Thomas, 1964), and
+:class:`Stepper` takes that split only when a bound from m-by-m
+quantities keeps a step's backward error on the assembled system.
+:class:`coupledforms.forms._Factor` factors a
 Hermitian positive definite system (an accretive model's, the damped
 wave's excepted) by banded Cholesky (LAPACK ``?pbtrf``, or ``?pttrf``
 when tridiagonal), any other by banded LU with partial pivoting
@@ -22,10 +29,12 @@ when tridiagonal), any other by banded LU with partial pivoting
 time linear in the unknown count.
 
 One generator, ``_states``, owns the stepping loop.  Only the solve runs
-once per step, in the factor's RCM order: the generator fills a block of
-up to ``BLOCK_BYTES`` of states, checks the backward error of every
-step's solve in it with one product, and yields the block's recorded
-states, put back in the form's order by one gather.  Recorded norms take
+once per step, in the stepper's coordinates (the factor's order, of the
+modes when split): the generator enters them once, fills a block of up
+to ``BLOCK_BYTES`` of states, checks the backward error of every step's
+solve in it with one product, and yields the block's recorded states,
+put back in the form's coordinates by one gather and, when split, one
+m-by-m mix, both written over the block's spent buffers.  Recorded norms take
 one ``mass_csr`` product per block, the strip observables one more, in
 the basis that a :class:`ProjectionSpec` splits from its matrix once it
 has checked it.  A run keeps its observables and its last state, and
@@ -49,6 +58,8 @@ BLOCK_BYTES = 256 * 2**10
 PROJECTION_TOL = 1e-12
 #: Largest normwise backward error of a step's solve that :meth:`Stepper.check` accepts.
 SOLVER_TOLERANCE = 1e-9
+#: Largest similarity error of a modal split, relative to ``SOLVER_TOLERANCE * |lhs|_inf`` (see :class:`Stepper`).
+SPLIT_RTOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -148,51 +159,100 @@ class ProjectionSpec:
 
 
 class Stepper:
-    """One factorized time-step operator for a fixed form, ``cfg.dt`` and ``cfg.scheme``, in RCM coordinates.
+    """One factorized time-step operator for a fixed form, ``cfg.dt`` and ``cfg.scheme``, in its own coordinates.
 
-    The implicit system ``lhs u+ = rhs u`` is formed from the form's
-    CSR operators ``form_csr`` and ``mass_csr``.  ``lhs`` is factored by
-    :class:`coupledforms.forms._Factor`: banded Cholesky (``kernel ==
-    "cholesky"``) when it is exactly Hermitian and positive definite,
-    else banded LU with partial pivoting (``"lu"``).  ``order`` is the
-    factor's reverse Cuthill--McKee order of ``lhs`` and its transpose:
-    ``lhs`` and ``rhs`` are permuted to it once, and :meth:`step` and
-    :meth:`check` take states ``u[order]``.  Construction raises :class:`SolverError` when
-    the factorization fails or its smallest pivot is below ``1e-14 *
-    |lhs|_inf``; :meth:`check` raises it when a column's residual
-    ``|lhs u+ - rhs u|_2`` exceeds ``SOLVER_TOLERANCE * (|lhs|_inf |u+|_2 +
-    |rhs u|_2)``: a normwise backward error above ``SOLVER_TOLERANCE``,
-    which no change of units moves (Rigal & Gaches 1967; Higham,
-    *Accuracy and Stability of Numerical Algorithms*, 2002, Thm 7.1).
+    The implicit system ``lhs u+ = rhs u``, ``lhs = Mass + theta*dt*S``,
+    is formed from the form's CSR operators ``form_csr`` and ``mass_csr``.
+    A form that :func:`_kronecker` finds to be ``C (x) K`` over one ambient
+    Gram ``M``, ``C`` real symmetric, steps mode by mode: with ``C = Q
+    Lambda Q^T`` from ``eigh`` and ``G = Q (x) I``, ``G^T lhs G`` is
+    ``L = blockdiag(M + theta*dt*lambda_r*K)`` and ``G^T rhs G`` is ``R``,
+    its ``rhs`` counterpart, so the stepper factors m scalar systems
+    (tridiagonal for P1) instead of the coupled band (Lynch, Rice &
+    Thomas, *Numer. Math.* 6, 1964).  Any other form steps ``L = lhs``,
+    ``R = rhs``.  ``L`` is factored by :class:`coupledforms.forms._Factor`:
+    banded Cholesky (``kernel == "cholesky"``) when it is exactly
+    Hermitian and positive definite, else banded LU with partial pivoting
+    (``"lu"``), in its reverse Cuthill--McKee order.  :meth:`enter` takes
+    states to the stepper's coordinates, ``G^T u`` (or ``u``) in that
+    order, :meth:`leave` takes them back, and :meth:`step` and
+    :meth:`check` work in between.
+
+    Construction raises :class:`SolverError` when the factorization fails
+    or its smallest pivot is below ``1e-14 * |lhs|_inf``; :meth:`check`
+    raises it when a column's residual ``|L w+ - R w|_2`` exceeds
+    ``SOLVER_TOLERANCE * (|lhs|_inf |w+|_2 + |R w|_2)``: a normwise
+    backward error above ``SOLVER_TOLERANCE``, which no change of units
+    moves (Rigal & Gaches 1967; Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2002, Thm 7.1).
+
+    The split keeps that bound on the assembled system.  With ``D = S - C
+    (x) K``, what the coupling misses, ``lhs G - G L`` is ``theta*dt*((C Q
+    - Q Lambda) (x) K + D G)`` and ``rhs G - G R`` the same times ``-(1 -
+    theta)/theta``.  From ``E = |Q Lambda Q^T - C|_F`` and ``F = |Q Q^T -
+    I|_F``, ``|G|_2 <= sqrt(1 + F)`` and ``|C Q - Q Lambda|_2 <= |G|_2 (E +
+    |Lambda|_2 F)``, so both differences are at most ``sigma = dt |G|_2
+    ((E + |Lambda|_2 F) sqrt(|K|_1 |K|_inf) + |D|_F)``.  The split is
+    taken only when ``F`` and ``sigma / |lhs|_inf`` are at most
+    ``SPLIT_RTOL * SOLVER_TOLERANCE``, 1e-12, a margin that also covers
+    the rounding of these m-by-m products.  A checked step ``w -> w+``
+    then gives ``u = G w`` and ``u+ = G w+`` with ``|lhs u+ - rhs u|_2 <=
+    kappa(G) SOLVER_TOLERANCE (|lhs|_inf |u+|_2 + |rhs u|_2) + 1.01
+    SPLIT_RTOL SOLVER_TOLERANCE |lhs|_inf (|u+|_2 + |u|_2)``, ``kappa(G)
+    <= 1 + 1e-12``: a backward error within a part in a thousand of
+    ``SOLVER_TOLERANCE`` when both matrices may be perturbed, up to the
+    rounding of the m-term sums of :meth:`enter` and :meth:`leave`.
     """
 
     def __init__(self, form: FormMatrix, cfg: EvolutionConfig):
         # no reference back to the form, which keeps its steppers
         self.dt, self.scheme = cfg.dt, cfg.scheme
-        mass, s = form.mass_csr, form.form_csr
         theta = 1.0 if cfg.scheme == "implicit-euler" else 0.5
-        lhs = mass + (theta * cfg.dt) * s
-        rhs = mass if theta == 1.0 else mass - (theta * cfg.dt) * s
+        mass, s, tdt = form.mass_csr, form.form_csr, theta * cfg.dt
+        lhs = mass + tdt * s
+        # |lhs|_inf, the largest absolute row sum, of the assembled system on either path
+        self._lhs_norm = max(float(abs(lhs).sum(axis=1).max()), 1e-300)
+        split = _modal_split(form, cfg.dt, self._lhs_norm)
+        if split is None:
+            self._basis = None
+            rhs = mass if theta == 1.0 else mass - tdt * s
+        else:
+            self._basis, lam, gram, k = split
+            lhs = scipy.sparse.block_diag([gram + (tdt * x) * k for x in lam], format="csr")
+            rhs = mass if theta == 1.0 else scipy.sparse.block_diag([gram - (tdt * x) * k for x in lam], format="csr")
         try:
             self._factor = _Factor(lhs)
         except NumericalError as exc:
             raise SolverError(
                 f"{cfg.scheme} system factorization failed at dt={cfg.dt}: {exc}"
             ) from exc
-        self.kernel, self.order = self._factor.kernel, self._factor.order
+        self.kernel, self._order = self._factor.kernel, self._factor.order
         diag = self._factor.pivots
-        # |lhs|_inf, the largest absolute row sum
-        self._lhs_norm = max(float(abs(lhs).sum(axis=1).max()), 1e-300)
         if diag.min() <= 1e-14 * self._lhs_norm:
             raise SolverError(
                 f"{cfg.scheme} system is numerically singular at dt={cfg.dt} "
                 f"(pivot ratio {diag.min() / self._lhs_norm:.3e})"
             )
-        self.position = np.argsort(self.order)
-        self._lhs, self._rhs = (a[self.order][:, self.order] for a in (lhs, rhs))
+        self._position = np.argsort(self._order)
+        self._lhs, self._rhs = (a[self._order][:, self._order] for a in (lhs, rhs))
+
+    def enter(self, u: np.ndarray) -> np.ndarray:
+        """A flat state, or an ``(N, k)`` block, in the stepper's coordinates, as a new array."""
+        if self._basis is not None:
+            u = _mix(self._basis.T, u.copy(), np.empty_like(u))
+        return u[self._order]
+
+    def leave(self, block: np.ndarray, spare: np.ndarray) -> np.ndarray:
+        """States ``(N, ...)`` in the stepper's coordinates back in the form's, written over ``block`` or ``spare``.
+
+        ``spare`` has the shape and type of ``block``; both are spent.
+        """
+        # "clip" writes straight into out
+        modes = np.take(block, self._position, axis=0, out=spare, mode="clip")
+        return modes if self._basis is None else _mix(self._basis, modes, block)
 
     def step(self, u: np.ndarray) -> tuple:
-        """Advance a state vector, or each column of a ``(N, k)`` block, unchecked; all in ``order``.
+        """Advance a state vector, or each column of a ``(N, k)`` block, unchecked; all in the stepper's coordinates.
 
         Returns ``(u+, rhs u)``; :meth:`check` judges the solve.
         """
@@ -200,7 +260,7 @@ class Stepper:
         return self._factor.solve(rhs), rhs
 
     def check(self, states: np.ndarray, rhs: np.ndarray, steps: np.ndarray) -> None:
-        """Check the solves of an ``(N, b, k)`` block in ``order``: the states after ``steps`` and their ``rhs u``.
+        """Check the solves of an ``(N, b, k)`` block of stepper coordinates: the states after ``steps`` and their ``rhs u``.
 
         One product covers the block; the error names the first step
         with a column over its bound.
@@ -218,6 +278,71 @@ class Stepper:
                 f"{self.scheme} solve lost accuracy at step {steps[j]} "
                 f"(dt={self.dt}, residual {np.max(residual[j]):.3e})"
             )
+
+
+def _same_pattern(a, b) -> bool:
+    return a.shape == b.shape and np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+
+
+def _kronecker(form: FormMatrix):
+    """``(C, K, miss)`` when ``form`` passes the structure test of a Kronecker form ``C (x) K``, else None.
+
+    The test: a real form of two or more components whose ambient Grams
+    are one stored matrix, whose nonzero blocks all have the pattern of
+    the first, ``K``, and whose coupling ``C`` is finite and exactly
+    symmetric.  ``C[i, j]`` is block (i, j)'s entry at ``K``'s largest
+    entry over that entry, 0 for an empty block, and ``miss`` the
+    Frobenius norm of ``S - C (x) K``, the part of the blocks that ``C``
+    does not hold, which :class:`Stepper`'s similarity bound counts.
+    """
+    gram = form.spaces[0].h_csr
+    if form.m < 2 or not form.is_real:
+        return None
+    if not all(_same_pattern(s.h_csr, gram) and np.array_equal(s.h_csr.data, gram.data) for s in form.spaces[1:]):
+        return None
+    blocks = [b for row in form.csr_blocks for b in row]
+    k = next((b for b in blocks if b.nnz), None)
+    if k is None or not all(b.nnz == 0 or _same_pattern(b, k) for b in blocks):
+        return None
+    top = int(np.argmax(np.abs(k.data)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = np.array([b.data[top] / k.data[top] if b.nnz else 0.0 for b in blocks]).reshape(form.m, form.m)
+        if not (np.isfinite(c).all() and np.array_equal(c, c.T)):
+            return None
+        miss = np.sqrt(sum(np.sum((b.data - x * k.data) ** 2) for b, x in zip(blocks, c.flat) if b.nnz))
+    return c, k, float(miss)
+
+
+def _modal_split(form: FormMatrix, dt: float, lhs_norm: float):
+    """``(Q, lambda, M, K)`` of a Kronecker form whose split passes :class:`Stepper`'s similarity bound, else None."""
+    kron = _kronecker(form)
+    if kron is None:
+        return None
+    c, k, miss = kron
+    lam, q = np.linalg.eigh(c)
+    e = np.linalg.norm((q * lam) @ q.T - c)
+    f = np.linalg.norm(q @ q.T - np.eye(form.m))
+    k_norm = np.sqrt(abs(k).sum(axis=0).max() * abs(k).sum(axis=1).max())
+    sigma = dt * np.sqrt(1.0 + f) * ((e + np.abs(lam).max() * f) * k_norm + miss)
+    bound = SPLIT_RTOL * SOLVER_TOLERANCE
+    return (q, lam, form.spaces[0].h_csr, k) if f <= bound and sigma <= bound * lhs_norm else None
+
+
+def _mix(a: np.ndarray, src: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out_i = sum_j a[i, j] src_j`` over the m equal row slices of ``src`` and ``out``; ``src`` is spent.
+
+    Elementwise products summed in order of j, so a state mixes to the
+    same bits alone or in a block.  The products go to the last slice
+    of ``out`` until it is formed itself, then over the spent ``src``:
+    no temporary.
+    """
+    m = a.shape[0]
+    rows = [slice(i * (src.shape[0] // m), (i + 1) * (src.shape[0] // m)) for i in range(m)]
+    for i in range(m):
+        np.multiply(src[rows[0]], a[i, 0], out=out[rows[i]])
+        for j in range(1, m):
+            out[rows[i]] += np.multiply(src[rows[j]], a[i, j], out=out[rows[-1]] if i < m - 1 else src[rows[j]])
+    return out
 
 
 def _column_norms(a: np.ndarray) -> np.ndarray:
@@ -242,14 +367,15 @@ def _states(form: FormMatrix, u: np.ndarray, cfg: EvolutionConfig):
     """Yield ``(steps, states)`` blocks from flat ``u``: recorded step indices and an ``(N, len(steps), k)`` array.
 
     Step 0 is a block of its own.  After it, steps run in the stepper's
-    ``order``, each block fills at most ``BLOCK_BYTES`` of states, and
-    their solves are checked before the recorded ones, if any, are
-    yielded in the form's order, in an array no later step writes to.
+    coordinates, entered once, each block fills at most ``BLOCK_BYTES``
+    of states, and their solves are checked before the recorded ones, if
+    any, are yielded in the form's coordinates, in an array no later step
+    writes to.
     """
     stepper = _stepper(form, cfg)
     u = u.reshape(u.shape[0], -1)
     yield np.zeros(1, dtype=int), u[:, None]
-    u = u[stepper.order]
+    u = stepper.enter(u)
     last = cfg.n_steps
     width = max(1, BLOCK_BYTES // u.nbytes)
     for first in range(1, last + 1, width):
@@ -262,8 +388,8 @@ def _states(form: FormMatrix, u: np.ndarray, cfg: EvolutionConfig):
         stepper.check(states, rhs, steps)
         kept = (steps % cfg.record_every == 0) | (steps == last)
         if kept.any():
-            # back in the form's order, into the spent rhs buffer ("clip" writes straight into out)
-            block = np.take(states, stepper.position, axis=0, out=rhs, mode="clip")
+            # back in the form's coordinates, over the spent states and rhs buffers
+            block = stepper.leave(states, rhs)
             yield steps[kept], block if kept.all() else block[:, kept]
 
 

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -44,6 +45,12 @@ def traced_peak(run) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def step_once(stepper, u):
+    """One unchecked step of ``u`` in the form's coordinates, entered and left through the stepper's map."""
+    out = stepper.step(stepper.enter(u))[0]
+    return stepper.leave(out, np.empty_like(out))
 
 
 def recorded_states(form, u0, cfg):
@@ -108,9 +115,8 @@ class TestStep:
         form = build_ephaptic(grid, CoefficientField(np.zeros((2, 2, 6))))
         rng = np.random.default_rng(0)
         u = [rng.standard_normal(grid.n_nodes) for _ in range(2)]
-        stepper = Stepper(form, EvolutionConfig(dt=0.5, t_end=1.0))
-        out, _ = stepper.step(form.flatten(u)[stepper.order])
-        for a, b in zip(form.split(out[stepper.position]), u):
+        out = step_once(Stepper(form, EvolutionConfig(dt=0.5, t_end=1.0)), form.flatten(u))
+        for a, b in zip(form.split(out), u):
             np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-15)
 
     def test_scalar_crank_nicolson_stability_boundary(self):
@@ -220,18 +226,19 @@ def stepwise_record(form, u0, cfg, proj):
         lifted, rank = _lift(np.hstack([proj.eig1, proj.eig0]).conj().T, form.spaces[0].dim), proj.rank
     stepper = Stepper(form, cfg)
     times, rows = [0.0], [_observables(form, u[:, None], lifted, rank)]
-    u = u[stepper.order]
+    u = stepper.enter(u)
     for k in range(1, cfg.n_steps + 1):
         u, _ = stepper.step(u)
         if k % cfg.record_every == 0 or k == cfg.n_steps:
             times.append(k * cfg.dt)
-            rows.append(_observables(form, u[stepper.position][:, None], lifted, rank))
-    return np.array(times), np.concatenate(rows, axis=1), u[stepper.position].reshape(shape)
+            rows.append(_observables(form, stepper.leave(u.copy(), np.empty_like(u))[:, None], lifted, rank))
+    return np.array(times), np.concatenate(rows, axis=1), stepper.leave(u.copy(), np.empty_like(u)).reshape(shape)
 
 
 BLOCK_CASES = {
-    # form, complex initial data, projection
+    # form, complex initial data, projection; the ephaptic form steps mode by mode, the other two the assembled band
     "real": (lambda: ephaptic_difference(), False, False),
+    "real-assembled-projected": (lambda: per_cell_field(), False, True),
     "real-projected": (lambda: ephaptic_difference(), False, True),
     "complex-data-projected": (lambda: ephaptic_difference(), True, True),
     "complex-form": (lambda: build_damped_wave(Grid1D(16), 1.0 + 0.5j), True, False),
@@ -654,6 +661,47 @@ STEP_FORMS = {
 }
 
 
+def dense_step(form, cfg, u):
+    """One step of ``cfg``'s scheme from ``u`` by a dense solve of the assembled system."""
+    theta = 1.0 if cfg.scheme == "implicit-euler" else 0.5
+    mass, s = form.mass_csr.toarray(), form.form_csr.toarray()
+    return np.linalg.solve(mass + theta * cfg.dt * s, (mass - (1.0 - theta) * cfg.dt * s) @ u)
+
+
+def assert_matches_dense_step(form, cfg, stepper, u):
+    got, want = step_once(stepper, u), dense_step(form, cfg, u)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.linalg.norm(got - want) <= BANDED_STEP_RTOL * np.linalg.norm(want)
+
+
+def zero_minus_one_couplings(m):
+    """Every m-by-m coupling with diagonal 3 and symmetric off-diagonal entries 0 or -1."""
+    upper = list(zip(*np.triu_indices(m, 1)))
+    for entries in itertools.product((0.0, -1.0), repeat=len(upper)):
+        coupling = 3.0 * np.eye(m)
+        for (i, j), value in zip(upper, entries):
+            coupling[i, j] = coupling[j, i] = value
+        yield coupling
+
+
+def per_cell_field():
+    """The two-fibre ``difference`` field with a first diagonal coefficient that varies from cell to cell."""
+    values = np.array(CoefficientField.constant(two_fibre_coupling("difference", 2.0, 0.5), 16).values)
+    values[0, 0] += np.linspace(0.0, 1.0, 16)
+    return build_ephaptic(Grid1D(16), CoefficientField(values))
+
+
+# forms that are a real symmetric coupling times one block over one ambient Gram, and forms that are not
+KRONECKER_FORMS = ["ephaptic_difference", "ephaptic_sum", "ephaptic_shared", "four_cycle"]
+ASSEMBLED_FORMS = {
+    "per_cell_field": per_cell_field,
+    "non_symmetric_coupling": lambda: build_constant_coupled(Grid1D(16), [[2.0, 0.0], [-1.0, 2.0]]),
+    "dynamic_bc_heat": STEP_FORMS["dynamic_bc_heat"][0],
+    "damped_wave": STEP_FORMS["damped_wave_real"][0],
+    "complex_hermitian": complex_hermitian_coupling,
+}
+
+
 class TestBandedStep:
     @pytest.mark.parametrize("scheme", ["implicit-euler", "crank-nicolson"])
     @pytest.mark.parametrize("name", sorted(STEP_FORMS))
@@ -662,8 +710,6 @@ class TestBandedStep:
         build, dt, kernel = STEP_FORMS[name]
         form = build()
         cfg = EvolutionConfig(dt=dt, t_end=dt, scheme=scheme)
-        theta = 1.0 if scheme == "implicit-euler" else 0.5
-        mass, s = form.mass_csr.toarray(), form.form_csr.toarray()
         rng = np.random.default_rng(12)
         shape = (form.total_dim,) if data == "vector" else (form.total_dim, 3)
         u = rng.standard_normal(shape)
@@ -671,12 +717,55 @@ class TestBandedStep:
             u = u + 1j * rng.standard_normal(shape)
         stepper = Stepper(form, cfg)
         assert stepper.kernel == kernel
-        got = stepper.step(u[stepper.order])[0][stepper.position]
-        want = np.linalg.solve(mass + theta * dt * s, (mass - (1.0 - theta) * dt * s) @ u)
-        assert got.shape == want.shape and got.dtype == want.dtype
-        assert np.linalg.norm(got - want) <= BANDED_STEP_RTOL * np.linalg.norm(want)
+        assert_matches_dense_step(form, cfg, stepper, u)
         if name == "pivoting":
             assert np.any(stepper._factor.ipiv != np.arange(form.total_dim))
+
+    @pytest.mark.parametrize("name", KRONECKER_FORMS)
+    def test_kronecker_forms_step_mode_by_mode(self, name):
+        build, dt, _ = STEP_FORMS[name]
+        assert Stepper(build(), EvolutionConfig(dt=dt, t_end=dt))._basis is not None
+
+    @pytest.mark.parametrize("name", sorted(ASSEMBLED_FORMS))
+    def test_other_forms_step_the_assembled_system(self, name):
+        assert Stepper(ASSEMBLED_FORMS[name](), EvolutionConfig(dt=1e-2, t_end=1e-2))._basis is None
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_symmetric_couplings_factor_tridiagonal(self, monkeypatch, m):
+        # in RCM order the assembled band is up to 2m - 1 wide, one more on some of these couplings;
+        # every mode's system is tridiagonal
+        called = spy_lapack(monkeypatch)
+        cfg = EvolutionConfig(dt=1e-2, t_end=1e-2)
+        u = np.random.default_rng(m).standard_normal((9 * m, 2))
+        for coupling in zero_minus_one_couplings(m):
+            form = build_constant_coupled(Grid1D(8), coupling)
+            called.clear()
+            stepper = Stepper(form, cfg)
+            assert_matches_dense_step(form, cfg, stepper, u)
+            assert stepper._basis is not None and called == ["dpttrf", "dpttrs"], coupling
+
+    def test_many_trial_step_of_a_kronecker_form_is_one_tridiagonal_solve(self, monkeypatch):
+        form = build_ephaptic(Grid1D(512), CoefficientField.constant(two_fibre_coupling("difference", 2.0, 0.5), 512))
+        called = spy_lapack(monkeypatch)
+        stepper = Stepper(form, EvolutionConfig(dt=1e-3, t_end=1e-3, scheme="crank-nicolson"))
+        called.clear()
+        stepper.step(stepper.enter(np.ones((form.total_dim, 20))))
+        assert called == ["dpttrs"]
+
+    def test_basis_off_the_similarity_bound_falls_back_to_the_assembled_band(self, monkeypatch):
+        real_eigh, bases = np.linalg.eigh, []
+
+        def perturbed_eigh(a):
+            values, vectors = real_eigh(a)
+            bases.append(vectors)
+            return values, vectors + 1e-8
+
+        form, cfg = ephaptic_difference(), EvolutionConfig(dt=1e-2, t_end=1e-2, scheme="crank-nicolson")
+        monkeypatch.setattr(np.linalg, "eigh", perturbed_eigh)
+        called = spy_lapack(monkeypatch)
+        stepper = Stepper(form, cfg)
+        assert len(bases) == 1 and stepper._basis is None and called == ["dpbtrf"]
+        assert_matches_dense_step(form, cfg, stepper, np.random.default_rng(14).standard_normal((form.total_dim, 3)))
 
     def test_indefinite_system_factors_by_cholesky_at_a_small_step(self):
         form = build_constant_coupled(Grid1D(8), [[1.0, 2.0], [2.0, 1.0]])
