@@ -188,13 +188,12 @@ def continuity_bound(bundle: ConstantsBundle) -> float:
     return float(spectral_norm(m_mat) + spectral_norm(omega0) * np.square(bundle.embedding_norm))
 
 
-def accretivity_certificate(bundle: ConstantsBundle, diagonal_accretive: bool = True) -> CertificateEntry:
+def accretivity_certificate(bundle: ConstantsBundle) -> CertificateEntry:
     """Sufficient accretivity test on the coupling constants.
 
     Passes when the off-diagonal part of alpha is positive semidefinite
     and the off-diagonal part of omega is negative semidefinite.  The
-    caller asserts accretivity of the diagonal forms; the flag is
-    recorded with the verdict.
+    caller asserts accretivity of the diagonal forms.
     """
     a0 = np.array(bundle.alpha)
     np.fill_diagonal(a0, 0.0)
@@ -205,13 +204,6 @@ def accretivity_certificate(bundle: ConstantsBundle, diagonal_accretive: bool = 
     a_tol = SEMIDEFINITE_RTOL * spectral_norm(a0)
     o_tol = SEMIDEFINITE_RTOL * spectral_norm(o0)
     constants = {"coupling_min_eig": a_min, "weak_coupling_max_eig": o_max}
-    if not diagonal_accretive:
-        return CertificateEntry(
-            criterion="accretivity",
-            status=NOT_APPLICABLE,
-            constants=constants,
-            explanation="diagonal forms not asserted accretive by caller",
-        )
     ok = a_min >= -a_tol and o_max <= o_tol
     return CertificateEntry(
         criterion="accretivity",

@@ -6,21 +6,23 @@ two schemes below solve
     implicit Euler:   (Mass + dt*S) u+ = Mass u
     Crank-Nicolson:   (Mass + dt/2*S) u+ = (Mass - dt/2*S) u
 
-with one factorization per (form, dt, scheme), kept in the form's memo and
-reused across all steps and all runs.  Both schemes are unconditionally
-stable for accretive forms, which is what makes the downstream invariance
-tests meaningful.
+for the increment, ``(Mass + theta*dt*S) delta = -dt*S u`` and ``u+ = u
++ delta``, with one factorization per (form, dt, scheme), kept in the
+form's memo and reused across all steps and all runs.  Both schemes are
+unconditionally stable for accretive forms, which is what makes the
+downstream invariance tests meaningful.
 
 The P1 blocks are tridiagonal or a few trace entries, so the systems are
 formed from the form's assembled CSR operators (``FormMatrix.form_csr``
 and ``mass_csr``).  In reverse Cuthill--McKee order their half-bandwidth
-is a few entries.  A form that is a real symmetric coupling ``C``
-times one block over one ambient Gram, such as the ephaptic system with
-constant coefficients, is stepped mode by mode instead: the eigenbasis
-of the m-by-m ``C`` splits each system into m scalar ones, tridiagonal
-for P1 (the fast diagonalization of Lynch, Rice & Thomas, 1964), and
-:class:`Stepper` takes that split only when a bound from m-by-m
-quantities keeps a step's backward error on the assembled system.
+is a few entries.  A form that its builder declared a real symmetric
+coupling ``C`` times one block over one ambient Gram, such as the
+ephaptic system with constant coefficients, is stepped mode by mode
+instead: the eigenbasis of the m-by-m ``C`` splits each system into m
+scalar ones, tridiagonal for P1 (the fast diagonalization of Lynch, Rice
+& Thomas, 1964), and :class:`Stepper` takes that split only when a bound
+from m-by-m quantities keeps a step's backward error on the assembled
+system.
 :class:`coupledforms.forms._Factor` factors a
 Hermitian positive definite system (an accretive model's, the damped
 wave's excepted) by banded Cholesky (LAPACK ``?pbtrf``, or ``?pttrf``
@@ -32,7 +34,7 @@ One generator, ``_states``, owns the stepping loop.  Only the solve runs
 once per step, in the stepper's coordinates (the factor's order, of the
 modes when split): the generator enters them once, fills a block of up
 to ``BLOCK_BYTES`` of states, checks the backward error of every step's
-solve in it with one product, and yields the block's recorded states,
+solve in it with one block product, and yields the block's recorded states,
 put back in the form's coordinates by one gather and, when split, one
 m-by-m mix, both written over the block's spent buffers.  Recorded norms take
 one ``mass_csr`` product per block, the strip observables one more, in
@@ -162,64 +164,73 @@ class Stepper:
     """One factorized time-step operator for a fixed form, ``cfg.dt`` and ``cfg.scheme``, in its own coordinates.
 
     The implicit system ``lhs u+ = rhs u``, ``lhs = Mass + theta*dt*S``,
-    is formed from the form's CSR operators ``form_csr`` and ``mass_csr``.
-    A form that :func:`_kronecker` finds to be ``C (x) K`` over one ambient
+    ``rhs = lhs - dt*S``, is formed from the form's CSR operators
+    ``form_csr`` and ``mass_csr`` and solved for the increment: ``L delta
+    = R w``, ``w+ = w + delta``, with ``R w`` formed as ``-dt (S w)``, so a
+    state whose ``S w`` is exactly 0 stays exactly where it is.  A form
+    declared ``C (x) K`` (:attr:`FormMatrix.declared`) over one ambient
     Gram ``M``, ``C`` real symmetric, steps mode by mode: with ``C = Q
-    Lambda Q^T`` from ``eigh`` and ``G = Q (x) I``, ``G^T lhs G`` is
-    ``L = blockdiag(M + theta*dt*lambda_r*K)`` and ``G^T rhs G`` is ``R``,
-    its ``rhs`` counterpart, so the stepper factors m scalar systems
-    (tridiagonal for P1) instead of the coupled band (Lynch, Rice &
-    Thomas, *Numer. Math.* 6, 1964).  Any other form steps ``L = lhs``,
-    ``R = rhs``.  ``L`` is factored by :class:`coupledforms.forms._Factor`:
-    banded Cholesky (``kernel == "cholesky"``) when it is exactly
-    Hermitian and positive definite, else banded LU with partial pivoting
-    (``"lu"``), in its reverse Cuthill--McKee order.  :meth:`enter` takes
-    states to the stepper's coordinates, ``G^T u`` (or ``u``) in that
-    order, :meth:`leave` takes them back, and :meth:`step` and
-    :meth:`check` work in between.
+    Lambda Q^T`` from ``eigh`` and ``G = Q (x) I``, ``G^T lhs G`` is ``L =
+    blockdiag(M + theta*dt*lambda_r*K)`` and ``R = -dt*blockdiag(lambda_r
+    K)``, so the stepper factors m scalar systems (tridiagonal for P1)
+    instead of the coupled band (Lynch, Rice & Thomas, *Numer. Math.* 6,
+    1964).  Any other form steps ``L = lhs``, ``R = -dt*S``.  ``L`` is
+    factored by :class:`coupledforms.forms._Factor`: banded Cholesky
+    (``kernel == "cholesky"``) when it is exactly Hermitian and positive
+    definite, else banded LU with partial pivoting (``"lu"``), in its
+    reverse Cuthill--McKee order.  :meth:`enter` takes states to the
+    stepper's coordinates, ``G^T u`` (or ``u``) in that order,
+    :meth:`leave` takes them back, and :meth:`step` and :meth:`check`
+    work in between.
 
     Construction raises :class:`SolverError` when the factorization fails
     or its smallest pivot is below ``1e-14 * |lhs|_inf``; :meth:`check`
-    raises it when a column's residual ``|L w+ - R w|_2`` exceeds
-    ``SOLVER_TOLERANCE * (|lhs|_inf |w+|_2 + |R w|_2)``: a normwise
-    backward error above ``SOLVER_TOLERANCE``, which no change of units
-    moves (Rigal & Gaches 1967; Higham, *Accuracy and Stability of
-    Numerical Algorithms*, 2002, Thm 7.1).
+    raises it when a column's residual ``|L w+ - (L + R) w|_2`` exceeds
+    ``SOLVER_TOLERANCE * (|lhs|_inf |w+|_2 + |(L + R) w|_2)``: a normwise
+    backward error of the theta-system above ``SOLVER_TOLERANCE``, which
+    no change of units moves (Rigal & Gaches 1967; Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2002, Thm 7.1).  That residual is
+    the increment's, ``L delta - R w``, whose solve is backward stable,
+    plus the rounding of two products, about ``eps |lhs|_inf |w|_2``: far
+    below the bound unless a step shrinks a state by ``SOLVER_TOLERANCE /
+    eps``, about 4.5e6, or more.
 
-    The split keeps that bound on the assembled system.  With ``D = S - C
-    (x) K``, what the coupling misses, ``lhs G - G L`` is ``theta*dt*((C Q
-    - Q Lambda) (x) K + D G)`` and ``rhs G - G R`` the same times ``-(1 -
-    theta)/theta``.  From ``E = |Q Lambda Q^T - C|_F`` and ``F = |Q Q^T -
-    I|_F``, ``|G|_2 <= sqrt(1 + F)`` and ``|C Q - Q Lambda|_2 <= |G|_2 (E +
-    |Lambda|_2 F)``, so both differences are at most ``sigma = dt |G|_2
-    ((E + |Lambda|_2 F) sqrt(|K|_1 |K|_inf) + |D|_F)``.  The split is
-    taken only when ``F`` and ``sigma / |lhs|_inf`` are at most
-    ``SPLIT_RTOL * SOLVER_TOLERANCE``, 1e-12, a margin that also covers
-    the rounding of these m-by-m products.  A checked step ``w -> w+``
-    then gives ``u = G w`` and ``u+ = G w+`` with ``|lhs u+ - rhs u|_2 <=
-    kappa(G) SOLVER_TOLERANCE (|lhs|_inf |u+|_2 + |rhs u|_2) + 1.01
-    SPLIT_RTOL SOLVER_TOLERANCE |lhs|_inf (|u+|_2 + |u|_2)``, ``kappa(G)
-    <= 1 + 1e-12``: a backward error within a part in a thousand of
-    ``SOLVER_TOLERANCE`` when both matrices may be perturbed, up to the
-    rounding of the m-term sums of :meth:`enter` and :meth:`leave`.
+    The split keeps that bound on the assembled system.  Its blocks are
+    ``fl(C[i, j] K)``, so each entry of ``D = S - C (x) K`` is at most ``u
+    |C[i, j] K[a, b]| + eta``, ``u = 2**-53`` and ``eta`` the smallest
+    subnormal, which covers a product that is subnormal or underflows to
+    0: ``|D|_F <= u |C|_F |K|_F + eta sqrt(m**2 nnz(K))``.  ``lhs G - G L``
+    is ``theta*dt*((C Q - Q Lambda) (x) K + D G)`` and ``rhs G - G (L +
+    R)`` the same times ``-(1 - theta)/theta``.  From ``E = |Q Lambda Q^T -
+    C|_F`` and ``F = |Q Q^T - I|_F``, ``|G|_2 <= sqrt(1 + F)`` and ``|C Q
+    - Q Lambda|_2 <= |G|_2 (E + |Lambda|_2 F)``, so both differences are
+    at most ``sigma = dt |G|_2 ((E + |Lambda|_2 F) sqrt(|K|_1 |K|_inf) +
+    |D|_F)``.  The split is taken only when ``F`` and ``sigma / |lhs|_inf``
+    are at most ``SPLIT_RTOL * SOLVER_TOLERANCE``, 1e-12, a margin that
+    also covers the rounding of these m-by-m products.  A checked step ``w
+    -> w+`` then gives ``u = G w`` and ``u+ = G w+`` with ``|lhs u+ - rhs
+    u|_2 <= kappa(G) SOLVER_TOLERANCE (|lhs|_inf |u+|_2 + |rhs u|_2) +
+    1.01 SPLIT_RTOL SOLVER_TOLERANCE |lhs|_inf (|u+|_2 + |u|_2)``,
+    ``kappa(G) <= 1 + 1e-12``: a backward error within a part in a
+    thousand of ``SOLVER_TOLERANCE`` when both matrices may be perturbed,
+    up to the rounding of the m-term sums of :meth:`enter` and
+    :meth:`leave`.
     """
 
     def __init__(self, form: FormMatrix, cfg: EvolutionConfig):
         # no reference back to the form, which keeps its steppers
         self.dt, self.scheme = cfg.dt, cfg.scheme
-        theta = 1.0 if cfg.scheme == "implicit-euler" else 0.5
-        mass, s, tdt = form.mass_csr, form.form_csr, theta * cfg.dt
-        lhs = mass + tdt * s
+        tdt = (1.0 if cfg.scheme == "implicit-euler" else 0.5) * cfg.dt
+        lhs = form.mass_csr + tdt * form.form_csr
         # |lhs|_inf, the largest absolute row sum, of the assembled system on either path
         self._lhs_norm = max(float(abs(lhs).sum(axis=1).max()), 1e-300)
         split = _modal_split(form, cfg.dt, self._lhs_norm)
         if split is None:
-            self._basis = None
-            rhs = mass if theta == 1.0 else mass - tdt * s
+            self._basis, s = None, form.form_csr
         else:
             self._basis, lam, gram, k = split
             lhs = scipy.sparse.block_diag([gram + (tdt * x) * k for x in lam], format="csr")
-            rhs = mass if theta == 1.0 else scipy.sparse.block_diag([gram - (tdt * x) * k for x in lam], format="csr")
+            s = scipy.sparse.block_diag([x * k for x in lam], format="csr")
         try:
             self._factor = _Factor(lhs)
         except NumericalError as exc:
@@ -234,7 +245,7 @@ class Stepper:
                 f"(pivot ratio {diag.min() / self._lhs_norm:.3e})"
             )
         self._position = np.argsort(self._order)
-        self._lhs, self._rhs = (a[self._order][:, self._order] for a in (lhs, rhs))
+        self._lhs, self._s = (a[self._order][:, self._order] for a in (lhs, s))
 
     def enter(self, u: np.ndarray) -> np.ndarray:
         """A flat state, or an ``(N, k)`` block, in the stepper's coordinates, as a new array."""
@@ -254,22 +265,30 @@ class Stepper:
     def step(self, u: np.ndarray) -> tuple:
         """Advance a state vector, or each column of a ``(N, k)`` block, unchecked; all in the stepper's coordinates.
 
-        Returns ``(u+, rhs u)``; :meth:`check` judges the solve.
+        Returns ``(u + delta, R u)``; :meth:`check` judges the solve.
         """
-        rhs = self._rhs @ u
-        return self._factor.solve(rhs), rhs
+        r = self._s @ u
+        r *= -self.dt
+        new = self._factor.solve(r)
+        new += u
+        return new, r
 
-    def check(self, states: np.ndarray, rhs: np.ndarray, steps: np.ndarray) -> None:
-        """Check the solves of an ``(N, b, k)`` block of stepper coordinates: the states after ``steps`` and their ``rhs u``.
+    def check(self, u: np.ndarray, states: np.ndarray, r: np.ndarray, steps: np.ndarray) -> None:
+        """Check the solves of an ``(N, b, k)`` block in stepper coordinates: its states after ``steps``, from ``u``, and ``R u``.
 
-        One product covers the block; the error names the first step
-        with a column over its bound.
+        One product ``L w+`` covers the block, and ``(L + R) w`` is formed
+        from it over ``r``: ``L w`` is the product's column of the step
+        before, or ``L u`` for the first.  The error names the first
+        step with a column over its bound.
         """
         n = states.shape[0]
-        states, rhs = states.reshape(n, -1), rhs.reshape(n, -1)
-        bound = SOLVER_TOLERANCE * (self._lhs_norm * _column_norms(states) + _column_norms(rhs))
+        states, r = states.reshape(n, -1), r.reshape(n, -1)
+        k = r.shape[1] // len(steps)
         residual = self._lhs @ states
-        residual = _column_norms(np.subtract(residual, rhs, out=residual))
+        r[:, :k] += self._lhs @ u.reshape(n, k)
+        r[:, k:] += residual[:, :-k]
+        bound = SOLVER_TOLERANCE * (self._lhs_norm * _column_norms(states) + _column_norms(r))
+        residual = _column_norms(np.subtract(residual, r, out=residual))
         residual, bound = residual.reshape(len(steps), -1), bound.reshape(len(steps), -1)
         failed = ~(residual <= bound).all(axis=1)
         if failed.any():
@@ -280,50 +299,21 @@ class Stepper:
             )
 
 
-def _same_pattern(a, b) -> bool:
-    return a.shape == b.shape and np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
-
-
-def _kronecker(form: FormMatrix):
-    """``(C, K, miss)`` when ``form`` passes the structure test of a Kronecker form ``C (x) K``, else None.
-
-    The test: a real form of two or more components whose ambient Grams
-    are one stored matrix, whose nonzero blocks all have the pattern of
-    the first, ``K``, and whose coupling ``C`` is finite and exactly
-    symmetric.  ``C[i, j]`` is block (i, j)'s entry at ``K``'s largest
-    entry over that entry, 0 for an empty block, and ``miss`` the
-    Frobenius norm of ``S - C (x) K``, the part of the blocks that ``C``
-    does not hold, which :class:`Stepper`'s similarity bound counts.
-    """
-    gram = form.spaces[0].h_csr
-    if form.m < 2 or not form.is_real:
-        return None
-    if not all(_same_pattern(s.h_csr, gram) and np.array_equal(s.h_csr.data, gram.data) for s in form.spaces[1:]):
-        return None
-    blocks = [b for row in form.csr_blocks for b in row]
-    k = next((b for b in blocks if b.nnz), None)
-    if k is None or not all(b.nnz == 0 or _same_pattern(b, k) for b in blocks):
-        return None
-    top = int(np.argmax(np.abs(k.data)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        c = np.array([b.data[top] / k.data[top] if b.nnz else 0.0 for b in blocks]).reshape(form.m, form.m)
-        if not (np.isfinite(c).all() and np.array_equal(c, c.T)):
-            return None
-        miss = np.sqrt(sum(np.sum((b.data - x * k.data) ** 2) for b, x in zip(blocks, c.flat) if b.nnz))
-    return c, k, float(miss)
-
-
 def _modal_split(form: FormMatrix, dt: float, lhs_norm: float):
-    """``(Q, lambda, M, K)`` of a Kronecker form whose split passes :class:`Stepper`'s similarity bound, else None."""
-    kron = _kronecker(form)
-    if kron is None:
+    """``(Q, lambda, M, K)`` of a form declared ``C (x) K``, ``C`` finite, real and exactly symmetric, whose computed
+    eigenbasis passes :class:`Stepper`'s similarity bound, else None."""
+    if form.declared is None or form.m < 2:
         return None
-    c, k, miss = kron
+    c, k = form.declared
+    if np.iscomplexobj(c) or not (np.isfinite(c).all() and np.array_equal(c, c.T)):
+        return None
     lam, q = np.linalg.eigh(c)
     e = np.linalg.norm((q * lam) @ q.T - c)
     f = np.linalg.norm(q @ q.T - np.eye(form.m))
     k_norm = np.sqrt(abs(k).sum(axis=0).max() * abs(k).sum(axis=1).max())
-    sigma = dt * np.sqrt(1.0 + f) * ((e + np.abs(lam).max() * f) * k_norm + miss)
+    rounding = np.finfo(float).eps / 2 * np.linalg.norm(c) * np.linalg.norm(k.data)
+    rounding += np.finfo(float).smallest_subnormal * np.sqrt(form.m**2 * k.nnz)
+    sigma = dt * np.sqrt(1.0 + f) * ((e + np.abs(lam).max() * f) * k_norm + rounding)
     bound = SPLIT_RTOL * SOLVER_TOLERANCE
     return (q, lam, form.spaces[0].h_csr, k) if f <= bound and sigma <= bound * lhs_norm else None
 
@@ -381,15 +371,16 @@ def _states(form: FormMatrix, u: np.ndarray, cfg: EvolutionConfig):
     for first in range(1, last + 1, width):
         steps = np.arange(first, min(first + width, last + 1))
         states = np.empty((u.shape[0], steps.size, u.shape[1]), u.dtype)
-        rhs = np.empty_like(states)
+        r = np.empty_like(states)
+        entry = u
         for j in range(steps.size):
-            u, rhs[:, j] = stepper.step(u)
+            u, r[:, j] = stepper.step(u)
             states[:, j] = u
-        stepper.check(states, rhs, steps)
+        stepper.check(entry, states, r, steps)
         kept = (steps % cfg.record_every == 0) | (steps == last)
         if kept.any():
-            # back in the form's coordinates, over the spent states and rhs buffers
-            block = stepper.leave(states, rhs)
+            # back in the form's coordinates, over the spent states and r buffers
+            block = stepper.leave(states, r)
             yield steps[kept], block if kept.all() else block[:, kept]
 
 

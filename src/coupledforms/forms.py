@@ -180,6 +180,25 @@ class FormMatrix:
     csr_blocks: list
     metadata: dict = field(default_factory=dict)
     _memo: dict = field(default_factory=dict, init=False, repr=False)
+    _declared: tuple | None = field(default=None, init=False, repr=False)
+
+    @classmethod
+    def kronecker(cls, space: DiscreteSpace, coupling, k, metadata: dict) -> "FormMatrix":
+        """``C (x) K`` on m copies of ``space``, block (i, j) ``coupling[i, j] * k``, with :attr:`declared` ``(C, K)``.
+
+        A declaration of more terms, a mass part and Gram coefficients, extends this record rather than adding another.
+        """
+        c = np.array(coupling, dtype=complex if np.iscomplexobj(coupling) else float, ndmin=2)
+        c.setflags(write=False)
+        k = _as_csr(k, "k")
+        form = cls([space] * len(c), [[k * x for x in row] for row in c], metadata)
+        form._declared = (c, k)
+        return form
+
+    @property
+    def declared(self):
+        """``(C, K)`` of a form built by :meth:`kronecker`, the one path that sets it; None for any other form."""
+        return self._declared
 
     def __post_init__(self):
         m = len(self.spaces)

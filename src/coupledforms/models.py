@@ -145,14 +145,16 @@ def build_ephaptic(grid: Grid1D, coeffs: CoefficientField) -> FormMatrix:
     original problem is truncated to (0, length) with natural boundary
     conditions.  The (immutable) field is kept under
     ``metadata["coefficients"]``, which the row- and column-sum checks read.
+    A field constant along the cells declares ``C (x) K`` (:meth:`FormMatrix.kronecker`).
     """
     if coeffs.n_cells != grid.n_cells:
         raise DimensionError(
             f"coefficient field has {coeffs.n_cells} cells, grid has {grid.n_cells}"
         )
-    m = coeffs.m
-    blocks = [[p1_stiffness(grid, coeffs.values[i, j]) for j in range(m)] for i in range(m)]
-    return FormMatrix([_h1_space(grid)] * m, blocks, {"coefficients": coeffs})
+    if (coeffs.values == coeffs.values[:, :, :1]).all():
+        return FormMatrix.kronecker(_h1_space(grid), coeffs.values[:, :, 0], p1_stiffness(grid), {"coefficients": coeffs})
+    blocks = [[p1_stiffness(grid, c) for c in row] for row in coeffs.values]
+    return FormMatrix([_h1_space(grid)] * coeffs.m, blocks, {"coefficients": coeffs})
 
 
 def build_damped_wave(grid: Grid1D, alpha: complex = 1.0) -> FormMatrix:
@@ -195,8 +197,8 @@ def build_dynamic_bc_heat(grid: Grid1D) -> FormMatrix:
 def build_constant_coupled(grid: Grid1D, coupling) -> FormMatrix:
     """Coupled diffusion with constant coefficients ``c_ij = coupling[i, j]``.
 
-    Bridges the scalar certificates and the discrete estimates: the
-    assembled blocks are exactly ``coupling[i, j]`` times the unit
+    Bridges the scalar certificates and the discrete estimates: the form
+    is declared ``C (x) K``, its blocks ``coupling[i, j]`` times the unit
     stiffness matrix.
     """
     return build_ephaptic(grid, CoefficientField.constant(coupling, grid.n_cells))

@@ -162,10 +162,6 @@ class TestAccretivity:
         assert entry.status == "fail"
         assert entry.constants["weak_coupling_max_eig"] == pytest.approx(1.0)
 
-    def test_caller_flag_gates_verdict(self):
-        entry = accretivity_certificate(bundle(np.eye(2)), diagonal_accretive=False)
-        assert entry.status == "not-applicable"
-
 
 class TestAnalyticityAngle:
     def test_bound_one(self):

@@ -169,7 +169,8 @@ class TestStep:
             return out
 
         monkeypatch.setattr(_Factor, "solve", corrupt_column)
-        u0 = [np.ones((9, 3)), np.ones((9, 3))]
+        # alternating data: a step of the constant state solves for a zero increment, which no scaling corrupts
+        u0 = [np.outer((-1.0) ** np.arange(9), np.ones(3))] * 2
         cfg = EvolutionConfig(dt=0.05, t_end=0.2, scheme="crank-nicolson")
         assert _stepper(form, cfg).kernel == kernel
         with pytest.raises(SolverError, match=r"crank-nicolson solve lost accuracy at step 1 \(dt=0.05"):
@@ -802,6 +803,62 @@ class TestBandedStep:
             shared, alone = evolve(form, u0, other), evolve(build_dynamic_bc_heat(Grid1D(8)), u0, other)
             np.testing.assert_array_equal(shared.times, alone.times)
             np.testing.assert_array_equal(shared.observable("h_norm"), alone.observable("h_norm"))
+
+
+def four_cycle_field(n_cells, changed_cell=None):
+    """The 4-cycle coupling given cell by cell, doubled on ``changed_cell``."""
+    values = np.tile(np.array(FOUR_CYCLE, dtype=float)[:, :, None], n_cells)
+    if changed_cell is not None:
+        values[:, :, changed_cell] *= 2.0
+    return CoefficientField(values)
+
+
+class TestDeclaredKronecker:
+    """The stepper splits a form only by the ``C (x) K`` its builder declared."""
+
+    CFG = EvolutionConfig(dt=1e-2, t_end=1e-2)
+
+    def test_a_constant_per_cell_field_is_declared_and_steps_mode_by_mode(self):
+        form = build_ephaptic(Grid1D(16), four_cycle_field(16))
+        np.testing.assert_array_equal(form.declared[0], FOUR_CYCLE)
+        stepper = Stepper(form, self.CFG)
+        assert stepper._basis is not None
+        assert_matches_dense_step(form, self.CFG, stepper, np.random.default_rng(15).standard_normal(form.total_dim))
+
+    def test_the_field_with_one_cell_changed_steps_the_band(self):
+        # still C (x) K(c) with a per-cell K(c), but nothing declares it
+        form = build_ephaptic(Grid1D(16), four_cycle_field(16, changed_cell=7))
+        stepper = Stepper(form, self.CFG)
+        assert form.declared is None and stepper._basis is None
+        assert_matches_dense_step(form, self.CFG, stepper, np.random.default_rng(16).standard_normal(form.total_dim))
+
+    def test_an_unsymmetric_constant_coupling_is_declared_but_steps_the_band(self):
+        form = build_constant_coupled(Grid1D(16), [[2.0, 0.0], [-1.0, 2.0]])
+        stepper = Stepper(form, self.CFG)
+        assert form.declared is not None and stepper._basis is None
+        assert_matches_dense_step(form, self.CFG, stepper, np.random.default_rng(17).standard_normal(form.total_dim))
+
+    def test_a_hand_built_kronecker_form_steps_the_band(self):
+        grid = Grid1D(16)
+        k = p1_stiffness(grid)
+        space = DiscreteSpace(p1_mass(grid), p1_mass(grid) + k)
+        form = FormMatrix([space] * 4, [[c * k for c in row] for row in FOUR_CYCLE])
+        stepper = Stepper(form, self.CFG)
+        assert form.declared is None and stepper._basis is None
+        assert_matches_dense_step(form, self.CFG, stepper, np.random.default_rng(18).standard_normal(form.total_dim))
+
+    @pytest.mark.parametrize("changed_cell, split", [(None, True), (8192, False)], ids=["split", "band"])
+    def test_the_constant_state_stays_put(self, changed_cell, split):
+        # S maps the constant state to exactly 0, so every increment is exactly 0; only the m-term mixes of
+        # enter and leave round, on the split path
+        form = build_ephaptic(Grid1D(16384), four_cycle_field(16384, changed_cell))
+        assert not np.any(form.form_csr @ np.ones(form.total_dim))
+        cfg = EvolutionConfig(dt=1e-2, t_end=0.2)
+        assert (_stepper(form, cfg)._basis is not None) == split
+        record = evolve(form, [np.ones(d) for d in form.dims], cfg)
+        assert len(record.times) == 21
+        assert np.abs(np.concatenate(record.final_state) - 1.0).max() <= 8 * np.finfo(float).eps
+        assert np.abs(record.observable("sup_norm") - 1.0).max() <= 8 * np.finfo(float).eps
 
 
 def banded(n, diagonals) -> scipy.sparse.csr_array:

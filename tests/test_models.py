@@ -22,6 +22,7 @@ from coupledforms import (
 )
 from coupledforms.certificates import ConstantsBundle
 from coupledforms.errors import DimensionError, ValidationError
+from coupledforms.forms import _as_csr
 
 
 def hat(grid, p):
@@ -365,3 +366,45 @@ class TestConstantCoupled:
         assert peak < 32 * 2**20
         # each of the twelve nonzero couplings stores 3 * 2049 - 2 entries, each zero coupling none
         assert [op.nnz for op in operators] == [12 * 6145, 4 * 6145, 4 * 6145]
+
+
+FOUR_CYCLE = np.array([[3, -1, -1, 0], [-1, 3, 0, -1], [-1, 0, 3, -1], [0, -1, -1, 3]], dtype=float)
+DECLARED_COUPLINGS = {
+    "four_cycle": FOUR_CYCLE,
+    "four_cycle_1e6": 1e6 * FOUR_CYCLE,
+    "four_cycle_1e-6": 1e-6 * FOUR_CYCLE,
+    "difference": two_fibre_coupling("difference", 2.0, 0.5),
+    "shared": two_fibre_coupling("shared", 2.0, 0.5),
+    "unsymmetric": np.array([[2.0, 0.0], [-1.0, 2.0]]),
+}
+
+
+class TestDeclaredKronecker:
+    @pytest.mark.parametrize("n_cells", [8, 256, 16384, 131072])
+    @pytest.mark.parametrize("name", sorted(DECLARED_COUPLINGS))
+    def test_declared_blocks_equal_the_per_cell_assembly_bit_for_bit(self, name, n_cells):
+        # c * K rounds each entry once, like c * (1/h) per cell: the two equal cell terms of an inner node sum exactly,
+        # and doubling is exact
+        coupling, grid = DECLARED_COUPLINGS[name], Grid1D(n_cells)
+        form = build_constant_coupled(grid, coupling)
+        c, k = form.declared
+        np.testing.assert_array_equal(c, coupling)
+        assert not c.flags.writeable and k.data.tobytes() == _as_csr(p1_stiffness(grid), "k").data.tobytes()
+        for row, coefficients in zip(form.csr_blocks, coupling):
+            for block, value in zip(row, coefficients):
+                per_cell = _as_csr(p1_stiffness(grid, np.full(n_cells, value)), "block")
+                for part in ("indptr", "indices", "data"):
+                    got, want = getattr(block, part), getattr(per_cell, part)
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (part, value)
+
+    def test_only_a_field_constant_along_the_cells_is_declared(self):
+        grid = Grid1D(16)
+        values = np.tile(FOUR_CYCLE[:, :, None], 16)
+        assert build_ephaptic(grid, CoefficientField(values)).declared is not None
+        values[:, :, 7] *= 2.0
+        form = build_ephaptic(grid, CoefficientField(values))
+        assert form.declared is None and form.metadata["coefficients"].values[0, 0, 7] == 6.0
+        # no other builder, and no derived form, declares anything
+        declared = build_constant_coupled(grid, FOUR_CYCLE)
+        derived = [declared.adjoint(), declared.diagonal_part(), build_damped_wave(grid), build_dynamic_bc_heat(grid)]
+        assert [f.declared for f in derived] == [None] * 4
