@@ -300,11 +300,12 @@ class Stepper:
 
 
 def _modal_split(form: FormMatrix, dt: float, lhs_norm: float):
-    """``(Q, lambda, M, K)`` of a form declared ``C (x) K``, ``C`` finite, real and exactly symmetric, whose computed
-    eigenbasis passes :class:`Stepper`'s similarity bound, else None."""
-    if form.declared is None or form.m < 2:
+    """``(Q, lambda, M, K)`` of a form declared ``C (x) K`` over ``M``, m >= 2, ``C = A_K`` finite, real and exactly
+    symmetric, whose computed eigenbasis passes :class:`Stepper`'s similarity bound, else None."""
+    d = form.declared
+    if d is None or form.m < 2 or np.any(d.a_m) or any(pair != (0.0, 1.0) for pair in d.h):
         return None
-    c, k = form.declared
+    c, k = d.a_k, d.k
     if np.iscomplexobj(c) or not (np.isfinite(c).all() and np.array_equal(c, c.T)):
         return None
     lam, q = np.linalg.eigh(c)
@@ -315,7 +316,7 @@ def _modal_split(form: FormMatrix, dt: float, lhs_norm: float):
     rounding += np.finfo(float).smallest_subnormal * np.sqrt(form.m**2 * k.nnz)
     sigma = dt * np.sqrt(1.0 + f) * ((e + np.abs(lam).max() * f) * k_norm + rounding)
     bound = SPLIT_RTOL * SOLVER_TOLERANCE
-    return (q, lam, form.spaces[0].h_csr, k) if f <= bound and sigma <= bound * lhs_norm else None
+    return (q, lam, d.m, k) if f <= bound and sigma <= bound * lhs_norm else None
 
 
 def _mix(a: np.ndarray, src: np.ndarray, out: np.ndarray) -> np.ndarray:

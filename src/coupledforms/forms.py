@@ -20,9 +20,9 @@ ch. 3; George & Liu, *Computer Solution of Large Sparse Positive
 Definite Systems*, 1981).  A pencil with a non-finite entry, or a shift
 that overflows it, raises :class:`ValidationError`.  Brackets are kept in
 the form's one memo (:meth:`FormMatrix._kept`), with the accretivity
-verdict and the time steppers, each keyed by what it reads: a block
-and its negation share a continuity bracket, and a coercivity bracket
-is kept per diagonal block and shift.
+verdict and the time steppers, each keyed by what it reads: blocks of
+one declared recipe, up to sign, share a continuity bracket, and a
+coercivity bracket is kept per diagonal block and shift.
 No N-sized matrix goes through dense LAPACK.  :func:`full_ellipticity`
 and the ``sector`` and ``parabola`` checks of
 :mod:`coupledforms.qualitative` read the numerical range of a form
@@ -36,7 +36,6 @@ banded Cholesky and banded LU (Anderson et al., *LAPACK Users' Guide*,
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -100,12 +99,6 @@ def _check_gram(g: scipy.sparse.csr_array, name: str) -> None:
         raise ValidationError(f"{name} is not positive definite (within GRAM_RTOL of its diagonal)")
 
 
-def _close(a, b, tol: float) -> bool:
-    """``np.allclose(a, b, rtol=tol, atol=tol)`` for sparse ``a`` and ``b``, read on their union pattern."""
-    excess = abs(a - b) - tol * abs(b)
-    return excess.nnz == 0 or float(excess.data.max()) <= tol
-
-
 @dataclass(frozen=True, eq=False)
 class DiscreteSpace:
     """Galerkin space given by its ambient and domain Gram matrices.
@@ -115,7 +108,8 @@ class DiscreteSpace:
     and of one size, ``dim``.  Each may be given dense or sparse, and is
     validated and stored once as CSR; ``h_gram`` and ``v_gram`` are
     dense views of them, built on first read.  ``==`` and ``hash`` go
-    by identity; :meth:`same_geometry` compares values.
+    by identity, and so does :attr:`FormMatrix.identical_spaces`: a
+    builder passes one object per distinct space.
     """
 
     h_csr: scipy.sparse.csr_array
@@ -136,15 +130,6 @@ class DiscreteSpace:
     h_gram = cached_property(lambda self: _dense_view(self.h_csr))
     v_gram = cached_property(lambda self: _dense_view(self.v_csr))
     _h_factor = cached_property(lambda self: _Factor(self.h_csr))
-    _v_digest = cached_property(lambda self: _digest(self.v_csr))
-
-    def same_geometry(self, other: "DiscreteSpace") -> bool:
-        """Equal dimension and Grams equal within 1e-12, read as both relative and absolute tolerance."""
-        return self is other or (
-            self.dim == other.dim
-            and _close(self.h_csr, other.h_csr, 1e-12)
-            and _close(self.v_csr, other.v_csr, 1e-12)
-        )
 
 
 @dataclass(frozen=True)
@@ -154,6 +139,25 @@ class FormBlock:
     row: int
     col: int
     matrix: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class Declaration:
+    """A form over one pencil ``(K, M)`` as :meth:`FormMatrix.declare` states it, none of it writable: block (i, j)
+    is ``a_k[i, j]*K + a_m[i, j]*M``, and component i has the ambient Gram ``h[i][0]*K + h[i][1]*M`` and the domain
+    Gram ``v[i][0]*K + v[i][1]*M`` (Van Loan, *J. Comput. Appl. Math.* 123, 2000)."""
+
+    k: scipy.sparse.csr_array
+    m: scipy.sparse.csr_array
+    a_k: np.ndarray
+    a_m: np.ndarray
+    h: tuple
+    v: tuple
+
+    def combination(self, a, b) -> scipy.sparse.csr_array:
+        """``a*K + b*M``: a zero coefficient skipped (``0*K`` if both are), one with no imaginary part taken as real."""
+        terms = [(c.real if c.imag == 0 else c) * x for c, x in zip(map(complex, (a, b)), (self.k, self.m)) if c]
+        return sum(terms[1:], terms[0]) if terms else 0.0 * self.k
 
 
 @dataclass(eq=False)
@@ -168,7 +172,8 @@ class FormMatrix:
     ``mass_csr``/``vgram_csr`` (block diagonals of the ambient and domain
     Grams).  The spectral routines below factor Hermitian pencils of them
     by banded Cholesky in reverse Cuthill--McKee order.  No reader in
-    the package densifies the operators.
+    the package densifies the operators.  :meth:`declare` keeps a form's
+    recipe as :attr:`declared`; nothing is detected from assembled data.
 
     ``metadata`` holds what a check reads beyond the blocks, as a model's
     builder wrote it; derived forms carry none.  Immutable after assembly
@@ -180,25 +185,25 @@ class FormMatrix:
     csr_blocks: list
     metadata: dict = field(default_factory=dict)
     _memo: dict = field(default_factory=dict, init=False, repr=False)
-    _declared: tuple | None = field(default=None, init=False, repr=False)
+    _declared: Declaration | None = field(default=None, init=False, repr=False)
 
     @classmethod
-    def kronecker(cls, space: DiscreteSpace, coupling, k, metadata: dict) -> "FormMatrix":
-        """``C (x) K`` on m copies of ``space``, block (i, j) ``coupling[i, j] * k``, with :attr:`declared` ``(C, K)``.
-
-        A declaration of more terms, a mass part and Gram coefficients, extends this record rather than adding another.
-        """
-        c = np.array(coupling, dtype=complex if np.iscomplexobj(coupling) else float, ndmin=2)
-        c.setflags(write=False)
-        k = _as_csr(k, "k")
-        form = cls([space] * len(c), [[k * x for x in row] for row in c], metadata)
-        form._declared = (c, k)
+    def declare(cls, k, m, a_k, a_m, h, v, metadata: dict) -> "FormMatrix":
+        """The form of :class:`Declaration` ``(k, m, a_k, a_m, h, v)``, kept as :attr:`declared`; components with one
+        Gram pair ``(h[i], v[i])`` share one :class:`DiscreteSpace`."""
+        k, m = _as_csr(k, "k"), _as_csr(m, "m")
+        a_k, a_m = (np.array(a, dtype=complex if np.iscomplexobj(a) else float, ndmin=2) for a in (a_k, a_m))
+        for a in (a_k, a_m, k.indptr, k.indices, k.data, m.indptr, m.indices, m.data):
+            a.setflags(write=False)
+        record = Declaration(k, m, a_k, a_m, *(tuple((float(x), float(y)) for x, y in p) for p in (h, v)))
+        pairs = list(zip(record.h, record.v, strict=True))
+        spaces = {pair: DiscreteSpace(*(record.combination(*p) for p in pair)) for pair in dict.fromkeys(pairs)}
+        blocks = [[record.combination(x, y) for x, y in zip(*rows)] for rows in zip(a_k, a_m)]
+        form = cls([spaces[pair] for pair in pairs], blocks, metadata)
+        form._declared = record
         return form
 
-    @property
-    def declared(self):
-        """``(C, K)`` of a form built by :meth:`kronecker`, the one path that sets it; None for any other form."""
-        return self._declared
+    declared = property(lambda self: self._declared, doc="The :class:`Declaration` kept by :meth:`declare`, else None.")
 
     def __post_init__(self):
         m = len(self.spaces)
@@ -207,8 +212,6 @@ class FormMatrix:
         if len(self.csr_blocks) != m or any(len(row) != m for row in self.csr_blocks):
             raise DimensionError(f"blocks must form an {m}x{m} grid")
         self.csr_blocks = [[self._stored(i, j, blk) for j, blk in enumerate(row)] for i, row in enumerate(self.csr_blocks)]
-
-    _block_digests = cached_property(lambda self: [[_signed_digest(b) for b in row] for row in self.csr_blocks])
 
     def _kept(self, key: tuple, make):
         """The value kept under ``key``, made by ``make()`` on the first call; ``key`` names what makes it."""
@@ -278,9 +281,8 @@ class FormMatrix:
 
     @cached_property
     def identical_spaces(self) -> bool:
-        """All component spaces share one geometry (needed to lift an m-by-m projection)."""
-        first = self.spaces[0]
-        return all(s.same_geometry(first) for s in self.spaces[1:])
+        """All components are one :class:`DiscreteSpace` object (needed to lift an m-by-m projection)."""
+        return all(s is self.spaces[0] for s in self.spaces)
 
     def flatten(self, blocks) -> np.ndarray:
         """Concatenate per-component coordinates into one vector.
@@ -563,22 +565,6 @@ def _lambda_max(a, b) -> tuple:
     return -hi, -lo
 
 
-def _digest(m: scipy.sparse.csr_array) -> bytes:
-    """blake2b digest of a stored CSR matrix: shape, dtypes, ``indptr``, ``indices`` and ``data``."""
-    head = repr((m.shape, m.dtype.str, m.indices.dtype.str)).encode()
-    return hashlib.blake2b(b"".join([head, m.indptr, m.indices, m.data]), digest_size=32).digest()
-
-
-def _signed_digest(m: scipy.sparse.csr_array) -> bytes:
-    """The :func:`_digest` of ``sign*m``, ``sign`` making its first stored entry positive: ``m`` and ``-m`` share it.
-
-    A complex entry is positive when its real part is, or its real part
-    is zero and its imaginary part is positive.
-    """
-    first = m.data[0] if m.nnz else 1.0
-    return _digest(-m if (first.real, first.imag) < (0.0, 0.0) else m)
-
-
 def _midpoint(bracket: tuple) -> float:
     return 0.5 * (bracket[0] + bracket[1])
 
@@ -590,15 +576,17 @@ def estimate_continuity(form: FormMatrix, i: int, j: int) -> float:
     0]]`` against ``diag(v_gram_i, v_gram_j)`` (``scipy.sparse.bmat`` and
     ``block_diag`` build them), which equals
     ``sup |g^H S_ij f| / (|f|_Vj |g|_Vi)``.  The pencils of ``S_ij`` and
-    ``-S_ij`` are congruent by ``diag(I, -I)`` and have one constant, so
-    the bracket is kept per block up to sign: the first of the two asked
-    bisects, the other reads its bracket.
+    ``-S_ij`` are congruent by ``diag(I, -I)``, so a declared form keeps
+    the bracket per recipe up to sign, ``+-(a_k[i, j], a_m[i, j])`` and
+    ``v[i]``, ``v[j]``: the first block asked bisects.  Undeclared: per (i, j).
     """
     block = form.csr_blocks[i][j]
     if not np.any(block.data):
         return 0.0
-    si, sj = form.spaces[i], form.spaces[j]
-    key = ("continuity", form._block_digests[i][j], si._v_digest, sj._v_digest)
+    si, sj, d, key = form.spaces[i], form.spaces[j], form.declared, ("continuity", i, j)
+    if d is not None:
+        parts = np.array([d.a_k[i, j], d.a_m[i, j]], dtype=complex).view(float)
+        key = ("continuity", max(tuple(parts), tuple(-parts)), d.v[i], d.v[j])
 
     def bracket():
         augmented = scipy.sparse.bmat([[None, block], [block.conj().T, None]])

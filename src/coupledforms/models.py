@@ -145,14 +145,16 @@ def build_ephaptic(grid: Grid1D, coeffs: CoefficientField) -> FormMatrix:
     original problem is truncated to (0, length) with natural boundary
     conditions.  The (immutable) field is kept under
     ``metadata["coefficients"]``, which the row- and column-sum checks read.
-    A field constant along the cells declares ``C (x) K`` (:meth:`FormMatrix.kronecker`).
+    A field ``C`` constant along the cells is declared, ``A_K = C`` and ``A_M = 0`` (:meth:`FormMatrix.declare`).
     """
     if coeffs.n_cells != grid.n_cells:
         raise DimensionError(
             f"coefficient field has {coeffs.n_cells} cells, grid has {grid.n_cells}"
         )
     if (coeffs.values == coeffs.values[:, :, :1]).all():
-        return FormMatrix.kronecker(_h1_space(grid), coeffs.values[:, :, 0], p1_stiffness(grid), {"coefficients": coeffs})
+        m = coeffs.m
+        a_k, a_m, h, v = coeffs.values[:, :, 0], np.zeros((m, m)), [(0, 1)] * m, [(1, 1)] * m
+        return FormMatrix.declare(p1_stiffness(grid), p1_mass(grid), a_k, a_m, h, v, {"coefficients": coeffs})
     blocks = [[p1_stiffness(grid, c) for c in row] for row in coeffs.values]
     return FormMatrix([_h1_space(grid)] * coeffs.m, blocks, {"coefficients": coeffs})
 
@@ -165,19 +167,12 @@ def build_damped_wave(grid: Grid1D, alpha: complex = 1.0) -> FormMatrix:
     with H1 domain.  The numerical range satisfies the parabola bound
     with the constant stored under ``metadata["parabola_constant"]``,
     ``1 + |alpha - 1|``; ``parabola_check`` decides it exactly.  At
-    ``alpha = 1`` the sharp constant is about 0.5.
+    ``alpha = 1`` the sharp constant is about 0.5.  It is declared by :meth:`FormMatrix.declare`.
     """
-    mass = p1_mass(grid)
-    stiff = p1_stiffness(grid)
-    w = mass + stiff
-    n = grid.n_nodes
-    spaces = [DiscreteSpace(w, w), DiscreteSpace(mass, w)]
     alpha = complex(alpha)
-    s21 = -alpha * stiff
-    if alpha.imag == 0.0:
-        s21 = s21.real
-    blocks = [[scipy.sparse.csr_array((n, n)), -w], [s21, stiff]]
-    return FormMatrix(spaces, blocks, {"parabola_constant": 1.0 + abs(alpha - 1.0)})
+    a_k, a_m, h, v = [[0, -1], [-alpha, 1]], [[0, -1], [0, 0]], [(1, 1), (0, 1)], [(1, 1), (1, 1)]
+    metadata = {"parabola_constant": 1.0 + abs(alpha - 1.0)}
+    return FormMatrix.declare(p1_stiffness(grid), p1_mass(grid), a_k, a_m, h, v, metadata)
 
 
 def build_dynamic_bc_heat(grid: Grid1D) -> FormMatrix:
@@ -198,7 +193,7 @@ def build_constant_coupled(grid: Grid1D, coupling) -> FormMatrix:
     """Coupled diffusion with constant coefficients ``c_ij = coupling[i, j]``.
 
     Bridges the scalar certificates and the discrete estimates: the form
-    is declared ``C (x) K``, its blocks ``coupling[i, j]`` times the unit
-    stiffness matrix.
+    is declared, its blocks ``coupling[i, j]`` times the unit stiffness
+    matrix.
     """
     return build_ephaptic(grid, CoefficientField.constant(coupling, grid.n_cells))

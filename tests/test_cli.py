@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -837,3 +838,27 @@ def test_failed_write_leaves_no_temporary_file(tmp_path):
     with pytest.raises(OSError):
         report._atomic_write(str(tmp_path / "taken"), "text\n")
     assert [p.name for p in tmp_path.rglob("*")] == ["taken"]
+
+
+RING = [[3, -1, -1, 0], [-1, 3, 0, -1], [-1, 0, 3, -1], [0, -1, -1, 3]]
+# the check_spectral benchmark's two check configs: model, check ids, and the _lambda_min calls, banded Cholesky
+# factorizations and pencils they make at 256 cells
+SPECTRAL_CONFIGS = {
+    "coupled": (
+        {"name": "constant_coupled", "coupling": RING},
+        ("row_sums", "column_sums", "realness", "subspace_C", "subspace_B", "product_subspace", "sector"),
+        (4, 128, 6),
+    ),
+    "wave": ({"name": "damped_wave", "alpha": 1.0}, ("product_subspace", "sector", "parabola"), (5, 243, 9)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPECTRAL_CONFIGS))
+def test_spectral_configs_keep_their_pencil_counts(tmp_path, monkeypatch, bisections, factorizations, pencils, name):
+    # continuity brackets are shared by the declared recipe, so no block is hashed and no bisection is added or lost
+    digests, blake2b = [], hashlib.blake2b
+    monkeypatch.setattr(hashlib, "blake2b", lambda *a, **kw: digests.append(a) or blake2b(*a, **kw))
+    model, ids, counts = SPECTRAL_CONFIGS[name]
+    config = {"schema_version": 1, "model": model, "grid": {"n_cells": 256}, "checks": [{"id": i} for i in ids]}
+    assert main(["check", write_config(tmp_path / "c.json", config), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    assert (len(bisections), len(factorizations), len(pencils), len(digests)) == (*counts, 0)

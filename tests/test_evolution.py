@@ -820,7 +820,7 @@ class TestDeclaredKronecker:
 
     def test_a_constant_per_cell_field_is_declared_and_steps_mode_by_mode(self):
         form = build_ephaptic(Grid1D(16), four_cycle_field(16))
-        np.testing.assert_array_equal(form.declared[0], FOUR_CYCLE)
+        np.testing.assert_array_equal(form.declared.a_k, FOUR_CYCLE)
         stepper = Stepper(form, self.CFG)
         assert stepper._basis is not None
         assert_matches_dense_step(form, self.CFG, stepper, np.random.default_rng(15).standard_normal(form.total_dim))
@@ -846,6 +846,27 @@ class TestDeclaredKronecker:
         stepper = Stepper(form, self.CFG)
         assert form.declared is None and stepper._basis is None
         assert_matches_dense_step(form, self.CFG, stepper, np.random.default_rng(18).standard_normal(form.total_dim))
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.0 + 0.5j])
+    def test_the_declared_damped_wave_steps_the_band(self, alpha):
+        # its record has a mass part and an ambient Gram K + M, so no eigenbasis of A_K splits it
+        form = build_damped_wave(Grid1D(16), alpha)
+        stepper = Stepper(form, self.CFG)
+        assert form.declared is not None and stepper._basis is None
+        u = np.random.default_rng(19).standard_normal((form.total_dim, 2)) + 0j
+        assert_matches_dense_step(form, self.CFG, stepper, u)
+
+    @pytest.mark.parametrize(
+        "a_m, h, split",
+        [(0.0, (0, 1), True), (0.5, (0, 1), False), (0.0, (1, 1), False), (0.0, (0, 2), False)],
+        ids=["c_kron_k_over_m", "mass_part", "ambient_k_plus_m", "ambient_2m"],
+    )
+    def test_the_split_reads_the_record_alone(self, a_m, h, split):
+        grid = Grid1D(16)
+        form = FormMatrix.declare(p1_stiffness(grid), p1_mass(grid), FOUR_CYCLE, a_m * np.eye(4), [h] * 4, [(1, 1)] * 4, {})
+        stepper = Stepper(form, self.CFG)
+        assert (stepper._basis is not None) == split
+        assert_matches_dense_step(form, self.CFG, stepper, np.random.default_rng(20).standard_normal(form.total_dim))
 
     @pytest.mark.parametrize("changed_cell, split", [(None, True), (8192, False)], ids=["split", "band"])
     def test_the_constant_state_stays_put(self, changed_cell, split):

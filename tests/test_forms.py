@@ -130,6 +130,23 @@ class TestDiscreteSpace:
         g = np.array([[2.0, 1j], [-1j, 2.0]])
         assert DiscreteSpace(g, g).dim == 2
 
+    @staticmethod
+    def space(grid):
+        mass = p1_mass(grid).toarray()
+        return DiscreteSpace(mass, mass + p1_stiffness(grid).toarray())
+
+    def test_equality_and_hash_go_by_identity(self):
+        grid = Grid1D(6)
+        a, b = self.space(grid), self.space(grid)
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, b, a}) == 2
+
+    def test_keeps_the_csr_grams_of_its_validation(self):
+        space = self.space(Grid1D(4))
+        for csr, dense in ((space.h_csr, space.h_gram), (space.v_csr, space.v_gram)):
+            assert isinstance(csr, scipy.sparse.csr_array)
+            np.testing.assert_array_equal(csr.toarray(), dense)
+
 
 class TestCsrStorage:
     def test_dense_and_sparse_inputs_store_one_canonical_csr(self):
@@ -168,45 +185,6 @@ class TestCsrStorage:
             for j, blk in enumerate(row):
                 assert (blk.row, blk.col) == (i, j) and not blk.matrix.flags.writeable
                 np.testing.assert_array_equal(blk.matrix, form.csr_blocks[i][j].toarray())
-
-
-class TestSameGeometry:
-    @staticmethod
-    def space(grid, delta):
-        # delta on every entry, inside and outside the Grams' sparsity pattern
-        mass = p1_mass(grid).toarray()
-        bump = delta * np.ones_like(mass)
-        return DiscreteSpace(mass + bump, mass + p1_stiffness(grid).toarray() + bump)
-
-    @pytest.mark.parametrize("delta, same", [(0.0, True), (1e-13, True), (1e-9, False)])
-    def test_agrees_with_dense_allclose(self, delta, same):
-        grid = Grid1D(6)
-        a, b = self.space(grid, 0.0), self.space(grid, delta)
-        assert a is not b
-        dense = all(
-            np.allclose(x, y, rtol=1e-12, atol=1e-12) for x, y in ((a.h_gram, b.h_gram), (a.v_gram, b.v_gram))
-        )
-        assert dense is same
-        assert a.same_geometry(b) is same
-        assert b.same_geometry(a) is same
-
-    def test_equality_and_hash_go_by_identity(self):
-        grid = Grid1D(6)
-        a, b = self.space(grid, 0.0), self.space(grid, 0.0)
-        assert a == a and a != b
-        assert hash(a) == hash(a) and len({a, b, a}) == 2
-        assert a.same_geometry(b)
-
-    def test_same_object_and_dimension_mismatch(self):
-        a = self.space(Grid1D(6), 0.0)
-        assert a.same_geometry(a) is True
-        assert a.same_geometry(self.space(Grid1D(5), 0.0)) is False
-
-    def test_keeps_the_csr_grams_of_its_validation(self):
-        space = self.space(Grid1D(4), 0.0)
-        for csr, dense in ((space.h_csr, space.h_gram), (space.v_csr, space.v_gram)):
-            assert isinstance(csr, scipy.sparse.csr_array)
-            np.testing.assert_array_equal(csr.toarray(), dense)
 
 
 class TestEmbeddingNorm:
@@ -335,6 +313,9 @@ class TestFlattenSplit:
     def test_identical_spaces(self):
         assert build_constant_coupled(Grid1D(4), np.eye(2)).identical_spaces
         assert not build_damped_wave(Grid1D(4)).identical_spaces
+        # spaces agree by identity: two objects with equal Grams are two spaces
+        equal = [TestDiscreteSpace.space(Grid1D(4)) for _ in range(2)]
+        assert not FormMatrix(equal, [[np.eye(5), np.zeros((5, 5))], [np.zeros((5, 5)), np.eye(5)]]).identical_spaces
 
 
 ASSEMBLY_BUILDERS = {

@@ -6,6 +6,8 @@ import scipy.sparse
 
 from coupledforms import (
     CoefficientField,
+    DiscreteSpace,
+    FormMatrix,
     Grid1D,
     build_constant_coupled,
     build_damped_wave,
@@ -387,9 +389,11 @@ class TestDeclaredKronecker:
         # and doubling is exact
         coupling, grid = DECLARED_COUPLINGS[name], Grid1D(n_cells)
         form = build_constant_coupled(grid, coupling)
-        c, k = form.declared
+        declared = form.declared
+        c, k = declared.a_k, declared.k
         np.testing.assert_array_equal(c, coupling)
         assert not c.flags.writeable and k.data.tobytes() == _as_csr(p1_stiffness(grid), "k").data.tobytes()
+        assert not np.any(declared.a_m) and declared.h == ((0.0, 1.0),) * len(c) and declared.v == ((1.0, 1.0),) * len(c)
         for row, coefficients in zip(form.csr_blocks, coupling):
             for block, value in zip(row, coefficients):
                 per_cell = _as_csr(p1_stiffness(grid, np.full(n_cells, value)), "block")
@@ -404,7 +408,71 @@ class TestDeclaredKronecker:
         values[:, :, 7] *= 2.0
         form = build_ephaptic(grid, CoefficientField(values))
         assert form.declared is None and form.metadata["coefficients"].values[0, 0, 7] == 6.0
-        # no other builder, and no derived form, declares anything
+        # dynamic_bc_heat, and no derived form, declares anything
         declared = build_constant_coupled(grid, FOUR_CYCLE)
-        derived = [declared.adjoint(), declared.diagonal_part(), build_damped_wave(grid), build_dynamic_bc_heat(grid)]
-        assert [f.declared for f in derived] == [None] * 4
+        derived = [declared.adjoint(), declared.diagonal_part(), build_dynamic_bc_heat(grid)]
+        assert [f.declared for f in derived] == [None] * 3
+
+
+def assert_same_bytes(got, want, name):
+    for part in ("indptr", "indices", "data"):
+        a, b = getattr(got, part), getattr(want, part)
+        assert got.shape == want.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, part)
+
+
+class TestDeclaredDampedWave:
+    @pytest.mark.parametrize("n_cells", [8, 256, 16384])
+    @pytest.mark.parametrize("alpha", [1.0, 2.0, 1.0 + 0.5j, 0.3 - 2.0j])
+    def test_declared_wave_equals_the_hand_assembly_byte_for_byte(self, alpha, n_cells):
+        grid = Grid1D(n_cells)
+        k, mass = p1_stiffness(grid), p1_mass(grid)
+        # [[0, -(M + K)], [-alpha K, K]] over H = (M + K, M) and V = M + K; the zero block is 0*K, with K's index type
+        spaces = [DiscreteSpace(mass + k, mass + k), DiscreteSpace(mass, mass + k)]
+        hand = FormMatrix(spaces, [[0.0 * k, -(mass + k)], [-alpha * k, k]])
+        form = build_damped_wave(grid, alpha)
+        for i in range(2):
+            for j in range(2):
+                assert_same_bytes(form.csr_blocks[i][j], hand.csr_blocks[i][j], f"block ({i},{j})")
+            for gram in ("h_csr", "v_csr"):
+                assert_same_bytes(getattr(form.spaces[i], gram), getattr(hand.spaces[i], gram), f"{gram} {i}")
+        for name in ("form_csr", "mass_csr", "vgram_csr"):
+            assert_same_bytes(getattr(form, name), getattr(hand, name), name)
+        assert form.is_real is (complex(alpha).imag == 0.0)
+
+    def test_the_record_states_the_wave(self):
+        declared = build_damped_wave(Grid1D(8), 1.0 + 0.5j).declared
+        np.testing.assert_array_equal(declared.a_k, [[0, -1], [-1.0 - 0.5j, 1]])
+        np.testing.assert_array_equal(declared.a_m, [[0, -1], [0, 0]])
+        assert declared.h == ((1.0, 1.0), (0.0, 1.0)) and declared.v == ((1.0, 1.0), (1.0, 1.0))
+
+    def test_components_with_one_gram_pair_share_one_space(self):
+        grid = Grid1D(8)
+        wave, ring = build_damped_wave(grid), build_constant_coupled(grid, FOUR_CYCLE)
+        assert wave.spaces[0] is not wave.spaces[1]
+        assert all(s is ring.spaces[0] for s in ring.spaces) and ring.identical_spaces
+
+    def test_the_record_cannot_be_rebound_or_written_to(self):
+        grid, a_k = Grid1D(8), np.array(FOUR_CYCLE)
+        form = FormMatrix.declare(p1_stiffness(grid), p1_mass(grid), a_k, np.zeros((4, 4)), [(0, 1)] * 4, [(1, 1)] * 4, {})
+        a_k[0, 0] = 7.0
+        declared = form.declared
+        assert declared.a_k[0, 0] == 3.0
+        with pytest.raises(AttributeError):
+            form.declared = None
+        with pytest.raises(AttributeError):
+            declared.a_k = a_k
+        stored = [getattr(m, part) for m in (declared.k, declared.m) for part in ("indptr", "indices", "data")]
+        for array in (declared.a_k, declared.a_m, *stored):
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = 1
+        with pytest.raises(TypeError):
+            declared.h[0] = (1.0, 1.0)
+
+    def test_a_declaration_of_mismatched_sizes_is_refused(self):
+        # A_K against h and v by the grid check of the form, h against v by zip(strict=True)
+        grid = Grid1D(8)
+        k, mass = p1_stiffness(grid), p1_mass(grid)
+        with pytest.raises(DimensionError, match="blocks must form an 3x3 grid"):
+            FormMatrix.declare(k, mass, np.eye(2), np.zeros((2, 2)), [(0, 1)] * 3, [(1, 1)] * 3, {})
+        with pytest.raises(ValueError, match="longer"):
+            FormMatrix.declare(k, mass, np.eye(2), np.zeros((2, 2)), [(0, 1)] * 2, [(1, 1)] * 3, {})
