@@ -145,14 +145,13 @@ class FormBlock:
 class Declaration:
     """A form over one pencil ``(K, M)`` as :meth:`FormMatrix.declare` states it, none of it writable: block (i, j)
     is ``a_k[i, j]*K + a_m[i, j]*M``, and component i has the ambient Gram ``h[i][0]*K + h[i][1]*M`` and the domain
-    Gram ``v[i][0]*K + v[i][1]*M`` (Van Loan, *J. Comput. Appl. Math.* 123, 2000)."""
+    Gram ``K + M``, the H1 Gram (Van Loan, *J. Comput. Appl. Math.* 123, 2000)."""
 
     k: scipy.sparse.csr_array
     m: scipy.sparse.csr_array
     a_k: np.ndarray
     a_m: np.ndarray
     h: tuple
-    v: tuple
 
     def combination(self, a, b) -> scipy.sparse.csr_array:
         """``a*K + b*M``: a zero coefficient skipped (``0*K`` if both are), one with no imaginary part taken as real."""
@@ -188,18 +187,19 @@ class FormMatrix:
     _declared: Declaration | None = field(default=None, init=False, repr=False)
 
     @classmethod
-    def declare(cls, k, m, a_k, a_m, h, v, metadata: dict) -> "FormMatrix":
-        """The form of :class:`Declaration` ``(k, m, a_k, a_m, h, v)``, kept as :attr:`declared`; components with one
-        Gram pair ``(h[i], v[i])`` share one :class:`DiscreteSpace`."""
+    def declare(cls, k, m, a_k, a_m, h, metadata: dict) -> "FormMatrix":
+        """The form of :class:`Declaration` ``(k, m, a_k, a_m, h)``, kept as :attr:`declared`; components with one
+        ambient pair ``h[i]`` share one :class:`DiscreteSpace`."""
         k, m = _as_csr(k, "k"), _as_csr(m, "m")
         a_k, a_m = (np.array(a, dtype=complex if np.iscomplexobj(a) else float, ndmin=2) for a in (a_k, a_m))
+        if k.shape != m.shape or not a_k.shape == a_m.shape == (len(h), len(h)):
+            raise DimensionError(f"declared K {k.shape}, M {m.shape}, A_K {a_k.shape}, A_M {a_m.shape}, {len(h)} Grams")
         for a in (a_k, a_m, k.indptr, k.indices, k.data, m.indptr, m.indices, m.data):
             a.setflags(write=False)
-        record = Declaration(k, m, a_k, a_m, *(tuple((float(x), float(y)) for x, y in p) for p in (h, v)))
-        pairs = list(zip(record.h, record.v, strict=True))
-        spaces = {pair: DiscreteSpace(*(record.combination(*p) for p in pair)) for pair in dict.fromkeys(pairs)}
+        record = Declaration(k, m, a_k, a_m, tuple((float(x), float(y)) for x, y in h))
+        spaces = {p: DiscreteSpace(record.combination(*p), record.combination(1, 1)) for p in dict.fromkeys(record.h)}
         blocks = [[record.combination(x, y) for x, y in zip(*rows)] for rows in zip(a_k, a_m)]
-        form = cls([spaces[pair] for pair in pairs], blocks, metadata)
+        form = cls([spaces[pair] for pair in record.h], blocks, metadata)
         form._declared = record
         return form
 
@@ -576,9 +576,9 @@ def estimate_continuity(form: FormMatrix, i: int, j: int) -> float:
     0]]`` against ``diag(v_gram_i, v_gram_j)`` (``scipy.sparse.bmat`` and
     ``block_diag`` build them), which equals
     ``sup |g^H S_ij f| / (|f|_Vj |g|_Vi)``.  The pencils of ``S_ij`` and
-    ``-S_ij`` are congruent by ``diag(I, -I)``, so a declared form keeps
-    the bracket per recipe up to sign, ``+-(a_k[i, j], a_m[i, j])`` and
-    ``v[i]``, ``v[j]``: the first block asked bisects.  Undeclared: per (i, j).
+    ``-S_ij`` are congruent by ``diag(I, -I)``, so a declared form, whose
+    domain Grams are all ``K + M``, keeps the bracket per recipe up to sign,
+    ``+-(a_k[i, j], a_m[i, j])``: the first block asked bisects.  Undeclared: per (i, j).
     """
     block = form.csr_blocks[i][j]
     if not np.any(block.data):
@@ -586,7 +586,7 @@ def estimate_continuity(form: FormMatrix, i: int, j: int) -> float:
     si, sj, d, key = form.spaces[i], form.spaces[j], form.declared, ("continuity", i, j)
     if d is not None:
         parts = np.array([d.a_k[i, j], d.a_m[i, j]], dtype=complex).view(float)
-        key = ("continuity", max(tuple(parts), tuple(-parts)), d.v[i], d.v[j])
+        key = ("continuity", max(tuple(parts), tuple(-parts)))
 
     def bracket():
         augmented = scipy.sparse.bmat([[None, block], [block.conj().T, None]])

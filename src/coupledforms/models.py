@@ -153,8 +153,8 @@ def build_ephaptic(grid: Grid1D, coeffs: CoefficientField) -> FormMatrix:
         )
     if (coeffs.values == coeffs.values[:, :, :1]).all():
         m = coeffs.m
-        a_k, a_m, h, v = coeffs.values[:, :, 0], np.zeros((m, m)), [(0, 1)] * m, [(1, 1)] * m
-        return FormMatrix.declare(p1_stiffness(grid), p1_mass(grid), a_k, a_m, h, v, {"coefficients": coeffs})
+        a_k, a_m, h = coeffs.values[:, :, 0], np.zeros((m, m)), [(0, 1)] * m
+        return FormMatrix.declare(p1_stiffness(grid), p1_mass(grid), a_k, a_m, h, {"coefficients": coeffs})
     blocks = [[p1_stiffness(grid, c) for c in row] for row in coeffs.values]
     return FormMatrix([_h1_space(grid)] * coeffs.m, blocks, {"coefficients": coeffs})
 
@@ -170,9 +170,9 @@ def build_damped_wave(grid: Grid1D, alpha: complex = 1.0) -> FormMatrix:
     ``alpha = 1`` the sharp constant is about 0.5.  It is declared by :meth:`FormMatrix.declare`.
     """
     alpha = complex(alpha)
-    a_k, a_m, h, v = [[0, -1], [-alpha, 1]], [[0, -1], [0, 0]], [(1, 1), (0, 1)], [(1, 1), (1, 1)]
+    a_k, a_m, h = [[0, -1], [-alpha, 1]], [[0, -1], [0, 0]], [(1, 1), (0, 1)]
     metadata = {"parabola_constant": 1.0 + abs(alpha - 1.0)}
-    return FormMatrix.declare(p1_stiffness(grid), p1_mass(grid), a_k, a_m, h, v, metadata)
+    return FormMatrix.declare(p1_stiffness(grid), p1_mass(grid), a_k, a_m, h, metadata)
 
 
 def build_dynamic_bc_heat(grid: Grid1D) -> FormMatrix:

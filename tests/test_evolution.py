@@ -863,7 +863,7 @@ class TestDeclaredKronecker:
     )
     def test_the_split_reads_the_record_alone(self, a_m, h, split):
         grid = Grid1D(16)
-        form = FormMatrix.declare(p1_stiffness(grid), p1_mass(grid), FOUR_CYCLE, a_m * np.eye(4), [h] * 4, [(1, 1)] * 4, {})
+        form = FormMatrix.declare(p1_stiffness(grid), p1_mass(grid), FOUR_CYCLE, a_m * np.eye(4), [h] * 4, {})
         stepper = Stepper(form, self.CFG)
         assert (stepper._basis is not None) == split
         assert_matches_dense_step(form, self.CFG, stepper, np.random.default_rng(20).standard_normal(form.total_dim))

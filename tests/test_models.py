@@ -393,7 +393,7 @@ class TestDeclaredKronecker:
         c, k = declared.a_k, declared.k
         np.testing.assert_array_equal(c, coupling)
         assert not c.flags.writeable and k.data.tobytes() == _as_csr(p1_stiffness(grid), "k").data.tobytes()
-        assert not np.any(declared.a_m) and declared.h == ((0.0, 1.0),) * len(c) and declared.v == ((1.0, 1.0),) * len(c)
+        assert not np.any(declared.a_m) and declared.h == ((0.0, 1.0),) * len(c)
         for row, coefficients in zip(form.csr_blocks, coupling):
             for block, value in zip(row, coefficients):
                 per_cell = _as_csr(p1_stiffness(grid, np.full(n_cells, value)), "block")
@@ -443,7 +443,7 @@ class TestDeclaredDampedWave:
         declared = build_damped_wave(Grid1D(8), 1.0 + 0.5j).declared
         np.testing.assert_array_equal(declared.a_k, [[0, -1], [-1.0 - 0.5j, 1]])
         np.testing.assert_array_equal(declared.a_m, [[0, -1], [0, 0]])
-        assert declared.h == ((1.0, 1.0), (0.0, 1.0)) and declared.v == ((1.0, 1.0), (1.0, 1.0))
+        assert declared.h == ((1.0, 1.0), (0.0, 1.0))
 
     def test_components_with_one_gram_pair_share_one_space(self):
         grid = Grid1D(8)
@@ -453,7 +453,7 @@ class TestDeclaredDampedWave:
 
     def test_the_record_cannot_be_rebound_or_written_to(self):
         grid, a_k = Grid1D(8), np.array(FOUR_CYCLE)
-        form = FormMatrix.declare(p1_stiffness(grid), p1_mass(grid), a_k, np.zeros((4, 4)), [(0, 1)] * 4, [(1, 1)] * 4, {})
+        form = FormMatrix.declare(p1_stiffness(grid), p1_mass(grid), a_k, np.zeros((4, 4)), [(0, 1)] * 4, {})
         a_k[0, 0] = 7.0
         declared = form.declared
         assert declared.a_k[0, 0] == 3.0
@@ -468,11 +468,11 @@ class TestDeclaredDampedWave:
         with pytest.raises(TypeError):
             declared.h[0] = (1.0, 1.0)
 
-    def test_a_declaration_of_mismatched_sizes_is_refused(self):
-        # A_K against h and v by the grid check of the form, h against v by zip(strict=True)
-        grid = Grid1D(8)
-        k, mass = p1_stiffness(grid), p1_mass(grid)
-        with pytest.raises(DimensionError, match="blocks must form an 3x3 grid"):
-            FormMatrix.declare(k, mass, np.eye(2), np.zeros((2, 2)), [(0, 1)] * 3, [(1, 1)] * 3, {})
-        with pytest.raises(ValueError, match="longer"):
-            FormMatrix.declare(k, mass, np.eye(2), np.zeros((2, 2)), [(0, 1)] * 2, [(1, 1)] * 3, {})
+    @pytest.mark.parametrize(
+        "k_cells, a_k, a_m, grams",
+        [(8, np.eye(2), np.zeros((2, 2)), 3), (8, np.eye(2), np.zeros((3, 3)), 2), (9, np.eye(2), np.zeros((2, 2)), 2)],
+        ids=["a_k_against_h", "a_m_against_a_k", "k_against_m"],
+    )
+    def test_a_declaration_of_mismatched_sizes_is_refused(self, k_cells, a_k, a_m, grams):
+        with pytest.raises(DimensionError, match="^declared K"):
+            FormMatrix.declare(p1_stiffness(Grid1D(k_cells)), p1_mass(Grid1D(8)), a_k, a_m, [(0, 1)] * grams, {})

@@ -898,7 +898,7 @@ def test_continuity_is_kept_per_block_up_to_sign(factorizations):
     mass, w = form.spaces[1].h_csr, form.spaces[1].v_csr
     assert float(mass.sum()) > 0.0
     declared = form.declared
-    pair = FormMatrix.declare(declared.k, declared.m, np.zeros((2, 2)), [[0, -1], [1, 0]], [(0, 1)] * 2, [(1, 1)] * 2, {})
+    pair = FormMatrix.declare(declared.k, declared.m, np.zeros((2, 2)), [[0, -1], [1, 0]], [(0, 1)] * 2, {})
     # the largest singular value of M whitened by the domain Gram W on both sides
     root = np.linalg.cholesky(w.toarray())
     half = scipy.linalg.solve_triangular(root, mass.toarray(), lower=True)
@@ -913,6 +913,17 @@ def test_continuity_is_kept_per_block_up_to_sign(factorizations):
     for i, j in ((0, 1), (1, 0)):
         factorizations.clear()
         assert estimate_continuity(undeclared, i, j) == pytest.approx(want, rel=1e-10) and factorizations
+
+
+def test_a_per_cell_field_bisects_every_nonzero_block(bisections, factorizations, pencils):
+    # an undeclared form keeps one continuity bracket per (i, j): the 4-cycle given cell by cell, one cell doubled,
+    # bisects its 12 nonzero blocks besides the sector's own two pencils (4, 125 and 3 while equal blocks shared)
+    values = np.tile(np.array(RING)[:, :, None], 256)
+    values[:, :, 128] *= 2.0
+    form = build_ephaptic(Grid1D(256), CoefficientField(values))
+    bisections.clear(), factorizations.clear(), pencils.clear()
+    assert form.declared is None and sector_check(form).passed
+    assert (len(bisections), len(factorizations), len(pencils)) == (14, 545, 13)
 
 
 @pytest.mark.parametrize(
