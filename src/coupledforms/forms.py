@@ -20,9 +20,9 @@ ch. 3; George & Liu, *Computer Solution of Large Sparse Positive
 Definite Systems*, 1981).  A pencil with a non-finite entry, or a shift
 that overflows it, raises :class:`ValidationError`.  Brackets are kept in
 the form's one memo (:meth:`FormMatrix._kept`), with the accretivity
-verdict and the time steppers, each keyed by what it reads: blocks of
-one declared recipe, up to sign, share a continuity bracket, and a
-coercivity bracket is kept per diagonal block and shift.
+verdict and the time steppers, each keyed by what it reads: a continuity
+bracket is kept per block, a coercivity bracket per diagonal block and
+shift, and a support per direction, Gram and shift.
 No N-sized matrix goes through dense LAPACK.  :func:`full_ellipticity`
 and the ``sector`` and ``parabola`` checks of
 :mod:`coupledforms.qualitative` read the numerical range of a form
@@ -575,24 +575,18 @@ def estimate_continuity(form: FormMatrix, i: int, j: int) -> float:
     The largest eigenvalue of the augmented block ``[[0, S_ij], [S_ij^H,
     0]]`` against ``diag(v_gram_i, v_gram_j)`` (``scipy.sparse.bmat`` and
     ``block_diag`` build them), which equals
-    ``sup |g^H S_ij f| / (|f|_Vj |g|_Vi)``.  The pencils of ``S_ij`` and
-    ``-S_ij`` are congruent by ``diag(I, -I)``, so a declared form, whose
-    domain Grams are all ``K + M``, keeps the bracket per recipe up to sign,
-    ``+-(a_k[i, j], a_m[i, j])``: the first block asked bisects.  Undeclared: per (i, j).
+    ``sup |g^H S_ij f| / (|f|_Vj |g|_Vi)``, kept on the form per (i, j).
     """
     block = form.csr_blocks[i][j]
     if not np.any(block.data):
         return 0.0
-    si, sj, d, key = form.spaces[i], form.spaces[j], form.declared, ("continuity", i, j)
-    if d is not None:
-        parts = np.array([d.a_k[i, j], d.a_m[i, j]], dtype=complex).view(float)
-        key = ("continuity", max(tuple(parts), tuple(-parts)))
+    si, sj = form.spaces[i], form.spaces[j]
 
     def bracket():
         augmented = scipy.sparse.bmat([[None, block], [block.conj().T, None]])
         return _lambda_max(augmented, scipy.sparse.block_diag([si.v_csr, sj.v_csr]))
 
-    return _midpoint(form._kept(key, bracket))
+    return _midpoint(form._kept(("continuity", i, j), bracket))
 
 
 def estimate_ellipticity(form: FormMatrix, i: int, shift: float = 0.0) -> float:
@@ -613,7 +607,7 @@ def _hermitian_along(form: FormMatrix, direction) -> scipy.sparse.csr_array:
 
 
 def _support(form: FormMatrix, direction, gram: str = "vgram_csr", shift: float = 0.0) -> tuple:
-    """Bracket of ``lambda_max(herm(conj(d)*S) - shift*M, G)`` for a quarter turn ``d`` in {-1, 1j, -1j}.
+    """Bracket of ``lambda_max(herm(conj(d)*S) - shift*M, G)`` for a quarter turn ``d`` in {1, -1, 1j, -1j}.
 
     That is ``sup (Re(conj(d) a(f,f)) - shift*|f|_H^2) / |f|_G^2``, the support
     function of the numerical range (Gustafson & Rao, *Numerical Range*,

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certificates import FAIL, NOT_APPLICABLE, PASS, spectral_norm
+from .certificates import FAIL, NOT_APPLICABLE, PASS
 from .errors import DimensionError, ValidationError
 from .evolution import PROJECTION_TOL, EvolutionConfig, ProjectionSpec, TrajectoryRecord, _lift, _start, _states
 from .evolution import evolve, h_norm
@@ -35,7 +35,6 @@ from .forms import (
     _midpoint,
     _Pencil,
     _support,
-    estimate_continuity,
     full_ellipticity,
     is_discretely_accretive,
 )
@@ -491,16 +490,19 @@ def sector_check(
     numerical range (:func:`~coupledforms.forms._support`), reported as
     ``exact_alpha``, the support in direction -1 at ``shift`` negated,
     and ``exact_bound``, the larger support in directions ``+-i``.
-    Without ``alpha`` the check uses ``exact_alpha``, without ``bound``
-    the 2-norm of the matrix of block continuity constants.
+    Without ``alpha`` the check uses ``exact_alpha``.  Without ``bound``
+    it uses the largest of ``exact_bound`` and the magnitudes of the
+    supports in directions ``+-1`` at shift 0: the half-side of the
+    smallest square about 0 that holds the numerical range, which cannot
+    fail, and for a Hermitian form the continuity constant ``|S|_V``.
     """
     exact_alpha = full_ellipticity(form, shift)
     if alpha is None:
         alpha = exact_alpha
-    if bound is None:
-        bound = spectral_norm([[estimate_continuity(form, i, j) for j in range(form.m)] for i in range(form.m)])
     # sup |Im a(f,f)|/|f|_V^2 is at least 0; the supports of a Hermitian form are -0.0
     exact_bound = max(0.0, *(_midpoint(_support(form, d)) for d in (1j, -1j)))
+    if bound is None:
+        bound = max(exact_bound, *(abs(_midpoint(_support(form, d))) for d in (1, -1)))
     passed = _within(alpha, exact_alpha) and _within(exact_bound, bound)
     details = {"alpha": alpha, "bound": bound, "exact_alpha": exact_alpha, "exact_bound": exact_bound}
     return CheckResult("sector", PASS if passed else FAIL, details)

@@ -82,6 +82,18 @@ def damped_wave(alpha: complex, n_cells: int, length: float = 1.0) -> ModalForm:
     return ModalForm(n_cells, length, s_k, s_m, np.array([1.0, 0.0]), np.ones(2), np.ones(2), np.ones(2))
 
 
+def symmetric_coupling_norm(coupling, n_cells: int, length: float = 1.0) -> float:
+    """``|S|_V`` of the form ``C (x) K`` over ``V = I (x) (K + M)``, ``C`` real symmetric: ``max_r |lambda_r(C)| rho/(1 + rho)``.
+
+    Mode k's pencil is ``(kappa_k C, (kappa_k + mu_k) I)``, so its eigenvalues are ``lambda_r(C) rho_k/(1 + rho_k)``
+    with ``rho_k = kappa_k/mu_k``, which grows with ``theta_k`` to ``12/h^2`` at ``theta = pi`` (``kappa = 4/h``,
+    ``mu = h/3``).
+    """
+    h = length / n_cells
+    rho = 12.0 / h**2
+    return float(np.abs(np.linalg.eigvalsh(np.asarray(coupling, dtype=float))).max() * (rho / (1.0 + rho)))
+
+
 def _hermitian(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().swapaxes(-1, -2))
 

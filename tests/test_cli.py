@@ -10,6 +10,7 @@ import pytest
 
 from coupledforms import cli, qualitative, report
 from coupledforms.cli import main
+from coupledforms.registry import CHECKS
 
 
 def write_config(path, data):
@@ -738,6 +739,14 @@ ONE_LINE_CONFIGS = {
         {"model": {"name": "constant_coupled", "coupling": [[1.0, 2.0]]}},
         "validation error: coupling matrix must be square, got (1, 2)",
     ),
+    "non-square-projection": (
+        "check",
+        {
+            "model": {"name": "constant_coupled", "coupling": [[2.0, -1.0], [-1.0, 2.0]]},
+            "projection": {"matrix": [[1, 0, 0], [0, 1, 0]]},
+        },
+        "validation error: projection matrix must be square, got (2, 3)",
+    ),
     # the solve tolerance is a constant of the package, no longer a setting
     "retired-solver-tolerance": (
         "simulate",
@@ -847,18 +856,48 @@ SPECTRAL_CONFIGS = {
     "coupled": (
         {"name": "constant_coupled", "coupling": RING},
         ("row_sums", "column_sums", "realness", "subspace_C", "subspace_B", "product_subspace", "sector"),
-        (4, 128, 6),
+        (3, 86, 5),
     ),
-    "wave": ({"name": "damped_wave", "alpha": 1.0}, ("product_subspace", "sector", "parabola"), (5, 243, 9)),
+    "wave": ({"name": "damped_wave", "alpha": 1.0}, ("product_subspace", "sector", "parabola"), (4, 201, 8)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SPECTRAL_CONFIGS))
 def test_spectral_configs_keep_their_pencil_counts(tmp_path, monkeypatch, bisections, factorizations, pencils, name):
-    # continuity brackets are shared by the declared recipe, so no block is hashed and no bisection is added or lost
+    # sector reads the numerical range only through its supports and hashes no block
     digests, blake2b = [], hashlib.blake2b
     monkeypatch.setattr(hashlib, "blake2b", lambda *a, **kw: digests.append(a) or blake2b(*a, **kw))
     model, ids, counts = SPECTRAL_CONFIGS[name]
     config = {"schema_version": 1, "model": model, "grid": {"n_cells": 256}, "checks": [{"id": i} for i in ids]}
     assert main(["check", write_config(tmp_path / "c.json", config), "--out", str(tmp_path / "out"), "--quiet"]) == 0
     assert (len(bisections), len(factorizations), len(pencils), len(digests)) == (*counts, 0)
+
+
+@pytest.mark.parametrize(
+    "coefficients",
+    [[[2.0, -1.0], [-1.0, 2.0]], [[[2.0] * 7 + [3.0], -1.0], [-1.0, 2.0]]],
+    ids=["declared", "per-cell"],
+)
+def test_no_check_id_reads_a_continuity_constant(tmp_path, monkeypatch, coefficients):
+    # every check id runs with estimate_continuity raising wherever the package could reach it
+    def refuse(*args):
+        raise AssertionError("estimate_continuity called")
+
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "coupledforms"]:
+        if hasattr(module, "estimate_continuity"):
+            monkeypatch.setattr(module, "estimate_continuity", refuse)
+    params = {"subsystem": {"m0": 1}, "parabola": {"m_tilde": 1.0}}
+    params.update(dict.fromkeys(("positivity", "domination", "linf", "strip_runtime"), {"trials": 2}))
+    config = {
+        "schema_version": 1,
+        "model": {"name": "ephaptic", "coefficients": coefficients},
+        "grid": {"n_cells": 8},
+        "evolution": {"dt": 0.01, "t_end": 0.05},
+        "checks": [{"id": check_id, **params.get(check_id, {})} for check_id in CHECKS],
+    }
+    out = tmp_path / "out"
+    assert main(["check", write_config(tmp_path / "c.json", config), "--out", str(out), "--quiet"]) in (0, 1)
+    checks = json.loads((out / "checks.json").read_text())["checks"]
+    assert [c["check_id"] for c in checks] == list(CHECKS)
+    sector = checks[list(CHECKS).index("sector")]["details"]
+    assert sector["bound"] >= sector["exact_bound"]

@@ -561,7 +561,7 @@ ORACLE_BUILDERS = {
         g, CoefficientField.constant(two_fibre_coupling("difference", 2.0, 0.5), g.n_cells)
     ),
     "non_accretive": lambda g: build_constant_coupled(g, [[1.0, -2.0], [-2.0, 1.0]]),
-    # K and -K on the diagonal and off it: one continuity bracket, two ellipticity brackets
+    # K and -K on the diagonal and off it: one continuity bracket per block, two ellipticity brackets
     "negated_blocks": lambda g: build_constant_coupled(g, [[1.0, -1.0], [1.0, -1.0]]),
     "damped_wave": lambda g: build_damped_wave(g, 1.0),
     "damped_wave_complex": lambda g: build_damped_wave(g, 1.0 + 0.5j),
@@ -797,14 +797,6 @@ class TestBracketMemo:
             # the first pass fills the memo, the second reads it
             assert memoized_brackets(form, shift) == want
             assert memoized_brackets(form, shift) == want
-
-    def test_identical_blocks_share_one_bisection(self, bisections):
-        form = ORACLE_BUILDERS["four_cycle"](Grid1D(16))
-        constants = {(i, j): estimate_continuity(form, i, j) for i in range(4) for j in range(4)}
-        # 3K on the diagonal, -K on the 8 couplings; the other 4 blocks are zero
-        assert len(bisections) == 2
-        assert len({constants[i, i] for i in range(4)}) == 1
-        assert estimate_continuity(form, 0, 1) == constants[1, 3] and len(bisections) == 2
 
     @pytest.mark.parametrize("name", sorted(ORACLE_BUILDERS))
     def test_supports_equal_the_bisections_of_their_pencils(self, name):

@@ -23,6 +23,7 @@ from coupledforms.forms import _support
 from coupledforms.qualitative import sector_check
 
 RING = [[3, -1, -1, 0], [-1, 3, 0, -1], [-1, 0, 3, -1], [0, -1, -1, 3]]
+INDEFINITE = [[1, 1, 0], [1, -1, 1], [0, 1, 1]]
 #: Agreement of modal values with dense ``eigh``, relative to the pencil's largest eigenvalue magnitude.
 DENSE_RTOL = 1e-12
 #: Agreement of ``evolve``'s observables with the exact modal theta-scheme, relative per value.
@@ -38,7 +39,12 @@ MODELS = {
         lambda n, L: build_damped_wave(Grid1D(n, L), 1.0 + 0.5j),
         lambda n, L: modal.damped_wave(1.0 + 0.5j, n, L),
     ),
+    "indefinite": (
+        lambda n, L: build_constant_coupled(Grid1D(n, L), INDEFINITE),
+        lambda n, L: modal.ephaptic(INDEFINITE, n, L),
+    ),
 }
+COUPLINGS = {"ring": RING, "indefinite": INDEFINITE}
 
 
 @lru_cache(maxsize=None)
@@ -140,3 +146,12 @@ class TestBrackets:
         assert modal_constant("ring", n_cells) == 0.0
         # a real symmetric form has Im a(f, f) = 0, so any bound holds; alpha alone decides
         assert sector_check(package_form("ring", n_cells), alpha=0.0, bound=1.0).status == PASS
+
+
+class TestDefaultBound:
+    @pytest.mark.parametrize("n_cells", [64, 2048, 16384])
+    @pytest.mark.parametrize("name", sorted(COUPLINGS))
+    def test_equals_the_continuity_constant_of_the_modes(self, name, n_cells):
+        # sector's default bound on a Hermitian form is |S|_V, decided by the top mode
+        want = modal.symmetric_coupling_norm(COUPLINGS[name], n_cells)
+        assert sector_check(package_form(name, n_cells)).details["bound"] == pytest.approx(want, rel=1e-10)

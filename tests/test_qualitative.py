@@ -19,7 +19,6 @@ from coupledforms import (
     build_ephaptic,
     domination_check,
     ephaptic_sum_check,
-    estimate_continuity,
     evolve,
     full_ellipticity,
     h_norm,
@@ -90,6 +89,10 @@ class TestProjections:
     def test_non_idempotent_rejected(self):
         with pytest.raises(ValidationError):
             ProjectionSpec(0.5 * np.eye(2))
+
+    def test_non_square_rejected(self):
+        with pytest.raises(DimensionError, match=r"^projection matrix must be square, got \(2, 3\)$"):
+            ProjectionSpec(np.ones((2, 3)))
 
     @pytest.mark.parametrize(
         "matrix",
@@ -801,15 +804,15 @@ def test_a_one_cell_defect_leaves_the_in_phase_strip(n_cells, delta):
 
 
 def test_default_sector_bisects_each_distinct_pencil_once(pencils):
-    # full_ellipticity and the continuity of 3K and of -K: the 12 nonzero blocks hold 2 distinct pencils;
-    # the +-i supports of the Hermitian form are 0 and build no pencil
+    # the supports in directions -1 (full_ellipticity) and 1; the +-i supports of the Hermitian form are 0 and
+    # build no pencil
     form = build_constant_coupled(Grid1D(16), RING)
     pencils.clear()
     first = sector_check(form)
-    assert len(pencils) == 3
+    assert len(pencils) == 2
     assert sector_check(form).details == first.details
     bounded = sector_check(form, bound=5.0)
-    assert len(pencils) == 3
+    assert len(pencils) == 2
     for key in ("exact_alpha", "exact_bound"):
         assert bounded.details[key] == first.details[key]
 
@@ -887,43 +890,15 @@ def test_range_checks_build_only_what_they_read(monkeypatch, pencils):
     assert res.passed and res.details["intervals"] == 78
 
 
-def test_continuity_is_kept_per_block_up_to_sign(factorizations):
-    # the damped wave's blocks (1, 1) = K and (1, 0) = -K over equal domain Grams share one bisection
-    form = build_damped_wave(Grid1D(16))
-    first = estimate_continuity(form, 1, 1)
-    factorizations.clear()
-    assert estimate_continuity(form, 1, 0) == first
-    assert factorizations == []
-    # the mass M has a nonzero sum, so the Rayleigh quotient that starts the bisection changes sign with the block
-    mass, w = form.spaces[1].h_csr, form.spaces[1].v_csr
-    assert float(mass.sum()) > 0.0
-    declared = form.declared
-    pair = FormMatrix.declare(declared.k, declared.m, np.zeros((2, 2)), [[0, -1], [1, 0]], [(0, 1)] * 2, {})
-    # the largest singular value of M whitened by the domain Gram W on both sides
-    root = np.linalg.cholesky(w.toarray())
-    half = scipy.linalg.solve_triangular(root, mass.toarray(), lower=True)
-    want = np.linalg.norm(scipy.linalg.solve_triangular(root, half.T, lower=True), 2)
-    factorizations.clear()
-    first = estimate_continuity(pair, 0, 1)
-    assert first == pytest.approx(want, rel=1e-10) and factorizations
-    factorizations.clear()
-    assert estimate_continuity(pair, 1, 0) == first and factorizations == []
-    # the same blocks built by hand declare nothing, and each keeps its own bracket
-    undeclared = FormMatrix(pair.spaces, pair.csr_blocks)
-    for i, j in ((0, 1), (1, 0)):
-        factorizations.clear()
-        assert estimate_continuity(undeclared, i, j) == pytest.approx(want, rel=1e-10) and factorizations
-
-
-def test_a_per_cell_field_bisects_every_nonzero_block(bisections, factorizations, pencils):
-    # an undeclared form keeps one continuity bracket per (i, j): the 4-cycle given cell by cell, one cell doubled,
-    # bisects its 12 nonzero blocks besides the sector's own two pencils (4, 125 and 3 while equal blocks shared)
+def test_a_per_cell_field_bisects_only_the_supports(bisections, factorizations, pencils):
+    # the 4-cycle given cell by cell, one cell doubled: sector bisects its supports in directions -1 and 1 and finds
+    # the +-i supports 0 without a pencil, whatever its blocks (14, 545 and 13 while the default bisected each block)
     values = np.tile(np.array(RING)[:, :, None], 256)
     values[:, :, 128] *= 2.0
     form = build_ephaptic(Grid1D(256), CoefficientField(values))
     bisections.clear(), factorizations.clear(), pencils.clear()
     assert form.declared is None and sector_check(form).passed
-    assert (len(bisections), len(factorizations), len(pencils)) == (14, 545, 13)
+    assert (len(bisections), len(factorizations), len(pencils)) == (3, 83, 2)
 
 
 @pytest.mark.parametrize(

@@ -28,6 +28,8 @@ from coupledforms.errors import ValidationError
 from coupledforms.qualitative import RANGE_CHECK_RTOL
 
 RING = [[2.0, -0.5, 0.0, -0.5], [-0.5, 2.0, -0.5, 0.0], [0.0, -0.5, 2.0, -0.5], [-0.5, 0.0, -0.5, 2.0]]
+# symmetric and indefinite: the 2-norm of its entrywise modulus is 1 + sqrt(2), its largest |eigenvalue| sqrt(3)
+INDEFINITE = [[1.0, 1.0, 0.0], [1.0, -1.0, 1.0], [0.0, 1.0, 1.0]]
 
 
 def _skew_coefficients(n_cells):
@@ -40,6 +42,7 @@ def _skew_coefficients(n_cells):
 BUILDERS = {
     "ephaptic": lambda grid: build_ephaptic(grid, _skew_coefficients(grid.n_cells)),
     "ring": lambda grid: build_constant_coupled(grid, RING),
+    "indefinite": lambda grid: build_constant_coupled(grid, INDEFINITE),
     "wave-1": lambda grid: build_damped_wave(grid, 1.0),
     "wave-0.5": lambda grid: build_damped_wave(grid, 0.5),
     "wave-2": lambda grid: build_damped_wave(grid, 2.0),
@@ -75,6 +78,12 @@ def _imaginary_identity(sign, n=4):
 def _dense_skew(form):
     s = form.form_csr.toarray()
     return (s - s.conj().T) / 2j
+
+
+def _dense_support(form, direction):
+    """``lambda_max(herm(conj(d)*S), V)`` by dense ``eigh``."""
+    a = np.conj(direction) * form.form_csr.toarray()
+    return scipy.linalg.eigh((a + a.conj().T) / 2, form.vgram_csr.toarray(), eigvals_only=True)[-1]
 
 
 class TestSampler:
@@ -148,6 +157,21 @@ class TestSector:
         imag = scipy.linalg.eigh(_dense_skew(form), v, eigvals_only=True)
         assert res.details["exact_alpha"] == pytest.approx(scipy.linalg.eigh(herm, v, eigvals_only=True)[0], abs=1e-9)
         assert res.details["exact_bound"] == pytest.approx(np.abs(imag).max(), abs=1e-9)
+
+    @pytest.mark.parametrize("n_cells", [16, 48])
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_default_bound_is_the_largest_axis_support(self, name, n_cells):
+        # the half-side of the smallest square about 0 that holds the numerical range, never below exact_bound
+        form = BUILDERS[name](Grid1D(n_cells))
+        details = sector_check(form).details
+        want = max(abs(_dense_support(form, d)) for d in (1, -1, 1j, -1j))
+        assert details["bound"] == pytest.approx(want, rel=1e-9)
+        assert details["bound"] >= details["exact_bound"]
+        s = form.form_csr.toarray()
+        if np.array_equal(s, s.conj().T):
+            # a Hermitian form's continuity constant |S|_V
+            eigenvalues = scipy.linalg.eigh(s, form.vgram_csr.toarray(), eigvals_only=True)
+            assert details["bound"] == pytest.approx(np.abs(eigenvalues).max(), rel=1e-9)
 
 
 class TestParabola:
